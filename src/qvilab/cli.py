@@ -162,10 +162,6 @@ def _solution_on_grid(cfg, args, suffix=""):
     return result.V, "fresh solve"
 
 
-def _tolerance_unit(grid):
-    return grid.dt + float(sum(grid.dx))
-
-
 # ------------------------------------------------------------- commands ----
 
 def cmd_check(args):
@@ -198,7 +194,7 @@ def cmd_solve(args):
     else:
         result = solve_qvi(cfg.problem, cfg.grid, constants=cfg.constants)
 
-    tol = args.tol if args.tol is not None else 10.0 * _tolerance_unit(cfg.grid)
+    tol = args.tol if args.tol is not None else 10.0 * vc._tolerance_unit(cfg.grid)
     mask = interior_mask(cfg.grid, result.scheme)
     interior = np.abs(result.residual.values[mask])
     fraction = float((interior <= tol).mean()) if interior.size else 1.0

@@ -155,6 +155,15 @@ class Grid:
                 raise ConfigError(f"grid needs x_nodes >= 2 in dimension {d + 1}")
             if not lo < hi:
                 raise ConfigError(f"grid needs x_min < x_max in dimension {d + 1}")
+        # node coordinates, built once and kept out of the dataclass fields
+        # so ==, hash and repr still see only the five fields above
+        t = np.linspace(0.0, self.T, self.t_nodes)
+        axes = tuple(np.linspace(lo, hi, cnt)
+                     for lo, hi, cnt in zip(self.x_min, self.x_max, self.x_nodes))
+        for arr in (t,) + axes:
+            arr.setflags(write=False)
+        object.__setattr__(self, "_t", t)
+        object.__setattr__(self, "_axes", axes)
 
     @property
     def n(self):
@@ -173,14 +182,13 @@ class Grid:
 
     @property
     def t(self):
-        return np.linspace(0.0, self.T, self.t_nodes)
+        """Time nodes, a read-only array."""
+        return self._t
 
     @property
     def axes(self):
-        return [
-            np.linspace(lo, hi, cnt)
-            for lo, hi, cnt in zip(self.x_min, self.x_max, self.x_nodes)
-        ]
+        """Per-dimension node coordinates, a fresh list of read-only arrays."""
+        return list(self._axes)
 
     @property
     def shape(self):

@@ -270,7 +270,8 @@ def solve_qvi(problem, grid, scheme=None, search=None, constants=None,
 
     Each slice runs W <- min(W_unclipped, N[W]) until the update falls
     below fp_tol, then records the obstacle gap, impulse argmin and
-    truncation of the settled slice.  The terminal slice is the sampled
+    truncation of the settled slice (from the last sweep when its update
+    was exactly zero, since that sweep already saw the settled slice).  The terminal slice is the sampled
     terminal data and is never clipped.  intervention_mask marks stepped
     nodes with N[V] - V <= mask_tol (default: the dissipation scale).
     """
@@ -317,7 +318,7 @@ def solve_qvi(problem, grid, scheme=None, search=None, constants=None,
         _check_finite(W0, t_k, grid)
         W = W0
         for it in range(1, scheme.fp_max_iter + 1):
-            n_vals, _, _ = obs.evaluate_slice_values(
+            n_vals, arg_k, trunc_k = obs.evaluate_slice_values(
                 grid, W, t_k, problem.ell, problem.cone, search
             )
             W_new = np.minimum(W0, n_vals)
@@ -332,9 +333,12 @@ def solve_qvi(problem, grid, scheme=None, search=None, constants=None,
             )
         iterations[k] = it
         V[k] = W
-        n_vals, arg_k, trunc_k = obs.evaluate_slice_values(
-            grid, W, t_k, problem.ell, problem.cone, search
-        )
+        if delta > 0.0:
+            # the last sweep saw the previous iterate; a zero update means
+            # it saw this one, so its N, argmin and truncation stand
+            n_vals, arg_k, trunc_k = obs.evaluate_slice_values(
+                grid, W, t_k, problem.ell, problem.cone, search
+            )
         gap[k] = n_vals - W
         argmin[k] = arg_k
         truncated[k] = trunc_k

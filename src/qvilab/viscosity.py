@@ -190,6 +190,7 @@ def _block(arr, offsets, radius):
 
 
 def _tolerance_unit(grid):
+    """Step scale dt + sum(dx); default probe tolerances are multiples of it."""
     return grid.dt + float(sum(grid.dx))
 
 
