@@ -270,16 +270,32 @@ class GridFunction:
 
 
 def write_csv(gf, path):
-    """Row-major CSV export with header t,x1[,x2],value."""
+    """Write a grid function as CSV, one row per space-time node.
+
+    The header is `t,x1,value` in 1-d and `t,x1,x2,value` in 2-d.  Rows
+    follow `gf.values` in row-major order: t slowest, then x1, then x2.
+    Every number, coordinates included, is written with `%.17g`, which
+    round-trips a float64, and every line ends with a newline.  The bytes
+    depend only on the grid and the values; artifacts compared by checksum
+    rely on that.
+    """
     grid = gf.grid
     cols = ["t"] + [f"x{d + 1}" for d in range(grid.n)] + ["value"]
-    env = grid.full_env()
-    stacks = [env["t"]] + [env[f"x{d + 1}"] for d in range(grid.n)] + [gf.values]
-    flat = [s.ravel() for s in stacks]
+    # ",x1[,x2]" per space node in row-major order, each coordinate
+    # formatted once per grid rather than once per row
+    space = [""]
+    for axis in grid.axes:
+        tokens = [f"{v:.17g}" for v in axis.tolist()]
+        space = [f"{head},{tok}" for head in space for tok in tokens]
+    # t_tok.join(tails) puts the slice's t token before every row but the
+    # first, so t_tok + t_tok.join(tails) is the slice's format template
+    tails = [f"{head},%.17g\n" for head in space]
+    values = gf.values.reshape(grid.t_nodes, -1)
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in zip(*flat):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for k, t in enumerate(grid.t.tolist()):
+            t_tok = f"{t:.17g}"
+            fh.write((t_tok + t_tok.join(tails)) % tuple(values[k].tolist()))
 
 
 def read_csv(grid, path):
@@ -291,8 +307,11 @@ def read_csv(grid, path):
         raise ConfigError(
             f"unexpected CSV header {header!r}; this grid needs {expected!r}"
         )
-    values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=grid.n + 1,
-                        ndmin=1)
+    try:
+        values = np.loadtxt(path, delimiter=",", skiprows=1,
+                            usecols=grid.n + 1, ndmin=1)
+    except ValueError as err:
+        raise ConfigError(f"malformed CSV {str(path)!r}: {err}") from err
     want = int(np.prod(grid.shape))
     if values.size != want:
         raise ConfigError(f"CSV holds {values.size} rows, grid needs {want}")

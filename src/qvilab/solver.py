@@ -196,13 +196,11 @@ def _check_finite(vals, t, grid):
         )
 
 
-def _flags_for(problem, grid, constants):
+def _flags_for(terminal, constants):
+    """Flags that depend only on the sampled terminal slice."""
     flags = []
-    if constants is not None:
-        env = grid.space_env()
-        h_vals = np.asarray(ex.evaluate(problem.h, env), dtype=float)
-        if float(np.min(h_vals)) + constants.h0 < 0.0:
-            flags.append("hypotheses unaudited")
+    if constants is not None and float(np.min(terminal)) + constants.h0 < 0.0:
+        flags.append("hypotheses unaudited")
     return flags
 
 
@@ -227,7 +225,7 @@ def solve_hjb(problem, grid, scheme=None, constants=None) -> SolveResult:
         _check_finite(W0, float(grid.t[k]), grid)
         V[k] = W0
         # residual (W0 - V_k)/dt vanishes identically without an obstacle
-    flags = _flags_for(problem, grid, constants)
+    flags = _flags_for(V[nt - 1], constants)
     return SolveResult(
         V=GridFunction(grid, V),
         residual=GridFunction(grid, residual),
@@ -280,16 +278,6 @@ def solve_qvi(problem, grid, scheme=None, search=None, constants=None,
         scheme = make_scheme_params(problem, grid)
     if scheme.enforce_cfl:
         check_cfl(grid, scheme)
-    if search is None:
-        if constants is not None:
-            env = grid.space_env()
-            h_vals = np.asarray(ex.evaluate(problem.h, env), dtype=float)
-            search = obs.default_search_params(
-                (float(h_vals.min()), float(h_vals.max())), constants, grid
-            )
-        else:
-            search = obs.SearchParams(xi_max=grid.box_diagonal)
-
     space_env = grid.space_env()
     nt = grid.t_nodes
     xshape = tuple(grid.x_nodes)
@@ -297,6 +285,13 @@ def solve_qvi(problem, grid, scheme=None, search=None, constants=None,
     V[nt - 1] = np.broadcast_to(
         np.asarray(ex.evaluate(problem.h, space_env), dtype=float), xshape
     )
+    if search is None:
+        if constants is not None:
+            search = obs.default_search_params(
+                (float(V[nt - 1].min()), float(V[nt - 1].max())), constants,
+                grid)
+        else:
+            search = obs.SearchParams(xi_max=grid.box_diagonal)
     residual = np.zeros(grid.shape)
     gap = np.empty(grid.shape)
     argmin = np.zeros(grid.shape + (grid.n,))
@@ -344,7 +339,7 @@ def solve_qvi(problem, grid, scheme=None, search=None, constants=None,
         truncated[k] = trunc_k
         residual[k] = np.minimum((W0 - W) / grid.dt, gap[k])
 
-    flags = _flags_for(problem, grid, constants)
+    flags = _flags_for(V[nt - 1], constants)
     if truncated.any():
         flags.append("obstacle search truncated")
     if mask_tol is None:

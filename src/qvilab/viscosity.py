@@ -368,29 +368,28 @@ def _terminal_nodes(V, problem, side, ctol):
         grid.shape[1:])
     last = V.values[-1]
     margin = h - last if side == "sub" else last - h
-    bad = margin < -ctol
-    out = []
-    for idx in zip(*np.nonzero(bad)):
-        out.append(NodeViolation(
-            t_index=grid.t_nodes - 1, x_index=tuple(int(i) for i in idx),
-            t=float(grid.T),
-            x=tuple(float(grid.axes[d][idx[d]]) for d in range(grid.n)),
-            margin=float(margin[idx])))
-    return out
+    idx = np.nonzero(margin < -ctol)
+    k = np.full(idx[0].shape, grid.t_nodes - 1)
+    return _node_violations(grid, k, idx, margin[idx])
 
 
 def _constraint_nodes(V, gap, ctol):
-    grid = V.grid
-    out = []
-    bad = gap[:-1] < -ctol
-    for idx in zip(*np.nonzero(bad)):
-        k = int(idx[0])
-        xi = tuple(int(i) for i in idx[1:])
-        out.append(NodeViolation(
-            t_index=k, x_index=xi, t=float(grid.t[k]),
-            x=tuple(float(grid.axes[d][xi[d]]) for d in range(grid.n)),
-            margin=float(gap[idx])))
-    return out
+    idx = np.nonzero(gap[:-1] < -ctol)
+    return _node_violations(V.grid, idx[0], idx[1:], gap[idx])
+
+
+def _node_violations(grid, t_index, x_index, margin):
+    """NodeViolations at the nodes (t_index, *x_index), in array order.
+
+    Coordinates are gathered from grid.t and grid.axes once per call and
+    converted to Python scalars in bulk.
+    """
+    t = grid.t[t_index].tolist()
+    x = zip(*(axis[i].tolist() for axis, i in zip(grid.axes, x_index)))
+    xi = zip(*(i.tolist() for i in x_index))
+    return [NodeViolation(t_index=k, x_index=ix, t=tk, x=xk, margin=m)
+            for k, ix, tk, xk, m in zip(t_index.tolist(), xi, t, x,
+                                        margin.tolist())]
 
 
 def _notes(field, extra=""):
