@@ -8,7 +8,6 @@
 from qvilab import comparison as cmp
 from qvilab import expr as ex
 from qvilab.core import Cone, Grid, ImpulseProblem, sample
-from qvilab.obstacle import SearchParams
 from qvilab.solver import solve_qvi
 
 problem = ImpulseProblem(
@@ -25,8 +24,7 @@ grid = Grid(T=1.0, t_nodes=201, x_min=(0.5,), x_max=(3.5,), x_nodes=(351,))
 
 # pair a known super-solution candidate with the solved function
 V = sample(ex.parse("(x1 - 1 + t)*exp(-(x1 - 1 + t))", ("t", "x1")), grid)
-result = solve_qvi(problem, grid,
-                   search=SearchParams(xi_max=5.0, refine_levels=6))
+result = solve_qvi(problem, grid)
 
 params = cmp.DoublingParams(theta=0.001)
 levels = (0.1, 0.05, 0.025, 0.0125)

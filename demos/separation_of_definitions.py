@@ -6,7 +6,6 @@
 
 from qvilab.core import Grid
 from qvilab.example import build_instance, verify_separation
-from qvilab.obstacle import SearchParams
 
 instance = build_instance(t0=0.5, l0=0.05)
 
@@ -21,8 +20,7 @@ print(f"  profitable band in u: ({instance.u_lo:.4f}, {instance.u_hi:.4f}),"
       f" margin delta = {instance.delta:.4f}")
 
 grid = Grid(T=1.0, t_nodes=101, x_min=(-1.0,), x_max=(4.0,), x_nodes=(351,))
-report = verify_separation(instance, grid,
-                           search=SearchParams(xi_max=5.0, refine_levels=6))
+report = verify_separation(instance, grid)
 
 print()
 print(f"classical super-solution check: "

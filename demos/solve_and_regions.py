@@ -7,7 +7,6 @@ import numpy as np
 
 from qvilab import expr as ex
 from qvilab.core import Cone, Grid, ImpulseProblem
-from qvilab.obstacle import SearchParams
 from qvilab.solver import extract_regions, solve_qvi
 
 problem = ImpulseProblem(
@@ -21,8 +20,7 @@ problem = ImpulseProblem(
 # the box must reach past the optimal jump target near x = 4.6
 grid = Grid(T=1.0, t_nodes=201, x_min=(-1.0,), x_max=(7.0,),
             x_nodes=(561,))
-result = solve_qvi(problem, grid,
-                   search=SearchParams(xi_max=5.0, refine_levels=6))
+result = solve_qvi(problem, grid)
 regions = extract_regions(result)
 
 print(f"solved {grid.t_nodes}x{grid.x_nodes[0]} nodes, "

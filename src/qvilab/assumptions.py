@@ -31,6 +31,7 @@ from scipy.stats import qmc
 
 from . import expr as ex
 from .core import ConfigError, Grid
+from .obstacle import default_search
 
 TOL_EXACT = 1e-9
 TOL_SCAN = 1e-6
@@ -89,7 +90,8 @@ class SamplerSpec:
 def default_sampler(grid, n_samples=512, seed=11, p_max=4.0, xi_max=None):
     """Sampler over a grid's box, with the grid's nodes joined in."""
     if xi_max is None:
-        xi_max = grid.box_diagonal
+        # the ray-coefficient box the obstacle search scans
+        xi_max = default_search(grid).xi_max
     return SamplerSpec(x_min=grid.x_min, x_max=grid.x_max, p_max=p_max,
                        xi_max=xi_max, n_samples=n_samples, seed=seed, grid=grid)
 

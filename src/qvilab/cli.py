@@ -32,7 +32,7 @@ from . import viscosity as vc
 from .assumptions import SamplerSpec, audit_H1, audit_H2
 from .core import (ConfigError, Grid, GridFunction, load_problem, read_csv,
                    sample, write_csv)
-from .obstacle import SearchParams, evaluate_slice_values
+from .obstacle import evaluate_slice_values
 from .solver import (SolverError, extract_regions, interior_mask, solve_hjb,
                      solve_qvi)
 
@@ -144,22 +144,23 @@ def _sample_expression(cfg, source, flag):
 
 
 def _solution_on_grid(cfg, args, suffix=""):
-    """Grid function from --solution CSV, --analytic expr, or a fresh solve."""
+    """(grid function, obstacle gap, source) from --solution CSV, --analytic
+    expr, or a fresh solve; the gap is the solve's, None otherwise."""
     solution = getattr(args, "solution" + suffix, None)
     analytic = getattr(args, "analytic" + suffix, None)
     flag = "--solution" + suffix.replace("_", "-")
     if solution and analytic:
         raise ConfigError(f"pass either {flag} or --analytic{suffix}, not both")
     if solution:
-        return read_csv(cfg.grid, solution), f"solution file {solution}"
+        return read_csv(cfg.grid, solution), None, f"solution file {solution}"
     if analytic:
         return (_sample_expression(cfg, analytic,
                                    "--analytic" + suffix.replace("_", "-")),
-                "analytic expression")
+                None, "analytic expression")
     if suffix:
-        return None, ""
+        return None, None, ""
     result = solve_qvi(cfg.problem, cfg.grid, constants=cfg.constants)
-    return result.V, "fresh solve"
+    return result.V, result.obstacle_gap, "fresh solve"
 
 
 # ------------------------------------------------------------- commands ----
@@ -238,12 +239,15 @@ def cmd_viscosity(args):
     overrides = _collect_overrides(args)
     cfg = _load_config(args.config, overrides)
     run = _Session("viscosity", args.out, cfg.config_hash, overrides)
-    V, source = _solution_on_grid(cfg, args)
+    V, gap, source = _solution_on_grid(cfg, args)
     checker = _VARIANTS[args.variant]
     spec = None
     if args.tol is not None:
         spec = vc.ProbeSpec(tol_factor=args.tol)
-    report = checker(V, cfg.problem, spec)
+    reuse = {}
+    if gap is not None and args.variant.startswith("qvi"):
+        reuse["gap"] = gap  # the fresh solve's N[V] - V, so N runs once
+    report = checker(V, cfg.problem, spec, **reuse)
     run.write_text("viscosity.json", report.to_json())
     vc.write_violations_csv(report, run.path("violations.csv"))
     counts = (len(report.violations), len(report.constraint_violations),
@@ -290,8 +294,8 @@ def cmd_doubling(args):
     overrides = _collect_overrides(args)
     cfg = _load_config(args.config, overrides)
     run = _Session("doubling", args.out, cfg.config_hash, overrides)
-    V, source = _solution_on_grid(cfg, args)
-    V_hat, hat_source = _solution_on_grid(cfg, args, suffix="_hat")
+    V, _, source = _solution_on_grid(cfg, args)
+    V_hat, _, hat_source = _solution_on_grid(cfg, args, suffix="_hat")
     if V_hat is None:
         V_hat, hat_source = V, "the same function"
     params = None
@@ -333,12 +337,10 @@ def cmd_example(args):
     # box must reach the jump target or the clipped search hides the dip
     x_hi = max(5.5, instance.x0 + instance.xi2 + 1.0)
     grid = Grid(instance.T, nt, (-1.5,), (x_hi,), (nx,))
-    search = SearchParams(xi_max=max(5.0, instance.xi2 + 1.0),
-                          refine_levels=6)
     spec = None
     if args.tol is not None:
         spec = vc.ProbeSpec(tol_factor=args.tol)
-    report = exm.verify_separation(instance, grid, spec=spec, search=search)
+    report = exm.verify_separation(instance, grid, spec=spec)
 
     # measurement box: x0 on a node, right edge past the jump target
     reach = instance.x0 + instance.xi2 + 0.5
@@ -351,7 +353,7 @@ def cmd_example(args):
     k0 = int(round(instance.t0 / grid.dt))
     n_vals, _, _ = evaluate_slice_values(grid, V.values[k0],
                                          float(grid.t[k0]), problem.ell,
-                                         problem.cone, search)
+                                         problem.cone)
     slice_path = run.path("anchor_slice.csv")
     with open(slice_path, "w") as fh:
         fh.write("x1,obstacle_minus_value\n")

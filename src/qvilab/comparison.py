@@ -56,6 +56,7 @@ from .assumptions import (
 )
 from .core import AssumptionConstants, ConfigError, ImpulseProblem
 from .solver import SchemeParams, estimate_dissipation, interior_mask, solve_qvi
+from .viscosity import _tolerance_unit
 
 __all__ = [
     "DoublingParams",
@@ -261,8 +262,7 @@ def compare_solutions(problem, problem_hat, grid, scheme=None, search=None,
         interior = int(diff.size)
         notes.append("interior sub-box empty; measured over all nodes")
 
-    unit = grid.dt + sum(grid.dx)
-    tolerance = 10.0 * unit
+    tolerance = 10.0 * _tolerance_unit(grid)
     return ComparisonReport(
         max_difference=max_diff, tolerance=tolerance,
         passed=bool(max_diff <= tolerance), ordered=ordered, audit=audit,

@@ -42,7 +42,7 @@ from scipy.optimize import bisect
 
 from . import expr as ex
 from .core import Cone, ConfigError, Grid, GridFunction, ImpulseProblem
-from .obstacle import SearchParams, evaluate_slice_values
+from .obstacle import evaluate_slice_values
 from .viscosity import (
     check_hjb_subsolution,
     check_qvi_supersolution_classical,
@@ -277,9 +277,6 @@ def measure_obstacle_gap(instance, x_min=-1.0, x_max=5.0, x_nodes=601,
         raise ConfigError("anchor point x0 must be a grid node")
     if x_max < instance.x0 + instance.xi2:
         raise ConfigError("box does not contain the optimal jump target")
-    if search is None:
-        search = SearchParams(xi_max=max(5.0, instance.xi2 + 1.0),
-                              refine_levels=12)
     u = axis - instance.T + instance.t0
     slice_vals = u * np.exp(-u)
     problem = instance.problem(with_bump=False)

@@ -6,7 +6,8 @@ For a time slice V(t, .) the obstacle value at x is
 
 where V is multilinearly interpolated in space (clamped at the box edges)
 and the infimum is taken over the cone intersected with a ball
-|xi| <= xi_max.  Ties are broken toward smaller |xi|, then lexicographically.
+|xi| <= xi_max, the box diagonal unless a search says otherwise.  Ties
+are broken toward smaller |xi|, then lexicographically.
 
 Exact path.  When the cone is the orthant, ell does not use x, ell is
 affine in xi (by the structure of its expression) with slopes
@@ -69,22 +70,15 @@ class SearchParams:
             raise ValueError("refinement needs refine_points >= 3")
 
 
-def default_search_params(values_range, constants, grid, coarse=25, refine_levels=10):
-    """Radius from the cost coercivity floor, capped by the box diagonal.
+def default_search(grid):
+    """The one radius policy of N: xi_max = the box diagonal.
 
-    An impulse with alpha*|xi|^beta above the value spread can never win, so
-    the cap ((max V - min V - ell0)/alpha)^(1/beta) is safe; jumps longer
-    than the box diagonal land on the clamped edge anyway.
+    Every landing point inside the box lies within one diagonal of every
+    node, so this ball reaches all of them; it is also the radius the 2-d
+    exact path needs.  Callers that pass no search get this policy, so
+    every command sees the same N.
     """
-    lo, hi = values_range
-    spread = float(hi) - float(lo) - constants.ell0
-    if spread > 0.0:
-        cap = (spread / constants.alpha) ** (1.0 / constants.beta)
-    else:
-        cap = 0.0
-    diag = grid.box_diagonal
-    xi_max = min(max(cap, 4.0 * max(grid.dx)), diag)
-    return SearchParams(xi_max=xi_max, coarse=coarse, refine_levels=refine_levels)
+    return SearchParams(xi_max=grid.box_diagonal)
 
 
 @dataclass(frozen=True)
@@ -426,8 +420,11 @@ def _obstacle(grid, slice_values, t, ell, cone, search, points, at_nodes):
     `at_nodes` says the points are every node in row-major order.  Returns
     (values, argmin_xi, truncated, probes) flat over the points; probes
     counts the payoffs the search evaluated or the candidates the exact
-    path compared (None for the 2-d node scan).
+    path compared (None for the 2-d node scan).  A search of None means
+    default_search(grid).
     """
+    if search is None:
+        search = default_search(grid)
     slopes = _exact_slopes(grid, t, ell, cone, search)
     if slopes is None:
         ev = _SliceEvaluator(grid, slice_values, t, ell, points)
@@ -448,7 +445,7 @@ def _obstacle(grid, slice_values, t, ell, cone, search, points, at_nodes):
     return values, bxi, truncated, probes
 
 
-def evaluate_slice_values(grid, slice_values, t, ell, cone, search):
+def evaluate_slice_values(grid, slice_values, t, ell, cone, search=None):
     """Obstacle operator applied to raw slice values at every spatial node.
 
     Takes the exact path when the problem allows it, else the search.
@@ -469,13 +466,13 @@ def evaluate_slice_values(grid, slice_values, t, ell, cone, search):
     )
 
 
-def evaluate_slice(V: GridFunction, t_index, ell, cone, search):
+def evaluate_slice(V: GridFunction, t_index, ell, cone, search=None):
     """Obstacle operator applied to time slice `t_index` of a grid function."""
     t = float(V.grid.t[t_index])
     return evaluate_slice_values(V.grid, V.values[t_index], t, ell, cone, search)
 
 
-def evaluate(V: GridFunction, t_index, x_point, ell, cone, search):
+def evaluate(V: GridFunction, t_index, x_point, ell, cone, search=None):
     """Obstacle value at one (t_index, x_point), x_point inside the box.
 
     Runs the slice machinery on a single point, so every guarantee of

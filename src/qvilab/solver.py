@@ -146,7 +146,6 @@ class SolveResult:
     V: GridFunction
     residual: GridFunction
     obstacle_gap: Optional[GridFunction]
-    intervention_mask: Optional[np.ndarray]
     argmin_xi: Optional[np.ndarray]
     truncated: Optional[np.ndarray]
     iterations: np.ndarray
@@ -196,16 +195,32 @@ def _check_finite(vals, t, grid):
         )
 
 
-def _flags_for(terminal, constants):
-    """Flags that depend only on the sampled terminal slice."""
-    flags = []
-    if constants is not None and float(np.min(terminal)) + constants.h0 < 0.0:
-        flags.append("hypotheses unaudited")
-    return flags
-
-
 def solve_hjb(problem, grid, scheme=None, constants=None) -> SolveResult:
     """Unconstrained backward solve; terminal slice is the sampled data."""
+    return _backward(problem, grid, scheme, constants, obstacle=False)
+
+
+def solve_qvi(problem, grid, scheme=None, search=None,
+              constants=None) -> SolveResult:
+    """Backward solve with every stepped slice clipped by the obstacle.
+
+    Each slice runs W <- min(W_unclipped, N[W]) until the update falls
+    below fp_tol, then records the obstacle gap, impulse argmin and
+    truncation of the settled slice (from the last sweep when its update
+    was exactly zero, since that sweep already saw the settled slice).
+    The terminal slice is the sampled terminal data and is never clipped.
+    `search` defaults to obstacle.default_search(grid).
+    """
+    return _backward(problem, grid, scheme, constants, obstacle=True,
+                     search=search)
+
+
+def _backward(problem, grid, scheme, constants, obstacle, search=None):
+    """The backward loop of both solves, with the obstacle on or off.
+
+    Off, no obstacle call is made and no gap, argmin or truncation array
+    is allocated; the residual (W0 - V_k)/dt then vanishes identically.
+    """
     start = time.perf_counter()
     if scheme is None:
         scheme = make_scheme_params(problem, grid)
@@ -219,26 +234,80 @@ def solve_hjb(problem, grid, scheme=None, constants=None) -> SolveResult:
         tuple(grid.x_nodes),
     )
     residual = np.zeros(grid.shape)
+    iterations = np.zeros(nt, dtype=int)
+    gap = argmin = truncated = None
+    if obstacle:
+        gap = np.empty(grid.shape)
+        argmin = np.zeros(grid.shape + (grid.n,))
+        truncated = np.zeros(grid.shape, dtype=bool)
+        # terminal slice: gap recorded for reporting, never enforced
+        n_term, argmin[nt - 1], truncated[nt - 1] = obs.evaluate_slice_values(
+            grid, V[nt - 1], float(grid.t[nt - 1]), problem.ell, problem.cone,
+            search)
+        gap[nt - 1] = n_term - V[nt - 1]
+
     for k in range(nt - 2, -1, -1):
+        t_k = float(grid.t[k])
         W0 = _hjb_step(problem, grid, scheme, V[k + 1], float(grid.t[k + 1]),
                        space_env)
-        _check_finite(W0, float(grid.t[k]), grid)
-        V[k] = W0
-        # residual (W0 - V_k)/dt vanishes identically without an obstacle
-    flags = _flags_for(V[nt - 1], constants)
+        _check_finite(W0, t_k, grid)
+        if not obstacle:
+            V[k] = W0
+            continue
+        W, n_vals, argmin[k], truncated[k], iterations[k] = _settle(
+            problem, grid, scheme, search, W0, t_k)
+        V[k] = W
+        gap[k] = n_vals - W
+        residual[k] = np.minimum((W0 - W) / grid.dt, gap[k])
+
+    flags = []
+    if constants is not None and float(np.min(V[nt - 1])) + constants.h0 < 0.0:
+        flags.append("hypotheses unaudited")
+    if obstacle and truncated.any():
+        flags.append("obstacle search truncated")
     return SolveResult(
         V=GridFunction(grid, V),
         residual=GridFunction(grid, residual),
-        obstacle_gap=None,
-        intervention_mask=None,
-        argmin_xi=None,
-        truncated=None,
-        iterations=np.zeros(nt, dtype=int),
+        obstacle_gap=None if gap is None else GridFunction(grid, gap),
+        argmin_xi=argmin,
+        truncated=truncated,
+        iterations=iterations,
         flags=tuple(flags),
         scheme=scheme,
         wall_time=time.perf_counter() - start,
     )
 
+
+def _settle(problem, grid, scheme, search, W0, t_k):
+    """Fixed point W <- min(W0, N[W]) of one stepped slice.
+
+    Returns (W, N[W], argmin, truncated, sweeps).
+    """
+    W = W0
+    for it in range(1, scheme.fp_max_iter + 1):
+        n_vals, arg_k, trunc_k = obs.evaluate_slice_values(
+            grid, W, t_k, problem.ell, problem.cone, search
+        )
+        W_new = np.minimum(W0, n_vals)
+        delta = float(np.max(np.abs(W_new - W)))
+        W = W_new
+        if delta <= scheme.fp_tol:
+            break
+    else:
+        raise FixedPointError(
+            f"obstacle fixed point did not settle at t = {t_k:.6g}: "
+            f"last update {delta:.3g} after {scheme.fp_max_iter} sweeps"
+        )
+    if delta > 0.0:
+        # the last sweep saw the previous iterate; a zero update means
+        # it saw this one, so its N, argmin and truncation stand
+        n_vals, arg_k, trunc_k = obs.evaluate_slice_values(
+            grid, W, t_k, problem.ell, problem.cone, search
+        )
+    return W, n_vals, arg_k, trunc_k, it
+
+
+# ------------------------------------------------------------ diagnostics ----
 
 def obstacle_scale(grid, scheme: SchemeParams) -> float:
     """Dissipation length scale sum_d sigma_d * dx_d.
@@ -261,108 +330,6 @@ def mask_tolerances(grid, scheme: SchemeParams):
     """
     return obstacle_scale(grid, scheme) * (1.0 + 2.0 * (grid.T - grid.t))
 
-
-def solve_qvi(problem, grid, scheme=None, search=None, constants=None,
-              mask_tol=None) -> SolveResult:
-    """Backward solve with every stepped slice clipped by the obstacle.
-
-    Each slice runs W <- min(W_unclipped, N[W]) until the update falls
-    below fp_tol, then records the obstacle gap, impulse argmin and
-    truncation of the settled slice (from the last sweep when its update
-    was exactly zero, since that sweep already saw the settled slice).  The terminal slice is the sampled
-    terminal data and is never clipped.  intervention_mask marks stepped
-    nodes with N[V] - V <= mask_tol (default: the dissipation scale).
-    """
-    start = time.perf_counter()
-    if scheme is None:
-        scheme = make_scheme_params(problem, grid)
-    if scheme.enforce_cfl:
-        check_cfl(grid, scheme)
-    space_env = grid.space_env()
-    nt = grid.t_nodes
-    xshape = tuple(grid.x_nodes)
-    V = np.empty(grid.shape)
-    V[nt - 1] = np.broadcast_to(
-        np.asarray(ex.evaluate(problem.h, space_env), dtype=float), xshape
-    )
-    if search is None:
-        if constants is not None:
-            search = obs.default_search_params(
-                (float(V[nt - 1].min()), float(V[nt - 1].max())), constants,
-                grid)
-        else:
-            search = obs.SearchParams(xi_max=grid.box_diagonal)
-    residual = np.zeros(grid.shape)
-    gap = np.empty(grid.shape)
-    argmin = np.zeros(grid.shape + (grid.n,))
-    truncated = np.zeros(grid.shape, dtype=bool)
-    iterations = np.zeros(nt, dtype=int)
-
-    # terminal slice: gap recorded for reporting, never enforced
-    n_term, arg_term, trunc_term = obs.evaluate_slice_values(
-        grid, V[nt - 1], float(grid.t[nt - 1]), problem.ell, problem.cone, search
-    )
-    gap[nt - 1] = n_term - V[nt - 1]
-    argmin[nt - 1] = arg_term
-    truncated[nt - 1] = trunc_term
-
-    for k in range(nt - 2, -1, -1):
-        t_k = float(grid.t[k])
-        W0 = _hjb_step(problem, grid, scheme, V[k + 1], float(grid.t[k + 1]),
-                       space_env)
-        _check_finite(W0, t_k, grid)
-        W = W0
-        for it in range(1, scheme.fp_max_iter + 1):
-            n_vals, arg_k, trunc_k = obs.evaluate_slice_values(
-                grid, W, t_k, problem.ell, problem.cone, search
-            )
-            W_new = np.minimum(W0, n_vals)
-            delta = float(np.max(np.abs(W_new - W)))
-            W = W_new
-            if delta <= scheme.fp_tol:
-                break
-        else:
-            raise FixedPointError(
-                f"obstacle fixed point did not settle at t = {t_k:.6g}: "
-                f"last update {delta:.3g} after {scheme.fp_max_iter} sweeps"
-            )
-        iterations[k] = it
-        V[k] = W
-        if delta > 0.0:
-            # the last sweep saw the previous iterate; a zero update means
-            # it saw this one, so its N, argmin and truncation stand
-            n_vals, arg_k, trunc_k = obs.evaluate_slice_values(
-                grid, W, t_k, problem.ell, problem.cone, search
-            )
-        gap[k] = n_vals - W
-        argmin[k] = arg_k
-        truncated[k] = trunc_k
-        residual[k] = np.minimum((W0 - W) / grid.dt, gap[k])
-
-    flags = _flags_for(V[nt - 1], constants)
-    if truncated.any():
-        flags.append("obstacle search truncated")
-    if mask_tol is None:
-        tol_rows = mask_tolerances(grid, scheme)
-    else:
-        tol_rows = np.full(nt, float(mask_tol))
-    mask = gap <= tol_rows.reshape((nt,) + (1,) * grid.n)
-    mask[nt - 1] = False
-    return SolveResult(
-        V=GridFunction(grid, V),
-        residual=GridFunction(grid, residual),
-        obstacle_gap=GridFunction(grid, gap),
-        intervention_mask=mask,
-        argmin_xi=argmin,
-        truncated=truncated,
-        iterations=iterations,
-        flags=tuple(flags),
-        scheme=scheme,
-        wall_time=time.perf_counter() - start,
-    )
-
-
-# ------------------------------------------------------------ diagnostics ----
 
 @dataclass(frozen=True)
 class RegionMap:

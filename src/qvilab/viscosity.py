@@ -39,7 +39,7 @@ import numpy as np
 
 from . import expr as ex
 from .core import ConfigError
-from .obstacle import SearchParams, evaluate_slice_values
+from .obstacle import evaluate_slice_values
 
 VARIANT_HJB_SUB = "HJB-SUB"
 VARIANT_HJB_SUPER = "HJB-SUPER"
@@ -169,10 +169,12 @@ def write_violations_csv(report, path):
 # -------------------------------------------------------------- obstacle ----
 
 def obstacle_gap(V, problem, search=None):
-    """N[V] - V on every time slice of a grid function."""
+    """N[V] - V on every time slice of a grid function.
+
+    `search` defaults to obstacle.default_search(grid), the radius the
+    solver clips with.
+    """
     grid = V.grid
-    if search is None:
-        search = SearchParams(xi_max=grid.box_diagonal)
     gap = np.empty(grid.shape)
     for k in range(grid.t_nodes):
         vals, _, _ = evaluate_slice_values(grid, V.values[k], grid.t[k],

@@ -10,13 +10,15 @@ import pytest
 
 from qvilab import cli
 from qvilab import expr as ex
-from qvilab.core import Grid, read_csv, sample
-from qvilab.solver import interior_mask
+from qvilab import viscosity as vc
+from qvilab.core import Grid, load_problem, read_csv, sample
+from qvilab.solver import interior_mask, solve_qvi
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EXAMPLE = str(CONFIGS / "example.cfg")
 LIFTED = str(CONFIGS / "example-lifted.cfg")
 TRANSPORT = str(CONFIGS / "transport.cfg")
+PLANE = str(CONFIGS.parent / "perfbench" / "plane.cfg")
 PROFILE = "(x1 - 1 + t)*exp(-(x1 - 1 + t))"
 
 # CFL-safe shrink used where a test does not care about resolution
@@ -164,6 +166,28 @@ class TestViscosity:
         assert run(["viscosity", EXAMPLE, *FAST,
                     "--variant", "qvi-sub", "--out", str(tmp_path)]) == 0
         assert "fresh solve" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("config", [EXAMPLE, PLANE],
+                             ids=["example", "plane"])
+    def test_fresh_solve_gap_is_reused(self, tmp_path, monkeypatch, config):
+        # the constrained checks read the solve's own N[V] - V: each report
+        # equals the checker on a recomputed gap, and no gap is recomputed
+        cfg = load_problem(Path(config).read_text())
+        res = solve_qvi(cfg.problem, cfg.grid, constants=cfg.constants)
+        gap = vc.obstacle_gap(res.V, cfg.problem)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("obstacle gap recomputed")
+
+        monkeypatch.setattr(vc, "obstacle_gap", refuse)
+        for variant in ("qvi-sub", "qvi-super-classical",
+                        "qvi-super-modified"):
+            out = tmp_path / variant
+            assert run(["viscosity", config, "--variant", variant,
+                        "--out", str(out)]) in (0, 1)
+            expect = cli._VARIANTS[variant](res.V, cfg.problem, gap=gap)
+            assert ((out / "viscosity.json").read_text()
+                    == expect.to_json() + "\n")
 
     def test_both_sources_is_invalid(self, tmp_path, solve_dir):
         assert run(["viscosity", EXAMPLE,

@@ -5,11 +5,10 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from qvilab import expr as ex
-from qvilab.core import AssumptionConstants, Cone, Grid, GridFunction, sample
+from qvilab.core import Cone, Grid, GridFunction, sample
 from qvilab.obstacle import (
     ObstacleResult,
     SearchParams,
-    default_search_params,
     evaluate,
     evaluate_slice,
     evaluate_slice_values,
@@ -267,13 +266,3 @@ class TestInterfaces:
             SearchParams(xi_max=1.0, refine_points=2)
         SearchParams(xi_max=1.0, refine_levels=0, refine_points=2)  # ok
 
-    def test_default_params_clamp_to_diagonal(self):
-        constants = AssumptionConstants(L=1.0, mu=0.0, h0=3.0, ell0=0.05,
-                                        alpha=0.05, beta=0.5, delta0=0.05,
-                                        C=16.0, gamma=0.0, kappa=0.25)
-        grid = make_grid_1d()
-        p = default_search_params((-2.72, 0.37), constants, grid)
-        assert p.xi_max == pytest.approx(grid.box_diagonal)
-        # flat function: radius falls back to a few cells
-        pf = default_search_params((0.0, 0.0), constants, grid)
-        assert pf.xi_max == pytest.approx(4.0 * max(grid.dx))

@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qvilab import cli
+from qvilab import example as exm
 from qvilab import expr as ex
 from qvilab import obstacle as obs
+from qvilab import viscosity as vc
 from qvilab.core import Cone, Grid, GridFunction, interp_slice, load_problem
 from qvilab.obstacle import (
     SearchParams,
     _exact_slopes,
     _search,
     _SliceEvaluator,
-    default_search_params,
+    default_search,
     evaluate,
     evaluate_slice,
     evaluate_slice_values,
@@ -251,9 +254,7 @@ class TestSearchUpperBound:
         cfg = load_problem((CONFIGS / "example.cfg").read_text())
         res = solve_qvi(cfg.problem, cfg.grid, constants=cfg.constants)
         grid = cfg.grid
-        h = res.V.values[-1]
-        search = default_search_params((float(h.min()), float(h.max())),
-                                       cfg.constants, grid)
+        search = default_search(grid)
         for k in range(0, grid.t_nodes, 20):
             exact, _, _ = evaluate_slice_values(
                 grid, res.V.values[k], float(grid.t[k]), cfg.problem.ell,
@@ -375,9 +376,7 @@ class TestCallers:
         # every slice here settles with an update of exactly zero, so the
         # calls are one per sweep plus the terminal slice, no repeat
         assert len(calls) == 1 + int(res.iterations.sum())
-        h = res.V.values[-1]
-        search = default_search_params((float(h.min()), float(h.max())),
-                                       cfg.constants, grid)
+        search = default_search(grid)
         for k in range(grid.t_nodes - 1):
             n_vals, arg, trunc = evaluate_slice_values(
                 grid, res.V.values[k], float(grid.t[k]), cfg.problem.ell,
@@ -386,6 +385,32 @@ class TestCallers:
                                   n_vals - res.V.values[k])
             assert np.array_equal(res.argmin_xi[k], arg)
             assert np.array_equal(res.truncated[k], trunc)
+
+    def test_every_caller_resolves_the_one_radius(self, monkeypatch,
+                                                   tmp_path):
+        seen = {}
+        inner = obs._exact_slopes
+        caller = ["solve_qvi"]
+
+        def spy(grid, t, ell, cone, search):
+            seen.setdefault(caller[0], set()).add(
+                search == default_search(grid)
+                == SearchParams(xi_max=grid.box_diagonal))
+            return inner(grid, t, ell, cone, search)
+
+        monkeypatch.setattr(obs, "_exact_slopes", spy)
+        cfg = load_problem((CONFIGS / "example.cfg").read_text(),
+                           ("grid.t_nodes=21", "grid.x_nodes=71"))
+        res = solve_qvi(cfg.problem, cfg.grid, constants=cfg.constants)
+        caller[0] = "obstacle_gap"
+        vc.obstacle_gap(res.V, cfg.problem)
+        caller[0] = "measure_obstacle_gap"
+        exm.measure_obstacle_gap(exm.build_instance())
+        caller[0] = "reproduce-example"
+        assert cli.main(["reproduce-example", "--out", str(tmp_path)]) == 0
+        assert seen == {name: {True} for name in (
+            "solve_qvi", "obstacle_gap", "measure_obstacle_gap",
+            "reproduce-example")}
 
     def test_grid_nodes_are_cached_read_only(self):
         grid = grid_2d()

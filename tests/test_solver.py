@@ -1,12 +1,15 @@
 """Scheme tests: transport oracle, exact invariants, DP cross-check."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
+from qvilab import cli
 from qvilab import expr as ex
+from qvilab import obstacle as obs
 from qvilab.core import (
     AssumptionConstants,
     Cone,
@@ -30,6 +33,7 @@ from qvilab.solver import (
     suggest_t_nodes,
 )
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 ELL0 = 0.05
 
 
@@ -157,7 +161,7 @@ class TestExactInvariants:
         clipped = solve_qvi(problem, grid, scheme,
                             SearchParams(xi_max=5.0, refine_levels=4))
         assert np.array_equal(free.V.values, clipped.V.values)
-        assert not clipped.intervention_mask.any()
+        assert not extract_regions(clipped).labels.any()
         assert clipped.iterations.max() <= 2
 
     def test_terminal_shift_invariance(self):
@@ -178,6 +182,34 @@ class TestExactInvariants:
         res = solve_qvi(problem, grid, SchemeParams(dissipation=(1.05,)),
                         SearchParams(xi_max=5.0, refine_levels=4))
         assert np.array_equal(res.V.values[-1], f_profile(grid.axes[0]))
+
+
+class TestObstacleOff:
+    @pytest.fixture
+    def no_obstacle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("obstacle evaluated")
+
+        monkeypatch.setattr(obs, "evaluate_slice_values", refuse)
+
+    def test_unconstrained_solve_makes_no_obstacle_call(self, no_obstacle):
+        problem = transport_problem()
+        grid = Grid(T=1.0, t_nodes=21, x_min=(-1.0,), x_max=(4.0,),
+                    x_nodes=(51,))
+        scheme = SchemeParams(dissipation=(1.05,))
+        res = solve_hjb(problem, grid, scheme)
+        assert res.obstacle_gap is None
+        assert res.argmin_xi is None and res.truncated is None
+        assert not res.iterations.any() and not res.residual.values.any()
+        with pytest.raises(AssertionError, match="obstacle evaluated"):
+            solve_qvi(problem, grid, scheme)
+
+    def test_no_obstacle_command_makes_no_obstacle_call(self, no_obstacle,
+                                                        tmp_path):
+        config = CONFIGS / "transport.cfg"
+        assert cli.main(["solve", str(config), "--no-obstacle",
+                         "--out", str(tmp_path)]) == 0
+        assert not (tmp_path / "obstacle_gap.csv").exists()
 
 
 class TestGuards:
@@ -281,7 +313,7 @@ class TestConstrainedSolve:
         x = grid.axes[0]
         for t_target in (0.0, 0.5, 0.9):
             k = int(round(t_target / grid.dt))
-            row = res.intervention_mask[k]
+            row = extract_regions(res).labels[k]
             idx = np.flatnonzero(row)
             assert idx.size > 0
             # one contiguous run whose ends track the profile-coordinate
@@ -301,7 +333,7 @@ class TestConstrainedSolve:
         # mid horizon and covers the reference point x = 1.5, t = 0.5
         grid, res, _ = qvi_example
         k = grid.t_nodes // 2
-        row = res.intervention_mask[k]
+        row = extract_regions(res).labels[k]
         assert row.any()
         i_ref = int(np.argmin(np.abs(grid.axes[0] - 1.5)))
         assert row[i_ref]
@@ -372,7 +404,7 @@ class TestTwoDimensionalConstrained:
         assert res.argmin_xi.shape == (21, 41, 41, 2)
         assert float(res.obstacle_gap.values[:-1].min()) >= -1e-8
         # sin + cos has spread 4 > cost floor, so some impulse fires
-        assert res.intervention_mask.any()
+        assert extract_regions(res).labels.any()
 
 
 class TestInteriorMask:
