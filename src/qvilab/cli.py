@@ -29,10 +29,9 @@ from . import comparison as cmp
 from . import example as exm
 from . import expr as ex
 from . import viscosity as vc
-from .assumptions import SamplerSpec, audit_H1, audit_H2
+from .assumptions import audit_H1, audit_H2, default_sampler
 from .core import (ConfigError, Grid, GridFunction, load_problem, read_csv,
                    sample, write_csv)
-from .obstacle import evaluate_slice_values
 from .solver import (SolverError, extract_regions, interior_mask, solve_hjb,
                      solve_qvi)
 
@@ -129,11 +128,6 @@ def _load_config(path, overrides):
     return load_problem(text, overrides)
 
 
-def _sampler_for(cfg):
-    return SamplerSpec(x_min=cfg.grid.x_min, x_max=cfg.grid.x_max,
-                       grid=cfg.grid)
-
-
 def _sample_expression(cfg, source, flag):
     names = {"t"} | {f"x{d + 1}" for d in range(cfg.problem.n)}
     try:
@@ -169,7 +163,7 @@ def cmd_check(args):
     overrides = _collect_overrides(args)
     cfg = _load_config(args.config, overrides)
     run = _Session("check", args.out, cfg.config_hash, overrides)
-    spec = _sampler_for(cfg)
+    spec = default_sampler(cfg.grid)
     hamiltonian = audit_H1(cfg.problem, cfg.constants, spec)
     structure = audit_H2(cfg.problem, cfg.constants, spec)
     passed = hamiltonian.passed and structure.passed
@@ -275,9 +269,7 @@ def cmd_compare(args):
     run = _Session("compare", args.out,
                    cfg.config_hash + ":" + cfg_hat.config_hash, overrides)
     report = cmp.compare_solutions(cfg.problem, cfg_hat.problem, cfg.grid,
-                                   constants=cfg.constants,
-                                   sampler_spec=_sampler_for(cfg),
-                                   override=True)
+                                   constants=cfg.constants, override=True)
     tol = args.tol if args.tol is not None else report.tolerance
     passed = report.ordered and report.max_difference <= tol
     run.write_text("compare.json", report.to_json())
@@ -348,16 +340,11 @@ def cmd_example(args):
     nodes = int(round((x_max + 1.0) / 0.01)) + 1
     measured = exm.measure_obstacle_gap(instance, -1.0, x_max, nodes)
 
-    problem = instance.problem()
-    V = exm.sample_value_function(instance, grid)
     k0 = int(round(instance.t0 / grid.dt))
-    n_vals, _, _ = evaluate_slice_values(grid, V.values[k0],
-                                         float(grid.t[k0]), problem.ell,
-                                         problem.cone)
     slice_path = run.path("anchor_slice.csv")
     with open(slice_path, "w") as fh:
         fh.write("x1,obstacle_minus_value\n")
-        for x, val in zip(grid.axes[0], n_vals - V.values[k0]):
+        for x, val in zip(grid.axes[0], report.gap[k0]):
             fh.write(f"{x:.17g},{val:.17g}\n")
 
     payload = {

@@ -46,6 +46,7 @@ from .assumptions import (
     TOL_EXACT,
     SamplerSpec,
     _OFF_XI,
+    _grid_space_nodes,
     _masked_eval,
     _tx_cloud,
     _txp_cloud,
@@ -401,11 +402,6 @@ def write_trend_csv(diag, path):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _space_coords(grid):
-    mesh = np.meshgrid(*grid.axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def _phi_tuples(As, Bs, t, sub, norms, prm, eps, dlt, T, kk, ll, ii, jj):
     """Phi for explicit index tuples; the certificate's reference path."""
     w = (2.0 * prm.nu * T - t[kk] - t[ll]) / (2.0 * prm.nu * T)
@@ -449,7 +445,7 @@ def doubling_maximize(V, V_hat, params=None, grid=None, levels=None,
     t = grid.t
     nt = grid.t_nodes
     T = grid.T
-    coords = _space_coords(grid)
+    coords = _grid_space_nodes(grid)
     n_space = coords.shape[0]
     q_cap = max(1, int(np.sqrt(budget / float(nt * nt))))
     stride = int(np.ceil(n_space / q_cap))

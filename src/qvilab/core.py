@@ -404,8 +404,9 @@ class ImpulseProblem:
                 f"expression for {label} uses disallowed variable(s): {sorted(extra)}"
             )
 
-    # -- evaluation helpers; every caller goes through these so the optional
-    # -- g term is never forgotten.
+    # -- evaluation helpers.  hamiltonian() adds the optional g term; the
+    # -- probe scan and the hypothesis audits add it themselves, and the
+    # -- scheme set-up differentiates H alone.
 
     def hamiltonian(self, t, x_env, p_env):
         env = {"t": t}
@@ -418,18 +419,6 @@ class ImpulseProblem:
 
     def terminal(self, x_env):
         return ex.evaluate(self.h, dict(x_env))
-
-    def cost(self, t, x_env, xi_env):
-        env = {"t": t}
-        env.update(x_env)
-        env.update(xi_env)
-        return ex.evaluate(self.ell, env)
-
-    def x_env(self, x_arrays):
-        return {f"x{d + 1}": x_arrays[d] for d in range(self.n)}
-
-    def xi_env(self, xi_arrays):
-        return {f"xi{d + 1}": xi_arrays[d] for d in range(self.n)}
 
 
 def sample(e, grid, fixed_env=None):

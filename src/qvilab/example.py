@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import bisect
@@ -66,6 +66,7 @@ __all__ = [
 COST_THRESHOLD = math.exp(-2.0)
 ROOT_TOL = 1e-10
 XI_CAP = 20.0
+_PAYOFF = ex.parse("x1*exp(-x1)", {"x1"})  # the terminal payoff h
 
 
 def psi(l0, xi):
@@ -132,7 +133,7 @@ class ExampleInstance:
         return ImpulseProblem(
             n=1, T=self.T,
             H=ex.parse("-p1", {"t", "x1", "p1"}),
-            h=ex.parse("x1*exp(-x1)", {"x1"}),
+            h=_PAYOFF,
             ell=ex.parse(f"{self.l0!r}*(1 + xi1)", {"t", "x1", "xi1"}),
             cone=Cone.orthant(1),
             g=g_node)
@@ -256,8 +257,7 @@ def sample_value_function(instance, grid) -> GridFunction:
     profile = ex.parse(instance.value_source(), {"t", "x1"})
     env = grid.full_env()
     values = np.asarray(ex.evaluate(profile, env), dtype=float)
-    h_node = ex.parse("x1*exp(-x1)", {"x1"})
-    values[-1] = ex.evaluate(h_node, grid.space_env())
+    values[-1] = ex.evaluate(_PAYOFF, grid.space_env())
     return GridFunction(grid, values)
 
 
@@ -292,7 +292,11 @@ def measure_obstacle_gap(instance, x_min=-1.0, x_max=5.0, x_nodes=601,
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """Checker verdicts for one instance on one grid."""
+    """Checker verdicts for one instance on one grid.
+
+    `gap` is the N[V] - V array the constrained checkers read; it is not
+    part of the JSON report.
+    """
 
     instance: ExampleInstance
     classical: object
@@ -301,6 +305,7 @@ class SeparationReport:
     separated: bool
     violations_in_band: bool
     terminal_exact: bool
+    gap: np.ndarray = field(repr=False, compare=False)
     notes: str = ""
 
     def to_dict(self):
@@ -352,9 +357,8 @@ def verify_separation(instance, grid, spec=None, search=None):
     else:
         in_band = all(instance.in_band(v.t, v.x[0]) for v in cons)
 
-    h_node = ex.parse("x1*exp(-x1)", {"x1"})
     terminal_exact = bool(np.array_equal(
-        V.values[-1], np.asarray(ex.evaluate(h_node, grid.space_env()),
+        V.values[-1], np.asarray(ex.evaluate(_PAYOFF, grid.space_env()),
                                  dtype=float)))
 
     notes = ""
@@ -364,4 +368,4 @@ def verify_separation(instance, grid, spec=None, search=None):
     return SeparationReport(
         instance=instance, classical=classical, modified=modified, sub=sub,
         separated=separated, violations_in_band=in_band,
-        terminal_exact=terminal_exact, notes=notes)
+        terminal_exact=terminal_exact, gap=gap, notes=notes)

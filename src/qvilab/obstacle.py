@@ -11,15 +11,15 @@ are broken toward smaller |xi|, then lexicographically.
 
 Exact path.  When the cone is the orthant, ell does not use x, ell is
 affine in xi (by the structure of its expression) with slopes
-c_d = ell(e_d) - ell(0) >= 0, and, in 2-d, xi_max reaches the box
-diagonal, the infimum is computed exactly.  On every box of whole or
-partial cells the interpolant plus the cost is multilinear, so it is
-minimised at a corner; beyond the box edge the clamped value stays put
-while the cost grows.  The minimum therefore lies among the landing
-points {x_d} u {nodes > x_d} on each axis (plus the window end x + xi_max
-in 1-d), and comparing V + c.y over them is a range minimum in 1-d and a
-separable suffix minimum along both axes in 2-d.  The returned value is
-still V(x + xi) + ell(t, xi) at the chosen impulse.
+c_d = ell(e_d) - ell(0) >= 0, and xi_max reaches the box diagonal, the
+infimum is computed exactly.  On every box of whole or partial cells the
+interpolant plus the cost is multilinear, so it is minimised at a corner;
+beyond the box edge the clamped value stays put while the cost grows.
+The minimum therefore lies among the landing points {x_d} u {nodes > x_d}
+on each axis.  At the nodes, comparing V + c.y over them is a suffix
+minimum, taken along each axis in turn; at a single point they are
+enumerated.  The returned value is still V(x + xi) + ell(t, xi) at the
+chosen impulse.
 
 Every other problem uses the search: a coarse product scan in ray
 coefficients followed by nested zoom refinements around the incumbent, so
@@ -45,15 +45,16 @@ from .core import GridFunction, interp_slice
 class SearchParams:
     """Controls for the obstacle infimum.
 
-    xi_max caps |xi| on both paths.  The other fields steer the search;
-    on the exact path (see the module docstring for when it applies) only
-    `coarse` is read, for the truncation threshold
-    xi_max - xi_max/(2*(coarse - 1)).  `coarse` is the scan count per ray
-    coefficient; `refine_levels` nested zooms of `refine_points` points per
-    coefficient follow, each shrinking the bracket to one cell of the
-    previous level.  refine_levels=0 reduces the search to the shared
-    coarse scan, which is what exact monotonicity or equivariance
-    comparisons of the search should use.
+    xi_max caps |xi|.  The exact path (see the module docstring for when
+    it applies) needs it at or past the box diagonal, where it cuts off no
+    landing point, and reads it and `coarse` only for the truncation
+    threshold xi_max - xi_max/(2*(coarse - 1)).  The other fields steer
+    the search: `coarse` is the scan count per ray coefficient;
+    `refine_levels` nested zooms of `refine_points` points per coefficient
+    follow, each shrinking the bracket to one cell of the previous level.
+    refine_levels=0 reduces the search to the shared coarse scan, which is
+    what exact monotonicity or equivariance comparisons of the search
+    should use.
     """
 
     xi_max: float
@@ -74,9 +75,9 @@ def default_search(grid):
     """The one radius policy of N: xi_max = the box diagonal.
 
     Every landing point inside the box lies within one diagonal of every
-    node, so this ball reaches all of them; it is also the radius the 2-d
-    exact path needs.  Callers that pass no search get this policy, so
-    every command sees the same N.
+    node, so this ball reaches all of them; it is also the radius the exact
+    path needs.  Callers that pass no search get this policy, so every
+    command sees the same N.
     """
     return SearchParams(xi_max=grid.box_diagonal)
 
@@ -252,8 +253,8 @@ def _exact_slopes(grid, t, ell, cone, search):
     """Cost slopes c_d = ell(e_d) - ell(0) when the exact path applies.
 
     Returns None when it does not: a cone other than the orthant, a cost
-    that reads x or is not affine in xi, a negative slope, or, in 2-d, a
-    radius short of the box diagonal (the ball would cut cells).
+    that reads x or is not affine in xi, a negative slope, or a radius
+    short of the box diagonal (the ball would cut cells).
     """
     if cone.kind != "orthant":
         return None
@@ -262,7 +263,7 @@ def _exact_slopes(grid, t, ell, cone, search):
         return None
     if not _affine_in_xi(ell):
         return None
-    if grid.n == 2 and search.xi_max < grid.box_diagonal:
+    if search.xi_max < grid.box_diagonal:
         return None
     basis = np.vstack([np.zeros(grid.n), np.eye(grid.n)])
     env = {"t": float(t)}
@@ -275,75 +276,25 @@ def _exact_slopes(grid, t, ell, cone, search):
     return slopes
 
 
-def _range_min(key, lo, hi):
-    """Leftmost minimum of key[lo..hi] for each query pair (lo, hi).
+def _exact_1d_nodes(grid, values, slope):
+    """Impulses attaining N at every node of a 1-d box, shape (m, 1).
 
-    Sparse table of minima over power-of-two spans; an empty range
-    (lo > hi) gives an infinite value.  Returns (values, indices).
-    """
-    m = key.size
-    table_v = np.full((m.bit_length(), m), np.inf)
-    table_i = np.zeros(table_v.shape, dtype=np.int64)
-    table_v[0] = key
-    table_i[0] = np.arange(m)
-    span, level = 1, 0
-    while 2 * span <= m:
-        v, i = table_v[level, :m - span + 1], table_i[level, :m - span + 1]
-        right = v[span:] < v[:-span]
-        table_v[level + 1, :m - 2 * span + 1] = np.where(right, v[span:], v[:-span])
-        table_i[level + 1, :m - 2 * span + 1] = np.where(right, i[span:], i[:-span])
-        span, level = 2 * span, level + 1
-    empty = hi < lo
-    lo = np.where(empty, 0, lo)
-    length = np.where(empty, 1, hi - lo + 1)
-    k = np.frexp(length)[1] - 1  # floor(log2(length))
-    start_r = lo + length - (1 << k)
-    left_v, right_v = table_v[k, lo], table_v[k, start_r]
-    take_r = right_v < left_v
-    values = np.where(empty, np.inf, np.where(take_r, right_v, left_v))
-    index = np.where(take_r, table_i[k, start_r], table_i[k, lo])
-    return values, index
-
-
-def _exact_1d(grid, values, slope, xi_max, x):
-    """Impulses attaining N at points x (N,) of a 1-d box, with candidate counts.
-
-    Candidates: no jump, the nodes in (x, x + xi_max], and the window end
-    x + xi_max when it falls inside the box between nodes.  They are
-    compared on V(y) + slope*y, with node values at nodes and interpolated
-    values elsewhere.
+    The minimum of V + c*y over the nodes at or right of each node is a
+    suffix minimum; the leftmost node attaining it is the shortest jump,
+    which the (|xi|, lexicographic) tie-break prefers.
     """
     axis = grid.axes[0]
-    m = axis.size
     key = values + slope * axis
-    first = np.searchsorted(axis, x, side="left")
-    on_node = axis[np.minimum(first, m - 1)] == x
-    own = np.empty(x.shape)
-    own[on_node] = key[first[on_node]]
-    off = ~on_node
-    if off.any():
-        own[off] = interp_slice(grid, values, x[off, None]) + slope * x[off]
-    lo = first + on_node  # first node strictly right of x
-    reach = x + xi_max
-    hi = np.searchsorted(axis, reach, side="right") - 1
-    node_key, node = _range_min(key, lo, hi)
-    inside = (reach < axis[-1]) & (axis[hi] != reach)
-    end_key = np.full(x.shape, np.inf)
-    if inside.any():
-        end_key[inside] = (interp_slice(grid, values, reach[inside, None])
-                           + slope * reach[inside])
-    keys = np.stack([own, node_key, end_key], axis=1)
-    xi = np.stack([np.zeros(x.shape), axis[node] - x, np.full(x.shape, xi_max)],
-                  axis=1)[..., None]
-    pick = _batch_best(keys, xi)
-    count = 1 + np.maximum(hi - lo + 1, 0) + inside
-    return xi[np.arange(x.size), pick], count
+    suffix = np.minimum.accumulate(key[::-1])[::-1]
+    hit = np.where(key == suffix, np.arange(axis.size), axis.size)
+    arg = np.minimum.accumulate(hit[::-1])[::-1]
+    return (axis[arg] - axis)[:, None]
 
 
-def _exact_2d_point(grid, values, slopes, x):
-    """Impulse attaining N at one point x (2,) of a 2-d box, by enumeration.
+def _exact_point(grid, values, slopes, x):
+    """Impulse attaining N at one point x (n,) of the box, by enumeration.
 
-    Candidates: the product over both axes of {x_d} u {nodes > x_d}.
+    Candidates: the product over the axes of {x_d} u {nodes > x_d}.
     Returns (xi, number of candidates).
     """
     coords, index = [], []
@@ -354,16 +305,20 @@ def _exact_2d_point(grid, values, slopes, x):
             ids = np.concatenate([[-1], ids])
         coords.append(np.where(ids < 0, x[d], axis[np.maximum(ids, 0)]))
         index.append(ids)
-    y0, y1 = np.meshgrid(*coords, indexing="ij")
-    i0, i1 = np.meshgrid(*index, indexing="ij")
-    v = values[np.maximum(i0, 0), np.maximum(i1, 0)]
-    off = (i0 < 0) | (i1 < 0)
+    ys = np.meshgrid(*coords, indexing="ij")
+    index = np.meshgrid(*index, indexing="ij")
+    v = values[tuple(np.maximum(i, 0) for i in index)]
+    off = np.any([i < 0 for i in index], axis=0)
     if off.any():
-        v[off] = interp_slice(grid, values, np.stack([y0[off], y1[off]], axis=-1))
-    key = v + slopes[0] * y0 + slopes[1] * y1
-    xi = np.stack([y0 - x[0], y1 - x[1]], axis=-1).reshape(1, -1, 2)
-    pick = _batch_best(key.reshape(1, -1), xi)[0]
-    return xi[0, pick], key.size
+        v[off] = interp_slice(grid, values,
+                              np.stack([y[off] for y in ys], axis=-1))
+    key = v
+    for slope, y in zip(slopes, ys):
+        key = key + slope * y  # left to right: ((v + c1*y1) + c2*y2)
+    xi = np.stack([y - xd for y, xd in zip(ys, x)], axis=-1)
+    xi = xi.reshape(-1, grid.n)
+    pick = _batch_best(key.reshape(1, -1), xi[None])[0]
+    return xi[pick], key.size
 
 
 def _exact_2d_nodes(grid, values, slopes):
@@ -371,7 +326,7 @@ def _exact_2d_nodes(grid, values, slopes):
 
     The minimum of V + c.y over the quadrant above each node is a suffix
     minimum along axis 2 and then along axis 1; the scans also count the
-    minimisers, and nodes with more than one go through _exact_2d_point
+    minimisers, and nodes with more than one go through _exact_point
     for the (|xi|, lexicographic) tie-break.
     """
     ax0, ax1 = grid.axes
@@ -400,7 +355,7 @@ def _exact_2d_nodes(grid, values, slopes):
     arg1 = row_arg[arg0, np.arange(n1)]
     xi = np.stack([ax0[arg0] - ax0[:, None], ax1[arg1] - ax1[None, :]], axis=-1)
     for i, j in np.argwhere(cnt > 1):
-        xi[i, j] = _exact_2d_point(grid, values, slopes, np.array([ax0[i], ax1[j]]))[0]
+        xi[i, j] = _exact_point(grid, values, slopes, np.array([ax0[i], ax1[j]]))[0]
     return xi.reshape(-1, 2)
 
 
@@ -417,11 +372,11 @@ def _exact_payoff(grid, values, t, ell, x, xi, search):
 def _obstacle(grid, slice_values, t, ell, cone, search, points, at_nodes):
     """N at points (N, n) by the exact path when it applies, else the search.
 
-    `at_nodes` says the points are every node in row-major order.  Returns
-    (values, argmin_xi, truncated, probes) flat over the points; probes
-    counts the payoffs the search evaluated or the candidates the exact
-    path compared (None for the 2-d node scan).  A search of None means
-    default_search(grid).
+    `at_nodes` says the points are every node in row-major order, else
+    they are one point.  Returns (values, argmin_xi, truncated, probes)
+    flat over the points; probes counts the payoffs the search evaluated
+    or the candidates the exact path compared (None for the node scans).
+    A search of None means default_search(grid).
     """
     if search is None:
         search = default_search(grid)
@@ -431,15 +386,13 @@ def _obstacle(grid, slice_values, t, ell, cone, search, points, at_nodes):
         values, bxi, truncated = _search(ev, cone, search)
         return values, bxi, truncated, ev.probes
     slice_values = np.asarray(slice_values, dtype=float)
-    if grid.n == 1:
-        bxi, counts = _exact_1d(grid, slice_values, slopes[0], search.xi_max,
-                                points[:, 0])
-        probes = int(counts.sum())
-    elif at_nodes:
-        bxi, probes = _exact_2d_nodes(grid, slice_values, slopes), None
-    else:
-        xi, probes = _exact_2d_point(grid, slice_values, slopes, points[0])
+    if not at_nodes:
+        xi, probes = _exact_point(grid, slice_values, slopes, points[0])
         bxi = xi[None, :]
+    elif grid.n == 1:
+        bxi, probes = _exact_1d_nodes(grid, slice_values, slopes[0]), None
+    else:
+        bxi, probes = _exact_2d_nodes(grid, slice_values, slopes), None
     values, truncated = _exact_payoff(grid, slice_values, t, ell, points, bxi,
                                       search)
     return values, bxi, truncated, probes

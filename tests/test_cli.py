@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from qvilab import cli
+from qvilab import example as exm
 from qvilab import expr as ex
 from qvilab import viscosity as vc
+from qvilab.assumptions import default_sampler
 from qvilab.core import Grid, load_problem, read_csv, sample
 from qvilab.solver import interior_mask, solve_qvi
 
@@ -73,6 +75,26 @@ class TestCheck:
     def test_missing_config_is_invalid_input(self, tmp_path):
         assert run(["check", str(tmp_path / "nope.cfg"),
                     "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("config", [EXAMPLE, PLANE],
+                             ids=["example", "plane"])
+    def test_audits_with_the_default_sampler(self, tmp_path, monkeypatch,
+                                             config):
+        # the ray coefficients reach the box diagonal, as N's search does
+        specs = []
+
+        def spy(inner):
+            def audit(problem, constants, spec):
+                specs.append(spec)
+                return inner(problem, constants, spec)
+            return audit
+
+        for name in ("audit_H1", "audit_H2"):
+            monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+        assert run(["check", config, "--out", str(tmp_path)]) == 0
+        grid = load_problem(Path(config).read_text()).grid
+        assert specs == [default_sampler(grid)] * 2
+        assert specs[0].xi_max == grid.box_diagonal
 
 
 class TestSolve:
@@ -282,6 +304,25 @@ class TestReproduceExample:
         assert len(slice_lines) == 352
         dips = [float(line.split(",")[1]) for line in slice_lines[1:]]
         assert min(dips) < -0.09
+
+    def test_anchor_slice_is_the_report_gap_row(self, tmp_path,
+                                                 monkeypatch):
+        # the CSV writes the gap the checkers read, not a recomputed one
+        reports = []
+        inner = exm.verify_separation
+
+        def kept(*args, **kwargs):
+            reports.append(inner(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(exm, "verify_separation", kept)
+        assert run(["reproduce-example", "--grid-nt", "101",
+                    "--grid-nx", "351", "--out", str(tmp_path)]) == 0
+        report, = reports
+        k0 = 50  # t0 = 0.5 on 101 nodes over [0, 1]
+        rows = (tmp_path / "anchor_slice.csv").read_text().splitlines()[1:]
+        got = np.array([[float(c) for c in row.split(",")] for row in rows])
+        assert np.array_equal(got[:, 1], report.gap[k0])
 
     def test_unprofitable_cost_does_not_separate(self, tmp_path, capsys):
         assert run(["reproduce-example", "--l0", "0.08", "--grid-nt", "101",
