@@ -326,8 +326,8 @@ def _exact_2d_nodes(grid, values, slopes):
 
     The minimum of V + c.y over the quadrant above each node is a suffix
     minimum along axis 2 and then along axis 1; the scans also count the
-    minimisers, and nodes with more than one go through _exact_point
-    for the (|xi|, lexicographic) tie-break.
+    minimisers, and nodes with more than one go through _node_ties for
+    the (|xi|, lexicographic) tie-break.
     """
     ax0, ax1 = grid.axes
     key = values + slopes[0] * ax0[:, None] + slopes[1] * ax1[None, :]
@@ -354,9 +354,30 @@ def _exact_2d_nodes(grid, values, slopes):
                           np.where(k == r, cnt[i + 1] + row_cnt[i], row_cnt[i]))
     arg1 = row_arg[arg0, np.arange(n1)]
     xi = np.stack([ax0[arg0] - ax0[:, None], ax1[arg1] - ax1[None, :]], axis=-1)
-    for i, j in np.argwhere(cnt > 1):
-        xi[i, j] = _exact_point(grid, values, slopes, np.array([ax0[i], ax1[j]]))[0]
+    ti, tj = np.nonzero(cnt > 1)
+    xi[ti, tj] = _node_ties(grid, key, ti, tj)
     return xi.reshape(-1, 2)
+
+
+def _node_ties(grid, key, ti, tj, batch=1 << 16):
+    """Tie-broken impulses at the nodes (ti, tj) of a 2-d box, shape (T, 2).
+
+    Node (i, j) compares the nodes p >= i, q >= j on `key`, as
+    _exact_point does at a node; the others get an infinite key.  Tied
+    nodes go in batches of about `batch` keys, not one call per node.
+    """
+    ax0, ax1 = grid.axes
+    rows, cols = np.ogrid[:key.shape[0], :key.shape[1]]
+    out = np.empty((ti.size, 2))
+    step = max(1, batch // key.size)
+    for lo in range(0, ti.size, step):
+        i, j = ti[lo:lo + step, None, None], tj[lo:lo + step, None, None]
+        cand = np.where((rows >= i) & (cols >= j), key, np.inf)
+        xi = np.stack(np.broadcast_arrays(ax0[rows] - ax0[i], ax1[cols] - ax1[j]),
+                      axis=-1).reshape(i.size, -1, 2)
+        pick = _batch_best(cand.reshape(i.size, -1), xi)
+        out[lo:lo + step] = xi[np.arange(i.size), pick]
+    return out
 
 
 def _exact_payoff(grid, values, t, ell, x, xi, search):

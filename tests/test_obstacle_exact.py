@@ -183,7 +183,7 @@ class TestOracle:
         else:
             grid = grid_2d()
             ell = ex.parse("0.05 + 0.05*(xi1 + xi2)", VARS_2D)
-        # the exact path, where points and nodes run different code in 1-d
+        # the exact path, where points and nodes run different code
         search = SearchParams(xi_max=grid.box_diagonal)
         values = rng.integers(0, 4, size=grid.shape).astype(float)
         values[1] = rng.normal(size=grid.x_nodes)
@@ -198,6 +198,24 @@ class TestOracle:
                 assert res.value == vals[idx]
                 assert np.array_equal(res.argmin, argmin[idx])
                 assert res.truncated == bool(trunc[idx])
+
+    def test_tied_nodes_match_the_point_enumerator_in_any_batch(self):
+        # integer values tie many keys; the batched tie-break must pick
+        # what _exact_point picks at each tied node, whatever the batch
+        rng = np.random.default_rng(28)
+        grid = grid_2d(x_nodes=(9, 7), x_min=(0.0, 0.0), x_max=(2.0, 1.5))
+        ax0, ax1 = grid.axes
+        ti, tj = np.nonzero(np.ones(grid.x_nodes, dtype=bool))
+        for slopes in ([0.0, 0.0], [0.0, 1.0], [1.0, 0.5]):
+            slopes = np.array(slopes)
+            values = rng.integers(0, 3, size=grid.x_nodes).astype(float)
+            key = values + slopes[0] * ax0[:, None] + slopes[1] * ax1[None, :]
+            want = np.array([obs._exact_point(grid, values, slopes,
+                                              np.array([ax0[i], ax1[j]]))[0]
+                             for i, j in zip(ti, tj)])
+            for batch in (1, 100, 1 << 16):
+                got = obs._node_ties(grid, key, ti, tj, batch=batch)
+                assert np.array_equal(got, want)
 
     def test_value_is_the_infimum_of_sampled_payoffs(self):
         # independent of the candidate rule: no feasible impulse, inside or
