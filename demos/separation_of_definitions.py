@@ -35,8 +35,8 @@ print()
 print(f"the modified check reports {len(cons)} constraint violations;")
 print(f"all inside the band: {report.violations_in_band}")
 if cons:
-    us = [v.x[0] - 1.0 + v.t for v in cons]
-    print(f"violation span in u: {min(us):.3f} .. {max(us):.3f}")
+    us = cons.x[:, 0] - 1.0 + cons.t
+    print(f"violation span in u: {us.min():.3f} .. {us.max():.3f}")
 
 print()
 print("so the candidate is a perfectly good classical super-solution")

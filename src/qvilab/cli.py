@@ -244,17 +244,12 @@ def cmd_viscosity(args):
     report = checker(V, cfg.problem, spec, **reuse)
     run.write_text("viscosity.json", report.to_json())
     vc.write_violations_csv(report, run.path("violations.csv"))
-    counts = (len(report.violations), len(report.constraint_violations),
-              len(report.terminal_violations))
-    print(f"checked {source} as {report.variant}: "
-          f"{counts[0]} probe, {counts[1]} constraint, "
-          f"{counts[2]} terminal violations")
-    for v in report.constraint_violations[:5]:
-        print(f"  constraint violation at t={f17(v.t)}, "
-              f"x=({', '.join(f17(c) for c in v.x)}), margin {f17(v.margin)}")
-    for v in report.violations[:5]:
-        print(f"  probe violation at t={f17(v.t)}, "
-              f"x=({', '.join(f17(c) for c in v.x)}), margin {f17(v.margin)}")
+    counts = ", ".join(f"{len(rows)} {kind}" for kind, rows in report.kinds())
+    print(f"checked {source} as {report.variant}: {counts} violations")
+    for kind, rows in report.kinds():
+        for t, x, margin in zip(rows.t[:5], rows.x[:5], rows.margin[:5]):
+            print(f"  {kind} violation at t={f17(t)}, "
+                  f"x=({', '.join(f17(c) for c in x)}), margin {f17(margin)}")
     return run.finish(report.passed,
                       f"viscosity {args.variant}: "
                       f"{'PASS' if report.passed else 'FAIL'}")
@@ -379,18 +374,28 @@ def cmd_example(args):
 
 # --------------------------------------------------------------- parser ----
 
-def _add_common(sub, config=True):
+def _tolerance(text):
+    """--tol: a finite number >= 0; anything else is an argparse error."""
+    value = float(text)  # argparse reports a ValueError as a bad value
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"need a finite number >= 0, got {text!r}")
+    return value
+
+
+def _add_common(sub, config=True, tol=False):
     if config:
         sub.add_argument("config", help="problem configuration file")
-    sub.add_argument("--set", action="append", default=[],
-                     metavar="SECTION.KEY=VALUE",
-                     help="override one config value after the file is parsed")
+        sub.add_argument("--set", action="append", default=[],
+                         metavar="SECTION.KEY=VALUE",
+                         help="override one config value after parsing")
     sub.add_argument("--grid-nt", type=int, default=None,
                      help="override grid.t_nodes")
     sub.add_argument("--grid-nx", default=None, metavar="N[,M]",
                      help="override grid.x_nodes")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="acceptance tolerance override")
+    if tol:
+        sub.add_argument("--tol", type=_tolerance, default=None,
+                         help="acceptance tolerance override")
     sub.add_argument("--out", default=".", metavar="DIR",
                      help="directory for artifacts (default: current)")
 
@@ -413,20 +418,20 @@ def build_parser():
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve", help="solve the constrained equation")
-    _add_common(p)
+    _add_common(p, tol=True)
     p.add_argument("--no-obstacle", action="store_true",
                    help="solve the unconstrained equation instead")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("viscosity", help="probe one solution notion")
-    _add_common(p)
+    _add_common(p, tol=True)
     _add_solution_source(p)
     p.add_argument("--variant", required=True, choices=sorted(_VARIANTS),
                    help="which notion to check")
     p.set_defaults(func=cmd_viscosity)
 
     p = sub.add_parser("compare", help="measure order between two problems")
-    _add_common(p)
+    _add_common(p, tol=True)
     p.add_argument("config_hat",
                    help="configuration whose data dominates the first "
                         "(overrides apply to both configs)")
@@ -447,7 +452,7 @@ def build_parser():
 
     p = sub.add_parser("reproduce-example",
                        help="rebuild the separating instance and verify it")
-    _add_common(p, config=False)
+    _add_common(p, config=False, tol=True)
     p.add_argument("--l0", type=float, default=0.05,
                    help="base impulse cost (default 0.05)")
     p.add_argument("--t0", type=float, default=0.5,

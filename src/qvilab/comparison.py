@@ -75,6 +75,8 @@ __all__ = [
 
 DOUBLING_LEVELS = (0.1, 0.05, 0.025)
 TUPLE_BUDGET = 10 ** 7
+CERTIFICATE_TUPLES = 1000  # random tuples each level's maximum is checked on
+CERTIFICATE_SEED = 7
 
 _ORDER_CHECKS = ("terminal order", "hamiltonian order", "cost order")
 
@@ -413,22 +415,21 @@ def _phi_tuples(As, Bs, t, sub, norms, prm, eps, dlt, T, kk, ll, ii, jj):
     return (1.0 - prm.theta * prm.G) * As[kk, ii] - Bs[ll, jj] - phi
 
 
-def doubling_maximize(V, V_hat, params=None, grid=None, levels=None,
-                      budget=TUPLE_BUDGET, certificate=1000, seed=7,
-                      gamma=0.0):
+def doubling_maximize(V, V_hat, params=None, levels=None, gamma=0.0):
     """Maximize Phi over node tuples at a ladder of penalty weights.
 
     ``levels`` is a sequence of scalars (used for both epsilon and delta)
     or (epsilon, delta) pairs; by default three levels halve the params'
     values.  The space axes are strided so the full search stays within
-    ``budget`` tuples; time pairs are always exhaustive, and the strided
+    TUPLE_BUDGET tuples; time pairs are always exhaustive, and the strided
     subset is closed under the symmetric tuples the residual bound needs.
+    Each level's maximum is certified against CERTIFICATE_TUPLES random
+    tuples drawn with seed CERTIFICATE_SEED.
     """
     if params is None:
         params = DoublingParams()
-    if grid is None:
-        grid = V.grid
-    if V.grid != grid or V_hat.grid != grid:
+    grid = V.grid
+    if V_hat.grid != grid:
         raise ConfigError("V and V_hat must share the grid")
     if not 0.0 <= gamma < 1.0:
         raise ConfigError("need 0 <= gamma < 1")
@@ -447,7 +448,7 @@ def doubling_maximize(V, V_hat, params=None, grid=None, levels=None,
     T = grid.T
     coords = _grid_space_nodes(grid)
     n_space = coords.shape[0]
-    q_cap = max(1, int(np.sqrt(budget / float(nt * nt))))
+    q_cap = max(1, int(np.sqrt(TUPLE_BUDGET / float(nt * nt))))
     stride = int(np.ceil(n_space / q_cap))
     idx = np.arange(0, n_space, stride)
     q = len(idx)
@@ -463,7 +464,7 @@ def doubling_maximize(V, V_hat, params=None, grid=None, levels=None,
 
     rows = []
     cert_ok = True
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CERTIFICATE_SEED)
     for eps, dlt in levels:
         if eps <= 0.0 or dlt <= 0.0:
             raise ConfigError("levels must be positive")
@@ -485,15 +486,14 @@ def doubling_maximize(V, V_hat, params=None, grid=None, levels=None,
         k0, l0, i0, j0 = best_idx
         phi_max = float(_phi_tuples(As, Bs, t, sub, norms, params, eps, dlt,
                                     T, k0, l0, i0, j0))
-        if certificate > 0:
-            kk = rng.integers(0, nt, size=certificate)
-            ll = rng.integers(0, nt, size=certificate)
-            ii = rng.integers(0, q, size=certificate)
-            jj = rng.integers(0, q, size=certificate)
-            other = _phi_tuples(As, Bs, t, sub, norms, params, eps, dlt, T,
-                                kk, ll, ii, jj)
-            cert_ok = cert_ok and bool(
-                np.all(other <= phi_max + 1e-12 * (1.0 + abs(phi_max))))
+        kk = rng.integers(0, nt, size=CERTIFICATE_TUPLES)
+        ll = rng.integers(0, nt, size=CERTIFICATE_TUPLES)
+        ii = rng.integers(0, q, size=CERTIFICATE_TUPLES)
+        jj = rng.integers(0, q, size=CERTIFICATE_TUPLES)
+        other = _phi_tuples(As, Bs, t, sub, norms, params, eps, dlt, T,
+                            kk, ll, ii, jj)
+        cert_ok = cert_ok and bool(
+            np.all(other <= phi_max + 1e-12 * (1.0 + abs(phi_max))))
 
         t0, s0 = float(t[k0]), float(t[l0])
         x0, y0 = sub[i0], sub[j0]
@@ -520,5 +520,6 @@ def doubling_maximize(V, V_hat, params=None, grid=None, levels=None,
             "time pairs exhaustive")
     return DoublingDiagnostics(
         params=params, levels=tuple(rows), stride=stride, space_points=q,
-        tuples_per_level=nt * nt * q * q, certificate_count=certificate,
+        tuples_per_level=nt * nt * q * q,
+        certificate_count=CERTIFICATE_TUPLES,
         certificate_ok=cert_ok, notes=note)

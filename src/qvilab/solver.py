@@ -49,13 +49,14 @@ class FixedPointError(SolverError):
     """Raised when the per-slice obstacle fixed point fails to settle."""
 
 
+FP_TOL = 1e-9  # a slice's obstacle fixed point settles below this update
+FP_MAX_ITER = 100  # sweeps before the fixed point is declared stuck
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     dissipation: tuple  # sigma_d per spatial dimension
     cfl_safety: float = 0.9
-    fp_tol: float = 1e-9
-    fp_max_iter: int = 100
-    enforce_cfl: bool = True
 
     def __post_init__(self):
         diss = tuple(float(s) for s in self.dissipation)
@@ -64,8 +65,6 @@ class SchemeParams:
             raise ValueError(f"dissipation must be nonnegative, got {diss}")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
-        if self.fp_tol <= 0 or self.fp_max_iter < 1:
-            raise ValueError("fp_tol must be positive and fp_max_iter >= 1")
 
 
 def estimate_dissipation(problem, grid, factor=1.05, n_samples=512, seed=0):
@@ -205,7 +204,7 @@ def solve_qvi(problem, grid, scheme=None, search=None,
     """Backward solve with every stepped slice clipped by the obstacle.
 
     Each slice runs W <- min(W_unclipped, N[W]) until the update falls
-    below fp_tol, then records the obstacle gap, impulse argmin and
+    below FP_TOL, then records the obstacle gap, impulse argmin and
     truncation of the settled slice (from the last sweep when its update
     was exactly zero, since that sweep already saw the settled slice).
     The terminal slice is the sampled terminal data and is never clipped.
@@ -224,8 +223,7 @@ def _backward(problem, grid, scheme, constants, obstacle, search=None):
     start = time.perf_counter()
     if scheme is None:
         scheme = make_scheme_params(problem, grid)
-    if scheme.enforce_cfl:
-        check_cfl(grid, scheme)
+    check_cfl(grid, scheme)
     space_env = grid.space_env()
     nt = grid.t_nodes
     V = np.empty(grid.shape)
@@ -284,19 +282,19 @@ def _settle(problem, grid, scheme, search, W0, t_k):
     Returns (W, N[W], argmin, truncated, sweeps).
     """
     W = W0
-    for it in range(1, scheme.fp_max_iter + 1):
+    for it in range(1, FP_MAX_ITER + 1):
         n_vals, arg_k, trunc_k = obs.evaluate_slice_values(
             grid, W, t_k, problem.ell, problem.cone, search
         )
         W_new = np.minimum(W0, n_vals)
         delta = float(np.max(np.abs(W_new - W)))
         W = W_new
-        if delta <= scheme.fp_tol:
+        if delta <= FP_TOL:
             break
     else:
         raise FixedPointError(
             f"obstacle fixed point did not settle at t = {t_k:.6g}: "
-            f"last update {delta:.3g} after {scheme.fp_max_iter} sweeps"
+            f"last update {delta:.3g} after {FP_MAX_ITER} sweeps"
         )
     if delta > 0.0:
         # the last sweep saw the previous iterate; a zero update means

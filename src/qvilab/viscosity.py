@@ -64,46 +64,61 @@ class ProbeSpec:
             raise ConfigError(f"need probe radius >= 1, got {self.radius}")
         if not self.curvatures or any(c < 0 for c in self.curvatures):
             raise ConfigError("curvature multipliers must be nonnegative")
-        if self.tol_factor <= 0:
-            raise ConfigError(f"need tol_factor > 0, got {self.tol_factor}")
+        if not (np.isfinite(self.tol_factor) and self.tol_factor > 0):
+            raise ConfigError(
+                f"need a finite tol_factor > 0, got {self.tol_factor}")
         if self.admission_slack < 0:
             raise ConfigError("admission slack must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Violation:
-    """An admitted probe whose tested inequality failed."""
-
-    t_index: int
-    x_index: tuple
-    t: float
-    x: tuple
-    a: float
-    p: tuple
-    kappa: float
-    kappa_eff: float
-    margin: float
-
-    def to_dict(self):
-        return {"t_index": self.t_index, "x_index": list(self.x_index),
-                "t": self.t, "x": list(self.x), "a": self.a,
-                "p": list(self.p), "kappa": self.kappa,
-                "kappa_eff": self.kappa_eff, "margin": self.margin}
+_NODE_KEYS = ("t_index", "x_index", "t", "x", "margin")
+_PROBE_KEYS = ("t_index", "x_index", "t", "x", "a", "p", "kappa",
+               "kappa_eff", "margin")
+_CSV_CHUNK = 1 << 16  # violation rows formatted per write
 
 
-@dataclass(frozen=True)
-class NodeViolation:
-    """A node where a probe-free inequality (constraint or terminal) failed."""
+@dataclass(frozen=True, eq=False)
+class Violations:
+    """One kind of violation as row-aligned arrays: t_index (k,), x_index
+    (k, n), t (k,), x (k, n), margin (k,), and for probe rows the probe,
+    a (k,), p (k, n), kappa (k,), kappa_eff (k,); node rows (constraint
+    and terminal) leave those four None."""
 
-    t_index: int
-    x_index: tuple
-    t: float
-    x: tuple
-    margin: float
+    t_index: np.ndarray
+    x_index: np.ndarray
+    t: np.ndarray
+    x: np.ndarray
+    margin: np.ndarray
+    a: np.ndarray = None
+    p: np.ndarray = None
+    kappa: np.ndarray = None
+    kappa_eff: np.ndarray = None
 
-    def to_dict(self):
-        return {"t_index": self.t_index, "x_index": list(self.x_index),
-                "t": self.t, "x": list(self.x), "margin": self.margin}
+    def __len__(self):
+        return len(self.margin)
+
+    def _columns(self):
+        return _NODE_KEYS if self.a is None else _PROBE_KEYS
+
+    def __eq__(self, other):
+        keys = self._columns()
+        return (isinstance(other, Violations) and keys == other._columns()
+                and all(np.array_equal(getattr(self, k), getattr(other, k))
+                        for k in keys))
+
+    def to_dicts(self):
+        """The rows as dicts of Python scalars and lists, JSON-ready."""
+        keys = self._columns()
+        columns = [getattr(self, k).tolist() for k in keys]
+        return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
+def _rows(grid, t_index, x_index, margin, **probe):
+    """Violations at the nodes (t_index[j], *x_index[j]); the coordinates
+    are gathered from grid.t and grid.axes."""
+    axes = grid.axes
+    x = np.column_stack([axes[d][x_index[:, d]] for d in range(grid.n)])
+    return Violations(t_index, x_index, grid.t[t_index], x, margin, **probe)
 
 
 @dataclass(frozen=True)
@@ -111,17 +126,22 @@ class ViscosityReport:
     variant: str
     points_tested: int
     probes_per_point: int
-    violations: tuple
-    constraint_violations: tuple
-    terminal_violations: tuple
+    violations: Violations
+    constraint_violations: Violations
+    terminal_violations: Violations
     pde_tolerance: float
     constraint_tolerance: float
     notes: str = ""
 
+    def kinds(self):
+        """(kind, Violations) pairs: probe, constraint, terminal."""
+        return (("probe", self.violations),
+                ("constraint", self.constraint_violations),
+                ("terminal", self.terminal_violations))
+
     @property
     def passed(self):
-        return not (self.violations or self.constraint_violations
-                    or self.terminal_violations)
+        return not any(len(rows) for _, rows in self.kinds())
 
     def to_dict(self):
         return {
@@ -129,11 +149,9 @@ class ViscosityReport:
             "passed": self.passed,
             "points_tested": self.points_tested,
             "probes_per_point": self.probes_per_point,
-            "violations": [v.to_dict() for v in self.violations],
-            "constraint_violations": [v.to_dict()
-                                      for v in self.constraint_violations],
-            "terminal_violations": [v.to_dict()
-                                    for v in self.terminal_violations],
+            "violations": self.violations.to_dicts(),
+            "constraint_violations": self.constraint_violations.to_dicts(),
+            "terminal_violations": self.terminal_violations.to_dicts(),
             "pde_tolerance": self.pde_tolerance,
             "constraint_tolerance": self.constraint_tolerance,
             "notes": self.notes,
@@ -144,26 +162,29 @@ class ViscosityReport:
 
     def summary(self):
         verdict = "no violation found" if self.passed else "FAIL"
-        return (f"{self.variant}: {verdict} "
-                f"({len(self.violations)} probe, "
-                f"{len(self.constraint_violations)} constraint, "
-                f"{len(self.terminal_violations)} terminal violations; "
+        counts = ", ".join(f"{len(rows)} {kind}"
+                           for kind, rows in self.kinds())
+        return (f"{self.variant}: {verdict} ({counts} violations; "
                 f"{self.points_tested} points x {self.probes_per_point} probes)")
 
 
 def write_violations_csv(report, path):
-    """Plot-ready CSV of all violation locations in a report."""
-    rows = ["kind,t_index,x_index,t,x,margin"]
-    for kind, items in (("probe", report.violations),
-                        ("constraint", report.constraint_violations),
-                        ("terminal", report.terminal_violations)):
-        for v in items:
-            xi = ";".join(str(i) for i in v.x_index)
-            xs = ";".join("%.17g" % c for c in v.x)
-            rows.append(f"{kind},{v.t_index},{xi},%.17g,{xs},%.17g"
-                        % (v.t, v.margin))
+    """Plot-ready CSV of all violation locations in a report: one line per
+    row, numbers as %.17g, the axes of x_index and x separated by ';'."""
     with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write("kind,t_index,x_index,t,x,margin\n")
+        for kind, rows in report.kinds():
+            n = rows.x.shape[1]
+            line = (f"{kind},%d," + ";".join(["%d"] * n) + ",%.17g,"
+                    + ";".join(["%.17g"] * n) + ",%.17g\n")
+            for s in range(0, len(rows), _CSV_CHUNK):
+                part = slice(s, s + _CSV_CHUNK)
+                # object dtype keeps indices int and the rest float
+                table = np.array([rows.t_index[part], *rows.x_index[part].T,
+                                  rows.t[part], *rows.x[part].T,
+                                  rows.margin[part]], dtype=object)
+                fh.write((line * table.shape[1])
+                         % tuple(table.T.ravel().tolist()))
 
 
 # -------------------------------------------------------------- obstacle ----
@@ -207,6 +228,8 @@ class _ProbeField:
         n = grid.n
         shape = grid.shape
         self.empty = any(s < 2 * r + 2 for s in shape)
+        self.ham = {}
+        self.skipped = []
         if self.empty:
             self.n_centers = 0
             return
@@ -244,13 +267,10 @@ class _ProbeField:
         for d in range(n):
             sh = (1,) * (1 + d) + (-1,) + (1,) * (n - 1 - d)
             x_env[f"x{d + 1}"] = self.x_centers[d].reshape(sh)
-        self.t_env = t_env
-        self.x_env = x_env
-        self.slack = spec.admission_slack * (1.0 + float(np.max(np.abs(Vv))))
+        self.slack = _slack(spec, Vv)
         self.Vv = Vv
 
-        self.ham = {}
-        self.skipped = []
+        g = None  # reads no p: evaluated once, after the first good H
         for combo in itertools.product(range(3), repeat=n):
             env = {"t": t_env}
             env.update(x_env)
@@ -259,7 +279,9 @@ class _ProbeField:
             try:
                 vals = ex.evaluate(problem.H, env)
                 if problem.g is not None:
-                    vals = vals + ex.evaluate(problem.g, {"t": t_env, **x_env})
+                    if g is None:
+                        g = ex.evaluate(problem.g, {"t": t_env, **x_env})
+                    vals = vals + g
                 self.ham[combo] = np.broadcast_to(vals, self.center_shape)
             except ex.DomainError as err:
                 self.skipped.append((combo, str(err)))
@@ -269,36 +291,38 @@ class _ProbeField:
         return 3 * 3 ** n * len(self.spec.curvatures)
 
     def admitted(self, cand_idx, a, p_list, kappa_eff, side):
-        """Verify the touching condition at candidate centers.
-
-        cand_idx indexes the center block; a, p_list, kappa_eff are aligned
-        candidate arrays.  Returns a boolean mask.
-        """
+        """Touching mask at candidate centers; cand_idx indexes the center
+        block, and a, p_list, kappa_eff are aligned candidate arrays."""
         r = self.spec.radius
-        grid = self.grid
-        n = grid.n
-        global_idx = tuple(ci + r for ci in cand_idx)
-        V0 = self.Vv[global_idx]
-        ok = np.ones(len(V0), dtype=bool)
-        steps = (grid.dt,) + grid.dx
-        sign = -1.0 if side == "sub" else 1.0
-        for off in itertools.product(range(-r, r + 1), repeat=1 + n):
-            if all(o == 0 for o in off):
-                continue
-            neighbor = tuple(global_idx[d] + off[d] for d in range(1 + n))
-            Vn = self.Vv[neighbor]
-            lin = a * (off[0] * steps[0])
-            dist2 = (off[0] * steps[0]) ** 2
-            for d in range(n):
-                step = off[1 + d] * steps[1 + d]
-                lin = lin + p_list[d] * step
-                dist2 += step ** 2
-            lhs = Vn - V0 - lin + sign * 0.5 * kappa_eff * dist2
-            if side == "sub":
-                ok &= lhs <= self.slack
-            else:
-                ok &= lhs >= -self.slack
-        return ok
+        return _touches(self.Vv, tuple(ci + r for ci in cand_idx), a, p_list,
+                        kappa_eff, side, self.grid, r, self.slack)
+
+
+def _slack(spec, Vv):
+    return spec.admission_slack * (1.0 + float(np.max(np.abs(Vv))))
+
+
+def _touches(Vv, center, a, p, kappa_eff, side, grid, r, slack):
+    """Whether each probe touches Vv from its side on the radius-r node
+    neighborhood of `center`: index arrays aligned with the probe arrays,
+    or plain indices for a single probe."""
+    steps = (grid.dt,) + grid.dx
+    sign = -1.0 if side == "sub" else 1.0
+    V0 = Vv[center]
+    ok = np.ones(np.shape(V0), dtype=bool)
+    for off in itertools.product(range(-r, r + 1), repeat=len(center)):
+        if not any(off):
+            continue
+        neighbor = tuple(c + o for c, o in zip(center, off))
+        lin = a * (off[0] * steps[0])
+        dist2 = (off[0] * steps[0]) ** 2
+        for d in range(grid.n):
+            step = off[1 + d] * steps[1 + d]
+            lin = lin + p[d] * step
+            dist2 += step ** 2
+        lhs = Vv[neighbor] - V0 - lin + sign * 0.5 * kappa_eff * dist2
+        ok &= (lhs <= slack) if side == "sub" else (lhs >= -slack)
+    return ok
 
 
 def _scan_violations(field, side, spec, unit, gap_centers=None,
@@ -308,12 +332,15 @@ def _scan_violations(field, side, spec, unit, gap_centers=None,
     side "sub": a + H < -tol.  side "super": a + H > tol, additionally
     requiring gap > tol when `classical`, and restricted to `region_mask`
     when given (the strictly-below-obstacle region of the modified check).
+    Rows are ordered by (t_index, x_index, kappa, a, p).
     """
-    if field.empty:
-        return []
     grid = field.grid
     n = grid.n
-    out = []
+    # one (t_index, x_index, a, p, kappa, kappa_eff, margin) block per
+    # (combo, slope, kappa) batch, indices relative to the center block
+    blocks = [(np.empty(0, dtype=np.intp), np.empty((0, n), dtype=np.intp),
+               np.empty(0), np.empty((0, n)), np.empty(0), np.empty(0),
+               np.empty(0))]
     base_tol = spec.tol_factor * unit
     for combo, ham in sorted(field.ham.items()):
         for a_choice in range(3):
@@ -341,26 +368,26 @@ def _scan_violations(field, side, spec, unit, gap_centers=None,
                 keep = field.admitted(cand_idx, a, p_list, kappa_eff, side)
                 if not keep.any():
                     continue
-                pde_c = pde[cand_idx]
-                gap_c = gap_centers[cand_idx] if classical else None
-                for j in np.nonzero(keep)[0]:
-                    kt = int(cand_idx[0][j]) + spec.radius
-                    xi = tuple(int(cand_idx[1 + d][j]) + spec.radius
-                               for d in range(n))
-                    if side == "sub":
-                        margin = float(pde_c[j])
-                    elif classical:
-                        margin = -float(min(pde_c[j], gap_c[j]))
-                    else:
-                        margin = -float(pde_c[j])
-                    out.append(Violation(
-                        t_index=kt, x_index=xi, t=float(grid.t[kt]),
-                        x=tuple(float(grid.axes[d][xi[d]]) for d in range(n)),
-                        a=float(a[j]), p=tuple(float(pl[j]) for pl in p_list),
-                        kappa=float(kappa), kappa_eff=float(kappa_eff[j]),
-                        margin=margin))
-    out.sort(key=lambda v: (v.t_index, v.x_index, v.kappa, v.a, v.p))
-    return out
+                pde_k = pde[cand_idx][keep]
+                if side == "sub":
+                    margin = pde_k
+                elif classical:
+                    margin = -np.minimum(pde_k, gap_centers[cand_idx][keep])
+                else:
+                    margin = -pde_k
+                blocks.append((
+                    cand_idx[0][keep],
+                    np.column_stack([i[keep] for i in cand_idx[1:]]),
+                    a[keep], np.column_stack([pl[keep] for pl in p_list]),
+                    np.full(margin.shape, kappa), kappa_eff[keep], margin))
+    t_index, x_index, a, p, kappa, kappa_eff, margin = (
+        np.concatenate(column) for column in zip(*blocks))
+    # lexsort's last key is the primary one; the sort is stable
+    order = np.lexsort((*p.T[::-1], a, kappa, *x_index.T[::-1], t_index))
+    r = spec.radius
+    return _rows(grid, t_index[order] + r, x_index[order] + r, margin[order],
+                 a=a[order], p=p[order], kappa=kappa[order],
+                 kappa_eff=kappa_eff[order])
 
 
 def _terminal_nodes(V, problem, side, ctol):
@@ -372,26 +399,23 @@ def _terminal_nodes(V, problem, side, ctol):
     margin = h - last if side == "sub" else last - h
     idx = np.nonzero(margin < -ctol)
     k = np.full(idx[0].shape, grid.t_nodes - 1)
-    return _node_violations(grid, k, idx, margin[idx])
+    return _rows(grid, k, np.column_stack(idx), margin[idx])
 
 
 def _constraint_nodes(V, gap, ctol):
     idx = np.nonzero(gap[:-1] < -ctol)
-    return _node_violations(V.grid, idx[0], idx[1:], gap[idx])
+    return _rows(V.grid, idx[0], np.column_stack(idx[1:]), gap[idx])
 
 
-def _node_violations(grid, t_index, x_index, margin):
-    """NodeViolations at the nodes (t_index, *x_index), in array order.
-
-    Coordinates are gathered from grid.t and grid.axes once per call and
-    converted to Python scalars in bulk.
-    """
-    t = grid.t[t_index].tolist()
-    x = zip(*(axis[i].tolist() for axis, i in zip(grid.axes, x_index)))
-    xi = zip(*(i.tolist() for i in x_index))
-    return [NodeViolation(t_index=k, x_index=ix, t=tk, x=xk, margin=m)
-            for k, ix, tk, xk, m in zip(t_index.tolist(), xi, t, x,
-                                        margin.tolist())]
+def _report(variant, field, unit, violations, terminal, constraint=None):
+    if constraint is None:  # a check without the obstacle constraint
+        constraint = _rows(field.grid, np.empty(0, dtype=np.intp),
+                           np.empty((0, field.grid.n), dtype=np.intp),
+                           np.empty(0))
+    return ViscosityReport(
+        variant, field.n_centers, field.probes_per_point(), violations,
+        constraint, terminal, field.spec.tol_factor * unit, unit,
+        _notes(field))
 
 
 def _notes(field, extra=""):
@@ -399,7 +423,7 @@ def _notes(field, extra=""):
     if field.empty:
         parts.append("grid too small for probe neighborhoods; "
                      "no interior points tested")
-    for combo, err in getattr(field, "skipped", []):
+    for combo, err in field.skipped:
         parts.append(f"probe slope combination {combo} skipped: {err}")
     if extra:
         parts.append(extra)
@@ -434,10 +458,7 @@ def check_hjb_subsolution(V, problem, spec=None):
     field = _ProbeField(V, problem, spec)
     violations = _scan_violations(field, "sub", spec, unit)
     terminal = _terminal_nodes(V, problem, "sub", unit)
-    return ViscosityReport(
-        VARIANT_HJB_SUB, field.n_centers, field.probes_per_point(),
-        tuple(violations), (), tuple(terminal),
-        spec.tol_factor * unit, unit, _notes(field))
+    return _report(VARIANT_HJB_SUB, field, unit, violations, terminal)
 
 
 def check_hjb_supersolution(V, problem, spec=None):
@@ -448,10 +469,7 @@ def check_hjb_supersolution(V, problem, spec=None):
     field = _ProbeField(V, problem, spec)
     violations = _scan_violations(field, "super", spec, unit)
     terminal = _terminal_nodes(V, problem, "super", unit)
-    return ViscosityReport(
-        VARIANT_HJB_SUPER, field.n_centers, field.probes_per_point(),
-        tuple(violations), (), tuple(terminal),
-        spec.tol_factor * unit, unit, _notes(field))
+    return _report(VARIANT_HJB_SUPER, field, unit, violations, terminal)
 
 
 def check_qvi_subsolution(V, problem, spec=None, search=None, gap=None):
@@ -463,17 +481,14 @@ def check_qvi_subsolution(V, problem, spec=None, search=None, gap=None):
     a + H < -tol are reported as probe violations.
     """
     spec = spec or ProbeSpec()
-    grid = V.grid
-    unit = _tolerance_unit(grid)
+    unit = _tolerance_unit(V.grid)
     gap = _gap_or_compute(V, problem, search, gap)
     field = _ProbeField(V, problem, spec)
     violations = _scan_violations(field, "sub", spec, unit)
     constraint = _constraint_nodes(V, gap, unit)
     terminal = _terminal_nodes(V, problem, "sub", unit)
-    return ViscosityReport(
-        VARIANT_QVI_SUB, field.n_centers, field.probes_per_point(),
-        tuple(violations), tuple(constraint), tuple(terminal),
-        spec.tol_factor * unit, unit, _notes(field))
+    return _report(VARIANT_QVI_SUB, field, unit, violations, terminal,
+                   constraint)
 
 
 def check_qvi_subsolution_decomposed(V, problem, spec=None, search=None,
@@ -482,8 +497,7 @@ def check_qvi_subsolution_decomposed(V, problem, spec=None, search=None,
     constraint check and the pure transport check separately and conjoin
     the verdicts.  Produces the same violation sets as the direct check."""
     spec = spec or ProbeSpec()
-    grid = V.grid
-    unit = _tolerance_unit(grid)
+    unit = _tolerance_unit(V.grid)
     gap = _gap_or_compute(V, problem, search, gap)
     hjb = check_hjb_subsolution(V, problem, spec)
     constraint = _constraint_nodes(V, gap, unit)
@@ -492,7 +506,7 @@ def check_qvi_subsolution_decomposed(V, problem, spec=None, search=None,
         note = hjb.notes + "; " + note
     return ViscosityReport(
         VARIANT_QVI_SUB, hjb.points_tested, hjb.probes_per_point,
-        hjb.violations, tuple(constraint), hjb.terminal_violations,
+        hjb.violations, constraint, hjb.terminal_violations,
         hjb.pde_tolerance, unit, note)
 
 
@@ -502,18 +516,15 @@ def check_qvi_supersolution_classical(V, problem, spec=None, search=None,
     super-side probe, min{a + H, N[V] - V} <= tol; terminal V(T, .) >= h.
     The obstacle constraint itself is NOT required."""
     spec = spec or ProbeSpec()
-    grid = V.grid
-    unit = _tolerance_unit(grid)
+    unit = _tolerance_unit(V.grid)
     gap = _gap_or_compute(V, problem, search, gap)
     field = _ProbeField(V, problem, spec)
     violations = _scan_violations(field, "super", spec, unit,
                                   gap_centers=_center_gap(field, gap),
                                   classical=True)
     terminal = _terminal_nodes(V, problem, "super", unit)
-    return ViscosityReport(
-        VARIANT_QVI_SUPER_CLASSICAL, field.n_centers,
-        field.probes_per_point(), tuple(violations), (), tuple(terminal),
-        spec.tol_factor * unit, unit, _notes(field))
+    return _report(VARIANT_QVI_SUPER_CLASSICAL, field, unit, violations,
+                   terminal)
 
 
 def check_qvi_supersolution_modified(V, problem, spec=None, search=None,
@@ -527,21 +538,16 @@ def check_qvi_supersolution_modified(V, problem, spec=None, search=None,
     contact set no transport inequality is demanded.
     """
     spec = spec or ProbeSpec()
-    grid = V.grid
-    unit = _tolerance_unit(grid)
+    unit = _tolerance_unit(V.grid)
     gap = _gap_or_compute(V, problem, search, gap)
     field = _ProbeField(V, problem, spec)
-    region = None
-    if not field.empty:
-        region = _center_gap(field, gap) > 2.0 * unit
+    region = None if field.empty else _center_gap(field, gap) > 2.0 * unit
     violations = _scan_violations(field, "super", spec, unit,
                                   region_mask=region)
     constraint = _constraint_nodes(V, gap, unit)
     terminal = _terminal_nodes(V, problem, "super", unit)
-    return ViscosityReport(
-        VARIANT_QVI_SUPER_MODIFIED, field.n_centers,
-        field.probes_per_point(), tuple(violations), tuple(constraint),
-        tuple(terminal), spec.tol_factor * unit, unit, _notes(field))
+    return _report(VARIANT_QVI_SUPER_MODIFIED, field, unit, violations,
+                   terminal, constraint)
 
 
 # ------------------------------------------------- re-assertion helpers ----
@@ -581,25 +587,6 @@ def probe_admitted(V, t_index, x_index, a, p, kappa_eff, side, spec=None):
     for d in range(n):
         if not (r <= x_index[d] < grid.x_nodes[d] - r):
             raise ConfigError("node has no full probe neighborhood")
-    Vv = V.values
     center = (t_index,) + tuple(x_index)
-    V0 = Vv[center]
-    slack = spec.admission_slack * (1.0 + float(np.max(np.abs(Vv))))
-    steps = (grid.dt,) + grid.dx
-    sign = -1.0 if side == "sub" else 1.0
-    for off in itertools.product(range(-r, r + 1), repeat=1 + n):
-        if all(o == 0 for o in off):
-            continue
-        neighbor = tuple(center[d] + off[d] for d in range(1 + n))
-        lin = a * off[0] * steps[0]
-        dist2 = (off[0] * steps[0]) ** 2
-        for d in range(n):
-            step = off[1 + d] * steps[1 + d]
-            lin += p[d] * step
-            dist2 += step ** 2
-        lhs = Vv[neighbor] - V0 - lin + sign * 0.5 * kappa_eff * dist2
-        if side == "sub" and lhs > slack:
-            return False
-        if side == "super" and lhs < -slack:
-            return False
-    return True
+    return bool(_touches(V.values, center, a, p, kappa_eff, side, grid, r,
+                         _slack(spec, V.values)))

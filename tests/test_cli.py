@@ -172,6 +172,16 @@ class TestViscosity:
             assert 0.4 < u < 2.7
         assert "constraint violation at" in capsys.readouterr().out
 
+    def test_examples_of_each_kind_are_printed(self, tmp_path, capsys):
+        assert run(["viscosity", TRANSPORT, "--variant", "hjb-sub",
+                    "--analytic", "abs(x1)", "--grid-nt", "41",
+                    "--grid-nx", "71", "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "48195 probe, 0 constraint, 66 terminal violations" in out
+        assert out.count("  probe violation at t=") == 5
+        assert out.count("  terminal violation at t=1, ") == 5
+        assert "constraint violation at" not in out
+
     def test_classical_passes_on_the_profile(self, tmp_path):
         assert run(["viscosity", EXAMPLE, "--analytic", PROFILE,
                     "--variant", "qvi-super-classical",
@@ -355,4 +365,43 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as err:
             run(["viscosity", EXAMPLE, "--variant", "bogus",
                  "--out", str(tmp_path)])
+        assert err.value.code == 2
+
+
+# every command that reads --tol, with arguments that would otherwise run
+TOL_COMMANDS = {
+    "solve": ["solve", EXAMPLE, *FAST],
+    "viscosity": ["viscosity", EXAMPLE, *FAST, "--variant", "hjb-super",
+                  "--analytic", "abs(x1)"],
+    "compare": ["compare", EXAMPLE, LIFTED, *FAST],
+    "reproduce-example": ["reproduce-example", *FAST],
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+    def test_tol_must_be_finite_and_nonnegative(self, command, value,
+                                                tmp_path):
+        # a NaN tolerance makes every `pde > tol` test false, so a failing
+        # check would pass, and `solve` would write "tolerance": NaN, which
+        # is not JSON
+        with pytest.raises(SystemExit) as err:
+            run([*TOL_COMMANDS[command], "--tol", value,
+                 "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_zero_probe_tolerance_is_invalid(self, tmp_path):
+        assert run([*TOL_COMMANDS["viscosity"], "--tol", "0",
+                    "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["check", EXAMPLE, "--tol", "123"],
+        ["doubling", EXAMPLE, "--analytic", PROFILE, "--tol", "1"],
+        ["reproduce-example", "--set", "problem.T=7"],
+    ], ids=["check-tol", "doubling-tol", "reproduce-example-set"])
+    def test_flags_a_command_ignores_are_rejected(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run([*argv, "--out", str(tmp_path)])
         assert err.value.code == 2

@@ -1,5 +1,5 @@
 """CSV writer byte identity, CSV round trip, malformed CSV input, and the
-bulk construction of node violation lists."""
+bulk construction of node violation tables."""
 
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 from qvilab import cli
 from qvilab import expr as ex
 from qvilab.core import ConfigError, Grid, GridFunction, load_problem, read_csv, write_csv
-from qvilab.viscosity import NodeViolation, _constraint_nodes, _terminal_nodes
+from qvilab.viscosity import _constraint_nodes, _terminal_nodes
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -135,10 +135,10 @@ def test_cli_malformed_solution_exits_2(name, tmp_path, capsys):
     assert str(path) in err
 
 
-# ------------------------------------------------ node violation lists ----
+# ------------------------------------------------ node violation tables ----
 
 def loop_terminal_nodes(V, problem, side, ctol):
-    """Reference: one NodeViolation per node, coordinates read per node."""
+    """Reference: one row dict per node, coordinates read per node."""
     grid = V.grid
     h = np.broadcast_to(
         np.asarray(ex.evaluate(problem.h, grid.space_env()), dtype=float),
@@ -147,36 +147,38 @@ def loop_terminal_nodes(V, problem, side, ctol):
     margin = h - last if side == "sub" else last - h
     out = []
     for idx in zip(*np.nonzero(margin < -ctol)):
-        out.append(NodeViolation(
-            t_index=grid.t_nodes - 1, x_index=tuple(int(i) for i in idx),
-            t=float(grid.T),
-            x=tuple(float(grid.axes[d][idx[d]]) for d in range(grid.n)),
-            margin=float(margin[idx])))
+        out.append({
+            "t_index": grid.t_nodes - 1, "x_index": [int(i) for i in idx],
+            "t": float(grid.T),
+            "x": [float(grid.axes[d][idx[d]]) for d in range(grid.n)],
+            "margin": float(margin[idx])})
     return out
 
 
 def loop_constraint_nodes(V, gap, ctol):
-    """Reference: one NodeViolation per node, coordinates read per node."""
+    """Reference: one row dict per node, coordinates read per node."""
     grid = V.grid
     out = []
     for idx in zip(*np.nonzero(gap[:-1] < -ctol)):
         k = int(idx[0])
-        xi = tuple(int(i) for i in idx[1:])
-        out.append(NodeViolation(
-            t_index=k, x_index=xi, t=float(grid.t[k]),
-            x=tuple(float(grid.axes[d][xi[d]]) for d in range(grid.n)),
-            margin=float(gap[idx])))
+        xi = [int(i) for i in idx[1:]]
+        out.append({
+            "t_index": k, "x_index": xi, "t": float(grid.t[k]),
+            "x": [float(grid.axes[d][xi[d]]) for d in range(grid.n)],
+            "margin": float(gap[idx])})
     return out
 
 
 def assert_same_violations(new, old):
-    assert len(new) == len(old)
-    assert new == old
-    for a, b in zip(new, old):
-        assert a.to_dict() == b.to_dict()
-        assert type(a.t) is float and type(a.margin) is float
-        assert all(type(i) is int for i in a.x_index)
-        assert all(type(x) is float for x in a.x)
+    rows = new.to_dicts()
+    assert len(new) == len(rows) == len(old)
+    assert rows == old
+    for row in rows:
+        assert list(row) == ["t_index", "x_index", "t", "x", "margin"]
+        assert type(row["t_index"]) is int
+        assert type(row["t"]) is float and type(row["margin"]) is float
+        assert all(type(i) is int for i in row["x_index"])
+        assert all(type(x) is float for x in row["x"])
 
 
 # the grid reproduce-example checks: 201 x 701 nodes on [-1.5, x_hi]
@@ -195,7 +197,7 @@ def test_constraint_nodes_match_loop(grid):
     old = loop_constraint_nodes(V, gap, 5e-4)
     assert len(old) > 100
     assert_same_violations(new, old)
-    assert _constraint_nodes(V, np.abs(gap), 5e-4) == []
+    assert len(_constraint_nodes(V, np.abs(gap), 5e-4)) == 0
 
 
 @pytest.mark.parametrize("grid", VIOLATION_GRIDS, ids=lambda g: f"n{g.n}")

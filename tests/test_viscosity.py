@@ -1,8 +1,12 @@
 """Viscosity checkers: probe mechanics, verdicts, and cross-check identities."""
 
+from dataclasses import replace
+from hashlib import sha256
+
 import numpy as np
 import pytest
 
+from qvilab import example as exm
 from qvilab import expr as ex
 from qvilab import viscosity as vc
 from qvilab.core import Cone, ConfigError, Grid, GridFunction, ImpulseProblem, sample
@@ -36,6 +40,17 @@ def analytic_profile(grid):
 def frozen_terminal(grid):
     e = ex.parse("x1*exp(-x1)", {"x1"})
     return sample(e, grid)
+
+
+def node_keys(rows):
+    """The (t_index, x_index) of every row, as a set."""
+    return set(zip(rows.t_index.tolist(), map(tuple, rows.x_index.tolist())))
+
+
+def probe_keys(rows):
+    """The (t_index, x_index, kappa) of every probe row, as a set."""
+    return set(zip(rows.t_index.tolist(), map(tuple, rows.x_index.tolist()),
+                   rows.kappa.tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +95,9 @@ class TestProbeSpec:
             vc.ProbeSpec(curvatures=())
         with pytest.raises(ConfigError):
             vc.ProbeSpec(tol_factor=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                vc.ProbeSpec(tol_factor=bad)
         with pytest.raises(ConfigError):
             vc.ProbeSpec(admission_slack=-1e-9)
 
@@ -124,8 +142,8 @@ class TestTransportChecks:
         V = frozen_terminal(GRID)
         report = vc.check_hjb_subsolution(V, problem)
         assert report.violations
-        assert all(v.x[0] < 1.0 for v in report.violations)
-        assert any(v.x[0] < 0.0 for v in report.violations)
+        assert np.all(report.violations.x[:, 0] < 1.0)
+        assert np.any(report.violations.x[:, 0] < 0.0)
         assert not report.terminal_violations
         assert not report.constraint_violations
         assert not report.passed
@@ -134,21 +152,20 @@ class TestTransportChecks:
         V = frozen_terminal(GRID)
         report = vc.check_hjb_subsolution(V, problem)
         unit = report.constraint_tolerance
-        for v in report.violations[:50]:
+        for v in report.violations.to_dicts()[:50]:
             # margin is a + H(p) = a - p for the transport Hamiltonian
-            assert v.margin == pytest.approx(v.a - v.p[0], abs=1e-12)
-            assert v.margin < -(report.pde_tolerance + v.kappa_eff * unit)
-            assert vc.probe_admitted(V, v.t_index, v.x_index, v.a, v.p,
-                                     v.kappa_eff, "sub")
+            assert v["margin"] == pytest.approx(v["a"] - v["p"][0], abs=1e-12)
+            assert v["margin"] < -(report.pde_tolerance
+                                   + v["kappa_eff"] * unit)
+            assert vc.probe_admitted(V, v["t_index"], v["x_index"], v["a"],
+                                     v["p"], v["kappa_eff"], "sub")
 
     def test_super_mirror_of_negated_function(self, problem):
         V = frozen_terminal(GRID)
         neg = GridFunction(GRID, -V.values)
         sub = vc.check_hjb_subsolution(V, problem)
         sup = vc.check_hjb_supersolution(neg, problem)
-        sub_keys = {(v.t_index, v.x_index, v.kappa) for v in sub.violations}
-        sup_keys = {(v.t_index, v.x_index, v.kappa) for v in sup.violations}
-        assert sub_keys == sup_keys
+        assert probe_keys(sub.violations) == probe_keys(sup.violations)
 
     def test_terminal_inequalities_are_one_sided(self, problem):
         above = GridFunction(GRID, frozen_terminal(GRID).values + 1.0)
@@ -158,7 +175,7 @@ class TestTransportChecks:
         assert not vc.check_hjb_subsolution(below, problem).terminal_violations
         assert vc.check_hjb_supersolution(below, problem).terminal_violations
 
-    def test_two_dimensional_linear_function(self):
+    def test_two_dimensional_linear_function(self, tmp_path):
         # coarse grid, so the drift is scaled to clear the tolerance
         problem = make_problem(H="-4*p1 - 4*p2", h="x1 + x2",
                                ell="0.3 + 0.2*(xi1 + xi2)", n=2)
@@ -168,10 +185,17 @@ class TestTransportChecks:
         report = vc.check_hjb_subsolution(V, problem)
         assert report.probes_per_point == 81
         assert report.violations
-        v = report.violations[0]
-        assert v.a == pytest.approx(-1.0, abs=1e-12)
-        assert v.p == (pytest.approx(1.0), pytest.approx(1.0))
-        assert v.margin == pytest.approx(-9.0, abs=1e-12)
+        v = report.violations.to_dicts()[0]
+        assert v["a"] == pytest.approx(-1.0, abs=1e-12)
+        assert v["p"] == [pytest.approx(1.0), pytest.approx(1.0)]
+        assert v["margin"] == pytest.approx(-9.0, abs=1e-12)
+        # all 127,575 probe rows, pinned byte for byte
+        assert sha256(report.to_json().encode()).hexdigest() == \
+            "f133d4d7acdc6f0953ebb971292bd8e5b00a715c9dd2671ee62867de7ad5b6fd"
+        path = tmp_path / "violations.csv"
+        vc.write_violations_csv(report, path)
+        assert sha256(path.read_bytes()).hexdigest() == \
+            "6ec0800e246c84085329f0f3e1852cfa3ae387d1f7a6586eb3f556eddb5016d4"
         sup = vc.check_hjb_supersolution(V, problem)
         assert not sup.violations
 
@@ -230,16 +254,28 @@ class TestSeparationPattern:
 
     def test_constraint_violations_sit_on_the_profitable_strip(self, verdicts):
         grid, _, modified, _ = verdicts
-        for v in modified.constraint_violations:
-            u = v.x[0] - grid.T + v.t
-            assert 0.4 < u < 2.8
+        rows = modified.constraint_violations
+        u = rows.x[:, 0] - grid.T + rows.t
+        assert np.all((0.4 < u) & (u < 2.8))
 
     def test_profile_is_still_a_constrained_subsolution_except_constraint(
             self, verdicts):
         _, _, modified, sub = verdicts
         assert not sub.violations
-        assert {(c.t_index, c.x_index) for c in sub.constraint_violations} == \
-            {(c.t_index, c.x_index) for c in modified.constraint_violations}
+        assert node_keys(sub.constraint_violations) == \
+            node_keys(modified.constraint_violations)
+
+
+class TestSeparationBand:
+    def test_band_test_is_strict_and_elementwise(self):
+        # binary-exact edges, so u = x1 - T + t lands on them exactly
+        inst = replace(exm.build_instance(t0=0.5, l0=0.05),
+                       u_lo=0.25, u_hi=1.75)
+        u = np.array([0.25, 0.5, 1.0, 1.75, 0.0, 3.0])
+        got = inst.in_band(np.full(u.shape, 0.5), u + 0.5)
+        assert got.tolist() == [False, True, True, False, False, False]
+        closed = exm.build_instance(t0=0.5, l0=0.13)
+        assert not np.any(closed.in_band(np.zeros(3), np.array([0.5, 1, 2])))
 
 
 class TestDecomposedAgreement:
@@ -294,10 +330,8 @@ class TestShiftInvariance:
                         vc.check_qvi_supersolution_modified):
             base = checker(V, problem, gap=gap)
             moved = checker(shifted, problem, gap=gap_s)
-            key = lambda r: ({(v.t_index, v.x_index, v.kappa)
-                              for v in r.violations},
-                             {(v.t_index, v.x_index)
-                              for v in r.constraint_violations})
+            key = lambda r: (probe_keys(r.violations),
+                             node_keys(r.constraint_violations))
             assert key(base) == key(moved)
             assert base.passed == moved.passed
 
@@ -319,6 +353,30 @@ class TestEdgesAndPlumbing:
         assert "skipped" in report.notes
         assert report.points_tested > 0
 
+    def test_bump_adds_to_h_and_is_evaluated_once(self, monkeypatch):
+        # g reads no slope, so one evaluation serves all 3^n combinations
+        bumped = make_problem(n=2, H="-p1 - p2", h="x1 + x2",
+                              ell="0.3 + 0.2*(xi1 + xi2)")
+        bumped = replace(bumped, g=ex.parse("20*x1*x2 - 10*t",
+                                            {"t", "x1", "x2"}))
+        merged = make_problem(n=2, H="-p1 - p2 + (20*x1*x2 - 10*t)",
+                              h="x1 + x2", ell="0.3 + 0.2*(xi1 + xi2)")
+        grid = Grid(T=1.0, t_nodes=13, x_min=(-2.0, -2.0), x_max=(2.0, 2.0),
+                    x_nodes=(21, 21))
+        V = sample(ex.parse("x1*x1 - x2 + t", {"t", "x1", "x2"}), grid)
+        calls = []
+        evaluate = ex.evaluate
+
+        def counted(node, env):
+            calls.append(node is bumped.g)
+            return evaluate(node, env)
+
+        monkeypatch.setattr(ex, "evaluate", counted)
+        report = vc.check_hjb_subsolution(V, bumped)
+        assert sum(calls) == 1
+        assert report.violations
+        assert report == vc.check_hjb_subsolution(V, merged)
+
     def test_bad_gap_shape_rejected(self, problem):
         V = frozen_terminal(GRID)
         with pytest.raises(ConfigError):
@@ -338,7 +396,7 @@ class TestEdgesAndPlumbing:
         assert len(lines) == 1 + len(report.violations)
         first = lines[1].split(",")
         assert first[0] == "probe"
-        assert float(first[3]) == pytest.approx(report.violations[0].t)
+        assert float(first[3]) == pytest.approx(report.violations.t[0])
 
     def test_summary_mentions_counts(self, problem):
         V = frozen_terminal(GRID)
