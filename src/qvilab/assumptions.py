@@ -9,8 +9,10 @@ expression-defined data, so this module checks them numerically: evaluate
 each inequality on a reproducible sample cloud and report the worst margin
 together with the point that attains it.
 
-Sampling is a scrambled Halton sequence with a fixed seed, optionally
-augmented with grid nodes, so audits are deterministic and prefix stable:
+Sampling is an Owen-scrambled Halton sequence with a fixed seed,
+optionally augmented with grid nodes.  The sampler is ``core.halton``:
+numpy only, and bitwise equal to scipy's ``qmc.Halton(scramble=True)``
+with the same seed.  Audits are therefore deterministic and prefix stable:
 rerunning with a larger sample count reuses the smaller run's points.  As a
 consequence every min-over-samples margin is monotone in the sample count.
 The two modulus checks are the exception: they compare the largest observed
@@ -27,10 +29,10 @@ from dataclasses import dataclass
 import json
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import expr as ex
 from .core import ConfigError, Grid
+from .core import halton as _halton
 from .obstacle import default_search
 
 TOL_EXACT = 1e-9
@@ -94,11 +96,6 @@ def default_sampler(grid, n_samples=512, seed=11, p_max=4.0, xi_max=None):
         xi_max = default_search(grid).xi_max
     return SamplerSpec(x_min=grid.x_min, x_max=grid.x_max, p_max=p_max,
                        xi_max=xi_max, n_samples=n_samples, seed=seed, grid=grid)
-
-
-def _halton(dim, count, seed):
-    eng = qmc.Halton(d=dim, scramble=True, seed=seed)
-    return eng.random(count)
 
 
 def _grid_space_nodes(grid):

@@ -383,7 +383,16 @@ def _tolerance(text):
     return value
 
 
-def _add_common(sub, config=True, tol=False):
+_TOL_RESIDUAL = ("absolute tolerance on the interior residual, >= 0 "
+                 "(default 10*(dt + sum dx))")
+_TOL_DIFFERENCE = ("absolute tolerance on the max interior difference, >= 0 "
+                   "(default 10*(dt + sum dx))")
+_TOL_FACTOR = ("probe tolerance as a factor on dt + sum dx, > 0 "
+               "(default 10; 0 exits 2)")
+
+
+def _add_common(sub, config=True, tol=None):
+    """Flags shared by the subcommands; `tol` is the help of --tol, if any."""
     if config:
         sub.add_argument("config", help="problem configuration file")
         sub.add_argument("--set", action="append", default=[],
@@ -394,8 +403,7 @@ def _add_common(sub, config=True, tol=False):
     sub.add_argument("--grid-nx", default=None, metavar="N[,M]",
                      help="override grid.x_nodes")
     if tol:
-        sub.add_argument("--tol", type=_tolerance, default=None,
-                         help="acceptance tolerance override")
+        sub.add_argument("--tol", type=_tolerance, default=None, help=tol)
     sub.add_argument("--out", default=".", metavar="DIR",
                      help="directory for artifacts (default: current)")
 
@@ -418,20 +426,20 @@ def build_parser():
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve", help="solve the constrained equation")
-    _add_common(p, tol=True)
+    _add_common(p, tol=_TOL_RESIDUAL)
     p.add_argument("--no-obstacle", action="store_true",
                    help="solve the unconstrained equation instead")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("viscosity", help="probe one solution notion")
-    _add_common(p, tol=True)
+    _add_common(p, tol=_TOL_FACTOR)
     _add_solution_source(p)
     p.add_argument("--variant", required=True, choices=sorted(_VARIANTS),
                    help="which notion to check")
     p.set_defaults(func=cmd_viscosity)
 
     p = sub.add_parser("compare", help="measure order between two problems")
-    _add_common(p, tol=True)
+    _add_common(p, tol=_TOL_DIFFERENCE)
     p.add_argument("config_hat",
                    help="configuration whose data dominates the first "
                         "(overrides apply to both configs)")
@@ -452,7 +460,7 @@ def build_parser():
 
     p = sub.add_parser("reproduce-example",
                        help="rebuild the separating instance and verify it")
-    _add_common(p, config=False, tol=True)
+    _add_common(p, config=False, tol=_TOL_FACTOR)
     p.add_argument("--l0", type=float, default=0.05,
                    help="base impulse cost (default 0.05)")
     p.add_argument("--t0", type=float, default=0.5,

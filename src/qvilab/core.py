@@ -19,10 +19,10 @@ either "orthant" or a semicolon separated ray list such as "1,0; 0,1".
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import expr as ex
 
@@ -120,6 +120,8 @@ class Cone:
         scale = 1.0 + float(np.linalg.norm(xi))
         if self.kind == "orthant":
             return bool(np.all(xi >= -tol * scale))
+        from scipy.optimize import nnls  # loaded here only: no command needs it
+
         _, residual = nnls(self.rays.T, xi)
         return residual <= tol * scale
 
@@ -429,6 +431,49 @@ def sample(e, grid, fixed_env=None):
     out = ex.evaluate(e, env)
     out = np.broadcast_to(np.asarray(out, dtype=float), grid.shape)
     return GridFunction(grid, out)
+
+
+# -------------------------------------------------------------- sampling ----
+
+def _primes(count):
+    """The first `count` primes, by trial division."""
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def halton(dim, count, seed):
+    """Owen-scrambled Halton points in [0, 1)^dim, shape (count, dim).
+
+    Owen's randomized Halton (arXiv:1706.02808): coordinate d writes the
+    point index in the d-th prime base b and sends digit j through its own
+    random permutation of range(b), for every j with b**-(j+1) > 2**-54.
+    The permutations are drawn from np.random.default_rng(seed) base by
+    base, and the digits are summed in increasing j, so the points equal
+    scipy.stats.qmc.Halton(dim, scramble=True, seed=seed).random(count)
+    bit for bit.  The first k points do not depend on `count`.
+    """
+    rng = np.random.default_rng(seed)
+    index = np.arange(count)
+    columns = []
+    for base in _primes(dim):
+        digits = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], digits, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        quotient = index
+        column = np.zeros(count)
+        scale = 1.0 / base
+        for perm in perms:
+            quotient, digit = np.divmod(quotient, base)
+            column += perm[digit] * scale
+            scale /= base
+        columns.append(column)
+    return np.array(columns).T
 
 
 # ---------------------------------------------------------- config parsing ----

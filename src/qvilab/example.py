@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import bisect
 
 from . import expr as ex
 from .core import Cone, ConfigError, Grid, GridFunction, ImpulseProblem
@@ -66,6 +65,7 @@ __all__ = [
 COST_THRESHOLD = math.exp(-2.0)
 ROOT_TOL = 1e-10
 XI_CAP = 20.0
+_BISECT_RTOL = 4.0 * np.finfo(float).eps  # scipy.optimize.bisect's rtol
 _PAYOFF = ex.parse("x1*exp(-x1)", {"x1"})  # the terminal payoff h
 
 
@@ -156,6 +156,32 @@ class ExampleInstance:
         }
 
 
+def _bisect(f, a, b, xtol):
+    """A root of f in [a, b] by bisection, as scipy.optimize.bisect finds it.
+
+    The same halving, the same stopping rule (f exactly 0 at the midpoint,
+    or half width below xtol + 4*eps*|midpoint|) and the same 100-step
+    limit, so the returned float is scipy's.
+    """
+    fa, fb = f(a), f(b)
+    if fa * fb > 0.0:
+        raise ConfigError(f"bisection bracket [{a!r}, {b!r}] has no sign change")
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    dm = b - a
+    for _ in range(100):
+        dm *= 0.5
+        xm = a + dm
+        fm = f(xm)
+        if fm * fa >= 0.0:
+            a = xm
+        if fm == 0.0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
+            return xm
+    raise ConfigError("bisection did not converge in 100 steps")
+
+
 def _check_sign_pattern(l0, xi1, xi2):
     # psi' must be positive before the first critical point, negative
     # between them, positive beyond; 100 interior samples per interval
@@ -195,8 +221,8 @@ def build_instance(t0=0.5, l0=0.05, T=1.0, bump_height=0.05,
 
     if not (f(0.0) < 0.0 < f(1.0)) or not f(XI_CAP) < 0.0:
         raise ConfigError("root bracket failure for the jump profile")
-    xi1 = float(bisect(f, 0.0, 1.0, xtol=1e-13))
-    xi2 = float(bisect(f, 1.0, XI_CAP, xtol=1e-13))
+    xi1 = _bisect(f, 0.0, 1.0, xtol=1e-13)
+    xi2 = _bisect(f, 1.0, XI_CAP, xtol=1e-13)
     for root in (xi1, xi2):
         if abs(root * math.exp(-root) - target) > ROOT_TOL:
             raise ConfigError("critical-point residual exceeds tolerance")
@@ -225,13 +251,13 @@ def build_instance(t0=0.5, l0=0.05, T=1.0, bump_height=0.05,
         u -= scan_step
         if u < scan_step:
             raise ConfigError("profitable band scan left the domain")
-    u_lo = float(bisect(gap_at, u - scan_step, u, xtol=1e-12))
+    u_lo = _bisect(gap_at, u - scan_step, u, xtol=1e-12)
     u = 1.0
     while gap_at(u + scan_step) < 0.0:
         u += scan_step
         if u > w_star:
             raise ConfigError("profitable band scan passed the jump target")
-    u_hi = float(bisect(gap_at, u, u + scan_step, xtol=1e-12))
+    u_hi = _bisect(gap_at, u, u + scan_step, xtol=1e-12)
     delta = min(1.0 - u_lo, u_hi - 1.0)
 
     half = delta / 2.0

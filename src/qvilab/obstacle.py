@@ -34,6 +34,7 @@ the radius cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -249,6 +250,39 @@ def _affine_in_xi(node):
     return True  # Num or Var
 
 
+def _slopes_at(ell, n, t):
+    """Cost slopes c_d = ell(t, e_d) - ell(t, 0), or None if one is negative."""
+    basis = np.vstack([np.zeros(n), np.eye(n)])
+    env = {"t": float(t)}
+    env.update({f"xi{d + 1}": basis[:, d] for d in range(n)})
+    cost = np.broadcast_to(np.asarray(ex.evaluate(ell, env), dtype=float),
+                           (n + 1,))
+    slopes = cost[1:] - cost[0]
+    return None if np.any(slopes < 0.0) else slopes
+
+
+@lru_cache(maxsize=64)
+def _cost_slopes(ell, n):
+    """Slopes of ell as a function of t, or None when its form rules out
+    the exact path: it reads x, or it is not affine in xi.
+
+    Decided once per cost expression (the nodes are frozen, so they key
+    the cache).  A cost that does not read t has its slopes evaluated here
+    once; one that reads t is evaluated at each call's t.
+    """
+    names = ex.variables(ell)
+    if any(name.startswith("x") and not name.startswith("xi") for name in names):
+        return None
+    if not _affine_in_xi(ell):
+        return None
+    if "t" in names:
+        return lambda t: _slopes_at(ell, n, t)
+    slopes = _slopes_at(ell, n, 0.0)
+    if slopes is not None:
+        slopes.setflags(write=False)  # shared by every call on this cost
+    return lambda t: slopes
+
+
 def _exact_slopes(grid, t, ell, cone, search):
     """Cost slopes c_d = ell(e_d) - ell(0) when the exact path applies.
 
@@ -256,24 +290,10 @@ def _exact_slopes(grid, t, ell, cone, search):
     that reads x or is not affine in xi, a negative slope, or a radius
     short of the box diagonal (the ball would cut cells).
     """
-    if cone.kind != "orthant":
+    if cone.kind != "orthant" or search.xi_max < grid.box_diagonal:
         return None
-    names = ex.variables(ell)
-    if any(name.startswith("x") and not name.startswith("xi") for name in names):
-        return None
-    if not _affine_in_xi(ell):
-        return None
-    if search.xi_max < grid.box_diagonal:
-        return None
-    basis = np.vstack([np.zeros(grid.n), np.eye(grid.n)])
-    env = {"t": float(t)}
-    env.update({f"xi{d + 1}": basis[:, d] for d in range(grid.n)})
-    cost = np.broadcast_to(np.asarray(ex.evaluate(ell, env), dtype=float),
-                           (grid.n + 1,))
-    slopes = cost[1:] - cost[0]
-    if np.any(slopes < 0.0):
-        return None
-    return slopes
+    slopes_at = _cost_slopes(ell, grid.n)
+    return None if slopes_at is None else slopes_at(t)
 
 
 def _exact_1d_nodes(grid, values, slope):

@@ -30,11 +30,10 @@ from math import ceil
 from typing import Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import expr as ex
 from . import obstacle as obs
-from .core import GridFunction
+from .core import GridFunction, halton
 
 
 class SolverError(Exception):
@@ -87,8 +86,7 @@ def estimate_dissipation(problem, grid, factor=1.05, n_samples=512, seed=0):
         p_hi.append(float(diffs.max()) + pad if diffs.size else pad)
 
     n = grid.n
-    sampler = qmc.Halton(d=1 + 2 * n, scramble=True, seed=seed)
-    u = sampler.random(n_samples)
+    u = halton(1 + 2 * n, n_samples, seed)
     t_s = u[:, 0] * grid.T
     x_s = [grid.x_min[d] + u[:, 1 + d] * (grid.x_max[d] - grid.x_min[d])
            for d in range(n)]

@@ -326,6 +326,29 @@ class TestEligibility:
         assert np.array_equal(got[1].reshape(-1, n), want[1])
         assert np.array_equal(got[2].ravel(), want[2])
 
+    def test_form_of_the_cost_is_judged_once(self):
+        """t-free slopes are computed once per cost and shared read-only;
+        t-dependent ones follow each call's t; cone and radius are still
+        checked on every call."""
+        grid = grid_1d()
+        search = SearchParams(xi_max=grid.box_diagonal)
+        cone = Cone.orthant(1)
+        timed = ex.parse("xi1*(1 + t)", VARS_1D)
+        for t in (0.0, 0.25, 0.5):
+            assert _exact_slopes(grid, t, timed, cone, search)[0] == 1.0 + t
+        source = "0.05*(1 + xi1)"
+        first = _exact_slopes(grid, 0.2, ex.parse(source, VARS_1D), cone,
+                              search)
+        again = _exact_slopes(grid, 0.7, ex.parse(source, VARS_1D), cone,
+                              search)
+        assert again is first and not first.flags.writeable
+        assert first[0] == 0.05 * 2.0 - 0.05 * 1.0
+        short = SearchParams(xi_max=grid.box_diagonal / 2.0)
+        rays = Cone.from_rays([[1.0]])
+        ell = ex.parse(source, VARS_1D)
+        assert _exact_slopes(grid, 0.2, ell, cone, short) is None
+        assert _exact_slopes(grid, 0.2, ell, rays, search) is None
+
 
 # ------------------------------------------------------------- properties ----
 
