@@ -1,9 +1,11 @@
-"""Pinned bytes of small viscosity runs.
+"""Pinned bytes of small viscosity runs and of the separating example.
 
-The sha256 of `viscosity.json` and `violations.csv` for four CLI runs
-that together produce 1-d probe and terminal rows, 1-d constraint rows,
-2-d constraint rows and classical probe rows, whose margin is the minimum
-of the equation and the obstacle gap.  A moved hash is a moved artifact:
+The sha256 of `viscosity.json` and `violations.csv` for five CLI runs,
+one per solution notion, that together produce 1-d sub and super probe
+rows, terminal rows, 1-d constraint rows, 2-d constraint rows and
+classical probe rows, whose margin is the minimum of the equation and the
+obstacle gap; and of the three `reproduce-example` artifacts at the
+default tolerance and at `--tol 8`.  A moved hash is a moved artifact:
 the rows, their order or their formatting changed.
 """
 
@@ -23,6 +25,11 @@ RUNS = {
          "--analytic", "abs(x1)", "--grid-nt", "41", "--grid-nx", "71"],
         "8d705deea2a59227cfda7f37355a39d9088baaf7f243bbeaa4074129869109e8",
         "a0e14162a77d6196496b83907bcb75605e635cef2b4608ee13fd6d35acc05971"),
+    "transport-hjb-super": (
+        [str(ROOT / "configs" / "transport.cfg"), "--variant", "hjb-super",
+         "--analytic=-abs(x1)", "--grid-nt", "41", "--grid-nx", "71"],
+        "65e6ece0aebd92b6d7e8b1a1d696232d02252bfa8866d04dfb29a1639bbc0a1b",
+        "732249c6da4b85e3c871820ee9755123e05685db041543ea829f7f2cdde80d5c"),
     "example-modified": (
         [str(ROOT / "configs" / "example.cfg"), "--variant",
          "qvi-super-modified", "--analytic", PROFILE,
@@ -51,3 +58,21 @@ def test_viscosity_artifacts_are_pinned(name, tmp_path):
     digest = lambda f: sha256((tmp_path / f).read_bytes()).hexdigest()
     assert digest("viscosity.json") == report_hash
     assert digest("violations.csv") == csv_hash
+
+
+# the verdicts, and so the bytes, are the same at both tolerances
+EXAMPLE = {
+    "anchor_slice.csv":
+        "8d9c75f77abb0df965242b85faee8d3e2bdcabc3880a79e25d1c0b3a8aff04a7",
+    "example.json":
+        "cdf0976c5e45d3bec3207c7c9c5ca98d3d21671bf8c9e9666b9375931e51d6f5",
+    "separation.json":
+        "5daf77defcc2786142f33ca6a88e229407ab00ac44828f934b166029f0095770",
+}
+
+
+@pytest.mark.parametrize("tol", [[], ["--tol", "8"]], ids=["default", "tol8"])
+def test_reproduce_example_artifacts_are_pinned(tol, tmp_path):
+    assert cli.main(["reproduce-example", *tol, "--out", str(tmp_path)]) == 0
+    for name, expected in EXAMPLE.items():
+        assert sha256((tmp_path / name).read_bytes()).hexdigest() == expected
