@@ -26,7 +26,6 @@ tolerance: 1e-9 where the arithmetic is exact, 1e-6 for scanned extrema.
 """
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 
@@ -204,9 +203,6 @@ class AuditReport:
 
     def to_dict(self):
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
 
     def summary(self):
         lines = []

@@ -20,7 +20,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,37 +40,11 @@ def f17(value):
     return f"{float(value):.17g}"
 
 
-# ------------------------------------------------------------- manifest ----
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written next to every command's artifacts."""
-
-    command: str
-    config_hash: str
-    overrides: tuple
-    artifacts: tuple
-    wall_time_s: float
-    passed: bool
-    summary: str
-
-    def to_dict(self):
-        return {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "overrides": list(self.overrides),
-            "artifacts": list(self.artifacts),
-            "wall_time_s": self.wall_time_s,
-            "passed": self.passed,
-            "summary": self.summary,
-        }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
-
+# -------------------------------------------------------------- session ----
 
 class _Session:
-    """Collects artifacts for one command run and writes the manifest."""
+    """Collects artifacts for one command run and writes the manifest, the
+    provenance record kept next to every command's artifacts."""
 
     def __init__(self, command, out_dir, config_hash, overrides):
         self.command = command
@@ -86,24 +59,21 @@ class _Session:
         self.artifacts.append(name)
         return self.out / name
 
-    def write_text(self, name, text):
-        path = self.path(name)
-        path.write_text(text if text.endswith("\n") else text + "\n")
-
     def write_json(self, name, payload):
-        self.write_text(name, json.dumps(payload, indent=2))
+        self.path(name).write_text(json.dumps(payload, indent=2) + "\n")
 
     def finish(self, passed, summary):
-        manifest = RunManifest(
-            command=self.command,
-            config_hash=self.config_hash,
-            overrides=self.overrides,
-            artifacts=tuple(self.artifacts),
-            wall_time_s=time.perf_counter() - self.start,
-            passed=bool(passed),
-            summary=summary,
-        )
-        (self.out / "manifest.json").write_text(manifest.to_json() + "\n")
+        manifest = {
+            "command": self.command,
+            "config_hash": self.config_hash,
+            "overrides": list(self.overrides),
+            "artifacts": list(self.artifacts),
+            "wall_time_s": time.perf_counter() - self.start,
+            "passed": bool(passed),
+            "summary": summary,
+        }
+        (self.out / "manifest.json").write_text(
+            json.dumps(manifest, indent=2) + "\n")
         print(summary)
         return 0 if passed else 1
 
@@ -235,14 +205,12 @@ def cmd_viscosity(args):
     run = _Session("viscosity", args.out, cfg.config_hash, overrides)
     V, gap, source = _solution_on_grid(cfg, args)
     checker = _VARIANTS[args.variant]
-    spec = None
-    if args.tol is not None:
-        spec = vc.ProbeSpec(tol_factor=args.tol)
+    tol_factor = vc.TOL_FACTOR if args.tol is None else args.tol
     reuse = {}
     if gap is not None and args.variant.startswith("qvi"):
         reuse["gap"] = gap  # the fresh solve's N[V] - V, so N runs once
-    report = checker(V, cfg.problem, spec, **reuse)
-    run.write_text("viscosity.json", report.to_json())
+    report = checker(V, cfg.problem, tol_factor, **reuse)
+    run.write_json("viscosity.json", report.to_dict())
     vc.write_violations_csv(report, run.path("violations.csv"))
     counts = ", ".join(f"{len(rows)} {kind}" for kind, rows in report.kinds())
     print(f"checked {source} as {report.variant}: {counts} violations")
@@ -267,7 +235,7 @@ def cmd_compare(args):
                                    constants=cfg.constants, override=True)
     tol = args.tol if args.tol is not None else report.tolerance
     passed = report.ordered and report.max_difference <= tol
-    run.write_text("compare.json", report.to_json())
+    run.write_json("compare.json", report.to_dict())
     difference = report.V.values - report.V_hat.values
     write_csv(GridFunction(cfg.grid, difference), run.path("difference.csv"))
     print(f"max interior difference {f17(report.max_difference)} "
@@ -299,7 +267,7 @@ def cmd_doubling(args):
     diag = cmp.doubling_maximize(V, V_hat, params=params, levels=levels)
     passed = (diag.certificate_ok and diag.gaps_nonincreasing()
               and all(lev.residual_certified <= 0.0 for lev in diag.levels))
-    run.write_text("doubling.json", diag.to_json())
+    run.write_json("doubling.json", diag.to_dict())
     cmp.write_trend_csv(diag, run.path("trend.csv"))
     print(f"doubling on {source} vs {hat_source}: {len(diag.levels)} levels, "
           f"{diag.space_points} space points per slice")
@@ -324,10 +292,8 @@ def cmd_example(args):
     # box must reach the jump target or the clipped search hides the dip
     x_hi = max(5.5, instance.x0 + instance.xi2 + 1.0)
     grid = Grid(instance.T, nt, (-1.5,), (x_hi,), (nx,))
-    spec = None
-    if args.tol is not None:
-        spec = vc.ProbeSpec(tol_factor=args.tol)
-    report = exm.verify_separation(instance, grid, spec=spec)
+    tol_factor = vc.TOL_FACTOR if args.tol is None else args.tol
+    report = exm.verify_separation(instance, grid, tol_factor)
 
     # measurement box: x0 on a node, right edge past the jump target
     reach = instance.x0 + instance.xi2 + 0.5
@@ -359,7 +325,7 @@ def cmd_example(args):
         "instance": instance.to_dict(),
     }
     run.write_json("example.json", payload)
-    run.write_text("separation.json", report.to_json())
+    run.write_json("separation.json", report.to_dict())
 
     print(f"l0 {f17(instance.l0)}: xi1 {f17(instance.xi1)}, "
           f"xi2 {f17(instance.xi2)}, gap {f17(instance.gap)}, "

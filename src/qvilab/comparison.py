@@ -36,7 +36,6 @@ which is the limit step the diagnostic is meant to make visible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +121,7 @@ def _require_nonneg(node, env, count, label):
             + ", ".join(f"{k}={v:.6g}" for k, v in sorted(where.items())))
 
 
-def ordered_pair_generator(base, offsets, sampler_spec=None):
+def ordered_pair_generator(base, offsets):
     """Build a problem pair ordered by construction.
 
     ``offsets`` is a triple (dh, dH, dell) of expressions or strings
@@ -142,12 +141,7 @@ def ordered_pair_generator(base, offsets, sampler_spec=None):
                       "hamiltonian offset")
     dell = _offset_expr(offsets[2], {"t"} | x_names | xi_names, "cost offset")
 
-    spec = sampler_spec
-    if spec is None:
-        spec = SamplerSpec(x_min=(-4.0,) * n, x_max=(4.0,) * n)
-    if spec.n != n:
-        raise ConfigError(
-            f"sampler dimension {spec.n} does not match problem dimension {n}")
+    spec = SamplerSpec(x_min=(-4.0,) * n, x_max=(4.0,) * n)
 
     if dh is not None:
         X = _x_cloud(spec)
@@ -205,9 +199,6 @@ class ComparisonReport:
             "notes": self.notes,
         }
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
-
     def summary(self):
         verdict = "pass" if self.passed else "FAIL"
         return (f"{verdict}  max(V - V_hat) = {self.max_difference:.6g} "
@@ -222,8 +213,8 @@ def shared_scheme(problem, problem_hat, grid, factor=1.05):
     return SchemeParams(dissipation=tuple(max(u, v) for u, v in zip(a, b)))
 
 
-def compare_solutions(problem, problem_hat, grid, scheme=None, search=None,
-                      constants=None, sampler_spec=None, override=False):
+def compare_solutions(problem, problem_hat, grid, constants=None,
+                      override=False):
     """Solve both problems with one scheme and measure max(V - V_hat).
 
     The data order is audited first (terminal, Hamiltonian, cost margins
@@ -235,15 +226,13 @@ def compare_solutions(problem, problem_hat, grid, scheme=None, search=None,
         raise ConfigError("mismatched problem dimensions")
     if problem.T != problem_hat.T:
         raise ConfigError("compared problems must share the horizon")
-    if scheme is None:
-        scheme = shared_scheme(problem, problem_hat, grid)
-    res = solve_qvi(problem, grid, scheme, search)
-    res_hat = solve_qvi(problem_hat, grid, scheme, search)
+    scheme = shared_scheme(problem, problem_hat, grid)
+    res = solve_qvi(problem, grid, scheme)
+    res_hat = solve_qvi(problem_hat, grid, scheme)
 
-    spec = sampler_spec if sampler_spec is not None else default_sampler(grid)
     audit = audit_comparison_hypotheses(
         (problem, problem_hat), constants if constants is not None
-        else _PERMISSIVE, res.V, res_hat.V, spec)
+        else _PERMISSIVE, res.V, res_hat.V, default_sampler(grid))
     ordered = all(audit.check(name).passed for name in _ORDER_CHECKS)
     notes = []
     if not ordered:
@@ -377,9 +366,6 @@ class DoublingDiagnostics:
             "levels": [lev.to_dict() for lev in self.levels],
             "notes": self.notes,
         }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
 
     def summary(self):
         lines = [

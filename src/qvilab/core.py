@@ -116,6 +116,11 @@ class Cone:
         return lam @ self.rays
 
     def contains(self, xi, tol=1e-9):
+        """Whether xi lies in the cone, up to tol*(1 + |xi|).
+
+        A `rays` cone needs scipy (non-negative least squares), which is
+        not a dependency of the package: install the `test` extra.
+        """
         xi = np.asarray(xi, dtype=float)
         scale = 1.0 + float(np.linalg.norm(xi))
         if self.kind == "orthant":

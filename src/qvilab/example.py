@@ -33,7 +33,6 @@ obstacle search against the closed-form psi minimization.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +42,7 @@ from . import expr as ex
 from .core import Cone, ConfigError, Grid, GridFunction, ImpulseProblem
 from .obstacle import evaluate_slice_values
 from .viscosity import (
+    TOL_FACTOR,
     check_hjb_subsolution,
     check_qvi_supersolution_classical,
     check_qvi_supersolution_modified,
@@ -65,6 +65,7 @@ __all__ = [
 COST_THRESHOLD = math.exp(-2.0)
 ROOT_TOL = 1e-10
 XI_CAP = 20.0
+_SCAN_STEP = 0.005  # outward step of the profitable-band sign scan
 _BISECT_RTOL = 4.0 * np.finfo(float).eps  # scipy.optimize.bisect's rtol
 _PAYOFF = ex.parse("x1*exp(-x1)", {"x1"})  # the terminal payoff h
 
@@ -195,8 +196,8 @@ def _check_sign_pattern(l0, xi1, xi2):
                 f"failure in ({lo:.6g}, {hi:.6g})")
 
 
-def build_instance(t0=0.5, l0=0.05, T=1.0, bump_height=0.05,
-                   scan_step=0.005) -> ExampleInstance:
+def build_instance(t0=0.5, l0=0.05, T=1.0,
+                   bump_height=0.05) -> ExampleInstance:
     """Derive the separation data for a cost level and anchor time.
 
     Needs 0 < l0 < e^{-2} so the jump profile has two critical points;
@@ -247,17 +248,17 @@ def build_instance(t0=0.5, l0=0.05, T=1.0, bump_height=0.05,
 
     # outward sign scan from the anchor u = 1, then bisection polish
     u = 1.0
-    while gap_at(u - scan_step) < 0.0:
-        u -= scan_step
-        if u < scan_step:
+    while gap_at(u - _SCAN_STEP) < 0.0:
+        u -= _SCAN_STEP
+        if u < _SCAN_STEP:
             raise ConfigError("profitable band scan left the domain")
-    u_lo = _bisect(gap_at, u - scan_step, u, xtol=1e-12)
+    u_lo = _bisect(gap_at, u - _SCAN_STEP, u, xtol=1e-12)
     u = 1.0
-    while gap_at(u + scan_step) < 0.0:
-        u += scan_step
+    while gap_at(u + _SCAN_STEP) < 0.0:
+        u += _SCAN_STEP
         if u > w_star:
             raise ConfigError("profitable band scan passed the jump target")
-    u_hi = _bisect(gap_at, u, u + scan_step, xtol=1e-12)
+    u_hi = _bisect(gap_at, u, u + _SCAN_STEP, xtol=1e-12)
     delta = min(1.0 - u_lo, u_hi - 1.0)
 
     half = delta / 2.0
@@ -289,8 +290,7 @@ def sample_value_function(instance, grid) -> GridFunction:
     return GridFunction(grid, values)
 
 
-def measure_obstacle_gap(instance, x_min=-1.0, x_max=5.0, x_nodes=601,
-                         search=None):
+def measure_obstacle_gap(instance, x_min=-1.0, x_max=5.0, x_nodes=601):
     """Grid obstacle search vs closed-form psi minimization at the anchor.
 
     The box must contain the jump target x0 + xi2 and place x0 on a
@@ -309,7 +309,7 @@ def measure_obstacle_gap(instance, x_min=-1.0, x_max=5.0, x_nodes=601,
     slice_vals = u * np.exp(-u)
     problem = instance.problem(with_bump=False)
     values, _, _ = evaluate_slice_values(grid, slice_vals, instance.t0,
-                                         problem.ell, problem.cone, search)
+                                         problem.ell, problem.cone)
     measured = float(values[i0] - slice_vals[i0])
     return {
         "measured": measured,
@@ -349,9 +349,6 @@ class SeparationReport:
             "notes": self.notes,
         }
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
-
     def summary(self):
         lines = [
             "classical super-solution check: "
@@ -369,14 +366,21 @@ class SeparationReport:
         return "\n".join(lines)
 
 
-def verify_separation(instance, grid, spec=None, search=None):
-    """Run all three checkers on the sampled profile over one grid."""
+def verify_separation(instance, grid, tol_factor=TOL_FACTOR, search=None):
+    """Run all three checkers on the sampled profile over one grid.
+
+    `tol_factor` is the checkers' probe tolerance in units of dt + sum dx;
+    `search` is handed to viscosity.obstacle_gap.
+    """
     problem = instance.problem()
     V = sample_value_function(instance, grid)
+    # first, so a bad tol_factor is rejected before N runs on every slice
+    sub = check_hjb_subsolution(V, problem, tol_factor)
     gap = obstacle_gap(V, problem, search)
-    classical = check_qvi_supersolution_classical(V, problem, spec, gap=gap)
-    modified = check_qvi_supersolution_modified(V, problem, spec, gap=gap)
-    sub = check_hjb_subsolution(V, problem, spec)
+    classical = check_qvi_supersolution_classical(V, problem, tol_factor,
+                                                  gap=gap)
+    modified = check_qvi_supersolution_modified(V, problem, tol_factor,
+                                                gap=gap)
 
     separated = bool(classical.passed and not modified.passed)
     cons = modified.constraint_violations

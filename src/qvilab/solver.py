@@ -335,19 +335,16 @@ class RegionMap:
     fraction: float
 
 
-def extract_regions(result: SolveResult, tol=None) -> RegionMap:
+def extract_regions(result: SolveResult) -> RegionMap:
     """Classify stepped nodes by whether the obstacle is active there.
 
-    Default tol is the horizon-stretched dissipation scale, see
+    The tolerance is the horizon-stretched dissipation scale, see
     mask_tolerances.
     """
     if result.obstacle_gap is None:
         raise ValueError("result has no obstacle data; solve with solve_qvi")
     grid = result.V.grid
-    if tol is None:
-        tol_rows = mask_tolerances(grid, result.scheme)
-    else:
-        tol_rows = np.full(grid.t_nodes, float(tol))
+    tol_rows = mask_tolerances(grid, result.scheme)
     gap = result.obstacle_gap.values
     labels = (gap <= tol_rows.reshape((grid.t_nodes,) + (1,) * grid.n)).astype(np.int8)
     labels[-1] = 0  # terminal slice holds data, not a decision

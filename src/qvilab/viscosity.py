@@ -4,14 +4,15 @@ A smooth test function touching a grid function from above or below is
 replaced by a finite quadratic family at each probed node: the time and
 space slopes run over the one-sided difference quotients and their
 midpoint, and the curvature takes the values {0, 1, 10} times the local
-second-difference magnitude.  The curvature is signed so that growing it
-only enlarges the admitted set: convex test functions on the sub side,
-concave on the super side.  A linear probe cannot touch a smoothly curving
-function on a discrete neighborhood, so the zero-curvature probes cover
-kinks while the curved ones cover smooth points.  A probe enters a check
-only after its touching condition is verified on the full radius-r node
-neighborhood, which makes every reported violation re-checkable from the
-stored probe data.
+second-difference magnitude.  RADIUS, CURVATURES and ADMISSION_SLACK fix
+the family; only the tolerance factor is a parameter.  The curvature is
+signed so that growing it only enlarges the admitted set: convex test
+functions on the sub side, concave on the super side.  A linear probe
+cannot touch a smoothly curving function on a discrete neighborhood, so
+the zero-curvature probes cover kinks while the curved ones cover smooth
+points.  A probe enters a check only after its touching condition is
+verified on the full radius-RADIUS node neighborhood, which makes every
+reported violation re-checkable from the stored probe data.
 
 Checks refute, they never certify: a clean report means no violation was
 found among the probed points at the stated tolerance, nothing more.  The
@@ -21,18 +22,17 @@ quotient admitted against local curvature |V''| deviates from the true
 slope by a step times |V''|.  Zero-curvature probes, the ones that matter
 at kinks, keep the tight base tolerance.
 
-Five checks share the machinery.  The transport checks test the parabolic
-inequality a + H(t, x, p) against zero on one side.  The constrained sub
-check adds the obstacle constraint V <= N[V].  The two constrained super
-checks differ exactly where the definitions differ: the classical one asks
-min{a + H, N[V] - V} <= tol at every probe, the modified one demands the
-constraint globally and the transport inequality wherever V sits strictly
-below the obstacle.  The final time slice carries only the terminal
-comparison with h.
+Five checks share one driver, and the table _NOTIONS says how they
+differ.  The transport checks test the parabolic inequality a + H(t, x, p)
+against zero on one side.  The constrained sub check adds the obstacle
+constraint V <= N[V].  The two constrained super checks differ exactly
+where the definitions differ: the classical one asks min{a + H, N[V] - V}
+<= tol at every probe, the modified one demands the constraint globally
+and the transport inequality wherever V sits strictly below the obstacle.
+The final time slice carries only the terminal comparison with h.
 """
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,28 +47,21 @@ VARIANT_QVI_SUB = "QVI-SUB"
 VARIANT_QVI_SUPER_CLASSICAL = "QVI-SUPER-CLASSICAL"
 VARIANT_QVI_SUPER_MODIFIED = "QVI-SUPER-MODIFIED"
 
+# variant: (probe side, V <= N[V] required at every node, how the probes
+# see the gap N[V] - V: not at all, as min{a + H, gap}, or only where
+# gap > 2*tol, i.e. strictly below the obstacle)
+_NOTIONS = {
+    VARIANT_HJB_SUB: ("sub", False, None),
+    VARIANT_HJB_SUPER: ("super", False, None),
+    VARIANT_QVI_SUB: ("sub", True, None),
+    VARIANT_QVI_SUPER_CLASSICAL: ("super", False, "min"),
+    VARIANT_QVI_SUPER_MODIFIED: ("super", True, "below"),
+}
 
-@dataclass(frozen=True)
-class ProbeSpec:
-    """Probe family and tolerance knobs for the viscosity checks."""
-
-    radius: int = 3
-    curvatures: tuple = (0.0, 1.0, 10.0)
-    tol_factor: float = 10.0
-    admission_slack: float = 1e-12
-
-    def __post_init__(self):
-        object.__setattr__(self, "curvatures",
-                           tuple(float(c) for c in self.curvatures))
-        if self.radius < 1:
-            raise ConfigError(f"need probe radius >= 1, got {self.radius}")
-        if not self.curvatures or any(c < 0 for c in self.curvatures):
-            raise ConfigError("curvature multipliers must be nonnegative")
-        if not (np.isfinite(self.tol_factor) and self.tol_factor > 0):
-            raise ConfigError(
-                f"need a finite tol_factor > 0, got {self.tol_factor}")
-        if self.admission_slack < 0:
-            raise ConfigError("admission slack must be nonnegative")
+RADIUS = 3  # probe neighborhood, in nodes along every axis
+CURVATURES = (0.0, 1.0, 10.0)  # multiples of the local second difference
+ADMISSION_SLACK = 1e-12  # relative to 1 + max|V|
+TOL_FACTOR = 10.0  # default probe tolerance, in units of dt + sum dx
 
 
 _NODE_KEYS = ("t_index", "x_index", "t", "x", "margin")
@@ -157,9 +150,6 @@ class ViscosityReport:
             "notes": self.notes,
         }
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
-
     def summary(self):
         verdict = "no violation found" if self.passed else "FAIL"
         counts = ", ".join(f"{len(rows)} {kind}"
@@ -193,7 +183,7 @@ def obstacle_gap(V, problem, search=None):
     """N[V] - V on every time slice of a grid function.
 
     `search` defaults to obstacle.default_search(grid), the radius the
-    solver clips with.
+    solver clips with.  The checkers take this array as `gap=`.
     """
     grid = V.grid
     gap = np.empty(grid.shape)
@@ -220,11 +210,10 @@ def _tolerance_unit(grid):
 class _ProbeField:
     """Per-center slope candidates, curvature scale, and Hamiltonian values."""
 
-    def __init__(self, V, problem, spec):
+    def __init__(self, V, problem):
         grid = V.grid
         self.grid = grid
-        self.spec = spec
-        r = spec.radius
+        r = RADIUS
         n = grid.n
         shape = grid.shape
         self.empty = any(s < 2 * r + 2 for s in shape)
@@ -267,7 +256,7 @@ class _ProbeField:
         for d in range(n):
             sh = (1,) * (1 + d) + (-1,) + (1,) * (n - 1 - d)
             x_env[f"x{d + 1}"] = self.x_centers[d].reshape(sh)
-        self.slack = _slack(spec, Vv)
+        self.slack = _slack(Vv)
         self.Vv = Vv
 
         g = None  # reads no p: evaluated once, after the first good H
@@ -288,25 +277,25 @@ class _ProbeField:
 
     def probes_per_point(self):
         n = self.grid.n
-        return 3 * 3 ** n * len(self.spec.curvatures)
+        return 3 * 3 ** n * len(CURVATURES)
 
     def admitted(self, cand_idx, a, p_list, kappa_eff, side):
         """Touching mask at candidate centers; cand_idx indexes the center
         block, and a, p_list, kappa_eff are aligned candidate arrays."""
-        r = self.spec.radius
-        return _touches(self.Vv, tuple(ci + r for ci in cand_idx), a, p_list,
-                        kappa_eff, side, self.grid, r, self.slack)
+        return _touches(self.Vv, tuple(ci + RADIUS for ci in cand_idx), a,
+                        p_list, kappa_eff, side, self.grid, self.slack)
 
 
-def _slack(spec, Vv):
-    return spec.admission_slack * (1.0 + float(np.max(np.abs(Vv))))
+def _slack(Vv):
+    return ADMISSION_SLACK * (1.0 + float(np.max(np.abs(Vv))))
 
 
-def _touches(Vv, center, a, p, kappa_eff, side, grid, r, slack):
-    """Whether each probe touches Vv from its side on the radius-r node
+def _touches(Vv, center, a, p, kappa_eff, side, grid, slack):
+    """Whether each probe touches Vv from its side on the RADIUS node
     neighborhood of `center`: index arrays aligned with the probe arrays,
     or plain indices for a single probe."""
     steps = (grid.dt,) + grid.dx
+    r = RADIUS
     sign = -1.0 if side == "sub" else 1.0
     V0 = Vv[center]
     ok = np.ones(np.shape(V0), dtype=bool)
@@ -325,27 +314,28 @@ def _touches(Vv, center, a, p, kappa_eff, side, grid, r, slack):
     return ok
 
 
-def _scan_violations(field, side, spec, unit, gap_centers=None,
-                     classical=False, region_mask=None):
+def _scan_violations(field, side, base_tol, unit, gap, sees_gap):
     """Collect admitted probes violating the one-sided inequality.
 
     side "sub": a + H < -tol.  side "super": a + H > tol, additionally
-    requiring gap > tol when `classical`, and restricted to `region_mask`
-    when given (the strictly-below-obstacle region of the modified check).
+    requiring gap > tol when `sees_gap` is "min", and restricted to the
+    strictly-below-obstacle centers (gap > 2*unit) when it is "below".
     Rows are ordered by (t_index, x_index, kappa, a, p).
     """
     grid = field.grid
     n = grid.n
+    if sees_gap:
+        gap_centers = _block(gap, (0,) * gap.ndim, RADIUS)
+        below = gap_centers > 2.0 * unit
     # one (t_index, x_index, a, p, kappa, kappa_eff, margin) block per
     # (combo, slope, kappa) batch, indices relative to the center block
     blocks = [(np.empty(0, dtype=np.intp), np.empty((0, n), dtype=np.intp),
                np.empty(0), np.empty((0, n)), np.empty(0), np.empty(0),
                np.empty(0))]
-    base_tol = spec.tol_factor * unit
     for combo, ham in sorted(field.ham.items()):
         for a_choice in range(3):
             pde = field.a_cand[a_choice] + ham
-            for kappa in spec.curvatures:
+            for kappa in CURVATURES:
                 # tolerance grows with the probe's effective curvature: a
                 # one-sided slope admitted against curvature |V''| sits
                 # O(step * |V''|) away from the true gradient
@@ -354,10 +344,10 @@ def _scan_violations(field, side, spec, unit, gap_centers=None,
                     cond = pde < -tol
                 else:
                     cond = pde > tol
-                    if classical:
+                    if sees_gap == "min":
                         cond &= gap_centers > tol
-                if region_mask is not None:
-                    cond = cond & region_mask
+                    elif sees_gap == "below":
+                        cond &= below
                 if not cond.any():
                     continue
                 cand_idx = np.nonzero(cond)
@@ -371,7 +361,7 @@ def _scan_violations(field, side, spec, unit, gap_centers=None,
                 pde_k = pde[cand_idx][keep]
                 if side == "sub":
                     margin = pde_k
-                elif classical:
+                elif sees_gap == "min":
                     margin = -np.minimum(pde_k, gap_centers[cand_idx][keep])
                 else:
                     margin = -pde_k
@@ -384,7 +374,7 @@ def _scan_violations(field, side, spec, unit, gap_centers=None,
         np.concatenate(column) for column in zip(*blocks))
     # lexsort's last key is the primary one; the sort is stable
     order = np.lexsort((*p.T[::-1], a, kappa, *x_index.T[::-1], t_index))
-    r = spec.radius
+    r = RADIUS
     return _rows(grid, t_index[order] + r, x_index[order] + r, margin[order],
                  a=a[order], p=p[order], kappa=kappa[order],
                  kappa_eff=kappa_eff[order])
@@ -407,32 +397,19 @@ def _constraint_nodes(V, gap, ctol):
     return _rows(V.grid, idx[0], np.column_stack(idx[1:]), gap[idx])
 
 
-def _report(variant, field, unit, violations, terminal, constraint=None):
-    if constraint is None:  # a check without the obstacle constraint
-        constraint = _rows(field.grid, np.empty(0, dtype=np.intp),
-                           np.empty((0, field.grid.n), dtype=np.intp),
-                           np.empty(0))
-    return ViscosityReport(
-        variant, field.n_centers, field.probes_per_point(), violations,
-        constraint, terminal, field.spec.tol_factor * unit, unit,
-        _notes(field))
-
-
-def _notes(field, extra=""):
+def _notes(field):
     parts = []
     if field.empty:
         parts.append("grid too small for probe neighborhoods; "
                      "no interior points tested")
     for combo, err in field.skipped:
         parts.append(f"probe slope combination {combo} skipped: {err}")
-    if extra:
-        parts.append(extra)
     return "; ".join(parts)
 
 
-def _gap_or_compute(V, problem, search, gap):
+def _gap_or_compute(V, problem, gap):
     if gap is None:
-        return obstacle_gap(V, problem, search)
+        return obstacle_gap(V, problem)
     if hasattr(gap, "values"):
         gap = gap.values
     gap = np.asarray(gap, dtype=float)
@@ -441,38 +418,48 @@ def _gap_or_compute(V, problem, search, gap):
     return gap
 
 
-def _center_gap(field, gap):
-    if field.empty:
-        return None
-    r = field.spec.radius
-    return _block(gap, (0,) * gap.ndim, r)
+def _check(variant, V, problem, tol_factor, gap=None):
+    """Probe V for one solution notion of _NOTIONS.
+
+    `gap` is N[V] - V (an array or grid function on V's grid); it is
+    computed with obstacle_gap when a constrained notion is given None.
+    """
+    side, constrained, sees_gap = _NOTIONS[variant]
+    if not (np.isfinite(tol_factor) and tol_factor > 0):
+        raise ConfigError(f"need a finite tol_factor > 0, got {tol_factor}")
+    grid = V.grid
+    unit = _tolerance_unit(grid)
+    if constrained or sees_gap:
+        gap = _gap_or_compute(V, problem, gap)
+    field = _ProbeField(V, problem)
+    violations = _scan_violations(field, side, tol_factor * unit, unit, gap,
+                                  sees_gap)
+    if constrained:
+        constraint = _constraint_nodes(V, gap, unit)
+    else:
+        constraint = _rows(grid, np.empty(0, dtype=np.intp),
+                           np.empty((0, grid.n), dtype=np.intp), np.empty(0))
+    terminal = _terminal_nodes(V, problem, side, unit)
+    return ViscosityReport(
+        variant, field.n_centers, field.probes_per_point(), violations,
+        constraint, terminal, tol_factor * unit, unit, _notes(field))
 
 
 # ------------------------------------------------------------- checkers ----
 
-def check_hjb_subsolution(V, problem, spec=None):
+def check_hjb_subsolution(V, problem, tol_factor=TOL_FACTOR):
     """One-sided transport check: a + H(t, x, p) >= -tol at admitted
     sub-side probes, plus the terminal inequality V(T, .) <= h."""
-    spec = spec or ProbeSpec()
-    unit = _tolerance_unit(V.grid)
-    field = _ProbeField(V, problem, spec)
-    violations = _scan_violations(field, "sub", spec, unit)
-    terminal = _terminal_nodes(V, problem, "sub", unit)
-    return _report(VARIANT_HJB_SUB, field, unit, violations, terminal)
+    return _check(VARIANT_HJB_SUB, V, problem, tol_factor)
 
 
-def check_hjb_supersolution(V, problem, spec=None):
+def check_hjb_supersolution(V, problem, tol_factor=TOL_FACTOR):
     """Mirror of check_hjb_subsolution: a + H <= tol at admitted super-side
     probes, terminal V(T, .) >= h."""
-    spec = spec or ProbeSpec()
-    unit = _tolerance_unit(V.grid)
-    field = _ProbeField(V, problem, spec)
-    violations = _scan_violations(field, "super", spec, unit)
-    terminal = _terminal_nodes(V, problem, "super", unit)
-    return _report(VARIANT_HJB_SUPER, field, unit, violations, terminal)
+    return _check(VARIANT_HJB_SUPER, V, problem, tol_factor)
 
 
-def check_qvi_subsolution(V, problem, spec=None, search=None, gap=None):
+def check_qvi_subsolution(V, problem, tol_factor=TOL_FACTOR, gap=None):
     """Constrained sub-solution check.
 
     The defining inequality min{a + H, N[V] - V} >= 0 splits: the obstacle
@@ -480,26 +467,17 @@ def check_qvi_subsolution(V, problem, spec=None, search=None, gap=None):
     reported once as constraint violations, and admitted probes with
     a + H < -tol are reported as probe violations.
     """
-    spec = spec or ProbeSpec()
-    unit = _tolerance_unit(V.grid)
-    gap = _gap_or_compute(V, problem, search, gap)
-    field = _ProbeField(V, problem, spec)
-    violations = _scan_violations(field, "sub", spec, unit)
-    constraint = _constraint_nodes(V, gap, unit)
-    terminal = _terminal_nodes(V, problem, "sub", unit)
-    return _report(VARIANT_QVI_SUB, field, unit, violations, terminal,
-                   constraint)
+    return _check(VARIANT_QVI_SUB, V, problem, tol_factor, gap)
 
 
-def check_qvi_subsolution_decomposed(V, problem, spec=None, search=None,
+def check_qvi_subsolution_decomposed(V, problem, tol_factor=TOL_FACTOR,
                                      gap=None):
     """Split form of the constrained sub-solution check: run the obstacle
     constraint check and the pure transport check separately and conjoin
     the verdicts.  Produces the same violation sets as the direct check."""
-    spec = spec or ProbeSpec()
+    hjb = check_hjb_subsolution(V, problem, tol_factor)
     unit = _tolerance_unit(V.grid)
-    gap = _gap_or_compute(V, problem, search, gap)
-    hjb = check_hjb_subsolution(V, problem, spec)
+    gap = _gap_or_compute(V, problem, gap)
     constraint = _constraint_nodes(V, gap, unit)
     note = "decomposed: constraint check conjoined with transport check"
     if hjb.notes:
@@ -510,24 +488,15 @@ def check_qvi_subsolution_decomposed(V, problem, spec=None, search=None,
         hjb.pde_tolerance, unit, note)
 
 
-def check_qvi_supersolution_classical(V, problem, spec=None, search=None,
+def check_qvi_supersolution_classical(V, problem, tol_factor=TOL_FACTOR,
                                       gap=None):
     """Classical constrained super-solution check: at every admitted
     super-side probe, min{a + H, N[V] - V} <= tol; terminal V(T, .) >= h.
     The obstacle constraint itself is NOT required."""
-    spec = spec or ProbeSpec()
-    unit = _tolerance_unit(V.grid)
-    gap = _gap_or_compute(V, problem, search, gap)
-    field = _ProbeField(V, problem, spec)
-    violations = _scan_violations(field, "super", spec, unit,
-                                  gap_centers=_center_gap(field, gap),
-                                  classical=True)
-    terminal = _terminal_nodes(V, problem, "super", unit)
-    return _report(VARIANT_QVI_SUPER_CLASSICAL, field, unit, violations,
-                   terminal)
+    return _check(VARIANT_QVI_SUPER_CLASSICAL, V, problem, tol_factor, gap)
 
 
-def check_qvi_supersolution_modified(V, problem, spec=None, search=None,
+def check_qvi_supersolution_modified(V, problem, tol_factor=TOL_FACTOR,
                                      gap=None):
     """Modified constrained super-solution check, the stronger variant.
 
@@ -537,28 +506,17 @@ def check_qvi_supersolution_modified(V, problem, spec=None, search=None,
     where V sits strictly below the obstacle (gap > 2*tol), since on the
     contact set no transport inequality is demanded.
     """
-    spec = spec or ProbeSpec()
-    unit = _tolerance_unit(V.grid)
-    gap = _gap_or_compute(V, problem, search, gap)
-    field = _ProbeField(V, problem, spec)
-    region = None if field.empty else _center_gap(field, gap) > 2.0 * unit
-    violations = _scan_violations(field, "super", spec, unit,
-                                  region_mask=region)
-    constraint = _constraint_nodes(V, gap, unit)
-    terminal = _terminal_nodes(V, problem, "super", unit)
-    return _report(VARIANT_QVI_SUPER_MODIFIED, field, unit, violations,
-                   terminal, constraint)
+    return _check(VARIANT_QVI_SUPER_MODIFIED, V, problem, tol_factor, gap)
 
 
 # ------------------------------------------------- re-assertion helpers ----
 
-def probe_family(V, problem, t_index, x_index, spec=None):
+def probe_family(V, problem, t_index, x_index):
     """All probes (a, p, kappa, kappa_eff) the scan would try at one node."""
-    spec = spec or ProbeSpec()
-    field = _ProbeField(V, problem, spec)
+    field = _ProbeField(V, problem)
     if field.empty:
         return []
-    r = spec.radius
+    r = RADIUS
     grid = V.grid
     ci = (t_index - r,) + tuple(i - r for i in x_index)
     if any(c < 0 for c in ci) or any(
@@ -567,7 +525,7 @@ def probe_family(V, problem, t_index, x_index, spec=None):
     out = []
     for combo in itertools.product(range(3), repeat=grid.n):
         for a_choice in range(3):
-            for kappa in spec.curvatures:
+            for kappa in CURVATURES:
                 a = float(field.a_cand[a_choice][ci])
                 p = tuple(float(field.p_cand[combo[d]][d][ci])
                           for d in range(grid.n))
@@ -576,11 +534,10 @@ def probe_family(V, problem, t_index, x_index, spec=None):
     return out
 
 
-def probe_admitted(V, t_index, x_index, a, p, kappa_eff, side, spec=None):
+def probe_admitted(V, t_index, x_index, a, p, kappa_eff, side):
     """Re-verify the touching condition for stored probe data."""
-    spec = spec or ProbeSpec()
     grid = V.grid
-    r = spec.radius
+    r = RADIUS
     n = grid.n
     if not (r <= t_index < grid.t_nodes - r):
         raise ConfigError("node has no full probe neighborhood")
@@ -588,5 +545,5 @@ def probe_admitted(V, t_index, x_index, a, p, kappa_eff, side, spec=None):
         if not (r <= x_index[d] < grid.x_nodes[d] - r):
             raise ConfigError("node has no full probe neighborhood")
     center = (t_index,) + tuple(x_index)
-    return bool(_touches(V.values, center, a, p, kappa_eff, side, grid, r,
-                         _slack(spec, V.values)))
+    return bool(_touches(V.values, center, a, p, kappa_eff, side, grid,
+                         _slack(V.values)))

@@ -299,7 +299,7 @@ class TestReportPlumbing:
 
     def test_json_round_trip(self):
         report = au.audit_H1(make_problem(), constants_with(), spec_1d())
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict(), indent=2))
         assert payload["passed"] == report.passed
         assert [c["name"] for c in payload["checks"]] == \
             [c.name for c in report.checks]

@@ -219,7 +219,7 @@ class TestViscosity:
                         "--out", str(out)]) in (0, 1)
             expect = cli._VARIANTS[variant](res.V, cfg.problem, gap=gap)
             assert ((out / "viscosity.json").read_text()
-                    == expect.to_json() + "\n")
+                    == json.dumps(expect.to_dict(), indent=2) + "\n")
 
     def test_both_sources_is_invalid(self, tmp_path, solve_dir):
         assert run(["viscosity", EXAMPLE,

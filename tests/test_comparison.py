@@ -140,7 +140,7 @@ class TestCompareSolutions:
 
     def test_report_serializes(self, base):
         report = cmp.compare_solutions(base, base, GRID)
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict(), indent=2))
         assert payload["passed"] is True
         assert payload["max_difference"] == 0.0
         assert "pass" in report.summary()
@@ -217,7 +217,7 @@ class TestDoublingMaximize:
     def test_trend_csv_and_json(self, pair_values, tmp_path):
         V, V_hat = pair_values
         diag = cmp.doubling_maximize(V, V_hat, levels=(0.1, 0.05))
-        payload = json.loads(diag.to_json())
+        payload = json.loads(json.dumps(diag.to_dict(), indent=2))
         assert payload["certificate_ok"] is True
         assert len(payload["levels"]) == 2
         path = tmp_path / "trend.csv"

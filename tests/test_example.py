@@ -172,12 +172,22 @@ class TestVerdicts:
         assert report.separated
         assert report.violations_in_band
         assert report.terminal_exact
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict(), indent=2))
         assert payload["separated"] is True
         assert payload["classical_passed"] is True
         assert payload["modified_passed"] is False
         assert payload["constraint_violations"] > 0
         assert "separation exhibited: yes" in report.summary()
+
+    def test_tolerance_factor_reaches_every_checker(self, inst):
+        grid = Grid(T=1.0, t_nodes=21, x_min=(-1.0,), x_max=(4.0,),
+                    x_nodes=(51,))
+        rep = verify_separation(inst, grid, 3.0)
+        unit = grid.dt + grid.dx[0]
+        for checked in (rep.classical, rep.modified, rep.sub):
+            assert checked.pde_tolerance == 3.0 * unit
+        with pytest.raises(ConfigError, match="tol_factor"):
+            verify_separation(inst, grid, 0.0)
 
     def test_flagged_instance_passes_both_checks(self):
         flagged = build_instance(0.5, 0.13)

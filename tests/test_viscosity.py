@@ -1,5 +1,6 @@
 """Viscosity checkers: probe mechanics, verdicts, and cross-check identities."""
 
+import json
 from dataclasses import replace
 from hashlib import sha256
 
@@ -86,20 +87,17 @@ def corpus(problem, solved):
 
 
 class TestProbeSpec:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            vc.ProbeSpec(radius=0)
-        with pytest.raises(ConfigError):
-            vc.ProbeSpec(curvatures=(0.0, -1.0))
-        with pytest.raises(ConfigError):
-            vc.ProbeSpec(curvatures=())
-        with pytest.raises(ConfigError):
-            vc.ProbeSpec(tol_factor=0.0)
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ConfigError):
-                vc.ProbeSpec(tol_factor=bad)
-        with pytest.raises(ConfigError):
-            vc.ProbeSpec(admission_slack=-1e-9)
+    def test_validation(self, problem):
+        # rejected before any obstacle gap is computed
+        V = frozen_terminal(GRID)
+        for checker in (vc.check_hjb_subsolution, vc.check_hjb_supersolution,
+                        vc.check_qvi_subsolution,
+                        vc.check_qvi_subsolution_decomposed,
+                        vc.check_qvi_supersolution_classical,
+                        vc.check_qvi_supersolution_modified):
+            for bad in (0.0, float("nan"), float("inf")):
+                with pytest.raises(ConfigError, match="tol_factor"):
+                    checker(V, problem, bad)
 
 
 class TestProbeMechanics:
@@ -166,6 +164,10 @@ class TestTransportChecks:
         sub = vc.check_hjb_subsolution(V, problem)
         sup = vc.check_hjb_supersolution(neg, problem)
         assert probe_keys(sub.violations) == probe_keys(sup.violations)
+        # both break V <= N[V] (a jump to the crest or past it pays), yet
+        # the transport checks report no constraint rows
+        assert not sub.constraint_violations
+        assert not sup.constraint_violations
 
     def test_terminal_inequalities_are_one_sided(self, problem):
         above = GridFunction(GRID, frozen_terminal(GRID).values + 1.0)
@@ -190,7 +192,8 @@ class TestTransportChecks:
         assert v["p"] == [pytest.approx(1.0), pytest.approx(1.0)]
         assert v["margin"] == pytest.approx(-9.0, abs=1e-12)
         # all 127,575 probe rows, pinned byte for byte
-        assert sha256(report.to_json().encode()).hexdigest() == \
+        text = json.dumps(report.to_dict(), indent=2)
+        assert sha256(text.encode()).hexdigest() == \
             "f133d4d7acdc6f0953ebb971292bd8e5b00a715c9dd2671ee62867de7ad5b6fd"
         path = tmp_path / "violations.csv"
         vc.write_violations_csv(report, path)
@@ -217,6 +220,42 @@ def verdicts(problem):
     modified = vc.check_qvi_supersolution_modified(V, problem, gap=gap)
     sub = vc.check_qvi_subsolution(V, problem, gap=gap)
     return grid, classical, modified, sub
+
+
+class TestGapBands:
+    """How each super check reads N[V] - V.  V = 5t breaks a + H <= tol at
+    every probe (a + H = 5); a hand-made gap takes four values on four
+    bands of x: below -tol, within 2 units, between 2 units and the probe
+    tolerance, and 3, above the tolerance but below a + H."""
+
+    def test_probe_and_constraint_rows_follow_the_gap(self, problem):
+        V = sample(ex.parse("5*t", {"t"}), GRID)
+        unit = GRID.dt + GRID.dx[0]
+        x = GRID.axes[0]
+        bands = [x < 0.5, (0.5 <= x) & (x < 1.5), (1.5 <= x) & (x < 2.5),
+                 2.5 <= x]
+        gap = np.broadcast_to(np.select(bands, [-1.0, 1.5 * unit,
+                                                5.0 * unit, 3.0]), GRID.shape)
+        centers = np.arange(GRID.x_nodes[0]) >= 3
+        centers &= np.arange(GRID.x_nodes[0]) < GRID.x_nodes[0] - 3
+        where = lambda mask: set(np.nonzero(mask & centers)[0].tolist())
+        columns = lambda rows: set(rows.x_index[:, 0].tolist())
+
+        hjb = vc.check_hjb_supersolution(V, problem)
+        classical = vc.check_qvi_supersolution_classical(V, problem,
+                                                         gap=gap)
+        modified = vc.check_qvi_supersolution_modified(V, problem, gap=gap)
+        assert columns(hjb.violations) == where(centers)
+        assert columns(classical.violations) == where(bands[3])
+        assert columns(modified.violations) == where(bands[2] | bands[3])
+        # classical margin is -min{a + H, gap}; modified reads a + H alone
+        assert np.all(classical.violations.margin == -3.0)
+        assert np.allclose(modified.violations.margin, -5.0)
+        assert not hjb.constraint_violations
+        assert not classical.constraint_violations
+        rows = modified.constraint_violations
+        assert columns(rows) == set(np.nonzero(bands[0])[0].tolist())
+        assert set(rows.t_index.tolist()) == set(range(GRID.t_nodes - 1))
 
 
 class TestSolverSelfConsistency:
