@@ -1,12 +1,14 @@
-"""Pinned bytes of small viscosity runs and of the separating example.
+"""Pinned bytes of small viscosity runs, of the separating example and
+of the other commands on the shipped configs.
 
 The sha256 of `viscosity.json` and `violations.csv` for five CLI runs,
 one per solution notion, that together produce 1-d sub and super probe
 rows, terminal rows, 1-d constraint rows, 2-d constraint rows and
 classical probe rows, whose margin is the minimum of the equation and the
-obstacle gap; and of the three `reproduce-example` artifacts at the
-default tolerance and at `--tol 8`.  A moved hash is a moved artifact:
-the rows, their order or their formatting changed.
+obstacle gap; of the three `reproduce-example` artifacts at the default
+tolerance and at `--tol 8`; and of every artifact but `manifest.json` of
+`solve`, `check`, `compare` and `doubling` runs.  A moved hash is a moved
+artifact: the rows, their order or their formatting changed.
 """
 
 from hashlib import sha256
@@ -76,3 +78,67 @@ def test_reproduce_example_artifacts_are_pinned(tol, tmp_path):
     assert cli.main(["reproduce-example", *tol, "--out", str(tmp_path)]) == 0
     for name, expected in EXAMPLE.items():
         assert sha256((tmp_path / name).read_bytes()).hexdigest() == expected
+
+
+# command line -> every artifact but manifest.json; each run exits 0
+COMMANDS = {
+    "solve-example": (
+        ["solve", str(ROOT / "configs" / "example.cfg")],
+        {"obstacle_gap.csv":
+             "749f7fdcc492520dfccf8325fcf81c1533640f737b98189994b191d11c6d2674",
+         "residual.csv":
+             "7f4a9e22625ec0c6ea28ca1c7bd26b36a9299908ecf297a7090d9f71646f6bd5",
+         "solution.csv":
+             "254dbdad37b73ffbd252a61a7ff46350873720b6fec1922ccddc742dd936f7e0",
+         "solve.json":
+             "d0795afc2f8031aa760b51f028ec10954a339925eab46265de9f7d974ca2f9c9"}),
+    "solve-plane": (
+        ["solve", str(ROOT / "perfbench" / "plane.cfg")],
+        {"obstacle_gap.csv":
+             "7082093ab4c109c528b96e07b603ea4c67431a27bd34db72a13d5a05d9396ced",
+         "residual.csv":
+             "3b7edebe3c9f7d2820e00a9cdcefccd736f591a5b83eceeefefe59597e932814",
+         "solution.csv":
+             "832b25dc0f34c5164fc52949f5d2adca9bc190afdd3ebc1350685fb409ca28c3",
+         "solve.json":
+             "813fb8c8cc092dfab516b8ce1b42ff41c7a115023288f4fc238dd383ec7a342d"}),
+    "solve-transport-no-obstacle": (
+        ["solve", str(ROOT / "configs" / "transport.cfg"), "--no-obstacle"],
+        {"residual.csv":
+             "7f4a9e22625ec0c6ea28ca1c7bd26b36a9299908ecf297a7090d9f71646f6bd5",
+         "solution.csv":
+             "36a697aa60b62e8d183cc6c122d412b0fc7903233a27b99c2f1f8fb897360aea",
+         "solve.json":
+             "9904c4b30354a7f73a33f2176597cd5dcc2b5e35683aa998332774028d04aacd"}),
+    "check-example": (
+        ["check", str(ROOT / "configs" / "example.cfg")],
+        {"check.json":
+             "642e66b549cd7c8d9abf1ca98046c9512f123e6ff1594b0231ff265faa3e5908"}),
+    "check-plane": (
+        ["check", str(ROOT / "perfbench" / "plane.cfg")],
+        {"check.json":
+             "d29905914043bd8b9513c81421880249de61d34cde142f95e3214344c711cb36"}),
+    "compare-example": (
+        ["compare", str(ROOT / "configs" / "example.cfg"),
+         str(ROOT / "configs" / "example-lifted.cfg")],
+        {"compare.json":
+             "7b32d20ff5acf6221953941a8d459edfc0245ed258794423e005f509ee95cdec",
+         "difference.csv":
+             "9119c0ffff776b2229df62a72f2064b19b9f60de751ee0ed1da098c1ee23fd62"}),
+    "doubling-example": (
+        ["doubling", str(ROOT / "configs" / "example.cfg"),
+         "--analytic", PROFILE],
+        {"doubling.json":
+             "53a7cf0129a678adc4e2a935b4d8851433d68dd0307c27632f8c8d56d87a4ff6",
+         "trend.csv":
+             "8bfdf1a9680cf0dc5f050ee1a4586bc4856e9f20f964ca57fccdd82d0c5f85df"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_artifacts_are_pinned(name, tmp_path):
+    argv, expected = COMMANDS[name]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    written = {f.name: sha256(f.read_bytes()).hexdigest()
+               for f in tmp_path.iterdir() if f.name != "manifest.json"}
+    assert written == expected
