@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .core import ConfigError, Grid
+from .core import ConfigError, Grid, make_env
 from .core import halton as _halton
 from .obstacle import default_search
 
@@ -97,13 +97,8 @@ def default_sampler(grid, n_samples=512, seed=11, p_max=4.0, xi_max=None):
                        xi_max=xi_max, n_samples=n_samples, seed=seed, grid=grid)
 
 
-def _grid_space_nodes(grid):
-    axes = np.meshgrid(*grid.axes, indexing="ij")
-    return np.stack([a.ravel() for a in axes], axis=1)
-
-
 def _grid_full_nodes(grid):
-    space = _grid_space_nodes(grid)
+    space = grid.space_nodes()
     t = np.repeat(grid.t, space.shape[0])
     x = np.tile(space, (grid.t_nodes, 1))
     return t, x
@@ -116,7 +111,7 @@ def _x_cloud(spec):
     u = _halton(spec.n, spec.n_samples, spec.seed + _OFF_X)
     pts = lo + u * (hi - lo)
     if spec.grid is not None:
-        pts = np.vstack([pts, _grid_space_nodes(spec.grid)])
+        pts = np.vstack([pts, spec.grid.space_nodes()])
     return pts
 
 
@@ -352,26 +347,16 @@ def _modulus_check(name, pair_values, T, spec, base_seed, step_seed):
 # ---------------------------------------------------------------- audits ----
 
 def _hamiltonian_vals(problem, t, x, p):
-    n = problem.n
-    env = {"t": t}
-    env.update({f"x{d + 1}": x[:, d] for d in range(n)})
-    env.update({f"p{d + 1}": p[:, d] for d in range(n)})
-    vals, note = _masked_eval(problem.H, env, len(t))
+    vals, note = _masked_eval(problem.H, make_env(t=t, x=x, p=p), len(t))
     if problem.g is not None:
-        g_env = {"t": t}
-        g_env.update({f"x{d + 1}": x[:, d] for d in range(n)})
-        g_vals, g_note = _masked_eval(problem.g, g_env, len(t))
+        g_vals, g_note = _masked_eval(problem.g, make_env(t=t, x=x), len(t))
         vals = vals + g_vals
         note = "; ".join(s for s in (note, g_note) if s)
     return vals, note
 
 
 def _cost_vals(problem, t, x, xi):
-    n = problem.n
-    env = {"t": t}
-    env.update({f"x{d + 1}": x[:, d] for d in range(n)})
-    env.update({f"xi{d + 1}": xi[:, d] for d in range(n)})
-    return _masked_eval(problem.ell, env, len(t))
+    return _masked_eval(problem.ell, make_env(t=t, x=x, xi=xi), len(t))
 
 
 def audit_H1(problem, constants, sampler_spec):
@@ -384,8 +369,7 @@ def audit_H1(problem, constants, sampler_spec):
     checks = []
 
     x = _x_cloud(spec)
-    env = {f"x{d + 1}": x[:, d] for d in range(problem.n)}
-    h_vals, note = _masked_eval(problem.h, env, len(x))
+    h_vals, note = _masked_eval(problem.h, make_env(x=x), len(x))
     checks.append(_min_check("terminal lower bound", h_vals + constants.h0,
                              {"x": x}, TOL_SCAN, note))
 
@@ -483,7 +467,7 @@ def audit_comparison_hypotheses(problem_pair, constants, V, V_hat, sampler_spec)
     checks = []
 
     x = _x_cloud(spec)
-    env = {f"x{d + 1}": x[:, d] for d in range(n)}
+    env = make_env(x=x)
     h_vals, n1 = _masked_eval(problem.h, env, len(x))
     h_hat, n2 = _masked_eval(problem_hat.h, env, len(x))
     checks.append(_min_check("terminal order", h_hat - h_vals, {"x": x},

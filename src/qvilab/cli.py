@@ -30,7 +30,7 @@ from . import expr as ex
 from . import viscosity as vc
 from .assumptions import audit_H1, audit_H2, default_sampler
 from .core import (ConfigError, Grid, GridFunction, load_problem, read_csv,
-                   sample, write_csv)
+                   role_variables, sample, write_csv)
 from .solver import (SolverError, extract_regions, interior_mask, solve_hjb,
                      solve_qvi)
 
@@ -99,7 +99,8 @@ def _load_config(path, overrides):
 
 
 def _sample_expression(cfg, source, flag):
-    names = {"t"} | {f"x{d + 1}" for d in range(cfg.problem.n)}
+    # a grid function in closed form reads what g reads: t and x
+    names = role_variables(cfg.problem.n)["g"]
     try:
         node = ex.parse(source, names)
     except ex.ExprError as err:
@@ -203,9 +204,10 @@ def cmd_viscosity(args):
     overrides = _collect_overrides(args)
     cfg = _load_config(args.config, overrides)
     run = _Session("viscosity", args.out, cfg.config_hash, overrides)
+    tol_factor = vc.TOL_FACTOR if args.tol is None else args.tol
+    vc.validate_tol_factor(tol_factor)  # before a fresh solve can run
     V, gap, source = _solution_on_grid(cfg, args)
     checker = _VARIANTS[args.variant]
-    tol_factor = vc.TOL_FACTOR if args.tol is None else args.tol
     reuse = {}
     if gap is not None and args.variant.startswith("qvi"):
         reuse["gap"] = gap  # the fresh solve's N[V] - V, so N runs once

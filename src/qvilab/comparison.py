@@ -36,6 +36,7 @@ which is the limit step the diagnostic is meant to make visible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,6 @@ from .assumptions import (
     TOL_EXACT,
     SamplerSpec,
     _OFF_XI,
-    _grid_space_nodes,
     _masked_eval,
     _tx_cloud,
     _txp_cloud,
@@ -54,7 +54,8 @@ from .assumptions import (
     audit_comparison_hypotheses,
     default_sampler,
 )
-from .core import AssumptionConstants, ConfigError, ImpulseProblem
+from .core import (AssumptionConstants, ConfigError, ImpulseProblem, make_env,
+                   role_variables)
 from .solver import SchemeParams, estimate_dissipation, interior_mask, solve_qvi
 from .viscosity import _tolerance_unit
 
@@ -133,33 +134,25 @@ def ordered_pair_generator(base, offsets):
     if len(offsets) != 3:
         raise ConfigError("offsets must be a (dh, dH, dell) triple")
     n = base.n
-    x_names = {f"x{d + 1}" for d in range(n)}
-    p_names = {f"p{d + 1}" for d in range(n)}
-    xi_names = {f"xi{d + 1}" for d in range(n)}
-    dh = _offset_expr(offsets[0], x_names, "terminal offset")
-    dH = _offset_expr(offsets[1], {"t"} | x_names | p_names,
-                      "hamiltonian offset")
-    dell = _offset_expr(offsets[2], {"t"} | x_names | xi_names, "cost offset")
+    roles = role_variables(n)
+    dh = _offset_expr(offsets[0], roles["h"], "terminal offset")
+    dH = _offset_expr(offsets[1], roles["H"], "hamiltonian offset")
+    dell = _offset_expr(offsets[2], roles["ell"], "cost offset")
 
     spec = SamplerSpec(x_min=(-4.0,) * n, x_max=(4.0,) * n)
 
     if dh is not None:
         X = _x_cloud(spec)
-        env = {f"x{d + 1}": X[:, d] for d in range(n)}
-        _require_nonneg(dh, env, len(X), "terminal offset")
+        _require_nonneg(dh, make_env(x=X), len(X), "terminal offset")
     if dH is not None:
         t, x, p = _txp_cloud(spec, base.T)
-        env = {"t": t}
-        env.update({f"x{d + 1}": x[:, d] for d in range(n)})
-        env.update({f"p{d + 1}": p[:, d] for d in range(n)})
-        _require_nonneg(dH, env, len(t), "hamiltonian offset")
+        _require_nonneg(dH, make_env(t=t, x=x, p=p), len(t),
+                        "hamiltonian offset")
     if dell is not None:
         xi = _xi_cloud(spec, base.cone, _OFF_XI)
         t, x = _tx_cloud(spec, base.T)
         count = min(len(t), len(xi))
-        env = {"t": t[:count]}
-        env.update({f"x{d + 1}": x[:count, d] for d in range(n)})
-        env.update({f"xi{d + 1}": xi[:count, d] for d in range(n)})
+        env = make_env(t=t[:count], x=x[:count], xi=xi[:count])
         _require_nonneg(dell, env, count, "cost offset")
 
     dominated = ImpulseProblem(
@@ -428,11 +421,17 @@ def doubling_maximize(V, V_hat, params=None, levels=None, gamma=0.0):
             else (float(lev[0]), float(lev[1])) for lev in levels)
     if not levels:
         raise ConfigError("need at least one (epsilon, delta) level")
+    for lev in (value for pair in levels for value in pair):
+        # the penalties weigh by 0.5/level, so that must be finite too
+        if not (lev > 0.0 and math.isfinite(lev) and math.isfinite(0.5 / lev)):
+            raise ConfigError(
+                f"levels must be positive and finite with 0.5/level finite, "
+                f"got {lev!r}")
 
     t = grid.t
     nt = grid.t_nodes
     T = grid.T
-    coords = _grid_space_nodes(grid)
+    coords = grid.space_nodes()
     n_space = coords.shape[0]
     q_cap = max(1, int(np.sqrt(TUPLE_BUDGET / float(nt * nt))))
     stride = int(np.ceil(n_space / q_cap))
@@ -452,8 +451,6 @@ def doubling_maximize(V, V_hat, params=None, levels=None, gamma=0.0):
     cert_ok = True
     rng = np.random.default_rng(CERTIFICATE_SEED)
     for eps, dlt in levels:
-        if eps <= 0.0 or dlt <= 0.0:
-            raise ConfigError("levels must be positive")
         half_d2 = 0.5 / dlt * D2
         best = -np.inf
         best_idx = (0, 0, 0, 0)

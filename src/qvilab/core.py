@@ -31,6 +31,50 @@ class ConfigError(Exception):
     """Malformed config text, missing keys, or out-of-range constants."""
 
 
+# ------------------------------------------------------------ variables ----
+#
+# Expressions read t and one variable per axis for each coordinate: x1..xn,
+# p1..pn, xi1..xin.  This section is the one place that spells those names.
+
+_AXIS_COORDS = ("x", "p", "xi")
+
+
+def _axis_names(coord, n):
+    return tuple(f"{coord}{d + 1}" for d in range(n))
+
+
+def role_variables(n):
+    """The variables each problem expression may read in dimension n.
+
+    {"H": t, x, p; "h": x; "ell": t, x, xi; "g": t, x}, as frozensets.
+    A grid function given in closed form reads what g reads.
+    """
+    t = frozenset({"t"})
+    x, p, xi = (frozenset(_axis_names(c, n)) for c in _AXIS_COORDS)
+    return {"H": t | x | p, "h": x, "ell": t | x | xi, "g": t | x}
+
+
+def make_env(**coords):
+    """The environment expr.evaluate reads, from coordinates by keyword.
+
+    `t` passes through as it is.  `x`, `p` and `xi` are each a sequence of
+    per-axis arrays, or one array whose last axis is the dimension (axis d
+    is then its view [..., d]), and become x1..xn, p1..pn and xi1..xin.
+    Pass only the coordinates the expression reads.
+    """
+    env = {}
+    for coord, value in coords.items():
+        if coord == "t":
+            env["t"] = value
+            continue
+        if coord not in _AXIS_COORDS:
+            raise TypeError(f"make_env() got an unknown coordinate {coord!r}")
+        if isinstance(value, np.ndarray):
+            value = [value[..., d] for d in range(value.shape[-1])]
+        env.update(zip(_axis_names(coord, len(value)), value))
+    return env
+
+
 # ------------------------------------------------------------ constants ----
 
 @dataclass(frozen=True)
@@ -209,16 +253,17 @@ class Grid:
 
     def space_env(self):
         """Meshgrid environment {x1: ..., x2: ...} over the spatial box."""
-        meshes = np.meshgrid(*self.axes, indexing="ij")
-        return {f"x{d + 1}": m for d, m in enumerate(meshes)}
+        return make_env(x=np.meshgrid(*self.axes, indexing="ij"))
 
     def full_env(self):
         """Meshgrid environment {t, x1, ...} over the full space-time grid."""
-        meshes = np.meshgrid(self.t, *self.axes, indexing="ij")
-        env = {"t": meshes[0]}
-        for d in range(self.n):
-            env[f"x{d + 1}"] = meshes[d + 1]
-        return env
+        t, *x = np.meshgrid(self.t, *self.axes, indexing="ij")
+        return make_env(t=t, x=x)
+
+    def space_nodes(self):
+        """Space node coordinates in row-major order, shape (nodes, n)."""
+        meshes = np.meshgrid(*self.axes, indexing="ij")
+        return np.stack([m.ravel() for m in meshes], axis=-1)
 
     def refine(self, factor=2):
         """Grid with factor-times finer spacing in every direction."""
@@ -287,7 +332,7 @@ def write_csv(gf, path):
     rely on that.
     """
     grid = gf.grid
-    cols = ["t"] + [f"x{d + 1}" for d in range(grid.n)] + ["value"]
+    cols = ["t", *_axis_names("x", grid.n), "value"]
     # ",x1[,x2]" per space node in row-major order, each coordinate
     # formatted once per grid rather than once per row
     space = [""]
@@ -309,7 +354,7 @@ def read_csv(grid, path):
     """Load a grid function exported by write_csv onto a matching grid."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-    expected = ["t"] + [f"x{d + 1}" for d in range(grid.n)] + ["value"]
+    expected = ["t", *_axis_names("x", grid.n), "value"]
     if header != expected:
         raise ConfigError(
             f"unexpected CSV header {header!r}; this grid needs {expected!r}"
@@ -393,39 +438,33 @@ class ImpulseProblem:
             raise ConfigError(
                 f"cone dimension {self.cone.n} does not match problem dimension {self.n}"
             )
-        x_names = {f"x{d + 1}" for d in range(self.n)}
-        p_names = {f"p{d + 1}" for d in range(self.n)}
-        xi_names = {f"xi{d + 1}" for d in range(self.n)}
-        self._check_vars("H", self.H, {"t"} | x_names | p_names)
-        self._check_vars("h", self.h, x_names)
-        self._check_vars("ell", self.ell, {"t"} | x_names | xi_names)
+        for label, allowed in role_variables(self.n).items():
+            node = getattr(self, label)
+            extra = set() if node is None else ex.variables(node) - allowed
+            if extra:
+                raise ConfigError(
+                    f"expression for {label} uses disallowed variable(s): "
+                    f"{sorted(extra)}"
+                )
+
+    # -- evaluation helpers; x, p are coordinate arrays as make_env takes
+    # -- them.  Wherever H is evaluated for a scheme step, a probe or an
+    # -- audit, g(t, x) is added to it; each of those three callers adds it
+    # -- under its own policy for a domain error (hamiltonian() here raises
+    # -- it, the probe field skips the slope combination, the audits mask
+    # -- the point).  Only the dissipation estimate differentiates H alone,
+    # -- since g reads no p.
+
+    def hamiltonian(self, t, x, p):
+        """H(t, x, p) + g(t, x)."""
+        out = ex.evaluate(self.H, make_env(t=t, x=x, p=p))
         if self.g is not None:
-            self._check_vars("g", self.g, {"t"} | x_names)
-
-    @staticmethod
-    def _check_vars(label, node, allowed):
-        used = ex.variables(node)
-        extra = used - allowed
-        if extra:
-            raise ConfigError(
-                f"expression for {label} uses disallowed variable(s): {sorted(extra)}"
-            )
-
-    # -- evaluation helpers.  hamiltonian() adds the optional g term; the
-    # -- probe scan and the hypothesis audits add it themselves, and the
-    # -- scheme set-up differentiates H alone.
-
-    def hamiltonian(self, t, x_env, p_env):
-        env = {"t": t}
-        env.update(x_env)
-        env.update(p_env)
-        out = ex.evaluate(self.H, env)
-        if self.g is not None:
-            out = out + ex.evaluate(self.g, {"t": t, **x_env})
+            out = out + ex.evaluate(self.g, make_env(t=t, x=x))
         return out
 
-    def terminal(self, x_env):
-        return ex.evaluate(self.h, dict(x_env))
+    def terminal(self, x):
+        """h(x)."""
+        return ex.evaluate(self.h, make_env(x=x))
 
 
 def sample(e, grid, fixed_env=None):
@@ -436,6 +475,13 @@ def sample(e, grid, fixed_env=None):
     out = ex.evaluate(e, env)
     out = np.broadcast_to(np.asarray(out, dtype=float), grid.shape)
     return GridFunction(grid, out)
+
+
+def sample_terminal(h, grid):
+    """A terminal payoff h on the space nodes: a read-only x_nodes array."""
+    return np.broadcast_to(
+        np.asarray(ex.evaluate(h, grid.space_env()), dtype=float),
+        tuple(grid.x_nodes))
 
 
 # -------------------------------------------------------------- sampling ----
@@ -611,23 +657,21 @@ def load_problem(text, overrides=()):
     if n not in (1, 2):
         raise ConfigError(f"space dimension must be 1 or 2, got {n}")
     T = _float(_require("problem", "T", prob), "T")
-    x_names = tuple(f"x{d + 1}" for d in range(n))
-    p_names = tuple(f"p{d + 1}" for d in range(n))
-    xi_names = tuple(f"xi{d + 1}" for d in range(n))
+    roles = role_variables(n)
 
-    def parse_expr(key, allowed, table=prob, optional=False):
-        if optional and key not in table:
+    def parse_expr(key, optional=False):
+        if optional and key not in prob:
             return None
-        src = _unquote(_require("problem", key, table), key)
+        src = _unquote(_require("problem", key, prob), key)
         try:
-            return ex.parse(src, allowed)
+            return ex.parse(src, roles[key])
         except ex.ExprError as err:
             raise ConfigError(f"bad expression for '{key}': {err}") from err
 
-    H = parse_expr("H", ("t",) + x_names + p_names)
-    h = parse_expr("h", x_names)
-    ell = parse_expr("ell", ("t",) + x_names + xi_names)
-    g = parse_expr("g", ("t",) + x_names, optional=True)
+    H = parse_expr("H")
+    h = parse_expr("h")
+    ell = parse_expr("ell")
+    g = parse_expr("g", optional=True)
     cone = _parse_cone(_require("problem", "cone", prob), n)
 
     constants = AssumptionConstants(
@@ -662,10 +706,8 @@ def _check_cost_positive(problem, grid):
     x = [rng.uniform(lo, hi, 64) for lo, hi in zip(grid.x_min, grid.x_max)]
     lam = rng.uniform(0.0, grid.box_diagonal, (64, problem.cone.n_rays))
     xi = problem.cone.from_coefficients(lam)
-    env = {"t": t}
-    env.update({f"x{d + 1}": x[d] for d in range(problem.n)})
-    env.update({f"xi{d + 1}": xi[..., d] for d in range(problem.n)})
-    vals = np.asarray(ex.evaluate(problem.ell, env), dtype=float)
+    vals = np.asarray(ex.evaluate(problem.ell, make_env(t=t, x=x, xi=xi)),
+                      dtype=float)
     if np.any(vals <= 0.0):
         bad = np.argwhere(np.atleast_1d(vals) <= 0.0)[0]
         raise ConfigError(

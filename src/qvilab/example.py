@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .core import Cone, ConfigError, Grid, GridFunction, ImpulseProblem
+from .core import (Cone, ConfigError, Grid, GridFunction, ImpulseProblem,
+                   role_variables, sample_terminal)
 from .obstacle import evaluate_slice_values
 from .viscosity import (
     TOL_FACTOR,
@@ -67,7 +68,8 @@ ROOT_TOL = 1e-10
 XI_CAP = 20.0
 _SCAN_STEP = 0.005  # outward step of the profitable-band sign scan
 _BISECT_RTOL = 4.0 * np.finfo(float).eps  # scipy.optimize.bisect's rtol
-_PAYOFF = ex.parse("x1*exp(-x1)", {"x1"})  # the terminal payoff h
+_ROLES = role_variables(1)
+_PAYOFF = ex.parse("x1*exp(-x1)", _ROLES["h"])  # the terminal payoff h
 
 
 def psi(l0, xi):
@@ -132,12 +134,12 @@ class ExampleInstance:
     def problem(self, with_bump=True):
         g_node = None
         if with_bump and self.g_source:
-            g_node = ex.parse(self.g_source, {"t", "x1"})
+            g_node = ex.parse(self.g_source, _ROLES["g"])
         return ImpulseProblem(
             n=1, T=self.T,
-            H=ex.parse("-p1", {"t", "x1", "p1"}),
+            H=ex.parse("-p1", _ROLES["H"]),
             h=_PAYOFF,
-            ell=ex.parse(f"{self.l0!r}*(1 + xi1)", {"t", "x1", "xi1"}),
+            ell=ex.parse(f"{self.l0!r}*(1 + xi1)", _ROLES["ell"]),
             cone=Cone.orthant(1),
             g=g_node)
 
@@ -283,10 +285,10 @@ def sample_value_function(instance, grid) -> GridFunction:
         raise ConfigError("the separation instance is one-dimensional")
     if grid.T != instance.T:
         raise ConfigError("grid horizon does not match the instance")
-    profile = ex.parse(instance.value_source(), {"t", "x1"})
-    env = grid.full_env()
-    values = np.asarray(ex.evaluate(profile, env), dtype=float)
-    values[-1] = ex.evaluate(_PAYOFF, grid.space_env())
+    # the profile is a function of (t, x), the variables g reads
+    profile = ex.parse(instance.value_source(), _ROLES["g"])
+    values = np.asarray(ex.evaluate(profile, grid.full_env()), dtype=float)
+    values[-1] = sample_terminal(_PAYOFF, grid)
     return GridFunction(grid, values)
 
 
@@ -386,9 +388,8 @@ def verify_separation(instance, grid, tol_factor=TOL_FACTOR, search=None):
     cons = modified.constraint_violations
     in_band = bool(np.all(instance.in_band(cons.t, cons.x[:, 0])))
 
-    terminal_exact = bool(np.array_equal(
-        V.values[-1], np.asarray(ex.evaluate(_PAYOFF, grid.space_env()),
-                                 dtype=float)))
+    terminal_exact = bool(np.array_equal(V.values[-1],
+                                         sample_terminal(_PAYOFF, grid)))
 
     notes = ""
     if instance.needs_smaller_cost:

@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import expr as ex
-from .core import GridFunction, interp_slice
+from .core import GridFunction, interp_slice, make_env
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,6 @@ class ObstacleResult:
 
 # -------------------------------------------------------------- internals ----
 
-def _lex_less(a, b):
-    """Row-wise lexicographic a < b for (N, n) arrays, n in {1, 2}."""
-    if a.shape[-1] == 1:
-        return a[..., 0] < b[..., 0]
-    return (a[..., 0] < b[..., 0]) | (
-        (a[..., 0] == b[..., 0]) & (a[..., 1] < b[..., 1])
-    )
-
-
 def _batch_best(values, xi):
     """Per-node best column with (value, |xi|, lex xi) tie-breaking.
 
@@ -121,44 +112,22 @@ def _batch_best(values, xi):
     return np.argmax(tie, axis=1)
 
 
-def _merge_best(best, cand):
-    """Merge candidate (value, norm, xi, lam) tuples into the running best."""
-    bv, bn, bxi, blam = best
-    cv, cn, cxi, clam = cand
-    better = (cv < bv) | (
-        (cv == bv) & ((cn < bn) | ((cn == bn) & _lex_less(cxi, bxi)))
-    )
-    bv = np.where(better, cv, bv)
-    bn = np.where(better, cn, bn)
-    bxi = np.where(better[:, None], cxi, bxi)
-    blam = np.where(better[:, None], clam, blam)
-    return bv, bn, bxi, blam
+def _pick(values, xi, lam):
+    """(value, xi, lam) of the _batch_best column of every node.
+
+    values: (N, B); xi: (N, B, n); lam: (N, B, m).
+    """
+    col = _batch_best(values, xi)
+    rows = np.arange(col.size)
+    return values[rows, col], xi[rows, col], lam[rows, col]
 
 
-class _SliceEvaluator:
-    """Evaluates psi(xi) = V_interp(t, x + xi) + ell(t, x, xi) in batches."""
-
-    def __init__(self, grid, slice_values, t, ell, nodes_x):
-        self.grid = grid
-        self.slice_values = np.asarray(slice_values, dtype=float)
-        self.t = float(t)
-        self.ell = ell
-        self.nodes_x = nodes_x  # (N, n)
-        self.n = nodes_x.shape[1]
-        self.probes = 0
-
-    def psi(self, xi):
-        """xi: (N, B, n).  Returns (N, B)."""
-        target = self.nodes_x[:, None, :] + xi
-        v = interp_slice(self.grid, self.slice_values, target)
-        env = {"t": self.t}
-        for d in range(self.n):
-            env[f"x{d + 1}"] = self.nodes_x[:, None, d]
-            env[f"xi{d + 1}"] = xi[..., d]
-        cost = np.asarray(ex.evaluate(self.ell, env), dtype=float)
-        cost = np.broadcast_to(cost, v.shape)
-        self.probes += v.size
-        return v + cost
+def _psi(grid, slice_values, t, ell, x, xi):
+    """psi(xi) = V_interp(t, x + xi) + ell(t, x, xi); x: (N, 1, n), xi:
+    (N, B, n).  Returns (N, B)."""
+    v = interp_slice(grid, slice_values, x + xi)
+    cost = np.asarray(ex.evaluate(ell, make_env(t=t, x=x, xi=xi)), dtype=float)
+    return v + np.broadcast_to(cost, v.shape)
 
 
 def _coarse_lambda_grid(m, search):
@@ -167,36 +136,36 @@ def _coarse_lambda_grid(m, search):
     return np.stack([md.ravel() for md in mesh], axis=-1)  # (B, m)
 
 
-def _search(ev: _SliceEvaluator, cone, search: SearchParams):
-    """Run the coarse scan plus zoom refinement for every node of `ev`.
+def _search(grid, slice_values, t, ell, nodes_x, cone, search: SearchParams):
+    """Run the coarse scan plus zoom refinement at every point of nodes_x
+    (N, n).
 
-    Returns (values, argmin_xi, truncated) flat over nodes.
+    Returns (values, argmin_xi, truncated, probes), the first three flat
+    over the points; probes counts the payoffs evaluated.
     """
+    slice_values = np.asarray(slice_values, dtype=float)
+    t = float(t)
+    x = nodes_x[:, None, :]
     rays = cone.rays
     m = cone.n_rays
-    n_nodes = ev.nodes_x.shape[0]
-    rows = np.arange(n_nodes)
+    n_nodes = nodes_x.shape[0]
+    probes = 0
 
     def eval_lam(lam):
-        """lam: (N, B, m).  Returns (psi-with-cap, xi, norms), off-ball = inf."""
+        """lam: (N, B, m).  Returns (psi, xi) with psi = inf off the ball."""
+        nonlocal probes
         xi = lam @ rays
-        vals = ev.psi(xi)
+        vals = _psi(grid, slice_values, t, ell, x, xi)
+        probes += vals.size
         norms = np.linalg.norm(xi, axis=-1)
         vals = np.where(norms <= search.xi_max * (1.0 + 1e-12), vals, np.inf)
-        return vals, xi, norms
+        return vals, xi
 
     # coarse shared scan (the lambda grid always includes 0)
     lam0 = np.broadcast_to(
         _coarse_lambda_grid(m, search)[None], (n_nodes, search.coarse**m, m)
     )
-    vals, xi_b, norms = eval_lam(lam0)
-    pick = _batch_best(vals, xi_b)
-    best = (
-        vals[rows, pick],
-        norms[rows, pick],
-        xi_b[rows, pick, :],
-        lam0[rows, pick, :],
-    )
+    best = _pick(*eval_lam(lam0), lam0)
 
     # nested zooms around the incumbent coefficient vector
     step = search.xi_max / (search.coarse - 1)
@@ -204,21 +173,16 @@ def _search(ev: _SliceEvaluator, cone, search: SearchParams):
     mesh = np.meshgrid(*([offsets_1d] * m), indexing="ij")
     offsets = np.stack([md.ravel() for md in mesh], axis=-1)  # (B, m)
     for _ in range(search.refine_levels):
-        lam = best[3][:, None, :] + step * offsets[None, :, :]
+        lam = best[2][:, None, :] + step * offsets[None, :, :]
         np.clip(lam, 0.0, search.xi_max, out=lam)
-        vals, xi_b, norms = eval_lam(lam)
-        pick = _batch_best(vals, xi_b)
-        cand = (
-            vals[rows, pick],
-            norms[rows, pick],
-            xi_b[rows, pick, :],
-            lam[rows, pick, :],
-        )
-        best = _merge_best(best, cand)
+        cand = _pick(*eval_lam(lam), lam)
+        # the incumbent is column 0: a full tie or a NaN value keeps it
+        best = _pick(*(np.stack(pair, axis=1) for pair in zip(best, cand)))
         step *= 2.0 / (search.refine_points - 1)
 
-    values, bnorm, bxi, _ = best
-    return values, bxi, _truncated(bnorm, search)
+    values, bxi, _ = best
+    return (values, bxi, _truncated(np.linalg.norm(bxi, axis=-1), search),
+            probes)
 
 
 def _truncated(norms, search):
@@ -253,10 +217,9 @@ def _affine_in_xi(node):
 def _slopes_at(ell, n, t):
     """Cost slopes c_d = ell(t, e_d) - ell(t, 0), or None if one is negative."""
     basis = np.vstack([np.zeros(n), np.eye(n)])
-    env = {"t": float(t)}
-    env.update({f"xi{d + 1}": basis[:, d] for d in range(n)})
-    cost = np.broadcast_to(np.asarray(ex.evaluate(ell, env), dtype=float),
-                           (n + 1,))
+    cost = np.broadcast_to(
+        np.asarray(ex.evaluate(ell, make_env(t=float(t), xi=basis)),
+                   dtype=float), (n + 1,))
     slopes = cost[1:] - cost[0]
     return None if np.any(slopes < 0.0) else slopes
 
@@ -402,10 +365,9 @@ def _node_ties(grid, key, ti, tj, batch=1 << 16):
 
 def _exact_payoff(grid, values, t, ell, x, xi, search):
     """Payoff V(x + xi) + ell(t, xi) and truncation flag of chosen impulses."""
-    env = {"t": float(t)}
-    env.update({f"xi{d + 1}": xi[:, d] for d in range(grid.n)})
-    cost = np.broadcast_to(np.asarray(ex.evaluate(ell, env), dtype=float),
-                           (x.shape[0],))
+    cost = np.broadcast_to(
+        np.asarray(ex.evaluate(ell, make_env(t=float(t), xi=xi)), dtype=float),
+        (x.shape[0],))
     payoff = interp_slice(grid, values, x + xi) + cost
     return payoff, _truncated(np.linalg.norm(xi, axis=-1), search)
 
@@ -423,9 +385,7 @@ def _obstacle(grid, slice_values, t, ell, cone, search, points, at_nodes):
         search = default_search(grid)
     slopes = _exact_slopes(grid, t, ell, cone, search)
     if slopes is None:
-        ev = _SliceEvaluator(grid, slice_values, t, ell, points)
-        values, bxi, truncated = _search(ev, cone, search)
-        return values, bxi, truncated, ev.probes
+        return _search(grid, slice_values, t, ell, points, cone, search)
     slice_values = np.asarray(slice_values, dtype=float)
     if not at_nodes:
         xi, probes = _exact_point(grid, slice_values, slopes, points[0])
@@ -446,12 +406,9 @@ def evaluate_slice_values(grid, slice_values, t, ell, cone, search=None):
     Returns (values, argmin_xi, truncated) with shapes
     (*x_nodes,), (*x_nodes, n), (*x_nodes,).
     """
-    space_env = grid.space_env()
-    nodes_x = np.stack(
-        [space_env[f"x{d + 1}"].ravel() for d in range(grid.n)], axis=-1
-    )
     values, bxi, truncated, _ = _obstacle(grid, slice_values, t, ell, cone,
-                                          search, nodes_x, at_nodes=True)
+                                          search, grid.space_nodes(),
+                                          at_nodes=True)
     shape = tuple(grid.x_nodes)
     return (
         values.reshape(shape),

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import expr as ex
 from . import obstacle as obs
-from .core import GridFunction, halton
+from .core import GridFunction, halton, make_env, sample_terminal
 
 
 class SolverError(Exception):
@@ -73,10 +73,7 @@ def estimate_dissipation(problem, grid, factor=1.05, n_samples=512, seed=0):
     terminal slice, padded by one plus half their spread; (t, x, p) sample
     points are low-discrepancy so the estimate is reproducible.
     """
-    env = grid.space_env()
-    h_vals = np.broadcast_to(
-        np.asarray(ex.evaluate(problem.h, env), dtype=float), tuple(grid.x_nodes)
-    )
+    h_vals = sample_terminal(problem.h, grid)
     p_lo, p_hi = [], []
     for d in range(grid.n):
         diffs = np.diff(h_vals, axis=d) / grid.dx[d]
@@ -95,16 +92,11 @@ def estimate_dissipation(problem, grid, factor=1.05, n_samples=512, seed=0):
     sigma = []
     for d in range(n):
         eps = 1e-4 * (1.0 + np.abs(p_s[d]))
-        env_hi = {"t": t_s}
-        env_lo = {"t": t_s}
-        for dd in range(n):
-            env_hi[f"x{dd + 1}"] = x_s[dd]
-            env_lo[f"x{dd + 1}"] = x_s[dd]
-            shift = eps if dd == d else 0.0
-            env_hi[f"p{dd + 1}"] = p_s[dd] + shift
-            env_lo[f"p{dd + 1}"] = p_s[dd] - shift
-        dh = (np.asarray(ex.evaluate(problem.H, env_hi), dtype=float)
-              - np.asarray(ex.evaluate(problem.H, env_lo), dtype=float))
+        shift = [eps if dd == d else 0.0 for dd in range(n)]
+        hi = make_env(t=t_s, x=x_s, p=[p + s for p, s in zip(p_s, shift)])
+        lo = make_env(t=t_s, x=x_s, p=[p - s for p, s in zip(p_s, shift)])
+        dh = (np.asarray(ex.evaluate(problem.H, hi), dtype=float)
+              - np.asarray(ex.evaluate(problem.H, lo), dtype=float))
         slope = np.abs(dh) / (2.0 * eps)
         sigma.append(factor * float(slope.max()) if slope.size else 0.0)
     return tuple(sigma)
@@ -163,16 +155,17 @@ def _axis_neighbors(W, axis):
     return Wp[tuple(hi)], Wp[tuple(lo)]
 
 
-def _hjb_step(problem, grid, scheme, W, t_next, space_env):
-    grads = {}
+def _hjb_step(problem, grid, scheme, W, t_next, x):
+    """One explicit step from W at t_next; x is the space meshgrid."""
+    grads = []
     diss = np.zeros_like(W)
     for d in range(grid.n):
         hi, lo = _axis_neighbors(W, d)
-        grads[f"p{d + 1}"] = (hi - lo) / (2.0 * grid.dx[d])
+        grads.append((hi - lo) / (2.0 * grid.dx[d]))
         if scheme.dissipation[d] != 0.0:
             diss = diss + scheme.dissipation[d] * (hi - 2.0 * W + lo) / (2.0 * grid.dx[d])
     try:
-        H = problem.hamiltonian(t_next, space_env, grads)
+        H = problem.hamiltonian(t_next, x, grads)
     except ex.DomainError as e:
         raise SolverError(
             f"Hamiltonian evaluation failed at t = {t_next:.6g}: {e}"
@@ -184,9 +177,9 @@ def _check_finite(vals, t, grid):
     bad = ~np.isfinite(vals)
     if bad.any():
         idx = np.argwhere(bad)[0]
-        point = ", ".join(
-            f"x{d + 1} = {grid.axes[d][idx[d]]:.6g}" for d in range(grid.n)
-        )
+        x = [axis[i] for axis, i in zip(grid.axes, idx)]
+        point = ", ".join(f"{name} = {v:.6g}"
+                          for name, v in make_env(x=x).items())
         raise SolverError(
             f"non-finite value produced at t = {t:.6g}, {point}"
         )
@@ -222,13 +215,10 @@ def _backward(problem, grid, scheme, constants, obstacle, search=None):
     if scheme is None:
         scheme = make_scheme_params(problem, grid)
     check_cfl(grid, scheme)
-    space_env = grid.space_env()
+    x = np.meshgrid(*grid.axes, indexing="ij")
     nt = grid.t_nodes
     V = np.empty(grid.shape)
-    V[nt - 1] = np.broadcast_to(
-        np.asarray(ex.evaluate(problem.h, space_env), dtype=float),
-        tuple(grid.x_nodes),
-    )
+    V[nt - 1] = sample_terminal(problem.h, grid)
     residual = np.zeros(grid.shape)
     iterations = np.zeros(nt, dtype=int)
     gap = argmin = truncated = None
@@ -245,7 +235,7 @@ def _backward(problem, grid, scheme, constants, obstacle, search=None):
     for k in range(nt - 2, -1, -1):
         t_k = float(grid.t[k])
         W0 = _hjb_step(problem, grid, scheme, V[k + 1], float(grid.t[k + 1]),
-                       space_env)
+                       x)
         _check_finite(W0, t_k, grid)
         if not obstacle:
             V[k] = W0

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .core import ConfigError
+from .core import ConfigError, make_env, sample_terminal
 from .obstacle import evaluate_slice_values
 
 VARIANT_HJB_SUB = "HJB-SUB"
@@ -251,25 +251,20 @@ class _ProbeField:
         self.t_centers = grid.t[r:grid.t_nodes - r]
         self.x_centers = tuple(grid.axes[d][r:grid.x_nodes[d] - r]
                                for d in range(n))
-        t_env = self.t_centers.reshape((-1,) + (1,) * n)
-        x_env = {}
-        for d in range(n):
-            sh = (1,) * (1 + d) + (-1,) + (1,) * (n - 1 - d)
-            x_env[f"x{d + 1}"] = self.x_centers[d].reshape(sh)
+        t = self.t_centers.reshape((-1,) + (1,) * n)
+        x = [axis.reshape((1,) * (1 + d) + (-1,) + (1,) * (n - 1 - d))
+             for d, axis in enumerate(self.x_centers)]
         self.slack = _slack(Vv)
         self.Vv = Vv
 
         g = None  # reads no p: evaluated once, after the first good H
         for combo in itertools.product(range(3), repeat=n):
-            env = {"t": t_env}
-            env.update(x_env)
-            for d in range(n):
-                env[f"p{d + 1}"] = self.p_cand[combo[d]][d]
+            p = [self.p_cand[combo[d]][d] for d in range(n)]
             try:
-                vals = ex.evaluate(problem.H, env)
+                vals = ex.evaluate(problem.H, make_env(t=t, x=x, p=p))
                 if problem.g is not None:
                     if g is None:
-                        g = ex.evaluate(problem.g, {"t": t_env, **x_env})
+                        g = ex.evaluate(problem.g, make_env(t=t, x=x))
                     vals = vals + g
                 self.ham[combo] = np.broadcast_to(vals, self.center_shape)
             except ex.DomainError as err:
@@ -382,9 +377,7 @@ def _scan_violations(field, side, base_tol, unit, gap, sees_gap):
 
 def _terminal_nodes(V, problem, side, ctol):
     grid = V.grid
-    h = np.broadcast_to(
-        np.asarray(ex.evaluate(problem.h, grid.space_env()), dtype=float),
-        grid.shape[1:])
+    h = sample_terminal(problem.h, grid)
     last = V.values[-1]
     margin = h - last if side == "sub" else last - h
     idx = np.nonzero(margin < -ctol)
@@ -418,6 +411,13 @@ def _gap_or_compute(V, problem, gap):
     return gap
 
 
+def validate_tol_factor(tol_factor):
+    """Raise ConfigError unless the probe tolerance factor is finite and
+    positive."""
+    if not (np.isfinite(tol_factor) and tol_factor > 0):
+        raise ConfigError(f"need a finite tol_factor > 0, got {tol_factor}")
+
+
 def _check(variant, V, problem, tol_factor, gap=None):
     """Probe V for one solution notion of _NOTIONS.
 
@@ -425,8 +425,7 @@ def _check(variant, V, problem, tol_factor, gap=None):
     computed with obstacle_gap when a constrained notion is given None.
     """
     side, constrained, sees_gap = _NOTIONS[variant]
-    if not (np.isfinite(tol_factor) and tol_factor > 0):
-        raise ConfigError(f"need a finite tol_factor > 0, got {tol_factor}")
+    validate_tol_factor(tol_factor)
     grid = V.grid
     unit = _tolerance_unit(grid)
     if constrained or sees_gap:

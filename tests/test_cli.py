@@ -294,6 +294,15 @@ class TestDoubling:
         assert run(["doubling", EXAMPLE, "--analytic", PROFILE,
                     "--levels", "a,b", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("level", ["nan", "inf", "1e-320"])
+    def test_levels_need_a_finite_penalty_weight(self, level, tmp_path):
+        # the penalties weigh by 0.5/level: NaN and inf levels, and levels
+        # so small that 0.5/level overflows, wrote NaN or Infinity to JSON
+        assert run(["doubling", EXAMPLE, "--analytic", "x1",
+                    "--grid-nt", "11", "--grid-nx", "21", "--levels", level,
+                    "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "doubling.json").exists()
+
 
 class TestReproduceExample:
     def test_default_run_separates(self, tmp_path, capsys):
@@ -395,6 +404,17 @@ class TestFlags:
     def test_zero_probe_tolerance_is_invalid(self, tmp_path):
         assert run([*TOL_COMMANDS["viscosity"], "--tol", "0",
                     "--out", str(tmp_path)]) == 2
+
+    def test_zero_probe_tolerance_is_rejected_before_solving(
+            self, tmp_path, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_qvi ran before --tol 0 was rejected")
+
+        monkeypatch.setattr(cli, "solve_qvi", no_solve)
+        assert run(["viscosity", EXAMPLE, *FAST, "--variant", "hjb-sub",
+                    "--tol", "0", "--out", str(tmp_path)]) == 2
+        assert ("need a finite tol_factor > 0, got 0.0"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv", [
         ["check", EXAMPLE, "--tol", "123"],

@@ -67,7 +67,7 @@ class TestOrderedPairs:
 
     def test_constant_terminal_offset(self, base):
         _, dominated = cmp.ordered_pair_generator(base, ("0.1", None, None))
-        x = {"x1": np.array([-1.0, 0.0, 2.5])}
+        x = [np.array([-1.0, 0.0, 2.5])]
         lifted = dominated.terminal(x) - base.terminal(x)
         assert lifted == pytest.approx([0.1, 0.1, 0.1], abs=1e-15)
 

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +232,43 @@ class TestSampling:
         assert gf.values[2, 0] == pytest.approx(10.0)
 
 
+class TestVariableConvention:
+    def test_only_core_spells_variable_names(self):
+        builder = re.compile(r"""f["'](x|p|xi)\{""")
+        offenders = [
+            f"{path.name}:{lineno}"
+            for path in sorted(Path(core.__file__).parent.glob("*.py"))
+            if path.name != "core.py"
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if builder.search(line)]
+        assert offenders == []
+
+    def test_role_variables(self):
+        roles = core.role_variables(2)
+        assert roles == {
+            "H": {"t", "x1", "x2", "p1", "p2"},
+            "h": {"x1", "x2"},
+            "ell": {"t", "x1", "x2", "xi1", "xi2"},
+            "g": {"t", "x1", "x2"},
+        }
+        assert core.role_variables(1)["H"] == {"t", "x1", "p1"}
+
+    def test_make_env_names_axis_lists_and_last_axis_views(self):
+        pts = np.arange(6.0).reshape(3, 2)
+        column = np.array([7.0, 8.0, 9.0])
+        env = core.make_env(t=0.5, x=pts, p=[column, column])
+        assert list(env) == ["t", "x1", "x2", "p1", "p2"]
+        assert env["t"] == 0.5
+        for d, (x, p) in enumerate([(env["x1"], env["p1"]),
+                                    (env["x2"], env["p2"])]):
+            # a view of the stacked array, so the evaluated bytes match
+            assert np.shares_memory(x, pts)
+            assert np.array_equal(x, pts[:, d])
+            assert p is column
+        with pytest.raises(TypeError, match="unknown coordinate"):
+            core.make_env(y=[column])
+
+
 class TestInterpolation:
     def test_values_at_nodes_exact(self):
         grid = Grid(1.0, 2, (0.0,), (2.0,), (5,))
@@ -313,7 +352,7 @@ class TestConfig:
         cfg = load_problem(text)
         assert cfg.problem.g is not None
         # hamiltonian helper folds g in
-        val = cfg.problem.hamiltonian(0.0, {"x1": 0.0}, {"p1": 2.0})
+        val = cfg.problem.hamiltonian(0.0, [0.0], [2.0])
         assert val == pytest.approx(-1.5)
 
     def test_two_dimensional_config(self):

@@ -19,7 +19,6 @@ from qvilab.obstacle import (
     SearchParams,
     _exact_slopes,
     _search,
-    _SliceEvaluator,
     default_search,
     evaluate,
     evaluate_slice,
@@ -217,6 +216,25 @@ class TestOracle:
                 got = obs._node_ties(grid, key, ti, tj, batch=batch)
                 assert np.array_equal(got, want)
 
+    def test_two_column_pick_keeps_the_incumbent(self):
+        # the search merges its incumbent (column 0) with each zoom level's
+        # pick (column 1) by the one (value, |xi|, lexicographic) rule
+        nan = np.nan
+        cases = [  # incumbent, candidate: (value, xi), then the column kept
+            ((1.0, (0.5, 0.0)), (1.0, (0.5, 0.0)), 0),  # full tie
+            ((1.0, (0.5, 0.0)), (0.9, (0.5, 0.0)), 1),  # lower value
+            ((1.0, (0.5, 0.0)), (1.0, (0.2, 0.0)), 1),  # shorter jump
+            ((1.0, (0.2, 0.0)), (1.0, (0.5, 0.0)), 0),
+            ((1.0, (0.8, 0.6)), (1.0, (0.6, 0.8)), 1),  # lexicographic
+            ((1.0, (0.6, 0.8)), (1.0, (0.8, 0.6)), 0),
+            ((1.0, (0.5, 0.0)), (nan, (0.1, 0.0)), 0),  # NaN keeps column 0
+            ((nan, (0.5, 0.0)), (0.1, (0.1, 0.0)), 0),
+        ]
+        values = np.array([[inc[0], cand[0]] for inc, cand, _ in cases])
+        xi = np.array([[inc[1], cand[1]] for inc, cand, _ in cases])
+        assert obs._batch_best(values, xi).tolist() == [
+            kept for _, _, kept in cases]
+
     def test_value_is_the_infimum_of_sampled_payoffs(self):
         # independent of the candidate rule: no feasible impulse, inside or
         # beyond the box, pays less than the reported value
@@ -241,8 +259,8 @@ class TestOracle:
 
 class TestSearchUpperBound:
     def search_values(self, grid, values, ell, search):
-        ev = _SliceEvaluator(grid, values, 0.5, ell, nodes_of(grid))
-        return _search(ev, Cone.orthant(grid.n), search)[0]
+        return _search(grid, values, 0.5, ell, nodes_of(grid),
+                       Cone.orthant(grid.n), search)[0]
 
     @pytest.mark.parametrize("xi_max", [5.0])
     def test_1d(self, xi_max):
@@ -278,9 +296,9 @@ class TestSearchUpperBound:
             exact, _, _ = evaluate_slice_values(
                 grid, res.V.values[k], float(grid.t[k]), cfg.problem.ell,
                 cfg.problem.cone, search)
-            ev = _SliceEvaluator(grid, res.V.values[k], float(grid.t[k]),
-                                 cfg.problem.ell, nodes_of(grid))
-            searched = _search(ev, cfg.problem.cone, search)[0]
+            searched = _search(grid, res.V.values[k], float(grid.t[k]),
+                               cfg.problem.ell, nodes_of(grid),
+                               cfg.problem.cone, search)[0]
             assert np.all(searched >= exact - 1e-12)
 
 
@@ -320,8 +338,7 @@ class TestEligibility:
         assert _exact_slopes(grid, 0.5, ell, cone, search) is None
         values = rng.normal(size=grid.x_nodes)
         got = evaluate_slice_values(grid, values, 0.5, ell, cone, search)
-        ev = _SliceEvaluator(grid, values, 0.5, ell, nodes_of(grid))
-        want = _search(ev, cone, search)
+        want = _search(grid, values, 0.5, ell, nodes_of(grid), cone, search)
         assert np.array_equal(got[0].ravel(), want[0])
         assert np.array_equal(got[1].reshape(-1, n), want[1])
         assert np.array_equal(got[2].ravel(), want[2])
