@@ -56,8 +56,9 @@ class SamplerSpec:
 
     `x_min`/`x_max` bound the spatial box, `p_max` the gradient box
     [-p_max, p_max]^n, and `xi_max` the ray coefficients of sampled
-    impulses.  When `grid` is given its nodes join the sample cloud (with
-    p = 0 and xi = 0 where those slots are needed).
+    impulses.  When `grid` is given its nodes join the `x` cloud and the
+    `(t, x, p)` cloud, there with p = 0; the cost clouds never include
+    them.
     """
 
     x_min: tuple
@@ -88,13 +89,17 @@ class SamplerSpec:
         return len(self.x_min)
 
 
-def default_sampler(grid, n_samples=512, seed=11, p_max=4.0, xi_max=None):
-    """Sampler over a grid's box, with the grid's nodes joined in."""
-    if xi_max is None:
-        # the ray-coefficient box the obstacle search scans
-        xi_max = default_search(grid).xi_max
-    return SamplerSpec(x_min=grid.x_min, x_max=grid.x_max, p_max=p_max,
-                       xi_max=xi_max, n_samples=n_samples, seed=seed, grid=grid)
+def default_sampler(grid):
+    """Sampler over a grid's box, with the grid's nodes joined in and ray
+    coefficients up to the radius the obstacle search scans."""
+    return SamplerSpec(x_min=grid.x_min, x_max=grid.x_max,
+                       xi_max=default_search(grid).xi_max, grid=grid)
+
+
+def _check_dimension(spec, problem):
+    if spec.n != problem.n:
+        raise ConfigError(
+            f"sampler dimension {spec.n} does not match problem dimension {problem.n}")
 
 
 def _grid_full_nodes(grid):
@@ -199,19 +204,15 @@ class AuditReport:
     def to_dict(self):
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
-    def summary(self):
-        lines = []
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            lines.append(f"{status}  {c.name}: worst margin {c.worst_margin:.6g} "
-                         f"over {c.points_tested} points")
-        return "\n".join(lines)
-
 
 def _py(value):
     if isinstance(value, np.ndarray):
         return [float(v) for v in value]
     return float(value)
+
+
+def _join(*notes):
+    return "; ".join(s for s in notes if s)
 
 
 def _masked_eval(node, env, count):
@@ -270,16 +271,19 @@ def _min_check(name, margins, points, tolerance, note=""):
 
 # ------------------------------------------------------ modulus estimate ----
 
-def _modulus_check(name, pair_values, T, spec, base_seed, step_seed):
+def _modulus_check(name, values, problem, fixed, spec, base_seed, step_seed):
     """Empirical modulus of continuity across three dyadic separation scales.
 
-    `pair_values(t, x, t2, x2)` returns the per-pair values whose absolute
-    difference the modulus bounds, with NaN at invalid points.  Pairs are
-    binned by actual separation |t - t2| + |x - x2|; the check's margin is
-    the smallest decrease between consecutive binned maxima, so it is
-    nonnegative exactly when the observed variation shrinks with the scale.
+    `values(problem, t, x, q)` returns (per-point values, note) with NaN at
+    invalid points.  Both ends of a pair (t, x), (t2, x2) read the same q,
+    the rows of `fixed` taken in turn, and the modulus bounds the absolute
+    difference of their values.  Pairs are binned by actual separation
+    |t - t2| + |x - x2|; the check's margin is the smallest decrease
+    between consecutive binned maxima, so it is nonnegative exactly when
+    the observed variation shrinks with the scale.
     """
     n = spec.n
+    T = problem.T
     lo = np.asarray(spec.x_min)
     hi = np.asarray(spec.x_max)
     radius0 = (T + float(np.linalg.norm(hi - lo))) / 4.0
@@ -307,8 +311,12 @@ def _modulus_check(name, pair_values, T, spec, base_seed, step_seed):
     t2, x2 = np.concatenate(t2s), np.vstack(x2s)
     sep = np.concatenate(seps)
 
-    diff, note = pair_values(t, x, t2, x2)
-    diff = np.abs(diff)
+    reps = int(np.ceil(len(t) / len(fixed)))
+    q = np.tile(fixed, (reps, 1))[:len(t)]
+    a, note_a = values(problem, t, x, q)
+    b, note_b = values(problem, t2, x2, q)
+    diff = np.abs(a - b)
+    note = _join(note_a, note_b)
 
     edges = [radius0, radius0 / 2.0, radius0 / 4.0, radius0 / 8.0]
     maxima = []
@@ -320,8 +328,7 @@ def _modulus_check(name, pair_values, T, spec, base_seed, step_seed):
         if not mask.any():
             maxima.append(0.0)
             worst_pairs.append(None)
-            note = (note + "; " if note else "") + \
-                f"empty separation bin at scale {edges[k]:.3g}"
+            note = _join(note, f"empty separation bin at scale {edges[k]:.3g}")
             continue
         vals = np.where(mask, diff, -np.inf)
         j = int(np.argmax(vals))
@@ -351,7 +358,7 @@ def _hamiltonian_vals(problem, t, x, p):
     if problem.g is not None:
         g_vals, g_note = _masked_eval(problem.g, make_env(t=t, x=x), len(t))
         vals = vals + g_vals
-        note = "; ".join(s for s in (note, g_note) if s)
+        note = _join(note, g_note)
     return vals, note
 
 
@@ -363,9 +370,7 @@ def audit_H1(problem, constants, sampler_spec):
     """Audit the terminal lower bound, the Hamiltonian growth envelope, and
     the Hamiltonian modulus of continuity."""
     spec = sampler_spec
-    if spec.n != problem.n:
-        raise ConfigError(
-            f"sampler dimension {spec.n} does not match problem dimension {problem.n}")
+    _check_dimension(spec, problem)
     checks = []
 
     x = _x_cloud(spec)
@@ -383,16 +388,9 @@ def audit_H1(problem, constants, sampler_spec):
 
     p_fixed = _halton(problem.n, spec.n_samples, spec.seed + _OFF_MOD_BASE + 17)
     p_fixed = (2.0 * p_fixed - 1.0) * spec.p_max
-
-    def h_pair_diff(t1, x1, t2, x2):
-        reps = int(np.ceil(len(t1) / len(p_fixed)))
-        p_pairs = np.tile(p_fixed, (reps, 1))[:len(t1)]
-        a, note_a = _hamiltonian_vals(problem, t1, x1, p_pairs)
-        b, note_b = _hamiltonian_vals(problem, t2, x2, p_pairs)
-        return a - b, "; ".join(s for s in (note_a, note_b) if s)
-
-    checks.append(_modulus_check("hamiltonian modulus", h_pair_diff, problem.T,
-                                 spec, _OFF_MOD_BASE, _OFF_MOD_STEP))
+    checks.append(_modulus_check("hamiltonian modulus", _hamiltonian_vals,
+                                 problem, p_fixed, spec,
+                                 _OFF_MOD_BASE, _OFF_MOD_STEP))
     return AuditReport(tuple(checks))
 
 
@@ -400,9 +398,7 @@ def audit_H2(problem, constants, sampler_spec):
     """Audit the impulse-cost coercivity floor, modulus, and strict
     subadditivity."""
     spec = sampler_spec
-    if spec.n != problem.n:
-        raise ConfigError(
-            f"sampler dimension {spec.n} does not match problem dimension {problem.n}")
+    _check_dimension(spec, problem)
     checks = []
     cone = problem.cone
 
@@ -416,16 +412,9 @@ def audit_H2(problem, constants, sampler_spec):
                              {"t": t, "x": x, "xi": xi_c}, TOL_SCAN, note))
 
     xi_fixed = _xi_cloud(spec, cone, _OFF_XI + 23)
-
-    def cost_pair_diff(t1, x1, t2, x2):
-        reps = int(np.ceil(len(t1) / len(xi_fixed)))
-        xi_pairs = np.tile(xi_fixed, (reps, 1))[:len(t1)]
-        a, note_a = _cost_vals(problem, t1, x1, xi_pairs)
-        b, note_b = _cost_vals(problem, t2, x2, xi_pairs)
-        return a - b, "; ".join(s for s in (note_a, note_b) if s)
-
-    checks.append(_modulus_check("cost modulus", cost_pair_diff, problem.T,
-                                 spec, _OFF_MOD_BASE + 13, _OFF_MOD_STEP + 13))
+    checks.append(_modulus_check("cost modulus", _cost_vals, problem,
+                                 xi_fixed, spec,
+                                 _OFF_MOD_BASE + 13, _OFF_MOD_STEP + 13))
 
     xi2 = _xi_cloud(spec, cone, _OFF_XI_PAIR)
     count = min(len(t), len(xi), len(xi2))
@@ -437,17 +426,20 @@ def audit_H2(problem, constants, sampler_spec):
     alt_two, n4 = _cost_vals(problem, ts, xs + b, a)
     combined, n5 = _cost_vals(problem, ts, xs, a + b)
     chained = np.minimum(one + two, alt_one + alt_two)
-    note = "; ".join(s for s in (n1, n2, n3, n4, n5) if s)
     checks.append(_min_check("cost subadditivity",
                              chained - combined - constants.delta0,
                              {"t": ts, "x": xs, "xi": a, "xi2": b},
-                             TOL_EXACT, note))
+                             TOL_EXACT, _join(n1, n2, n3, n4, n5)))
     return AuditReport(tuple(checks))
 
 
-def audit_comparison_hypotheses(problem_pair, constants, V, V_hat, sampler_spec):
-    """Audit the order relations between two problems and the growth and
-    Hoelder regularity of a candidate solution pair."""
+def audit_order(problem_pair, sampler_spec):
+    """Audit the data order of two problems on the sample clouds.
+
+    Three checks, in this order: "terminal order" (h <= h_hat),
+    "hamiltonian order" (H + g <= H_hat + g_hat) and "cost order"
+    (ell <= ell_hat); each margin is the second value minus the first.
+    """
     problem, problem_hat = problem_pair
     if problem.n != problem_hat.n:
         raise ConfigError("mismatched problem dimensions")
@@ -457,13 +449,8 @@ def audit_comparison_hypotheses(problem_pair, constants, V, V_hat, sampler_spec)
             or problem.cone.rays.shape != problem_hat.cone.rays.shape
             or not np.array_equal(problem.cone.rays, problem_hat.cone.rays)):
         raise ConfigError("compared problems must share the impulse cone")
-    if V.grid != V_hat.grid:
-        raise ConfigError("compared grid functions must share the grid")
     spec = sampler_spec
-    if spec.n != problem.n:
-        raise ConfigError(
-            f"sampler dimension {spec.n} does not match problem dimension {problem.n}")
-    n = problem.n
+    _check_dimension(spec, problem)
     checks = []
 
     x = _x_cloud(spec)
@@ -471,14 +458,14 @@ def audit_comparison_hypotheses(problem_pair, constants, V, V_hat, sampler_spec)
     h_vals, n1 = _masked_eval(problem.h, env, len(x))
     h_hat, n2 = _masked_eval(problem_hat.h, env, len(x))
     checks.append(_min_check("terminal order", h_hat - h_vals, {"x": x},
-                             TOL_EXACT, "; ".join(s for s in (n1, n2) if s)))
+                             TOL_EXACT, _join(n1, n2)))
 
     t, xs, p = _txp_cloud(spec, problem.T)
     ham, n1 = _hamiltonian_vals(problem, t, xs, p)
     ham_hat, n2 = _hamiltonian_vals(problem_hat, t, xs, p)
     checks.append(_min_check("hamiltonian order", ham_hat - ham,
                              {"t": t, "x": xs, "p": p}, TOL_EXACT,
-                             "; ".join(s for s in (n1, n2) if s)))
+                             _join(n1, n2)))
 
     xi = _xi_cloud(spec, problem.cone, _OFF_XI)
     tc, xc = _tx_cloud(spec, problem.T)
@@ -488,7 +475,18 @@ def audit_comparison_hypotheses(problem_pair, constants, V, V_hat, sampler_spec)
     cost_hat, n2 = _cost_vals(problem_hat, tc, xc, xi)
     checks.append(_min_check("cost order", cost_hat - cost,
                              {"t": tc, "x": xc, "xi": xi}, TOL_EXACT,
-                             "; ".join(s for s in (n1, n2) if s)))
+                             _join(n1, n2)))
+    return AuditReport(tuple(checks))
+
+
+def audit_comparison_hypotheses(problem_pair, constants, V, V_hat, sampler_spec):
+    """Audit the data order of two problems (the checks of audit_order)
+    and the growth and Hoelder regularity of a candidate solution pair."""
+    if V.grid != V_hat.grid:
+        raise ConfigError("compared grid functions must share the grid")
+    checks = list(audit_order(problem_pair, sampler_spec).checks)
+    spec = sampler_spec
+    n = spec.n
 
     grid = V.grid
     gt, gx = _grid_full_nodes(grid)

@@ -42,22 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .assumptions import (
-    TOL_EXACT,
-    SamplerSpec,
-    _OFF_XI,
-    _masked_eval,
-    _tx_cloud,
-    _txp_cloud,
-    _x_cloud,
-    _xi_cloud,
-    audit_comparison_hypotheses,
-    default_sampler,
-)
-from .core import (AssumptionConstants, ConfigError, ImpulseProblem, make_env,
-                   role_variables)
+from .assumptions import (SamplerSpec, audit_comparison_hypotheses,
+                          audit_order, default_sampler)
+from .core import ConfigError, ImpulseProblem, make_env, role_variables
 from .solver import SchemeParams, estimate_dissipation, interior_mask, solve_qvi
-from .viscosity import _tolerance_unit
 
 __all__ = [
     "DoublingParams",
@@ -79,12 +67,6 @@ CERTIFICATE_TUPLES = 1000  # random tuples each level's maximum is checked on
 CERTIFICATE_SEED = 7
 
 _ORDER_CHECKS = ("terminal order", "hamiltonian order", "cost order")
-
-# constants used only to gate on the order checks; growth and regularity
-# bounds are made vacuous
-_PERMISSIVE = AssumptionConstants(
-    L=1.0, mu=0.0, h0=1.0, ell0=1e-9, alpha=1e-9, beta=0.5, delta0=1e-9,
-    C=1e9, gamma=0.0, kappa=0.25)
 
 
 # ------------------------------------------------------------- ordering ----
@@ -108,57 +90,39 @@ def _plus(base_node, offset):
     return ex.Bin("+", base_node, offset)
 
 
-def _require_nonneg(node, env, count, label):
-    vals, _ = _masked_eval(node, env, count)
-    vals = np.asarray(vals, dtype=float)
-    finite = np.isfinite(vals)
-    if not finite.any():
-        raise ConfigError(f"{label} could not be evaluated on the sample set")
-    worst = int(np.nanargmin(np.where(finite, vals, np.nan)))
-    if vals[worst] < -TOL_EXACT:
-        where = {k: np.asarray(v).ravel()[worst] for k, v in env.items()}
-        raise ConfigError(
-            f"{label} samples negative: {vals[worst]:.6g} at "
-            + ", ".join(f"{k}={v:.6g}" for k, v in sorted(where.items())))
-
-
 def ordered_pair_generator(base, offsets):
     """Build a problem pair ordered by construction.
 
     ``offsets`` is a triple (dh, dH, dell) of expressions or strings
     (None means zero): the returned pair is (base, dominated) with
-    h + dh, H + dH, ell + dell on the second member.  Each offset is
-    sampled over the audit clouds and must be nonnegative there, so the
-    order hypotheses of compare_solutions hold on the sample set.
+    h + dh, H + dH, ell + dell on the second member.  The pair's data
+    order is audited (assumptions.audit_order) over [-4, 4]^n, and each
+    given offset must keep its order there, so the order hypotheses of
+    compare_solutions hold on the sample set.
     """
     if len(offsets) != 3:
         raise ConfigError("offsets must be a (dh, dH, dell) triple")
     n = base.n
     roles = role_variables(n)
-    dh = _offset_expr(offsets[0], roles["h"], "terminal offset")
-    dH = _offset_expr(offsets[1], roles["H"], "hamiltonian offset")
-    dell = _offset_expr(offsets[2], roles["ell"], "cost offset")
-
-    spec = SamplerSpec(x_min=(-4.0,) * n, x_max=(4.0,) * n)
-
-    if dh is not None:
-        X = _x_cloud(spec)
-        _require_nonneg(dh, make_env(x=X), len(X), "terminal offset")
-    if dH is not None:
-        t, x, p = _txp_cloud(spec, base.T)
-        _require_nonneg(dH, make_env(t=t, x=x, p=p), len(t),
-                        "hamiltonian offset")
-    if dell is not None:
-        xi = _xi_cloud(spec, base.cone, _OFF_XI)
-        t, x = _tx_cloud(spec, base.T)
-        count = min(len(t), len(xi))
-        env = make_env(t=t[:count], x=x[:count], xi=xi[:count])
-        _require_nonneg(dell, env, count, "cost offset")
+    labels = ("terminal offset", "hamiltonian offset", "cost offset")
+    dh, dH, dell = (_offset_expr(raw, roles[role], label) for raw, role, label
+                    in zip(offsets, ("h", "H", "ell"), labels))
 
     dominated = ImpulseProblem(
         n=base.n, T=base.T,
         H=_plus(base.H, dH), h=_plus(base.h, dh), ell=_plus(base.ell, dell),
         cone=base.cone, g=base.g)
+    order = audit_order((base, dominated),
+                        SamplerSpec(x_min=(-4.0,) * n, x_max=(4.0,) * n))
+    for offset, label, check in zip((dh, dH, dell), labels, order.checks):
+        if offset is None or check.passed:
+            continue
+        if check.points_tested == 0:
+            raise ConfigError(f"{label} could not be evaluated on the sample set")
+        where = make_env(**check.worst_point)
+        raise ConfigError(
+            f"{label} samples negative: {check.worst_margin:.6g} at "
+            + ", ".join(f"{k}={v:.6g}" for k, v in sorted(where.items())))
     return base, dominated
 
 
@@ -171,7 +135,6 @@ class ComparisonReport:
 
     max_difference: float
     tolerance: float
-    passed: bool
     ordered: bool
     audit: object
     scheme: SchemeParams
@@ -179,6 +142,11 @@ class ComparisonReport:
     V_hat: object
     interior_points: int
     notes: str = ""
+
+    @property
+    def passed(self):
+        """The data are ordered and max(V - V_hat) is within the tolerance."""
+        return self.ordered and self.max_difference <= self.tolerance
 
     def to_dict(self):
         return {
@@ -192,17 +160,11 @@ class ComparisonReport:
             "notes": self.notes,
         }
 
-    def summary(self):
-        verdict = "pass" if self.passed else "FAIL"
-        return (f"{verdict}  max(V - V_hat) = {self.max_difference:.6g} "
-                f"over {self.interior_points} interior nodes "
-                f"(tolerance {self.tolerance:.6g})")
 
-
-def shared_scheme(problem, problem_hat, grid, factor=1.05):
+def shared_scheme(problem, problem_hat, grid):
     """One dissipation vector strong enough for both Hamiltonians."""
-    a = estimate_dissipation(problem, grid, factor)
-    b = estimate_dissipation(problem_hat, grid, factor)
+    a = estimate_dissipation(problem, grid)
+    b = estimate_dissipation(problem_hat, grid)
     return SchemeParams(dissipation=tuple(max(u, v) for u, v in zip(a, b)))
 
 
@@ -210,10 +172,13 @@ def compare_solutions(problem, problem_hat, grid, constants=None,
                       override=False):
     """Solve both problems with one scheme and measure max(V - V_hat).
 
-    The data order is audited first (terminal, Hamiltonian, cost margins
-    all nonnegative on the sample clouds); a failed audit raises unless
-    ``override`` is set, in which case the difference is measured anyway
-    and the report carries ordered=False.
+    The data order (terminal, Hamiltonian, cost margins all nonnegative
+    on the default sampler's clouds) is audited after both solves: by
+    assumptions.audit_order, or, when ``constants`` are given, as part of
+    audit_comparison_hypotheses, which also bounds the two solutions.  A
+    failed order audit raises unless ``override`` is set, in which case
+    the difference is measured anyway and the report carries
+    ordered=False.
     """
     if problem.n != problem_hat.n:
         raise ConfigError("mismatched problem dimensions")
@@ -223,14 +188,16 @@ def compare_solutions(problem, problem_hat, grid, constants=None,
     res = solve_qvi(problem, grid, scheme)
     res_hat = solve_qvi(problem_hat, grid, scheme)
 
-    audit = audit_comparison_hypotheses(
-        (problem, problem_hat), constants if constants is not None
-        else _PERMISSIVE, res.V, res_hat.V, default_sampler(grid))
-    ordered = all(audit.check(name).passed for name in _ORDER_CHECKS)
+    pair, spec = (problem, problem_hat), default_sampler(grid)
+    if constants is None:
+        audit = audit_order(pair, spec)
+    else:
+        audit = audit_comparison_hypotheses(pair, constants, res.V, res_hat.V,
+                                            spec)
+    failing = [name for name in _ORDER_CHECKS if not audit.check(name).passed]
+    ordered = not failing
     notes = []
     if not ordered:
-        failing = [name for name in _ORDER_CHECKS
-                   if not audit.check(name).passed]
         if not override:
             raise ConfigError(
                 "data order audit failed: " + ", ".join(failing)
@@ -247,10 +214,9 @@ def compare_solutions(problem, problem_hat, grid, constants=None,
         interior = int(diff.size)
         notes.append("interior sub-box empty; measured over all nodes")
 
-    tolerance = 10.0 * _tolerance_unit(grid)
     return ComparisonReport(
-        max_difference=max_diff, tolerance=tolerance,
-        passed=bool(max_diff <= tolerance), ordered=ordered, audit=audit,
+        max_difference=max_diff, tolerance=10.0 * grid.tolerance_unit,
+        ordered=ordered, audit=audit,
         scheme=scheme, V=res.V, V_hat=res_hat.V, interior_points=interior,
         notes="; ".join(notes))
 
@@ -330,19 +296,6 @@ class DoublingDiagnostics:
     def final(self) -> DoublingLevel:
         return self.levels[-1]
 
-    @property
-    def argmax(self):
-        f = self.final
-        return (f.t0, f.s0, f.x0, f.y0)
-
-    @property
-    def phi_value(self):
-        return self.final.phi_value
-
-    @property
-    def residual_symmetry(self):
-        return self.final.residual_symmetry
-
     def gaps_nonincreasing(self):
         pairs = zip(self.levels, self.levels[1:])
         return all(b.t_gap <= a.t_gap + 1e-12 and b.x_gap <= a.x_gap + 1e-12
@@ -359,18 +312,6 @@ class DoublingDiagnostics:
             "levels": [lev.to_dict() for lev in self.levels],
             "notes": self.notes,
         }
-
-    def summary(self):
-        lines = [
-            f"two-point search: stride {self.stride}, "
-            f"{self.tuples_per_level} tuples per level, certificate "
-            + ("ok" if self.certificate_ok else "FAILED")]
-        for lev in self.levels:
-            lines.append(
-                f"  eps={lev.epsilon:g} delta={lev.delta:g}: "
-                f"|t0-s0|={lev.t_gap:.6g} |x0-y0|={lev.x_gap:.6g} "
-                f"residual={lev.residual_symmetry:.6g}")
-        return "\n".join(lines)
 
 
 def write_trend_csv(diag, path):

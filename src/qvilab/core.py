@@ -195,8 +195,8 @@ class Grid:
         object.__setattr__(self, "x_min", tuple(float(v) for v in np.atleast_1d(self.x_min)))
         object.__setattr__(self, "x_max", tuple(float(v) for v in np.atleast_1d(self.x_max)))
         object.__setattr__(self, "x_nodes", tuple(int(v) for v in np.atleast_1d(self.x_nodes)))
-        if self.T <= 0.0:
-            raise ConfigError(f"grid needs T > 0, got {self.T}")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ConfigError(f"grid needs a finite T > 0, got {self.T}")
         if self.t_nodes < 2:
             raise ConfigError(f"grid needs t_nodes >= 2, got {self.t_nodes}")
         if not (len(self.x_min) == len(self.x_max) == len(self.x_nodes)):
@@ -204,6 +204,9 @@ class Grid:
         for d, (lo, hi, cnt) in enumerate(zip(self.x_min, self.x_max, self.x_nodes)):
             if cnt < 2:
                 raise ConfigError(f"grid needs x_nodes >= 2 in dimension {d + 1}")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigError(
+                    f"grid needs finite x_min and x_max in dimension {d + 1}")
             if not lo < hi:
                 raise ConfigError(f"grid needs x_min < x_max in dimension {d + 1}")
         # node coordinates, built once and kept out of the dataclass fields
@@ -211,10 +214,13 @@ class Grid:
         t = np.linspace(0.0, self.T, self.t_nodes)
         axes = tuple(np.linspace(lo, hi, cnt)
                      for lo, hi, cnt in zip(self.x_min, self.x_max, self.x_nodes))
-        for arr in (t,) + axes:
+        meshes = np.meshgrid(*axes, indexing="ij")
+        space = np.stack([m.ravel() for m in meshes], axis=-1)
+        for arr in (t, space) + axes:
             arr.setflags(write=False)
         object.__setattr__(self, "_t", t)
         object.__setattr__(self, "_axes", axes)
+        object.__setattr__(self, "_space_nodes", space)
 
     @property
     def n(self):
@@ -246,6 +252,11 @@ class Grid:
         return (self.t_nodes,) + tuple(self.x_nodes)
 
     @property
+    def tolerance_unit(self):
+        """Step scale dt + sum(dx); default tolerances are multiples of it."""
+        return self.dt + float(sum(self.dx))
+
+    @property
     def box_diagonal(self):
         return float(
             np.sqrt(sum((hi - lo) ** 2 for lo, hi in zip(self.x_min, self.x_max)))
@@ -261,9 +272,9 @@ class Grid:
         return make_env(t=t, x=x)
 
     def space_nodes(self):
-        """Space node coordinates in row-major order, shape (nodes, n)."""
-        meshes = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in meshes], axis=-1)
+        """Space node coordinates in row-major order, shape (nodes, n): a
+        read-only array built once per grid."""
+        return self._space_nodes
 
     def refine(self, factor=2):
         """Grid with factor-times finer spacing in every direction."""
@@ -432,8 +443,8 @@ class ImpulseProblem:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ConfigError(f"space dimension must be 1 or 2, got {self.n}")
-        if self.T <= 0.0:
-            raise ConfigError(f"need T > 0, got {self.T}")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ConfigError(f"need a finite T > 0, got {self.T}")
         if self.cone.n != self.n:
             raise ConfigError(
                 f"cone dimension {self.cone.n} does not match problem dimension {self.n}"
@@ -576,11 +587,16 @@ def _float(value, key):
     return parts[0]
 
 
-def _int(value, key):
-    f = _float(value, key)
-    if f != int(f):
+def _ints(value, key):
+    parts = _floats(value, key)
+    if not all(math.isfinite(f) and f == int(f) for f in parts):
         raise ConfigError(f"value for '{key}' must be an integer, got {value!r}")
-    return int(f)
+    return tuple(int(f) for f in parts)
+
+
+def _int(value, key):
+    _float(value, key)  # one number, not a list
+    return _ints(value, key)[0]
 
 
 def _require(section, key, table):
@@ -679,7 +695,7 @@ def load_problem(text, overrides=()):
     )
 
     t_nodes = _int(_require("grid", "t_nodes", grd), "t_nodes")
-    x_nodes = tuple(int(v) for v in _floats(_require("grid", "x_nodes", grd), "x_nodes"))
+    x_nodes = _ints(_require("grid", "x_nodes", grd), "x_nodes")
     x_min = _floats(_require("grid", "x_min", grd), "x_min")
     x_max = _floats(_require("grid", "x_max", grd), "x_max")
     if not (len(x_nodes) == len(x_min) == len(x_max) == n):

@@ -351,22 +351,6 @@ class SeparationReport:
             "notes": self.notes,
         }
 
-    def summary(self):
-        lines = [
-            "classical super-solution check: "
-            + ("pass" if self.classical.passed else "FAIL"),
-            "modified super-solution check:  "
-            + ("pass" if self.modified.passed else "FAIL")
-            + f" ({len(self.modified.constraint_violations)} constraint"
-              " violations)",
-            "transport sub-solution check:   "
-            + ("pass" if self.sub.passed else "FAIL"),
-            "separation exhibited: " + ("yes" if self.separated else "no"),
-        ]
-        if self.notes:
-            lines.append(self.notes)
-        return "\n".join(lines)
-
 
 def verify_separation(instance, grid, tol_factor=TOL_FACTOR, search=None):
     """Run all three checkers on the sampled profile over one grid.

@@ -24,7 +24,6 @@ minimum of that and the obstacle gap N[V] - V.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from math import ceil
 from typing import Optional
@@ -50,6 +49,8 @@ class FixedPointError(SolverError):
 
 FP_TOL = 1e-9  # a slice's obstacle fixed point settles below this update
 FP_MAX_ITER = 100  # sweeps before the fixed point is declared stuck
+DISSIPATION_FACTOR = 1.05  # margin of sigma_d over the largest |dH/dp_d|
+DISSIPATION_SAMPLES = 512  # Halton (t, x, p) points, seed 0
 
 
 @dataclass(frozen=True)
@@ -66,14 +67,19 @@ class SchemeParams:
             raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
 
 
-def estimate_dissipation(problem, grid, factor=1.05, n_samples=512, seed=0):
-    """Dissipation per axis: factor times the largest sampled |dH/dp_d|.
+def estimate_dissipation(problem, grid):
+    """Dissipation per axis: DISSIPATION_FACTOR times the largest sampled
+    |dH/dp_d|.
 
     The p-range per axis comes from one-sided difference quotients of the
     terminal slice, padded by one plus half their spread; (t, x, p) sample
     points are low-discrepancy so the estimate is reproducible.
     """
-    h_vals = sample_terminal(problem.h, grid)
+    return _dissipation(problem, grid, sample_terminal(problem.h, grid))
+
+
+def _dissipation(problem, grid, h_vals):
+    """estimate_dissipation on the terminal slice h_vals, sampled already."""
     p_lo, p_hi = [], []
     for d in range(grid.n):
         diffs = np.diff(h_vals, axis=d) / grid.dx[d]
@@ -83,7 +89,7 @@ def estimate_dissipation(problem, grid, factor=1.05, n_samples=512, seed=0):
         p_hi.append(float(diffs.max()) + pad if diffs.size else pad)
 
     n = grid.n
-    u = halton(1 + 2 * n, n_samples, seed)
+    u = halton(1 + 2 * n, DISSIPATION_SAMPLES, 0)
     t_s = u[:, 0] * grid.T
     x_s = [grid.x_min[d] + u[:, 1 + d] * (grid.x_max[d] - grid.x_min[d])
            for d in range(n)]
@@ -98,13 +104,13 @@ def estimate_dissipation(problem, grid, factor=1.05, n_samples=512, seed=0):
         dh = (np.asarray(ex.evaluate(problem.H, hi), dtype=float)
               - np.asarray(ex.evaluate(problem.H, lo), dtype=float))
         slope = np.abs(dh) / (2.0 * eps)
-        sigma.append(factor * float(slope.max()) if slope.size else 0.0)
+        sigma.append(DISSIPATION_FACTOR * float(slope.max())
+                     if slope.size else 0.0)
     return tuple(sigma)
 
 
-def make_scheme_params(problem, grid, factor=1.05, **kwargs) -> SchemeParams:
-    return SchemeParams(dissipation=estimate_dissipation(problem, grid, factor),
-                        **kwargs)
+def make_scheme_params(problem, grid) -> SchemeParams:
+    return SchemeParams(dissipation=estimate_dissipation(problem, grid))
 
 
 def cfl_number(grid, scheme: SchemeParams) -> float:
@@ -140,7 +146,6 @@ class SolveResult:
     iterations: np.ndarray
     flags: tuple
     scheme: SchemeParams
-    wall_time: float
 
 
 # ------------------------------------------------------------------ steps ----
@@ -211,14 +216,14 @@ def _backward(problem, grid, scheme, constants, obstacle, search=None):
     Off, no obstacle call is made and no gap, argmin or truncation array
     is allocated; the residual (W0 - V_k)/dt then vanishes identically.
     """
-    start = time.perf_counter()
+    terminal = sample_terminal(problem.h, grid)
     if scheme is None:
-        scheme = make_scheme_params(problem, grid)
+        scheme = SchemeParams(dissipation=_dissipation(problem, grid, terminal))
     check_cfl(grid, scheme)
     x = np.meshgrid(*grid.axes, indexing="ij")
     nt = grid.t_nodes
     V = np.empty(grid.shape)
-    V[nt - 1] = sample_terminal(problem.h, grid)
+    V[nt - 1] = terminal
     residual = np.zeros(grid.shape)
     iterations = np.zeros(nt, dtype=int)
     gap = argmin = truncated = None
@@ -260,7 +265,6 @@ def _backward(problem, grid, scheme, constants, obstacle, search=None):
         iterations=iterations,
         flags=tuple(flags),
         scheme=scheme,
-        wall_time=time.perf_counter() - start,
     )
 
 

@@ -150,13 +150,6 @@ class ViscosityReport:
             "notes": self.notes,
         }
 
-    def summary(self):
-        verdict = "no violation found" if self.passed else "FAIL"
-        counts = ", ".join(f"{len(rows)} {kind}"
-                           for kind, rows in self.kinds())
-        return (f"{self.variant}: {verdict} ({counts} violations; "
-                f"{self.points_tested} points x {self.probes_per_point} probes)")
-
 
 def write_violations_csv(report, path):
     """Plot-ready CSV of all violation locations in a report: one line per
@@ -200,11 +193,6 @@ def _block(arr, offsets, radius):
     idx = tuple(slice(radius + o, s - radius + o)
                 for o, s in zip(offsets, arr.shape))
     return arr[idx]
-
-
-def _tolerance_unit(grid):
-    """Step scale dt + sum(dx); default probe tolerances are multiples of it."""
-    return grid.dt + float(sum(grid.dx))
 
 
 class _ProbeField:
@@ -427,7 +415,7 @@ def _check(variant, V, problem, tol_factor, gap=None):
     side, constrained, sees_gap = _NOTIONS[variant]
     validate_tol_factor(tol_factor)
     grid = V.grid
-    unit = _tolerance_unit(grid)
+    unit = grid.tolerance_unit
     if constrained or sees_gap:
         gap = _gap_or_compute(V, problem, gap)
     field = _ProbeField(V, problem)
@@ -475,7 +463,7 @@ def check_qvi_subsolution_decomposed(V, problem, tol_factor=TOL_FACTOR,
     constraint check and the pure transport check separately and conjoin
     the verdicts.  Produces the same violation sets as the direct check."""
     hjb = check_hjb_subsolution(V, problem, tol_factor)
-    unit = _tolerance_unit(V.grid)
+    unit = V.grid.tolerance_unit
     gap = _gap_or_compute(V, problem, gap)
     constraint = _constraint_nodes(V, gap, unit)
     note = "decomposed: constraint check conjoined with transport check"

@@ -260,6 +260,31 @@ class TestCompare:
         report = json.loads((tmp_path / "compare.json").read_text())
         assert report["ordered"] is False
 
+    def test_every_output_gives_one_verdict(self, tmp_path, capsys):
+        # lifting the first h puts it above the second: the data are not
+        # ordered, although max(V - V_hat) = 0.1 is within the tolerance
+        cfg = tmp_path / "high.cfg"
+        cfg.write_text(Path(EXAMPLE).read_text().replace(
+            'h = "x1*exp(-x1)"', 'h = "x1*exp(-x1) + 0.1"'))
+        out = tmp_path / "out"
+        assert run(["compare", str(cfg), EXAMPLE, *FAST,
+                    "--out", str(out)]) == 1
+        report = json.loads((out / "compare.json").read_text())
+        assert report["ordered"] is False
+        assert report["max_difference"] == pytest.approx(0.1, abs=1e-9)
+        assert report["max_difference"] <= report["tolerance"]
+        assert report["passed"] is False
+        assert json.loads((out / "manifest.json").read_text())["passed"] is False
+        assert "compare: FAIL" in capsys.readouterr().out
+
+    def test_tol_is_the_recorded_tolerance(self, tmp_path, capsys):
+        assert run(["compare", EXAMPLE, LIFTED, *FAST, "--tol", "0",
+                    "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "compare.json").read_text())
+        assert report["tolerance"] == 0.0
+        assert report["passed"] is True
+        assert "(tolerance 0)" in capsys.readouterr().out
+
     def test_mismatched_grids_are_invalid(self, tmp_path):
         cfg = tmp_path / "wide.cfg"
         cfg.write_text(Path(EXAMPLE).read_text().replace(
@@ -385,6 +410,22 @@ TOL_COMMANDS = {
     "compare": ["compare", EXAMPLE, LIFTED, *FAST],
     "reproduce-example": ["reproduce-example", *FAST],
 }
+
+
+class TestConfigNumbers:
+    @pytest.mark.parametrize("flags", [
+        ["--set", "grid.x_nodes=1e400"],
+        ["--set", "grid.t_nodes=nan"],
+        ["--set", "grid.t_nodes=inf"],
+        ["--set", "problem.T=inf"],
+        ["--set", "problem.T=nan"],
+        ["--set", "grid.x_max=inf"],
+        ["--grid-nx", "2.5"],
+    ], ids=lambda flags: "=".join(flags).lstrip("-"))
+    def test_non_finite_or_fractional_numbers_are_invalid(self, flags,
+                                                          tmp_path, capsys):
+        assert run(["solve", EXAMPLE, *flags, "--out", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestFlags:

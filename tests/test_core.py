@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 from pathlib import Path
@@ -130,6 +131,30 @@ class TestGrid:
             Grid(1.0, 11, (4.0,), (-1.0,), (21,))
         with pytest.raises(ConfigError):
             Grid(-1.0, 11, (-1.0,), (4.0,), (21,))
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ConfigError, match="finite T"):
+                Grid(bad, 11, (-1.0,), (4.0,), (21,))
+            with pytest.raises(ConfigError, match="finite x_min and x_max"):
+                Grid(1.0, 11, (-1.0,), (bad,), (21,))
+            with pytest.raises(ConfigError, match="finite x_min and x_max"):
+                Grid(1.0, 11, (-bad,), (4.0,), (21,))
+
+    def test_space_nodes_are_built_once_read_only(self):
+        grid = Grid(1.0, 3, (0.0, -1.0), (1.0, 1.0), (3, 4))
+        nodes = grid.space_nodes()
+        assert grid.space_nodes() is nodes
+        with pytest.raises(ValueError):
+            nodes[0, 0] = 5.0
+        mesh = np.meshgrid(*grid.axes, indexing="ij")
+        assert np.array_equal(nodes, np.stack([m.ravel() for m in mesh], -1))
+        twin = Grid(1.0, 3, (0.0, -1.0), (1.0, 1.0), (3, 4))
+        assert twin == grid and hash(twin) == hash(grid)
+        assert repr(twin) == repr(grid) and "_space" not in repr(grid)
+
+    def test_tolerance_unit(self):
+        grid = Grid(1.0, 11, (0.0, -1.0), (1.0, 1.0), (21, 5))
+        assert grid.tolerance_unit == grid.dt + float(sum(grid.dx))
+        assert grid.tolerance_unit == pytest.approx(0.1 + 0.05 + 0.5)
 
 
 class TestGridFunction:
@@ -269,6 +294,46 @@ class TestVariableConvention:
             core.make_env(y=[column])
 
 
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+class TestModuleBoundaries:
+    def test_no_module_reads_another_modules_private_names(self):
+        """A name with a leading underscore stays inside its module: no
+        qvilab module imports one from another or reads `alias._name`
+        through a module it imported."""
+        offenders = []
+        for path in sorted(Path(core.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            modules = set()  # local names bound to qvilab modules
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules.update(alias.asname or alias.name.split(".")[0]
+                                   for alias in node.names
+                                   if alias.name.split(".")[0] == "qvilab")
+                elif isinstance(node, ast.ImportFrom):
+                    source = node.module or ""
+                    if node.level == 0 and source.split(".")[0] != "qvilab":
+                        continue
+                    for alias in node.names:
+                        if _private(alias.name):
+                            offenders.append(
+                                f"{path.name}:{node.lineno} imports {alias.name}")
+                        elif source in ("", "qvilab"):  # a module itself
+                            modules.add(alias.asname or alias.name)
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Attribute) and _private(node.attr)):
+                    continue
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in modules:
+                    offenders.append(
+                        f"{path.name}:{node.lineno} reads {root.id}...{node.attr}")
+        assert offenders == []
+
+
 class TestInterpolation:
     def test_values_at_nodes_exact(self):
         grid = Grid(1.0, 2, (0.0,), (2.0,), (5,))
@@ -404,6 +469,13 @@ x_max = 1.0, 1.0
                 cone=Cone.orthant(1),
             )
         assert "h" in str(err.value)
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan, 0.0])
+    def test_problem_needs_a_finite_positive_horizon(self, T):
+        with pytest.raises(ConfigError, match="finite T > 0"):
+            ImpulseProblem(n=1, T=T, H=parse("-p1", ("p1",)),
+                           h=parse("1", ()), ell=parse("1", ()),
+                           cone=Cone.orthant(1))
 
     def test_deterministic_loading(self):
         a = load_problem(BASIC_CONFIG)

@@ -177,7 +177,6 @@ class TestVerdicts:
         assert payload["classical_passed"] is True
         assert payload["modified_passed"] is False
         assert payload["constraint_violations"] > 0
-        assert "separation exhibited: yes" in report.summary()
 
     def test_tolerance_factor_reaches_every_checker(self, inst):
         grid = Grid(T=1.0, t_nodes=21, x_min=(-1.0,), x_max=(4.0,),
@@ -199,4 +198,3 @@ class TestVerdicts:
         assert not rep.separated
         assert rep.violations_in_band
         assert "shrink" in rep.notes
-        assert "separation exhibited: no" in rep.summary()

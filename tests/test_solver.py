@@ -212,6 +212,29 @@ class TestObstacleOff:
         assert not (tmp_path / "obstacle_gap.csv").exists()
 
 
+class TestTerminalSample:
+    @pytest.mark.parametrize("solve", [solve_qvi, solve_hjb])
+    def test_h_is_evaluated_once_per_solve(self, solve, monkeypatch):
+        problem = transport_problem()
+        grid = Grid(T=1.0, t_nodes=21, x_min=(-1.0,), x_max=(4.0,),
+                    x_nodes=(51,))
+        expected = estimate_dissipation(problem, grid)
+        evaluate = ex.evaluate
+        reads = []
+
+        def counting(node, env):
+            reads.append(node is problem.h)
+            return evaluate(node, env)
+
+        monkeypatch.setattr(ex, "evaluate", counting)
+        res = solve(problem, grid)
+        assert sum(reads) == 1
+        # the one sample feeds the dissipation estimate and the last slice
+        assert res.scheme.dissipation == expected
+        assert np.array_equal(res.V.values[-1],
+                              f_profile(grid.axes[0]))
+
+
 class TestGuards:
     def test_cfl_error_names_needed_nodes(self):
         problem = transport_problem(H_src="-3*p1")

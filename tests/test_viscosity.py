@@ -262,17 +262,17 @@ class TestSolverSelfConsistency:
     def test_solution_is_a_constrained_subsolution(self, problem, fine):
         report = vc.check_qvi_subsolution(fine.V, problem,
                                           gap=fine.obstacle_gap)
-        assert report.passed, vc.ViscosityReport.summary(report)
+        assert report.passed
 
     def test_solution_passes_classical_super_check(self, problem, fine):
         report = vc.check_qvi_supersolution_classical(fine.V, problem,
                                                       gap=fine.obstacle_gap)
-        assert report.passed, report.summary()
+        assert report.passed
 
     def test_solution_passes_modified_super_check(self, problem, fine):
         report = vc.check_qvi_supersolution_modified(fine.V, problem,
                                                      gap=fine.obstacle_gap)
-        assert report.passed, report.summary()
+        assert report.passed
 
 
 class TestSeparationPattern:
@@ -436,10 +436,3 @@ class TestEdgesAndPlumbing:
         first = lines[1].split(",")
         assert first[0] == "probe"
         assert float(first[3]) == pytest.approx(report.violations.t[0])
-
-    def test_summary_mentions_counts(self, problem):
-        V = frozen_terminal(GRID)
-        report = vc.check_hjb_subsolution(V, problem)
-        text = report.summary()
-        assert "FAIL" in text
-        assert str(report.points_tested) in text
