@@ -26,9 +26,8 @@ grid = Grid(T=1.0, t_nodes=201, x_min=(0.5,), x_max=(3.5,), x_nodes=(351,))
 V = sample(ex.parse("(x1 - 1 + t)*exp(-(x1 - 1 + t))", ("t", "x1")), grid)
 result = solve_qvi(problem, grid)
 
-params = cmp.DoublingParams(theta=0.001)
 levels = (0.1, 0.05, 0.025, 0.0125)
-diag = cmp.doubling_maximize(V, result.V, params=params, levels=levels)
+diag = cmp.doubling_maximize(V, result.V, theta=0.001, levels=levels)
 
 print("    eps     t-gap     x-gap     Phi max    residual")
 for lev in diag.levels:

@@ -7,8 +7,8 @@ import numpy as np
 
 from qvilab import expr as ex
 from qvilab.core import Cone, Grid, ImpulseProblem
-from qvilab.solver import (SchemeParams, estimate_dissipation, interior_mask,
-                           solve_hjb, suggest_t_nodes)
+from qvilab.solver import (estimate_dissipation, interior_mask, solve_hjb,
+                           suggest_t_nodes)
 
 problem = ImpulseProblem(
     n=1, T=1.0,
@@ -29,7 +29,7 @@ for x_nodes in (351, 701, 1401):
     nt = suggest_t_nodes(probe, sigma)
     grid = Grid(T=1.0, t_nodes=nt, x_min=(-2.0,), x_max=(5.0,),
                 x_nodes=(x_nodes,))
-    result = solve_hjb(problem, grid, SchemeParams(dissipation=sigma))
+    result = solve_hjb(problem, grid, sigma)
 
     env = grid.full_env()
     u = env["x1"] - grid.T + env["t"]

@@ -162,7 +162,7 @@ def cmd_solve(args):
         result = solve_qvi(cfg.problem, cfg.grid, constants=cfg.constants)
 
     tol = args.tol if args.tol is not None else 10.0 * cfg.grid.tolerance_unit
-    mask = interior_mask(cfg.grid, result.scheme)
+    mask = interior_mask(cfg.grid, result.dissipation)
     interior = np.abs(result.residual.values[mask])
     fraction = float((interior <= tol).mean()) if interior.size else 1.0
     worst = float(interior.max()) if interior.size else 0.0
@@ -178,7 +178,7 @@ def cmd_solve(args):
         "value_summary": result.V.summary(),
         "flags": list(result.flags),
         "max_fixed_point_sweeps": int(result.iterations.max()),
-        "dissipation": list(result.scheme.dissipation),
+        "dissipation": list(result.dissipation),
     }
     if result.obstacle_gap is not None:
         write_csv(result.obstacle_gap, run.path("obstacle_gap.csv"))
@@ -235,7 +235,7 @@ def cmd_compare(args):
     run = _Session("compare", args.out,
                    cfg.config_hash + ":" + cfg_hat.config_hash, overrides)
     report = cmp.compare_solutions(cfg.problem, cfg_hat.problem, cfg.grid,
-                                   constants=cfg.constants, override=True)
+                                   constants=cfg.constants)
     if args.tol is not None:
         report = dataclasses.replace(report, tolerance=args.tol)
     run.write_json("compare.json", report.to_dict())
@@ -257,9 +257,6 @@ def cmd_doubling(args):
     V_hat, _, hat_source = _solution_on_grid(cfg, args, suffix="_hat")
     if V_hat is None:
         V_hat, hat_source = V, "the same function"
-    params = None
-    if args.theta is not None:
-        params = cmp.DoublingParams(theta=args.theta)
     levels = None
     if args.levels:
         try:
@@ -268,7 +265,7 @@ def cmd_doubling(args):
             raise ConfigError(
                 f"--levels must be comma-separated numbers, got {args.levels!r}"
             ) from None
-    diag = cmp.doubling_maximize(V, V_hat, params=params, levels=levels)
+    diag = cmp.doubling_maximize(V, V_hat, theta=args.theta, levels=levels)
     passed = (diag.certificate_ok and diag.gaps_nonincreasing()
               and all(lev.residual_certified <= 0.0 for lev in diag.levels))
     run.write_json("doubling.json", diag.to_dict())
@@ -298,12 +295,7 @@ def cmd_example(args):
     grid = Grid(instance.T, nt, (-1.5,), (x_hi,), (nx,))
     tol_factor = vc.TOL_FACTOR if args.tol is None else args.tol
     report = exm.verify_separation(instance, grid, tol_factor)
-
-    # measurement box: x0 on a node, right edge past the jump target
-    reach = instance.x0 + instance.xi2 + 0.5
-    x_max = -1.0 + 0.01 * math.ceil((reach + 1.0) / 0.01)
-    nodes = int(round((x_max + 1.0) / 0.01)) + 1
-    measured = exm.measure_obstacle_gap(instance, -1.0, x_max, nodes)
+    measured = exm.measure_obstacle_gap(instance)
 
     k0 = int(round(instance.t0 / grid.dt))
     slice_path = run.path("anchor_slice.csv")
@@ -422,8 +414,9 @@ def build_parser():
                    help="second grid function (default: reuse the first)")
     p.add_argument("--analytic-hat", default=None, metavar="EXPR",
                    help="second closed form (default: reuse the first)")
-    p.add_argument("--theta", type=float, default=None,
-                   help="confinement weight for the pair functional")
+    p.add_argument("--theta", type=float, default=cmp.THETA,
+                   help="confinement weight for the pair functional, with "
+                        f"0 < theta < 1/{cmp.G:g} (default {cmp.THETA:g})")
     p.add_argument("--levels", default=None, metavar="E1,E2,...",
                    help="comma-separated penalty levels (eps = delta)")
     p.set_defaults(func=cmd_doubling)

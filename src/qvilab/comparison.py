@@ -31,7 +31,10 @@ barrier contributes off the diagonal.  ``residual_symmetry`` reports the
 bound as displayed (without the cross term); ``residual_certified``
 includes it and is nonpositive by construction whenever the search ran.
 Halving eps and delta across levels drives |t0-s0| and |x0-y0| down,
-which is the limit step the diagnostic is meant to make visible.
+which is the limit step the diagnostic is meant to make visible.  The
+confinement weight theta is the one weight a caller sets; nu, rho and G
+are the module constants NU, RHO and G, and the default ladder of
+(eps, delta) levels is DOUBLING_LEVELS.
 """
 
 from __future__ import annotations
@@ -45,23 +48,30 @@ from . import expr as ex
 from .assumptions import (SamplerSpec, audit_comparison_hypotheses,
                           audit_order, default_sampler)
 from .core import ConfigError, ImpulseProblem, make_env, role_variables
-from .solver import SchemeParams, estimate_dissipation, interior_mask, solve_qvi
+from .solver import estimate_dissipation, interior_mask, solve_qvi
 
 __all__ = [
-    "DoublingParams",
     "DoublingLevel",
     "DoublingDiagnostics",
     "ComparisonReport",
     "ordered_pair_generator",
-    "shared_scheme",
+    "shared_dissipation",
     "compare_solutions",
     "doubling_maximize",
     "write_trend_csv",
     "DOUBLING_LEVELS",
     "TUPLE_BUDGET",
+    "THETA",
+    "NU",
+    "RHO",
+    "G",
 ]
 
-DOUBLING_LEVELS = (0.1, 0.05, 0.025)
+DOUBLING_LEVELS = (0.1, 0.05, 0.025)  # eps = delta, halved per level
+THETA = 0.01  # default confinement weight; 0 < theta and theta*G < 1
+NU = 2.0  # barrier horizon factor of w(t, s), > 1
+RHO = 1e-3  # time tilt, > 0
+G = 10.0  # weight factor of V in Phi, > 1
 TUPLE_BUDGET = 10 ** 7
 CERTIFICATE_TUPLES = 1000  # random tuples each level's maximum is checked on
 CERTIFICATE_SEED = 7
@@ -131,13 +141,13 @@ def ordered_pair_generator(base, offsets):
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Outcome of solving an ordered pair with a shared scheme."""
+    """Outcome of solving an ordered pair with a shared dissipation."""
 
     max_difference: float
     tolerance: float
     ordered: bool
     audit: object
-    scheme: SchemeParams
+    dissipation: tuple
     V: object
     V_hat: object
     interior_points: int
@@ -155,38 +165,37 @@ class ComparisonReport:
             "passed": bool(self.passed),
             "ordered": bool(self.ordered),
             "interior_points": int(self.interior_points),
-            "dissipation": [float(s) for s in self.scheme.dissipation],
+            "dissipation": [float(s) for s in self.dissipation],
             "audit": self.audit.to_dict(),
             "notes": self.notes,
         }
 
 
-def shared_scheme(problem, problem_hat, grid):
-    """One dissipation vector strong enough for both Hamiltonians."""
+def shared_dissipation(problem, problem_hat, grid):
+    """One dissipation tuple strong enough for both Hamiltonians."""
     a = estimate_dissipation(problem, grid)
     b = estimate_dissipation(problem_hat, grid)
-    return SchemeParams(dissipation=tuple(max(u, v) for u, v in zip(a, b)))
+    return tuple(max(u, v) for u, v in zip(a, b))
 
 
-def compare_solutions(problem, problem_hat, grid, constants=None,
-                      override=False):
-    """Solve both problems with one scheme and measure max(V - V_hat).
+def compare_solutions(problem, problem_hat, grid, constants=None):
+    """Solve both problems with one dissipation and measure max(V - V_hat).
 
     The data order (terminal, Hamiltonian, cost margins all nonnegative
     on the default sampler's clouds) is audited after both solves: by
     assumptions.audit_order, or, when ``constants`` are given, as part of
-    audit_comparison_hypotheses, which also bounds the two solutions.  A
-    failed order audit raises unless ``override`` is set, in which case
-    the difference is measured anyway and the report carries
-    ordered=False.
+    audit_comparison_hypotheses, which also bounds the two solutions.  The
+    difference is measured either way; a failed order audit gives
+    ordered=False, names the failing checks in ``notes``, and so fails
+    ``passed``.
     """
     if problem.n != problem_hat.n:
         raise ConfigError("mismatched problem dimensions")
     if problem.T != problem_hat.T:
         raise ConfigError("compared problems must share the horizon")
-    scheme = shared_scheme(problem, problem_hat, grid)
-    res = solve_qvi(problem, grid, scheme)
-    res_hat = solve_qvi(problem_hat, grid, scheme)
+    dissipation = shared_dissipation(problem, problem_hat, grid)
+    res = solve_qvi(problem, grid, dissipation)
+    res_hat = solve_qvi(problem_hat, grid, dissipation)
 
     pair, spec = (problem, problem_hat), default_sampler(grid)
     if constants is None:
@@ -198,13 +207,9 @@ def compare_solutions(problem, problem_hat, grid, constants=None,
     ordered = not failing
     notes = []
     if not ordered:
-        if not override:
-            raise ConfigError(
-                "data order audit failed: " + ", ".join(failing)
-                + " (pass override=True to measure anyway)")
         notes.append("order audit failed: " + ", ".join(failing))
 
-    mask = interior_mask(grid, scheme)
+    mask = interior_mask(grid, dissipation)
     diff = res.V.values - res_hat.V.values
     if mask.any():
         max_diff = float(diff[mask].max())
@@ -216,35 +221,12 @@ def compare_solutions(problem, problem_hat, grid, constants=None,
 
     return ComparisonReport(
         max_difference=max_diff, tolerance=10.0 * grid.tolerance_unit,
-        ordered=ordered, audit=audit,
-        scheme=scheme, V=res.V, V_hat=res_hat.V, interior_points=interior,
+        ordered=ordered, audit=audit, dissipation=dissipation,
+        V=res.V, V_hat=res_hat.V, interior_points=interior,
         notes="; ".join(notes))
 
 
 # -------------------------------------------------------------- doubling ---
-
-
-@dataclass(frozen=True)
-class DoublingParams:
-    """Penalty and barrier weights for the two-point maximization."""
-
-    theta: float = 0.01
-    nu: float = 2.0
-    epsilon: float = 0.1
-    delta: float = 0.1
-    rho: float = 1e-3
-    G: float = 10.0
-
-    def __post_init__(self):
-        for name in ("theta", "epsilon", "delta", "rho"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"need {name} > 0")
-        if not self.nu > 1.0:
-            raise ConfigError("need nu > 1")
-        if not self.G > 1.0:
-            raise ConfigError("need G > 1")
-        if not self.theta * self.G < 1.0:
-            raise ConfigError("need theta*G < 1")
 
 
 @dataclass(frozen=True)
@@ -283,7 +265,7 @@ class DoublingLevel:
 class DoublingDiagnostics:
     """Trend table of two-point maximizations as the penalties tighten."""
 
-    params: DoublingParams
+    theta: float
     levels: tuple
     stride: int
     space_points: int
@@ -303,8 +285,7 @@ class DoublingDiagnostics:
 
     def to_dict(self):
         return {
-            "theta": self.params.theta, "nu": self.params.nu,
-            "rho": self.params.rho, "G": self.params.G,
+            "theta": self.theta, "nu": NU, "rho": RHO, "G": G,
             "stride": self.stride, "space_points": self.space_points,
             "tuples_per_level": self.tuples_per_level,
             "certificate_count": self.certificate_count,
@@ -324,42 +305,42 @@ def write_trend_csv(diag, path):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _phi_tuples(As, Bs, t, sub, norms, prm, eps, dlt, T, kk, ll, ii, jj):
+def _phi_tuples(As, Bs, t, sub, norms, theta, eps, dlt, T, kk, ll, ii, jj):
     """Phi for explicit index tuples; the certificate's reference path."""
-    w = (2.0 * prm.nu * T - t[kk] - t[ll]) / (2.0 * prm.nu * T)
+    w = (2.0 * NU * T - t[kk] - t[ll]) / (2.0 * NU * T)
     d2 = ((sub[ii] - sub[jj]) ** 2).sum(axis=-1)
-    phi = (prm.theta * w * (norms[ii] + norms[jj])
-           - prm.rho * (t[kk] + t[ll])
+    phi = (theta * w * (norms[ii] + norms[jj])
+           - RHO * (t[kk] + t[ll])
            + 0.5 / eps * (t[kk] - t[ll]) ** 2
            + 0.5 / dlt * d2)
-    return (1.0 - prm.theta * prm.G) * As[kk, ii] - Bs[ll, jj] - phi
+    return (1.0 - theta * G) * As[kk, ii] - Bs[ll, jj] - phi
 
 
-def doubling_maximize(V, V_hat, params=None, levels=None, gamma=0.0):
+def doubling_maximize(V, V_hat, theta=THETA, levels=None, gamma=0.0):
     """Maximize Phi over node tuples at a ladder of penalty weights.
 
+    ``theta`` is the confinement weight, with 0 < theta and theta*G < 1.
     ``levels`` is a sequence of scalars (used for both epsilon and delta)
-    or (epsilon, delta) pairs; by default three levels halve the params'
-    values.  The space axes are strided so the full search stays within
-    TUPLE_BUDGET tuples; time pairs are always exhaustive, and the strided
-    subset is closed under the symmetric tuples the residual bound needs.
+    or (epsilon, delta) pairs; by default DOUBLING_LEVELS.  The space axes
+    are strided so the full search stays within TUPLE_BUDGET tuples; time
+    pairs are always exhaustive, and the strided subset is closed under the
+    symmetric tuples the residual bound needs.
     Each level's maximum is certified against CERTIFICATE_TUPLES random
     tuples drawn with seed CERTIFICATE_SEED.
     """
-    if params is None:
-        params = DoublingParams()
+    if not theta > 0.0:
+        raise ConfigError("need theta > 0")
+    if not theta * G < 1.0:
+        raise ConfigError("need theta*G < 1")
     grid = V.grid
     if V_hat.grid != grid:
         raise ConfigError("V and V_hat must share the grid")
     if not 0.0 <= gamma < 1.0:
         raise ConfigError("need 0 <= gamma < 1")
-    if levels is None:
-        levels = tuple((params.epsilon / 2 ** k, params.delta / 2 ** k)
-                       for k in range(3))
-    else:
-        levels = tuple(
-            (float(lev), float(lev)) if np.isscalar(lev)
-            else (float(lev[0]), float(lev[1])) for lev in levels)
+    levels = tuple(
+        (float(lev), float(lev)) if np.isscalar(lev)
+        else (float(lev[0]), float(lev[1]))
+        for lev in (DOUBLING_LEVELS if levels is None else levels))
     if not levels:
         raise ConfigError("need at least one (epsilon, delta) level")
     for lev in (value for pair in levels for value in pair):
@@ -385,8 +366,8 @@ def doubling_maximize(V, V_hat, params=None, levels=None, gamma=0.0):
     norms = np.sqrt(1.0 + (sub ** 2).sum(axis=1))
     pair_norms = norms[:, None] + norms[None, :]
     D2 = ((sub[:, None, :] - sub[None, :, :]) ** 2).sum(axis=-1)
-    fac = 1.0 - params.theta * params.G
-    two_nu_T = 2.0 * params.nu * T
+    fac = 1.0 - theta * G
+    two_nu_T = 2.0 * NU * T
 
     rows = []
     cert_ok = True
@@ -397,8 +378,8 @@ def doubling_maximize(V, V_hat, params=None, levels=None, gamma=0.0):
         best_idx = (0, 0, 0, 0)
         for k in range(nt):
             w = (two_nu_T - t[k] - t) / two_nu_T
-            pen = 0.5 / eps * (t[k] - t) ** 2 - params.rho * (t[k] + t)
-            phi = (params.theta * w[:, None, None] * pair_norms[None, :, :]
+            pen = 0.5 / eps * (t[k] - t) ** 2 - RHO * (t[k] + t)
+            phi = (theta * w[:, None, None] * pair_norms[None, :, :]
                    + pen[:, None, None] + half_d2[None, :, :])
             val = fac * As[k][None, :, None] - Bs[:, None, :] - phi
             m = float(val.max())
@@ -408,13 +389,13 @@ def doubling_maximize(V, V_hat, params=None, levels=None, gamma=0.0):
                 best_idx = (k, int(l), int(i), int(j))
 
         k0, l0, i0, j0 = best_idx
-        phi_max = float(_phi_tuples(As, Bs, t, sub, norms, params, eps, dlt,
+        phi_max = float(_phi_tuples(As, Bs, t, sub, norms, theta, eps, dlt,
                                     T, k0, l0, i0, j0))
         kk = rng.integers(0, nt, size=CERTIFICATE_TUPLES)
         ll = rng.integers(0, nt, size=CERTIFICATE_TUPLES)
         ii = rng.integers(0, q, size=CERTIFICATE_TUPLES)
         jj = rng.integers(0, q, size=CERTIFICATE_TUPLES)
-        other = _phi_tuples(As, Bs, t, sub, norms, params, eps, dlt, T,
+        other = _phi_tuples(As, Bs, t, sub, norms, theta, eps, dlt, T,
                             kk, ll, ii, jj)
         cert_ok = cert_ok and bool(
             np.all(other <= phi_max + 1e-12 * (1.0 + abs(phi_max))))
@@ -428,10 +409,10 @@ def doubling_maximize(V, V_hat, params=None, levels=None, gamma=0.0):
         residual = dt0 ** 2 / eps + dx2 / dlt - v_gap - vh_gap
         nx0 = float(np.sqrt(1.0 + (x0 ** 2).sum()))
         ny0 = float(np.sqrt(1.0 + (y0 ** 2).sum()))
-        cross = params.theta * dt0 * (nx0 - ny0) / (params.nu * T)
-        growth_lhs = (params.theta * (nx0 + ny0)
+        cross = theta * dt0 * (nx0 - ny0) / (NU * T)
+        growth_lhs = (theta * (nx0 + ny0)
                       + 0.5 / eps * dt0 ** 2 + 0.5 / dlt * dx2)
-        growth_constant = growth_lhs * params.theta ** (gamma / (1.0 - gamma))
+        growth_constant = growth_lhs * theta ** (gamma / (1.0 - gamma))
         rows.append(DoublingLevel(
             epsilon=eps, delta=dlt, t0=t0, s0=s0,
             x0=tuple(float(v) for v in x0), y0=tuple(float(v) for v in y0),
@@ -443,7 +424,7 @@ def doubling_maximize(V, V_hat, params=None, levels=None, gamma=0.0):
     note = (f"space axis strided by {stride}: {q} of {n_space} points; "
             "time pairs exhaustive")
     return DoublingDiagnostics(
-        params=params, levels=tuple(rows), stride=stride, space_points=q,
+        theta=theta, levels=tuple(rows), stride=stride, space_points=q,
         tuples_per_level=nt * nt * q * q,
         certificate_count=CERTIFICATE_TUPLES,
         certificate_ok=cert_ok, notes=note)

@@ -11,6 +11,9 @@ Config files are line oriented `key = value` with three sections:
     [constants] L, mu, h0, ell0, alpha, beta, delta0, C, gamma, kappa
     [grid]      t_nodes, x_nodes, x_min, x_max
 
+Any other section or key is rejected with a ConfigError, whether it comes
+from the file or from an override.
+
 Expression values and cone descriptions are double-quoted strings; numbers
 are plain decimal literals, comma separated when per-dimension.  A cone is
 either "orthant" or a semicolon separated ray list such as "1,0; 0,1".
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -99,6 +102,11 @@ class AssumptionConstants:
     kappa: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ConfigError(f"constant out of range: {f.name}={value!r} "
+                                  "(need a finite value)")
         checks = [
             ("L", self.L > 0.0, "need L > 0"),
             ("mu", 0.0 <= self.mu < 1.0, "need 0 <= mu < 1"),
@@ -159,27 +167,23 @@ class Cone:
         lam = np.asarray(lam, dtype=float)
         return lam @ self.rays
 
-    def contains(self, xi, tol=1e-9):
-        """Whether xi lies in the cone, up to tol*(1 + |xi|).
-
-        A `rays` cone needs scipy (non-negative least squares), which is
-        not a dependency of the package: install the `test` extra.
-        """
-        xi = np.asarray(xi, dtype=float)
-        scale = 1.0 + float(np.linalg.norm(xi))
-        if self.kind == "orthant":
-            return bool(np.all(xi >= -tol * scale))
-        from scipy.optimize import nnls  # loaded here only: no command needs it
-
-        _, residual = nnls(self.rays.T, xi)
-        return residual <= tol * scale
-
     def __post_init__(self):
         object.__setattr__(self, "rays", np.asarray(self.rays, dtype=float))
         self.rays.setflags(write=False)
 
 
 # ----------------------------------------------------------------- grid ----
+
+def _count(value, key):
+    """A node count as an int; ConfigError unless `value` is integral."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value:
+        raise ConfigError(f"grid needs an integral {key}, got {value!r}")
+    return count
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -194,7 +198,9 @@ class Grid:
     def __post_init__(self):
         object.__setattr__(self, "x_min", tuple(float(v) for v in np.atleast_1d(self.x_min)))
         object.__setattr__(self, "x_max", tuple(float(v) for v in np.atleast_1d(self.x_max)))
-        object.__setattr__(self, "x_nodes", tuple(int(v) for v in np.atleast_1d(self.x_nodes)))
+        object.__setattr__(self, "t_nodes", _count(self.t_nodes, "t_nodes"))
+        object.__setattr__(self, "x_nodes", tuple(
+            _count(v, "x_nodes") for v in np.atleast_1d(self.x_nodes)))
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise ConfigError(f"grid needs a finite T > 0, got {self.T}")
         if self.t_nodes < 2:
@@ -422,6 +428,12 @@ def interp_slice(grid, slice_values, points):
 # -------------------------------------------------------------- problems ----
 
 _CONSTANT_KEYS = ("L", "mu", "h0", "ell0", "alpha", "beta", "delta0", "C", "gamma", "kappa")
+# the keys each config section may define; any other key is rejected
+_SECTION_KEYS = {
+    "problem": ("n", "T", "H", "h", "ell", "cone", "g"),
+    "constants": _CONSTANT_KEYS,
+    "grid": ("t_nodes", "x_nodes", "x_min", "x_max"),
+}
 
 
 @dataclass(frozen=True)
@@ -478,12 +490,9 @@ class ImpulseProblem:
         return ex.evaluate(self.h, make_env(x=x))
 
 
-def sample(e, grid, fixed_env=None):
+def sample(e, grid):
     """Evaluate an expression on every (t, x) node of the grid."""
-    env = grid.full_env()
-    if fixed_env:
-        env.update(fixed_env)
-    out = ex.evaluate(e, env)
+    out = ex.evaluate(e, grid.full_env())
     out = np.broadcast_to(np.asarray(out, dtype=float), grid.shape)
     return GridFunction(grid, out)
 
@@ -550,7 +559,7 @@ def parse_config_dict(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in ("problem", "constants", "grid"):
+            if current not in _SECTION_KEYS:
                 raise ConfigError(f"unknown section [{current}] on line {lineno}")
             sections.setdefault(current, {})
             continue
@@ -647,7 +656,7 @@ def apply_overrides(sections, overrides):
         section, key = target.split(".", 1)
         section = section.strip()
         key = key.strip()
-        if section not in ("problem", "constants", "grid"):
+        if section not in _SECTION_KEYS:
             raise ConfigError(f"unknown override section {section!r}")
         sections.setdefault(section, {})[key] = value.strip()
     return sections
@@ -662,9 +671,14 @@ def load_problem(text, overrides=()):
     sections = parse_config_dict(text)
     if overrides:
         sections = apply_overrides(sections, overrides)
-    for name in ("problem", "constants", "grid"):
+    for name, keys in _SECTION_KEYS.items():
         if name not in sections:
             raise ConfigError(f"missing section [{name}]")
+        unknown = sorted(set(sections[name]) - set(keys))
+        if unknown:
+            raise ConfigError(
+                f"unknown key '{unknown[0]}' in section [{name}]; "
+                f"it takes {', '.join(keys)}")
     prob = sections["problem"]
     cons = sections["constants"]
     grd = sections["grid"]

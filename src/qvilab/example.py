@@ -292,21 +292,23 @@ def sample_value_function(instance, grid) -> GridFunction:
     return GridFunction(grid, values)
 
 
-def measure_obstacle_gap(instance, x_min=-1.0, x_max=5.0, x_nodes=601):
+def measure_obstacle_gap(instance):
     """Grid obstacle search vs closed-form psi minimization at the anchor.
 
-    The box must contain the jump target x0 + xi2 and place x0 on a
-    node; the slice itself is sampled analytically so the comparison
-    isolates the search and interpolation error.
+    The box is the 0.01 lattice from -1 up to the first node at or past
+    x0 + xi2 + 0.5, so it contains the jump target x0 + xi2; x0 must be
+    a node of it.  The slice itself is sampled analytically so the
+    comparison isolates the search and interpolation error.
     """
-    grid = Grid(T=instance.T, t_nodes=2, x_min=(x_min,), x_max=(x_max,),
+    reach = instance.x0 + instance.xi2 + 0.5
+    x_max = -1.0 + 0.01 * math.ceil((reach + 1.0) / 0.01)
+    x_nodes = int(round((x_max + 1.0) / 0.01)) + 1
+    grid = Grid(T=instance.T, t_nodes=2, x_min=(-1.0,), x_max=(x_max,),
                 x_nodes=(x_nodes,))
     axis = grid.axes[0]
-    i0 = int(round((instance.x0 - x_min) / grid.dx[0]))
+    i0 = int(round((instance.x0 + 1.0) / grid.dx[0]))
     if not 0 <= i0 < x_nodes or abs(axis[i0] - instance.x0) > 1e-9:
         raise ConfigError("anchor point x0 must be a grid node")
-    if x_max < instance.x0 + instance.xi2:
-        raise ConfigError("box does not contain the optimal jump target")
     u = axis - instance.T + instance.t0
     slice_vals = u * np.exp(-u)
     problem = instance.problem(with_bump=False)

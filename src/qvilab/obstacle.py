@@ -41,6 +41,8 @@ import numpy as np
 from . import expr as ex
 from .core import GridFunction, interp_slice, make_env
 
+REFINE_POINTS = 9  # points per ray coefficient in each zoom of the search
+
 
 @dataclass(frozen=True)
 class SearchParams:
@@ -51,7 +53,7 @@ class SearchParams:
     landing point, and reads it and `coarse` only for the truncation
     threshold xi_max - xi_max/(2*(coarse - 1)).  The other fields steer
     the search: `coarse` is the scan count per ray coefficient;
-    `refine_levels` nested zooms of `refine_points` points per coefficient
+    `refine_levels` nested zooms of REFINE_POINTS points per coefficient
     follow, each shrinking the bracket to one cell of the previous level.
     refine_levels=0 reduces the search to the shared coarse scan, which is
     what exact monotonicity or equivariance comparisons of the search
@@ -61,15 +63,14 @@ class SearchParams:
     xi_max: float
     coarse: int = 25
     refine_levels: int = 10
-    refine_points: int = 9
 
     def __post_init__(self):
         if not (self.xi_max > 0.0 and np.isfinite(self.xi_max)):
             raise ValueError(f"xi_max must be positive and finite, got {self.xi_max}")
         if self.coarse < 2:
             raise ValueError("coarse scan needs at least 2 points per coefficient")
-        if self.refine_levels < 0 or (self.refine_levels > 0 and self.refine_points < 3):
-            raise ValueError("refinement needs refine_points >= 3")
+        if self.refine_levels < 0:
+            raise ValueError("refine_levels must be >= 0")
 
 
 def default_search(grid):
@@ -169,7 +170,7 @@ def _search(grid, slice_values, t, ell, nodes_x, cone, search: SearchParams):
 
     # nested zooms around the incumbent coefficient vector
     step = search.xi_max / (search.coarse - 1)
-    offsets_1d = np.linspace(-1.0, 1.0, search.refine_points)
+    offsets_1d = np.linspace(-1.0, 1.0, REFINE_POINTS)
     mesh = np.meshgrid(*([offsets_1d] * m), indexing="ij")
     offsets = np.stack([md.ravel() for md in mesh], axis=-1)  # (B, m)
     for _ in range(search.refine_levels):
@@ -178,7 +179,7 @@ def _search(grid, slice_values, t, ell, nodes_x, cone, search: SearchParams):
         cand = _pick(*eval_lam(lam), lam)
         # the incumbent is column 0: a full tie or a NaN value keeps it
         best = _pick(*(np.stack(pair, axis=1) for pair in zip(best, cand)))
-        step *= 2.0 / (search.refine_points - 1)
+        step *= 2.0 / (REFINE_POINTS - 1)
 
     values, bxi, _ = best
     return (values, bxi, _truncated(np.linalg.norm(bxi, axis=-1), search),

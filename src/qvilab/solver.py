@@ -9,7 +9,10 @@ with L_d the undivided second difference along axis d over 2*dx_d and
 clamped (copied-edge) ghost values.  The step is monotone in the stencil
 values when sigma_d dominates |dH/dp_d| and the time step satisfies
 
-    dt * sum_d sigma_d / dx_d <= cfl_safety.
+    dt * sum_d sigma_d / dx_d <= CFL_SAFETY.
+
+The scheme is its dissipation: a tuple with one sigma_d >= 0 per axis,
+estimated from the problem when a solve is given none.
 
 The constrained solve clips every stepped slice by the impulse obstacle
 through the fixed point W <- min(W_unclipped, N[W]), which converges
@@ -25,7 +28,7 @@ minimum of that and the obstacle gap N[V] - V.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, isfinite
 from typing import Optional
 
 import numpy as np
@@ -51,20 +54,12 @@ FP_TOL = 1e-9  # a slice's obstacle fixed point settles below this update
 FP_MAX_ITER = 100  # sweeps before the fixed point is declared stuck
 DISSIPATION_FACTOR = 1.05  # margin of sigma_d over the largest |dH/dp_d|
 DISSIPATION_SAMPLES = 512  # Halton (t, x, p) points, seed 0
-
-
-@dataclass(frozen=True)
-class SchemeParams:
-    dissipation: tuple  # sigma_d per spatial dimension
-    cfl_safety: float = 0.9
-
-    def __post_init__(self):
-        diss = tuple(float(s) for s in self.dissipation)
-        object.__setattr__(self, "dissipation", diss)
-        if any(s < 0 or not np.isfinite(s) for s in diss):
-            raise ValueError(f"dissipation must be nonnegative, got {diss}")
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
+CFL_SAFETY = 0.9  # bound on dt * sum_d sigma_d / dx_d
+# interior_mask collar: max(INTERIOR_CELLS*dx, INTERIOR_MARGIN) plus
+# INTERIOR_INFLUENCE * sigma_d * (T - t)
+INTERIOR_CELLS = 5
+INTERIOR_MARGIN = 0.2
+INTERIOR_INFLUENCE = 1.5
 
 
 def estimate_dissipation(problem, grid):
@@ -109,31 +104,37 @@ def _dissipation(problem, grid, h_vals):
     return tuple(sigma)
 
 
-def make_scheme_params(problem, grid) -> SchemeParams:
-    return SchemeParams(dissipation=estimate_dissipation(problem, grid))
+def cfl_number(grid, dissipation) -> float:
+    return grid.dt * sum(s / dx for s, dx in zip(dissipation, grid.dx))
 
 
-def cfl_number(grid, scheme: SchemeParams) -> float:
-    return grid.dt * sum(s / dx for s, dx in zip(scheme.dissipation, grid.dx))
-
-
-def suggest_t_nodes(grid, dissipation, cfl_safety=0.9) -> int:
+def suggest_t_nodes(grid, dissipation) -> int:
     """Smallest node count whose time step satisfies the stability bound."""
     rate = sum(s / dx for s, dx in zip(dissipation, grid.dx))
     if rate <= 0.0:
         return 2
-    return max(2, ceil(grid.T * rate / cfl_safety) + 1)
+    return max(2, ceil(grid.T * rate / CFL_SAFETY) + 1)
 
 
-def check_cfl(grid, scheme: SchemeParams):
-    number = cfl_number(grid, scheme)
-    if number > scheme.cfl_safety:
-        needed = suggest_t_nodes(grid, scheme.dissipation, scheme.cfl_safety)
+def check_cfl(grid, dissipation):
+    """Validate a dissipation for the grid; return it as a tuple of floats.
+
+    It needs one finite sigma_d >= 0 per axis (ValueError otherwise), and
+    the time step must satisfy the stability bound (CflError otherwise).
+    """
+    diss = tuple(float(s) for s in dissipation)
+    if len(diss) != grid.n or not all(isfinite(s) and s >= 0.0 for s in diss):
+        raise ValueError(
+            f"dissipation needs one finite value >= 0 per axis "
+            f"({grid.n} here), got {diss}")
+    number = cfl_number(grid, diss)
+    if number > CFL_SAFETY:
         raise CflError(
             f"time step violates the stability bound: "
-            f"dt*sum(sigma/dx) = {number:.6g} > {scheme.cfl_safety:.6g}; "
-            f"use at least t_nodes = {needed}"
+            f"dt*sum(sigma/dx) = {number:.6g} > {CFL_SAFETY:.6g}; "
+            f"use at least t_nodes = {suggest_t_nodes(grid, diss)}"
         )
+    return diss
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ class SolveResult:
     truncated: Optional[np.ndarray]
     iterations: np.ndarray
     flags: tuple
-    scheme: SchemeParams
+    dissipation: tuple
 
 
 # ------------------------------------------------------------------ steps ----
@@ -160,15 +161,15 @@ def _axis_neighbors(W, axis):
     return Wp[tuple(hi)], Wp[tuple(lo)]
 
 
-def _hjb_step(problem, grid, scheme, W, t_next, x):
+def _hjb_step(problem, grid, dissipation, W, t_next, x):
     """One explicit step from W at t_next; x is the space meshgrid."""
     grads = []
     diss = np.zeros_like(W)
     for d in range(grid.n):
         hi, lo = _axis_neighbors(W, d)
         grads.append((hi - lo) / (2.0 * grid.dx[d]))
-        if scheme.dissipation[d] != 0.0:
-            diss = diss + scheme.dissipation[d] * (hi - 2.0 * W + lo) / (2.0 * grid.dx[d])
+        if dissipation[d] != 0.0:
+            diss = diss + dissipation[d] * (hi - 2.0 * W + lo) / (2.0 * grid.dx[d])
     try:
         H = problem.hamiltonian(t_next, x, grads)
     except ex.DomainError as e:
@@ -190,12 +191,16 @@ def _check_finite(vals, t, grid):
         )
 
 
-def solve_hjb(problem, grid, scheme=None, constants=None) -> SolveResult:
-    """Unconstrained backward solve; terminal slice is the sampled data."""
-    return _backward(problem, grid, scheme, constants, obstacle=False)
+def solve_hjb(problem, grid, dissipation=None, constants=None) -> SolveResult:
+    """Unconstrained backward solve; terminal slice is the sampled data.
+
+    `dissipation` (one sigma_d per axis) defaults to
+    estimate_dissipation(problem, grid).
+    """
+    return _backward(problem, grid, dissipation, constants, obstacle=False)
 
 
-def solve_qvi(problem, grid, scheme=None, search=None,
+def solve_qvi(problem, grid, dissipation=None, search=None,
               constants=None) -> SolveResult:
     """Backward solve with every stepped slice clipped by the obstacle.
 
@@ -204,22 +209,23 @@ def solve_qvi(problem, grid, scheme=None, search=None,
     truncation of the settled slice (from the last sweep when its update
     was exactly zero, since that sweep already saw the settled slice).
     The terminal slice is the sampled terminal data and is never clipped.
-    `search` defaults to obstacle.default_search(grid).
+    `dissipation` defaults as in solve_hjb; `search` defaults to
+    obstacle.default_search(grid).
     """
-    return _backward(problem, grid, scheme, constants, obstacle=True,
+    return _backward(problem, grid, dissipation, constants, obstacle=True,
                      search=search)
 
 
-def _backward(problem, grid, scheme, constants, obstacle, search=None):
+def _backward(problem, grid, dissipation, constants, obstacle, search=None):
     """The backward loop of both solves, with the obstacle on or off.
 
     Off, no obstacle call is made and no gap, argmin or truncation array
     is allocated; the residual (W0 - V_k)/dt then vanishes identically.
     """
     terminal = sample_terminal(problem.h, grid)
-    if scheme is None:
-        scheme = SchemeParams(dissipation=_dissipation(problem, grid, terminal))
-    check_cfl(grid, scheme)
+    if dissipation is None:
+        dissipation = _dissipation(problem, grid, terminal)
+    dissipation = check_cfl(grid, dissipation)
     x = np.meshgrid(*grid.axes, indexing="ij")
     nt = grid.t_nodes
     V = np.empty(grid.shape)
@@ -239,14 +245,14 @@ def _backward(problem, grid, scheme, constants, obstacle, search=None):
 
     for k in range(nt - 2, -1, -1):
         t_k = float(grid.t[k])
-        W0 = _hjb_step(problem, grid, scheme, V[k + 1], float(grid.t[k + 1]),
-                       x)
+        W0 = _hjb_step(problem, grid, dissipation, V[k + 1],
+                       float(grid.t[k + 1]), x)
         _check_finite(W0, t_k, grid)
         if not obstacle:
             V[k] = W0
             continue
         W, n_vals, argmin[k], truncated[k], iterations[k] = _settle(
-            problem, grid, scheme, search, W0, t_k)
+            problem, grid, search, W0, t_k)
         V[k] = W
         gap[k] = n_vals - W
         residual[k] = np.minimum((W0 - W) / grid.dt, gap[k])
@@ -264,11 +270,11 @@ def _backward(problem, grid, scheme, constants, obstacle, search=None):
         truncated=truncated,
         iterations=iterations,
         flags=tuple(flags),
-        scheme=scheme,
+        dissipation=dissipation,
     )
 
 
-def _settle(problem, grid, scheme, search, W0, t_k):
+def _settle(problem, grid, search, W0, t_k):
     """Fixed point W <- min(W0, N[W]) of one stepped slice.
 
     Returns (W, N[W], argmin, truncated, sweeps).
@@ -299,7 +305,7 @@ def _settle(problem, grid, scheme, search, W0, t_k):
 
 # ------------------------------------------------------------ diagnostics ----
 
-def obstacle_scale(grid, scheme: SchemeParams) -> float:
+def obstacle_scale(grid, dissipation) -> float:
     """Dissipation length scale sum_d sigma_d * dx_d.
 
     The scheme resolves the obstacle contact set only up to its numerical
@@ -308,17 +314,17 @@ def obstacle_scale(grid, scheme: SchemeParams) -> float:
     threshold the gap at this scale rather than at the fixed point
     tolerance.
     """
-    return sum(s * dx for s, dx in zip(scheme.dissipation, grid.dx))
+    return sum(s * dx for s, dx in zip(dissipation, grid.dx))
 
 
-def mask_tolerances(grid, scheme: SchemeParams):
+def mask_tolerances(grid, dissipation):
     """Per-slice gap threshold for contact classification.
 
     The below-obstacle dip inside a contact region accumulates with the
     backward horizon (the smoothing acts for time T - t), so the base
     dissipation scale is stretched by 1 + 2*(T - t).
     """
-    return obstacle_scale(grid, scheme) * (1.0 + 2.0 * (grid.T - grid.t))
+    return obstacle_scale(grid, dissipation) * (1.0 + 2.0 * (grid.T - grid.t))
 
 
 @dataclass(frozen=True)
@@ -338,7 +344,7 @@ def extract_regions(result: SolveResult) -> RegionMap:
     if result.obstacle_gap is None:
         raise ValueError("result has no obstacle data; solve with solve_qvi")
     grid = result.V.grid
-    tol_rows = mask_tolerances(grid, result.scheme)
+    tol_rows = mask_tolerances(grid, result.dissipation)
     gap = result.obstacle_gap.values
     labels = (gap <= tol_rows.reshape((grid.t_nodes,) + (1,) * grid.n)).astype(np.int8)
     labels[-1] = 0  # terminal slice holds data, not a decision
@@ -352,20 +358,19 @@ def extract_regions(result: SolveResult) -> RegionMap:
     )
 
 
-def interior_mask(grid, dissipation, cells=5, margin=0.2, influence=1.5):
+def interior_mask(grid, dissipation):
     """Nodes far enough from the spatial boundary to trust the solution.
 
     Clamped edges radiate errors inward at the dissipation speed, so each
-    slice drops a collar of width max(cells*dx, margin) plus
-    influence * sigma_d * (T - t) on both sides of every axis.
+    slice drops a collar of width max(INTERIOR_CELLS*dx, INTERIOR_MARGIN)
+    plus INTERIOR_INFLUENCE * sigma_d * (T - t) on both sides of every
+    axis.
     """
-    if isinstance(dissipation, SchemeParams):
-        dissipation = dissipation.dissipation
     mask = np.ones(grid.shape, dtype=bool)
     horizon = grid.T - grid.t  # (t_nodes,)
     for d in range(grid.n):
-        dist = np.maximum(cells * grid.dx[d], margin) \
-            + influence * dissipation[d] * horizon
+        dist = np.maximum(INTERIOR_CELLS * grid.dx[d], INTERIOR_MARGIN) \
+            + INTERIOR_INFLUENCE * dissipation[d] * horizon
         axis = grid.axes[d]
         ok = (axis[None, :] >= grid.x_min[d] + dist[:, None]) & (
             axis[None, :] <= grid.x_max[d] - dist[:, None]

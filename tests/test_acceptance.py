@@ -18,8 +18,8 @@ from qvilab.assumptions import SamplerSpec, audit_H1, audit_H2
 from qvilab.core import (AssumptionConstants, Cone, Grid, GridFunction,
                          ImpulseProblem, interp_slice, sample)
 from qvilab.obstacle import SearchParams, evaluate_slice_values
-from qvilab.solver import (SchemeParams, estimate_dissipation, interior_mask,
-                           solve_hjb, solve_qvi, suggest_t_nodes)
+from qvilab.solver import (estimate_dissipation, interior_mask, solve_hjb,
+                           solve_qvi, suggest_t_nodes)
 
 ELL0 = 0.05
 PROFILE_SRC = "(x1 - 1 + t)*exp(-(x1 - 1 + t))"
@@ -198,7 +198,7 @@ class TestAcceptance:
             sigma = estimate_dissipation(problem, probe)
             grid = Grid(T=1.0, t_nodes=suggest_t_nodes(probe, sigma),
                         x_min=(-2.0,), x_max=(5.0,), x_nodes=(x_nodes,))
-            res = solve_hjb(problem, grid, SchemeParams(dissipation=sigma))
+            res = solve_hjb(problem, grid, sigma)
             env = grid.full_env()
             exact = profile(env["x1"] - grid.T + env["t"])
             mask = interior_mask(grid, sigma)
@@ -211,18 +211,18 @@ class TestAcceptance:
 
         grid = Grid(T=1.0, t_nodes=201, x_min=(-1.0,), x_max=(4.0,),
                     x_nodes=(701,))
-        res = solve_qvi(problem, grid, SchemeParams(dissipation=(1.05,)),
+        res = solve_qvi(problem, grid, (1.05,),
                         SEARCH)
         stepped_gap = res.obstacle_gap.values[:-1]
         assert float(stepped_gap.min()) >= -1e-8  # V <= N[V] + 1e-8 everywhere
 
         tol = 10.0 * (grid.dt + sum(grid.dx))
-        mask = interior_mask(grid, res.scheme)[:-1]
+        mask = interior_mask(grid, res.dissipation)[:-1]
         residual = np.abs(res.residual.values[:-1])
         assert float(np.mean(residual[mask] <= tol)) >= 0.99
 
         dp = dp_reference(grid)
-        full_mask = interior_mask(grid, res.scheme)
+        full_mask = interior_mask(grid, res.dissipation)
         dp_err = float(np.max(np.abs(res.V.values - dp)[full_mask]))
         assert dp_err <= 0.05
         print(f"ACCEPTANCE 5: PASS — transport error {err_coarse:.4g} "
@@ -234,8 +234,7 @@ class TestAcceptance:
                     x_nodes=(351,))
         V = sample(ex.parse(PROFILE_SRC, ("t", "x1")), grid)
         res = solve_qvi(transport_problem(), grid, search=SEARCH)
-        params = cmp.DoublingParams(theta=0.001)
-        diag = cmp.doubling_maximize(V, res.V, params=params)
+        diag = cmp.doubling_maximize(V, res.V, theta=0.001)
         assert len(diag.levels) == 3
         eps = [lev.epsilon for lev in diag.levels]
         assert eps == sorted(eps, reverse=True)

@@ -315,6 +315,15 @@ class TestDoubling:
                     "--solution-hat", str(solve_dir / "solution.csv"),
                     "--theta", "0.001", "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("theta", ["0", "0.1"])
+    def test_theta_outside_its_range_is_invalid(self, theta, tmp_path,
+                                                capsys):
+        assert run(["doubling", EXAMPLE, "--analytic", "x1",
+                    "--grid-nt", "11", "--grid-nx", "21", "--theta", theta,
+                    "--out", str(tmp_path)]) == 2
+        assert "theta" in capsys.readouterr().err
+        assert not (tmp_path / "doubling.json").exists()
+
     def test_bad_levels_are_invalid(self, tmp_path):
         assert run(["doubling", EXAMPLE, "--analytic", PROFILE,
                     "--levels", "a,b", "--out", str(tmp_path)]) == 2
@@ -421,11 +430,32 @@ class TestConfigNumbers:
         ["--set", "problem.T=nan"],
         ["--set", "grid.x_max=inf"],
         ["--grid-nx", "2.5"],
+        ["--set", "constants.L=inf"],
     ], ids=lambda flags: "=".join(flags).lstrip("-"))
     def test_non_finite_or_fractional_numbers_are_invalid(self, flags,
                                                           tmp_path, capsys):
         assert run(["solve", EXAMPLE, *flags, "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("section, key", [
+        ("grid", "xnodes"), ("grid", "dt"), ("constants", "Lx"),
+        ("constants", "l0"), ("problem", "HH"), ("problem", "t_nodes")])
+    @pytest.mark.parametrize("source", ["set", "file"])
+    def test_unknown_key_is_invalid(self, section, key, source, tmp_path,
+                                    capsys):
+        config, flags = EXAMPLE, ["--set", f"{section}.{key}=5"]
+        if source == "file":
+            config = tmp_path / "typo.cfg"
+            config.write_text(Path(EXAMPLE).read_text().replace(
+                f"[{section}]", f"[{section}]\n{key} = 5"))
+            flags = []
+        out = tmp_path / "out"
+        assert run(["solve", str(config), *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and f"'{key}' in section [{section}]" in err
+        assert not out.exists()
 
 
 class TestFlags:

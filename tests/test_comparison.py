@@ -39,22 +39,20 @@ def pair_values(base):
     return report.V, report.V_hat
 
 
-class TestDoublingParams:
+class TestDoublingWeights:
     def test_defaults_satisfy_the_constraints(self):
-        p = cmp.DoublingParams()
-        assert p.theta * p.G == pytest.approx(0.1)
+        assert cmp.THETA * cmp.G == pytest.approx(0.1)
+        assert cmp.NU > 1.0 and cmp.G > 1.0 and cmp.RHO > 0.0
+        assert cmp.DOUBLING_LEVELS == tuple(0.1 / 2 ** k for k in range(3))
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            cmp.DoublingParams(theta=0.0)
-        with pytest.raises(ConfigError):
-            cmp.DoublingParams(nu=1.0)
-        with pytest.raises(ConfigError):
-            cmp.DoublingParams(G=1.0)
-        with pytest.raises(ConfigError):
-            cmp.DoublingParams(theta=0.2, G=5.0)
-        with pytest.raises(ConfigError):
-            cmp.DoublingParams(rho=-1e-3)
+        grid = Grid(T=1.0, t_nodes=5, x_min=(-1.0,), x_max=(1.0,),
+                    x_nodes=(5,))
+        V = GridFunction(grid, np.zeros(grid.shape))
+        for theta in (0.0, -0.01, 0.1, 0.2, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="theta"):
+                cmp.doubling_maximize(V, V, theta=theta)
+        cmp.doubling_maximize(V, V, theta=0.099)  # theta*G < 1: ok
 
 
 class TestOrderedPairs:
@@ -135,9 +133,7 @@ class TestCompareSolutions:
 
     def test_reversed_pair_needs_override(self, base):
         _, dominated = cmp.ordered_pair_generator(base, ("1.0", None, None))
-        with pytest.raises(ConfigError, match="override"):
-            cmp.compare_solutions(dominated, base, GRID)
-        report = cmp.compare_solutions(dominated, base, GRID, override=True)
+        report = cmp.compare_solutions(dominated, base, GRID)
         assert not report.ordered
         assert report.max_difference == pytest.approx(1.0, abs=1e-9)
         assert not report.passed
@@ -145,8 +141,8 @@ class TestCompareSolutions:
 
     def test_shared_scheme_covers_both_hamiltonians(self, base):
         fast = make_problem(H="-3*p1")
-        scheme = cmp.shared_scheme(base, fast, GRID)
-        assert scheme.dissipation[0] == pytest.approx(3.15, rel=1e-6)
+        dissipation = cmp.shared_dissipation(base, fast, GRID)
+        assert dissipation[0] == pytest.approx(3.15, rel=1e-6)
 
     def test_report_serializes(self, base):
         report = cmp.compare_solutions(base, base, GRID)
@@ -199,8 +195,7 @@ class TestDoublingMaximize:
         assert float(diff.max()) > 0.03
         k, i = np.unravel_index(int(diff.argmax()), diff.shape)
         oracle_u = grid.axes[0][i] - 1.0 + grid.t[k]
-        params = cmp.DoublingParams(theta=0.001)
-        diag = cmp.doubling_maximize(V, res.V, params=params, levels=(0.05,))
+        diag = cmp.doubling_maximize(V, res.V, theta=0.001, levels=(0.05,))
         lev = diag.final
         u0 = lev.x0[0] - 1.0 + lev.t0
         assert abs(u0 - oracle_u) <= 0.3

@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -79,23 +80,22 @@ class TestConstants:
             AssumptionConstants(1.0, 0.0, 3.0, 0.05, 0.05, 0.5, 0.05, 16.0, 0.0, 0.7)
         assert "kappa" in str(err.value)
 
+    def test_nonfinite_constant_names_key(self):
+        valid = [1.0, 0.0, 3.0, 0.05, 0.05, 0.5, 0.05, 16.0, 0.0, 0.25]
+        for index, field in enumerate(fields(AssumptionConstants)):
+            for bad in (math.inf, -math.inf, math.nan):
+                values = list(valid)
+                values[index] = bad
+                with pytest.raises(ConfigError,
+                                   match=f"{field.name}=.*finite"):
+                    AssumptionConstants(*values)
+
     def test_mu_zero_allowed(self):
         c = AssumptionConstants(1.0, 0.0, 3.0, 0.05, 0.05, 0.5, 0.05, 16.0, 0.0, 0.25)
         assert c.mu == 0.0
 
 
 class TestCone:
-    def test_orthant_membership(self):
-        cone = Cone.orthant(2)
-        assert cone.contains(np.array([1.0, 0.5]))
-        assert cone.contains(np.array([0.0, 0.0]))
-        assert not cone.contains(np.array([-0.5, 1.0]))
-
-    def test_ray_cone_membership(self):
-        cone = Cone.from_rays([[1.0, 1.0], [1.0, 0.0]])
-        assert cone.contains(np.array([2.0, 1.0]))
-        assert not cone.contains(np.array([0.0, 1.0]))
-
     def test_rays_are_normalized(self):
         cone = Cone.from_rays([[3.0, 4.0]])
         assert np.allclose(np.linalg.norm(cone.rays, axis=1), 1.0)
@@ -138,6 +138,20 @@ class TestGrid:
                 Grid(1.0, 11, (-1.0,), (bad,), (21,))
             with pytest.raises(ConfigError, match="finite x_min and x_max"):
                 Grid(1.0, 11, (-bad,), (4.0,), (21,))
+
+    @pytest.mark.parametrize("t_nodes, x_nodes", [
+        (11, (2.5,)), (2.5, (21,)), (11, (21, 7.5)), (math.inf, (21,)),
+        (math.nan, (21,)), ("11", (21,)), (11, ("21",)), (None, (21,))])
+    def test_nonintegral_counts_rejected(self, t_nodes, x_nodes):
+        x_min, x_max = (-1.0,) * len(x_nodes), (4.0,) * len(x_nodes)
+        with pytest.raises(ConfigError, match="integral"):
+            Grid(1.0, t_nodes, x_min, x_max, x_nodes)
+
+    def test_integral_counts_accepted(self):
+        grid = Grid(1.0, 11.0, (-1.0,), (4.0,), (np.int64(21),))
+        assert grid == Grid(1.0, 11, (-1.0,), (4.0,), (21,))
+        assert type(grid.t_nodes) is int and type(grid.x_nodes[0]) is int
+        assert grid.shape == (11, 21)
 
     def test_space_nodes_are_built_once_read_only(self):
         grid = Grid(1.0, 3, (0.0, -1.0), (1.0, 1.0), (3, 4))
@@ -244,11 +258,6 @@ class TestSampling:
         grid = Grid(1.0, 3, (-1.0,), (4.0,), (6,))
         gf = sample(parse("2.5", ()), grid)
         assert np.all(gf.values == 2.5)
-
-    def test_fixed_env_substitution(self):
-        grid = Grid(1.0, 2, (0.0,), (1.0,), (2,))
-        gf = sample(parse("l0 + x1", ("l0", "x1")), grid, fixed_env={"l0": 0.05})
-        assert gf.values[0, 1] == pytest.approx(1.05)
 
     def test_space_time_dependence(self):
         grid = Grid(1.0, 3, (0.0,), (1.0,), (3,))
@@ -452,7 +461,6 @@ x_max = 1.0, 1.0
         assert cfg.problem.n == 2
         assert cfg.grid.x_nodes == (7, 9)
         assert cfg.problem.cone.kind == "rays"
-        assert cfg.problem.cone.contains(np.array([0.3, 0.7]))
 
     def test_grid_dimension_mismatch(self):
         with pytest.raises(ConfigError):

@@ -149,9 +149,13 @@ class TestGapAgreement:
         assert res["measured"] < 0.0
         assert res["difference"] <= 1e-6
 
-    def test_box_must_contain_the_jump_target(self, inst):
-        with pytest.raises(ConfigError, match="jump target"):
-            measure_obstacle_gap(inst, x_max=3.0, x_nodes=401)
+    def test_box_must_contain_the_jump_target(self):
+        # the measurement box grows with the jump target x0 + xi2 (6.39
+        # at l0 = 0.02, t0 = 0): a clamped target would miss the closed form
+        for l0 in (0.02, 0.05, 0.08):
+            for t0 in (0.0, 0.5, 0.9):
+                res = measure_obstacle_gap(build_instance(t0=t0, l0=l0))
+                assert res["difference"] <= 1e-6, (l0, t0)
 
 
 class TestVerdicts:

@@ -2,9 +2,12 @@
 
 `core.halton` and `example._bisect` replace `scipy.stats.qmc.Halton` and
 `scipy.optimize.bisect`; both must return the same floats bit for bit, so
-every artifact stays byte-identical.  No CLI command may import scipy.
+every artifact stays byte-identical.  No CLI command may import scipy,
+and no module of the package imports it anywhere, not even inside a
+function.
 """
 
+import ast
 import json
 import math
 import os
@@ -160,7 +163,28 @@ def run_probe(argvs, tmp_path):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def scipy_imports(path):
+    """(line, module) of every import of scipy in one source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name == "scipy" or name.startswith("scipy.")]
+    return sorted(found)
+
+
 class TestNoScipyImport:
+    def test_no_package_module_imports_scipy(self):
+        sources = sorted((ROOT / "src" / "qvilab").rglob("*.py"))
+        assert sources
+        found = {path.name: scipy_imports(path) for path in sources}
+        assert {name: hits for name, hits in found.items() if hits} == {}
+
     def test_importing_the_cli_loads_no_scipy(self, tmp_path):
         assert run_probe([], tmp_path) == {"codes": [], "scipy": []}
 

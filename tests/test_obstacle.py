@@ -262,7 +262,7 @@ class TestInterfaces:
             SearchParams(xi_max=0.0)
         with pytest.raises(ValueError, match="coarse"):
             SearchParams(xi_max=1.0, coarse=1)
-        with pytest.raises(ValueError, match="refine_points"):
-            SearchParams(xi_max=1.0, refine_points=2)
-        SearchParams(xi_max=1.0, refine_levels=0, refine_points=2)  # ok
+        with pytest.raises(ValueError, match="refine_levels"):
+            SearchParams(xi_max=1.0, refine_levels=-1)
+        SearchParams(xi_max=1.0, refine_levels=0)  # ok
 

@@ -16,18 +16,19 @@ from qvilab.core import (
     Grid,
     ImpulseProblem,
     interp_slice,
+    role_variables,
 )
 from qvilab.obstacle import SearchParams
+from qvilab import solver
 from qvilab.solver import (
+    CFL_SAFETY,
     CflError,
-    SchemeParams,
     SolverError,
     cfl_number,
     check_cfl,
     estimate_dissipation,
     extract_regions,
     interior_mask,
-    make_scheme_params,
     solve_hjb,
     solve_qvi,
     suggest_t_nodes,
@@ -104,7 +105,7 @@ class TestTransportOracle:
         nt = suggest_t_nodes(probe, sigma)
         grid = Grid(T=1.0, t_nodes=nt, x_min=(-2.0,), x_max=(5.0,),
                     x_nodes=(x_nodes,))
-        res = solve_hjb(problem, grid, SchemeParams(dissipation=sigma))
+        res = solve_hjb(problem, grid, sigma)
         env = grid.full_env()
         exact = f_profile(env["x1"] - grid.T + env["t"])
         mask = interior_mask(grid, sigma)
@@ -133,7 +134,7 @@ class TestTransportOracle:
         nt = suggest_t_nodes(probe, sigma)
         grid = Grid(T=1.0, t_nodes=nt, x_min=(-2.0, -2.0), x_max=(3.0, 3.0),
                     x_nodes=(101, 101))
-        res = solve_hjb(problem, grid, SchemeParams(dissipation=sigma))
+        res = solve_hjb(problem, grid, sigma)
         env = grid.full_env()
         s = grid.T - env["t"]
         exact = np.sin(env["x1"] - s) + np.cos(env["x2"] - s)
@@ -148,7 +149,7 @@ class TestExactInvariants:
         grid = Grid(T=1.0, t_nodes=11, x_min=(-1.0,), x_max=(4.0,),
                     x_nodes=(21,))
         res = solve_hjb(problem, grid)
-        assert res.scheme.dissipation == (0.0,)
+        assert res.dissipation == (0.0,)
         for k in range(grid.t_nodes):
             assert np.array_equal(res.V.values[k], res.V.values[-1])
 
@@ -156,9 +157,9 @@ class TestExactInvariants:
         problem = transport_problem(ell_src="1000000")
         grid = Grid(T=1.0, t_nodes=51, x_min=(-1.0,), x_max=(4.0,),
                     x_nodes=(101,))
-        scheme = SchemeParams(dissipation=(1.05,))
-        free = solve_hjb(problem, grid, scheme)
-        clipped = solve_qvi(problem, grid, scheme,
+        dissipation = (1.05,)
+        free = solve_hjb(problem, grid, dissipation)
+        clipped = solve_qvi(problem, grid, dissipation,
                             SearchParams(xi_max=5.0, refine_levels=4))
         assert np.array_equal(free.V.values, clipped.V.values)
         assert not extract_regions(clipped).labels.any()
@@ -169,17 +170,17 @@ class TestExactInvariants:
         shifted = transport_problem(h_src="x1*exp(-x1) + 0.75")
         grid = Grid(T=1.0, t_nodes=101, x_min=(-1.0,), x_max=(4.0,),
                     x_nodes=(201,))
-        scheme = SchemeParams(dissipation=(1.05,))
+        dissipation = (1.05,)
         search = SearchParams(xi_max=5.0, refine_levels=4)
-        v1 = solve_qvi(base, grid, scheme, search).V.values
-        v2 = solve_qvi(shifted, grid, scheme, search).V.values
+        v1 = solve_qvi(base, grid, dissipation, search).V.values
+        v2 = solve_qvi(shifted, grid, dissipation, search).V.values
         assert float(np.max(np.abs(v2 - (v1 + 0.75)))) <= 1e-10
 
     def test_terminal_slice_is_sampled_data(self):
         problem = transport_problem()
         grid = Grid(T=1.0, t_nodes=21, x_min=(-1.0,), x_max=(4.0,),
                     x_nodes=(51,))
-        res = solve_qvi(problem, grid, SchemeParams(dissipation=(1.05,)),
+        res = solve_qvi(problem, grid, (1.05,),
                         SearchParams(xi_max=5.0, refine_levels=4))
         assert np.array_equal(res.V.values[-1], f_profile(grid.axes[0]))
 
@@ -196,13 +197,13 @@ class TestObstacleOff:
         problem = transport_problem()
         grid = Grid(T=1.0, t_nodes=21, x_min=(-1.0,), x_max=(4.0,),
                     x_nodes=(51,))
-        scheme = SchemeParams(dissipation=(1.05,))
-        res = solve_hjb(problem, grid, scheme)
+        dissipation = (1.05,)
+        res = solve_hjb(problem, grid, dissipation)
         assert res.obstacle_gap is None
         assert res.argmin_xi is None and res.truncated is None
         assert not res.iterations.any() and not res.residual.values.any()
         with pytest.raises(AssertionError, match="obstacle evaluated"):
-            solve_qvi(problem, grid, scheme)
+            solve_qvi(problem, grid, dissipation)
 
     def test_no_obstacle_command_makes_no_obstacle_call(self, no_obstacle,
                                                         tmp_path):
@@ -230,7 +231,7 @@ class TestTerminalSample:
         res = solve(problem, grid)
         assert sum(reads) == 1
         # the one sample feeds the dissipation estimate and the last slice
-        assert res.scheme.dissipation == expected
+        assert res.dissipation == expected
         assert np.array_equal(res.V.values[-1],
                               f_profile(grid.axes[0]))
 
@@ -240,15 +241,15 @@ class TestGuards:
         problem = transport_problem(H_src="-3*p1")
         grid = Grid(T=1.0, t_nodes=201, x_min=(-1.0,), x_max=(4.0,),
                     x_nodes=(701,))
-        scheme = make_scheme_params(problem, grid)
-        assert scheme.dissipation[0] == pytest.approx(3.15, rel=1e-6)
+        sigma = estimate_dissipation(problem, grid)
+        assert sigma[0] == pytest.approx(3.15, rel=1e-6)
         with pytest.raises(CflError, match="t_nodes") as err:
-            solve_hjb(problem, grid, scheme)
+            solve_hjb(problem, grid, sigma)
         needed = int(re.search(r"t_nodes = (\d+)", str(err.value)).group(1))
         grid_ok = Grid(T=1.0, t_nodes=needed, x_min=(-1.0,), x_max=(4.0,),
                        x_nodes=(701,))
-        check_cfl(grid_ok, scheme)  # no raise
-        assert cfl_number(grid_ok, scheme) <= scheme.cfl_safety
+        assert check_cfl(grid_ok, sigma) == sigma  # no raise
+        assert cfl_number(grid_ok, sigma) <= CFL_SAFETY
 
     def test_suggest_t_nodes_zero_dissipation(self):
         grid = Grid(T=1.0, t_nodes=5, x_min=(0.0,), x_max=(1.0,),
@@ -259,9 +260,9 @@ class TestGuards:
         problem = transport_problem(H_src="sqrt(p1)", h_src="x1*x1")
         grid = Grid(T=1.0, t_nodes=21, x_min=(-1.0,), x_max=(4.0,),
                     x_nodes=(51,))
-        scheme = SchemeParams(dissipation=(1.0,))
+        dissipation = (1.0,)
         with pytest.raises(SolverError, match="Hamiltonian evaluation failed"):
-            solve_hjb(problem, grid, scheme)
+            solve_hjb(problem, grid, dissipation)
 
     def test_unaudited_flag_from_terminal_bound(self):
         problem = transport_problem()
@@ -271,18 +272,39 @@ class TestGuards:
                   delta0=0.05, C=16.0, gamma=0.0, kappa=0.25)
         low = AssumptionConstants(h0=0.5, **kw)
         high = AssumptionConstants(h0=3.0, **kw)
-        res_low = solve_hjb(problem, grid, SchemeParams(dissipation=(1.05,)),
+        res_low = solve_hjb(problem, grid, (1.05,),
                             constants=low)
         assert "hypotheses unaudited" in res_low.flags
-        res_high = solve_hjb(problem, grid, SchemeParams(dissipation=(1.05,)),
+        res_high = solve_hjb(problem, grid, (1.05,),
                              constants=high)
         assert "hypotheses unaudited" not in res_high.flags
 
     def test_scheme_params_validation(self):
-        with pytest.raises(ValueError, match="dissipation"):
-            SchemeParams(dissipation=(-1.0,))
-        with pytest.raises(ValueError, match="cfl_safety"):
-            SchemeParams(dissipation=(1.0,), cfl_safety=1.5)
+        grid = Grid(T=1.0, t_nodes=21, x_min=(-1.0,), x_max=(4.0,),
+                    x_nodes=(51,))
+        for bad in ((-1.0,), (float("nan"),), (float("inf"),)):
+            with pytest.raises(ValueError, match="dissipation"):
+                check_cfl(grid, bad)
+        assert check_cfl(grid, (1,)) == (1.0,)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_wrong_length_dissipation_rejected_before_any_step(
+            self, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(solver, "_hjb_step", refuse)
+        roles = role_variables(n)
+        problem = ImpulseProblem(
+            n=n, T=1.0, H=ex.parse("0", roles["H"]),
+            h=ex.parse("0", roles["h"]), ell=ex.parse("0.1", roles["ell"]),
+            cone=Cone.orthant(n))
+        grid = Grid(T=1.0, t_nodes=11, x_min=(-1.0,) * n, x_max=(1.0,) * n,
+                    x_nodes=(11,) * n)
+        wrong = (1.05,) * (3 - n)  # 2 values on a 1-d grid, 1 on a 2-d one
+        for solve in (solve_hjb, solve_qvi):
+            with pytest.raises(ValueError, match="dissipation"):
+                solve(problem, grid, wrong)
 
 
 @pytest.fixture(scope="module")
@@ -290,9 +312,9 @@ def qvi_example():
     problem = transport_problem()
     grid = Grid(T=1.0, t_nodes=201, x_min=(-1.0,), x_max=(4.0,),
                 x_nodes=(701,))
-    scheme = SchemeParams(dissipation=(1.05,))
+    dissipation = (1.05,)
     search = SearchParams(xi_max=5.0, refine_levels=6)
-    res = solve_qvi(problem, grid, scheme, search)
+    res = solve_qvi(problem, grid, dissipation, search)
     dp = dp_solve_transport(grid)
     return grid, res, dp
 
@@ -302,7 +324,7 @@ def qvi_wide():
     problem = transport_problem()
     grid = Grid(T=1.0, t_nodes=201, x_min=(-1.0,), x_max=(7.0,),
                 x_nodes=(1121,))
-    res = solve_qvi(problem, grid, SchemeParams(dissipation=(1.05,)),
+    res = solve_qvi(problem, grid, (1.05,),
                     SearchParams(xi_max=5.0, refine_levels=6))
     return grid, res
 
@@ -324,7 +346,7 @@ class TestConstrainedSolve:
 
     def test_matches_dp_reference(self, qvi_example):
         grid, res, dp = qvi_example
-        mask = interior_mask(grid, res.scheme)
+        mask = interior_mask(grid, res.dissipation)
         err = float(np.max(np.abs(res.V.values - dp)[mask]))
         assert err <= 0.05
 
@@ -371,7 +393,7 @@ class TestConstrainedSolve:
             problem = transport_problem(ell_src=f"{ell0}*(1 + xi1)")
             grid = Grid(T=1.0, t_nodes=201, x_min=(-1.0,), x_max=(7.0,),
                         x_nodes=(1121,))
-            res = solve_qvi(problem, grid, SchemeParams(dissipation=(1.05,)),
+            res = solve_qvi(problem, grid, (1.05,),
                             SearchParams(xi_max=5.0, refine_levels=5))
             fractions[ell0] = extract_regions(res).fraction
         assert fractions[0.05] > fractions[0.06] > fractions[0.07] > 0.0
@@ -404,7 +426,7 @@ class TestConstrainedSolve:
         problem = transport_problem()
         grid = Grid(T=1.0, t_nodes=5, x_min=(-1.0,), x_max=(4.0,),
                     x_nodes=(11,))
-        res = solve_hjb(problem, grid, SchemeParams(dissipation=(1.05,)))
+        res = solve_hjb(problem, grid, (1.05,))
         with pytest.raises(ValueError, match="obstacle"):
             extract_regions(res)
 
@@ -421,7 +443,7 @@ class TestTwoDimensionalConstrained:
         )
         grid = Grid(T=1.0, t_nodes=21, x_min=(-2.0, -2.0), x_max=(3.0, 3.0),
                     x_nodes=(41, 41))
-        res = solve_qvi(problem, grid, SchemeParams(dissipation=(1.05, 1.05)),
+        res = solve_qvi(problem, grid, (1.05, 1.05),
                         SearchParams(xi_max=4.0, coarse=11, refine_levels=5))
         assert res.V.values.shape == (21, 41, 41)
         assert res.argmin_xi.shape == (21, 41, 41, 2)
@@ -434,7 +456,7 @@ class TestInteriorMask:
     def test_collar_geometry(self):
         grid = Grid(T=1.0, t_nodes=11, x_min=(-2.0,), x_max=(5.0,),
                     x_nodes=(71,))
-        mask = interior_mask(grid, (1.0,), cells=5, margin=0.2, influence=1.5)
+        mask = interior_mask(grid, (1.0,))
         x = grid.axes[0]
         # terminal slice: collar is just the base margin 0.5 = max(0.5, 0.2)
         expect_last = (x >= -1.5) & (x <= 4.5)

@@ -12,7 +12,7 @@ from qvilab import expr as ex
 from qvilab import viscosity as vc
 from qvilab.core import Cone, ConfigError, Grid, GridFunction, ImpulseProblem, sample
 from qvilab.obstacle import SearchParams
-from qvilab.solver import SchemeParams, solve_qvi
+from qvilab.solver import solve_qvi
 
 
 def make_problem(H="-p1", h="x1*exp(-x1)", ell="0.05*(1 + xi1)", n=1, T=1.0):
@@ -61,7 +61,7 @@ def problem():
 
 @pytest.fixture(scope="module")
 def solved(problem):
-    return solve_qvi(problem, GRID, SchemeParams(dissipation=(1.05,)), SEARCH)
+    return solve_qvi(problem, GRID, (1.05,), SEARCH)
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +207,7 @@ class TestTransportChecks:
 def fine(problem):
     grid = Grid(T=1.0, t_nodes=101, x_min=(-0.5,), x_max=(4.0,),
                 x_nodes=(351,))
-    return solve_qvi(problem, grid, SchemeParams(dissipation=(1.05,)), SEARCH)
+    return solve_qvi(problem, grid, (1.05,), SEARCH)
 
 
 @pytest.fixture(scope="module")
