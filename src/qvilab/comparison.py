@@ -35,6 +35,17 @@ which is the limit step the diagnostic is meant to make visible.  The
 confinement weight theta is the one weight a caller sets; nu, rho and G
 are the module constants NU, RHO and G, and the default ladder of
 (eps, delta) levels is DOUBLING_LEVELS.
+
+The maximum over the search set is found without evaluating all of it.
+Time is cut into blocks of 8 nodes, and each (time block, time block,
+space index, space index) gets an upper bound on Phi from the block's
+largest (1 - theta*G) V, smallest V_hat, smallest w and smallest time
+penalty.  The best tuple of the 64 highest-bound blocks is the
+incumbent, and every block whose bound reaches it (less a rounding
+slack) is evaluated with the per-tuple arithmetic of a sweep over the
+whole set.  The argmax is therefore the one that sweep finds, ties
+included: the first tuple in (k, l, i, j) order among those attaining
+the maximum.
 """
 
 from __future__ import annotations
@@ -75,6 +86,8 @@ G = 10.0  # weight factor of V in Phi, > 1
 TUPLE_BUDGET = 10 ** 7
 CERTIFICATE_TUPLES = 1000  # random tuples each level's maximum is checked on
 CERTIFICATE_SEED = 7
+_TIME_BLOCK = 8  # time nodes per block of the bounded search
+_INCUMBENT_BLOCKS = 64  # highest-bound blocks evaluated for a first incumbent
 
 _ORDER_CHECKS = ("terminal order", "hamiltonian order", "cost order")
 
@@ -316,6 +329,124 @@ def _phi_tuples(As, Bs, t, sub, norms, theta, eps, dlt, T, kk, ll, ii, jj):
     return (1.0 - theta * G) * As[kk, ii] - Bs[ll, jj] - phi
 
 
+def _chunk_blocks(nt, q):
+    """Blocks per evaluation of the bounded search: at most one time slice
+    of the sweep, nt*q*q tuples."""
+    return max(1, nt * q * q // _TIME_BLOCK ** 2)
+
+
+def _sweep_argmax(FA, Bs, t, pair_norms, half_d2, theta, eps, T):
+    """First (k, l, i, j) in row-major order at which Phi is largest.
+
+    Phi(k, l, i, j) = FA[k, i] - Bs[l, j]
+                      - (((theta*w)*pair_norms[i, j] + pen) + half_d2[i, j])
+
+    with w and pen functions of (t[k], t[l]): the arithmetic of a sweep
+    over every tuple, applied only to the blocks that can hold the maximum.
+    A block (K, L, i, j) pairs two time blocks of _TIME_BLOCK nodes with
+    two space indices.  No tuple of it exceeds the block bound, which takes
+    the largest FA, the smallest Bs, the smallest w (the last time of each
+    block) and the smallest pen (the closest times, the largest t + s).
+    The incumbent is the best tuple of the _INCUMBENT_BLOCKS highest-bound
+    blocks; every block whose bound is within a rounding slack of it is
+    then evaluated.  Those blocks hold every maximiser, so the answer is
+    the full sweep's, ties included: the first k that reaches the maximum,
+    then the first (l, i, j) within it.  Like the sweep's `max`, a k whose
+    Phi holds a NaN is skipped; NaN needs magnitudes near overflow, where
+    the slack is not finite and every block is evaluated.  No temporary
+    holds more than one time slice of the sweep, nt*q*q values.
+    """
+    nt, q = Bs.shape
+    b = _TIME_BLOCK
+    two_nu_T = 2.0 * NU * T
+    starts = np.arange(0, nt, b)
+    nb = starts.size
+    last = np.minimum(starts + b, nt) - 1
+    offs = np.arange(b)
+    rows_per_batch = max(1, nt // nb)  # bound rows per batch: <= nt*q*q
+    chunk = _chunk_blocks(nt, q)
+
+    def time_terms(tk, tl):
+        w = (two_nu_T - tk - tl) / two_nu_T
+        return theta * w, 0.5 / eps * (tk - tl) ** 2 - RHO * (tk + tl)
+
+    def evaluate(K, L, i, j):
+        """(Phi, k, l) on every tuple of the given blocks, Phi of shape
+        (blocks, b, b); tuples past the last time node repeat it."""
+        kk = np.minimum(K[:, None, None] * b + offs[:, None], nt - 1)
+        ll = np.minimum(L[:, None, None] * b + offs, nt - 1)
+        ii, jj = i[:, None, None], j[:, None, None]
+        tw, pen = time_terms(t[kk], t[ll])
+        val = FA[kk, ii] - Bs[ll, jj] - (
+            (tw * pair_norms[ii, jj] + pen) + half_d2[ii, jj])
+        return val, kk, ll
+
+    a_hi = np.maximum.reduceat(FA, starts, axis=0)
+    b_lo = np.minimum.reduceat(Bs, starts, axis=0)
+    t_last = t[last]
+    tw_lo = time_terms(t_last[:, None], t_last)[0]
+    near = np.maximum(0.0, np.maximum(t[starts] - t_last[:, None],
+                                      t[starts][:, None] - t_last))
+    pen_lo = 0.5 / eps * near ** 2 - RHO * (t_last[:, None] + t_last)
+
+    def bound_batches():
+        """(first K, bounds of shape (rows, nb, q, q)) per batch of rows."""
+        for K0 in range(0, nb, rows_per_batch):
+            K = slice(K0, K0 + rows_per_batch)
+            bound = a_hi[K, None, :, None] - b_lo[None, :, None, :]
+            bound -= tw_lo[K, :, None, None] * pair_norms
+            bound -= pen_lo[K, :, None, None]
+            bound -= half_d2
+            yield K0, bound
+
+    scale = (np.abs(FA).max() + np.abs(Bs).max() + theta * pair_norms.max()
+             + 0.5 / eps * T ** 2 + 2.0 * RHO * T + half_d2.max())
+    slack = 1e-12 * (1.0 + scale)
+    threshold = -np.inf
+    if math.isfinite(slack):
+        top_bound, top_block = np.empty(0), np.empty(0, dtype=np.int64)
+        for K0, bound in bound_batches():
+            n = min(_INCUMBENT_BLOCKS, bound.size)
+            keep = np.argpartition(bound.ravel(), -n)[-n:]
+            top_bound = np.concatenate([top_bound, bound.ravel()[keep]])
+            top_block = np.concatenate([top_block, K0 * nb * q * q + keep])
+            keep = np.argpartition(top_bound, -n)[-n:]
+            top_bound, top_block = top_bound[keep], top_block[keep]
+        blocks = np.unravel_index(top_block, (nb, nb, q, q))
+        incumbent = max(evaluate(*(ax[c:c + chunk] for ax in blocks))[0].max()
+                        for c in range(0, top_block.size, chunk))
+        threshold = incumbent - slack
+
+    best = np.full(nt, -np.inf)  # per k: largest Phi evaluated,
+    first = np.full(nt, nt * nt * q * q)  # the first tuple reaching it,
+    has_nan = np.zeros(nt, dtype=bool)  # and whether a Phi was NaN
+    for K0, bound in bound_batches():
+        # `not <` keeps NaN bounds, which occur only when threshold is -inf
+        K, L, i, j = np.nonzero(~(bound < threshold))
+        K += K0
+        for c in range(0, K.size, chunk):
+            ic, jc = i[c:c + chunk], j[c:c + chunk]
+            val, kk, ll = evaluate(K[c:c + chunk], L[c:c + chunk], ic, jc)
+            top = np.full(nt, -np.inf)
+            np.maximum.at(top, kk.ravel(), val.max(axis=2).ravel())
+            hit = (val == top[kk]) & (top >= best)[kk]
+            m, a, col = np.nonzero(hit)
+            k, l = kk[m, a, 0], ll[m, 0, col]
+            top_first = np.full(nt, nt * nt * q * q)
+            np.minimum.at(top_first, k, ((k * nt + l) * q + ic[m]) * q + jc[m])
+            first = np.where(top > best, top_first,
+                             np.where(top == best,
+                                      np.minimum(first, top_first), first))
+            best = np.where(top > best, top, best)
+            has_nan |= np.isnan(top)
+
+    best[has_nan] = -np.inf
+    k0 = int(np.argmax(best))
+    if not best[k0] > -np.inf:
+        return 0, 0, 0, 0
+    return tuple(int(v) for v in np.unravel_index(first[k0], (nt, nt, q, q)))
+
+
 def doubling_maximize(V, V_hat, theta=THETA, levels=None, gamma=0.0):
     """Maximize Phi over node tuples at a ladder of penalty weights.
 
@@ -324,7 +455,9 @@ def doubling_maximize(V, V_hat, theta=THETA, levels=None, gamma=0.0):
     or (epsilon, delta) pairs; by default DOUBLING_LEVELS.  The space axes
     are strided so the full search stays within TUPLE_BUDGET tuples; time
     pairs are always exhaustive, and the strided subset is closed under the
-    symmetric tuples the residual bound needs.
+    symmetric tuples the residual bound needs.  The maximum over that set
+    is exact (a bounded search over time blocks; the first maximiser in
+    (k, l, i, j) order wins ties), and ``tuples_per_level`` counts the set.
     Each level's maximum is certified against CERTIFICATE_TUPLES random
     tuples drawn with seed CERTIFICATE_SEED.
     """
@@ -366,29 +499,15 @@ def doubling_maximize(V, V_hat, theta=THETA, levels=None, gamma=0.0):
     norms = np.sqrt(1.0 + (sub ** 2).sum(axis=1))
     pair_norms = norms[:, None] + norms[None, :]
     D2 = ((sub[:, None, :] - sub[None, :, :]) ** 2).sum(axis=-1)
-    fac = 1.0 - theta * G
-    two_nu_T = 2.0 * NU * T
+    FA = (1.0 - theta * G) * As
 
     rows = []
     cert_ok = True
     rng = np.random.default_rng(CERTIFICATE_SEED)
     for eps, dlt in levels:
         half_d2 = 0.5 / dlt * D2
-        best = -np.inf
-        best_idx = (0, 0, 0, 0)
-        for k in range(nt):
-            w = (two_nu_T - t[k] - t) / two_nu_T
-            pen = 0.5 / eps * (t[k] - t) ** 2 - RHO * (t[k] + t)
-            phi = (theta * w[:, None, None] * pair_norms[None, :, :]
-                   + pen[:, None, None] + half_d2[None, :, :])
-            val = fac * As[k][None, :, None] - Bs[:, None, :] - phi
-            m = float(val.max())
-            if m > best:
-                best = m
-                l, i, j = np.unravel_index(int(val.argmax()), val.shape)
-                best_idx = (k, int(l), int(i), int(j))
-
-        k0, l0, i0, j0 = best_idx
+        k0, l0, i0, j0 = _sweep_argmax(FA, Bs, t, pair_norms, half_d2,
+                                       theta, eps, T)
         phi_max = float(_phi_tuples(As, Bs, t, sub, norms, theta, eps, dlt,
                                     T, k0, l0, i0, j0))
         kk = rng.integers(0, nt, size=CERTIFICATE_TUPLES)

@@ -384,7 +384,38 @@ def read_csv(grid, path):
     want = int(np.prod(grid.shape))
     if values.size != want:
         raise ConfigError(f"CSV holds {values.size} rows, grid needs {want}")
+    _check_csv_nodes(grid, path)
     return GridFunction(grid, values.reshape(grid.shape))
+
+
+def _check_csv_nodes(grid, path):
+    """Raise ConfigError unless the CSV's t and x columns are grid nodes.
+
+    `%.17g` round-trips, so write_csv on this grid gives the node
+    coordinates bitwise.  Three places are read, not every row: the first
+    time slice pins the space axes and t[0], the first row of the second
+    slice pins t[1], and the last row pins t[-1] and the box corner.
+    With the row count checked, those pin every uniform grid.
+    """
+    space = grid.space_nodes()
+    m, t = space.shape[0], grid.t
+    try:
+        head = np.loadtxt(path, delimiter=",", skiprows=1, max_rows=m + 1,
+                          usecols=range(grid.n + 1), ndmin=2)
+        with open(path, "rb") as fh:
+            fh.seek(0, 2)  # the end: the last row is in the last 4 KiB
+            fh.seek(max(0, fh.tell() - 4096))
+            last_row = fh.read().rstrip().rsplit(b"\n", 1)[-1].split(b",")
+        last = [float(tok) for tok in last_row[:grid.n + 1]]
+    except ValueError as err:
+        raise ConfigError(f"malformed CSV {str(path)!r}: {err}") from err
+    want_head = np.column_stack(
+        [np.r_[np.full(m, t[0]), t[1]], np.vstack([space, space[:1]])])
+    if not (np.array_equal(head, want_head)
+            and last == [t[-1], *space[-1]]):
+        raise ConfigError(
+            f"CSV {str(path)!r} was written on another grid: its t and x "
+            f"columns are not the nodes of {grid!r}")
 
 
 # ---------------------------------------------------------- interpolation ----

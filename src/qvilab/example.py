@@ -234,7 +234,9 @@ def build_instance(t0=0.5, l0=0.05, T=1.0,
     x0 = T - t0 + 1.0
     psi_min = float(psi(l0, xi2))
     anchor = float(math.exp(-1.0))
-    gap = psi_min - anchor
+    # the cheapest jump is the far dip or, at psi(0+) = anchor + l0, the
+    # near-zero one (xi1 is a local maximum of psi)
+    gap = min(psi_min - anchor, l0)
 
     if gap >= -1e-9:
         return ExampleInstance(

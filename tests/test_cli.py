@@ -232,6 +232,25 @@ class TestViscosity:
                     "--solution", str(solve_dir / "solution.csv"),
                     "--variant", "qvi-sub", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("solve_flags, read_flags", [
+        (["--set", "grid.x_min=-3", "--set", "grid.x_max=2"], []),
+        (["--grid-nt", "41", "--grid-nx", "101"],
+         ["--grid-nt", "101", "--grid-nx", "41"]),
+    ], ids=["box-shifted", "node-counts-swapped"])
+    def test_solution_written_on_another_grid_is_invalid(
+            self, solve_flags, read_flags, tmp_path, capsys):
+        # both files hold as many rows as the grid that reads them
+        solved = tmp_path / "solved"
+        assert run(["solve", TRANSPORT, "--no-obstacle", *solve_flags,
+                    "--out", str(solved)]) == 0
+        capsys.readouterr()
+        assert run(["viscosity", TRANSPORT, *read_flags,
+                    "--variant", "hjb-super",
+                    "--solution", str(solved / "solution.csv"),
+                    "--out", str(tmp_path / "probe")]) == 2
+        err = capsys.readouterr().err
+        assert "another grid" in err and "solution.csv" in err
+
     def test_bad_expression_is_invalid(self, tmp_path):
         assert run(["viscosity", EXAMPLE, "--analytic", "sqrt*",
                     "--variant", "qvi-sub", "--out", str(tmp_path)]) == 2

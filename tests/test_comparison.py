@@ -230,3 +230,117 @@ class TestDoublingMaximize:
         assert lines[0].startswith("epsilon,")
         assert len(lines) == 3
         assert float(lines[1].split(",")[0]) == 0.1
+
+
+def sweep_every_tuple(FA, Bs, t, pair_norms, half_d2, theta, eps, T):
+    """Reference for comparison._sweep_argmax: Phi on every tuple, one time
+    slice k at a time, keeping the first maximiser in (k, l, i, j) order."""
+    two_nu_T = 2.0 * cmp.NU * T
+    best = -np.inf
+    best_idx = (0, 0, 0, 0)
+    for k in range(len(t)):
+        w = (two_nu_T - t[k] - t) / two_nu_T
+        pen = 0.5 / eps * (t[k] - t) ** 2 - cmp.RHO * (t[k] + t)
+        phi = (theta * w[:, None, None] * pair_norms[None, :, :]
+               + pen[:, None, None] + half_d2[None, :, :])
+        val = FA[k][None, :, None] - Bs[:, None, :] - phi
+        m = float(val.max())
+        if m > best:
+            best = m
+            l, i, j = np.unravel_index(int(val.argmax()), val.shape)
+            best_idx = (k, int(l), int(i), int(j))
+    return best_idx
+
+
+GRID_13x9 = Grid(T=1.0, t_nodes=13, x_min=(-1.0,), x_max=(2.0,),
+                 x_nodes=(9,))  # last time block holds 5 of 8 nodes
+GRID_16x20 = Grid(T=2.0, t_nodes=16, x_min=(-3.0,), x_max=(1.0,),
+                  x_nodes=(20,))  # whole time blocks only
+GRID_2D = Grid(T=0.5, t_nodes=11, x_min=(-1.0, 0.0), x_max=(1.0, 2.0),
+               x_nodes=(5, 4))
+GRID_STRIDED = Grid(T=1.0, t_nodes=201, x_min=(-1.0,), x_max=(4.0,),
+                    x_nodes=(61,))  # space strided by 5 within TUPLE_BUDGET
+
+
+def random_pair(grid, seed, integer, same):
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        if integer:  # few distinct values, so Phi ties are common
+            return rng.integers(-2, 3, size=grid.shape).astype(float)
+        return rng.normal(size=grid.shape)
+
+    V = GridFunction(grid, draw())
+    return V, (V if same else GridFunction(grid, draw()))
+
+
+def both_sweeps(V, V_hat, **kwargs):
+    bounded = cmp.doubling_maximize(V, V_hat, **kwargs).to_dict()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cmp, "_sweep_argmax", sweep_every_tuple)
+        reference = cmp.doubling_maximize(V, V_hat, **kwargs).to_dict()
+    return bounded, reference
+
+
+SWEEP_CASES = [
+    # grid, seed, integer-valued, V_hat is V, theta, levels
+    (GRID_13x9, 0, False, False, cmp.THETA, None),
+    (GRID_13x9, 1, True, False, cmp.THETA, None),
+    (GRID_13x9, 2, True, True, 0.001, ((0.1, 0.02), (0.03, 0.5))),
+    (GRID_16x20, 3, False, False, 0.05, ((0.2, 0.05),)),
+    (GRID_16x20, 4, True, False, 0.099, (0.5, 1e-3)),
+    (GRID_2D, 5, False, False, cmp.THETA, ((0.05, 0.2), 0.01)),
+    (GRID_2D, 6, True, False, 0.001, None),
+    (GRID_2D, 7, True, True, 0.05, (1.0,)),
+    (GRID_STRIDED, 8, True, False, cmp.THETA, (0.1, (0.02, 0.3))),
+]
+
+
+class TestBoundedSweep:
+    @pytest.mark.parametrize("grid, seed, integer, same, theta, levels",
+                             SWEEP_CASES)
+    def test_same_diagnostics_as_the_full_sweep(self, grid, seed, integer,
+                                                 same, theta, levels):
+        V, V_hat = random_pair(grid, seed, integer, same)
+        bounded, reference = both_sweeps(V, V_hat, theta=theta, levels=levels)
+        assert bounded == reference
+
+    def test_constant_functions_tie_everywhere_on_the_diagonal(self):
+        V = GridFunction(GRID_13x9, np.full(GRID_13x9.shape, 2.0))
+        bounded, reference = both_sweeps(V, V, levels=(10.0,))
+        assert bounded == reference
+
+    @pytest.mark.parametrize("block, incumbents", [(8, 64), (3, 1), (1, 5)])
+    def test_single_block_chunks_and_other_block_shapes(self, monkeypatch,
+                                                         block, incumbents):
+        monkeypatch.setattr(cmp, "_chunk_blocks", lambda nt, q: 1)
+        monkeypatch.setattr(cmp, "_TIME_BLOCK", block)
+        monkeypatch.setattr(cmp, "_INCUMBENT_BLOCKS", incumbents)
+        for grid, seed, integer, same, theta, levels in SWEEP_CASES[:8]:
+            V, V_hat = random_pair(grid, seed, integer, same)
+            bounded, reference = both_sweeps(V, V_hat, theta=theta,
+                                             levels=levels)
+            assert bounded == reference
+
+    def test_chunks_hold_at_most_one_time_slice(self):
+        for nt, q in ((201, 15), (13, 9), (2, 1), (101, 30)):
+            chunk = cmp._chunk_blocks(nt, q)
+            assert chunk >= 1
+            assert chunk * cmp._TIME_BLOCK ** 2 <= max(nt * q * q,
+                                                       cmp._TIME_BLOCK ** 2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_overflowing_magnitudes_skip_the_same_time_slices(self, seed):
+        # |x - y|^2 overflows to inf and (1 - theta*G) V - V_hat to +-inf,
+        # so some slices hold NaN; both sweeps must skip the same ones
+        grid = Grid(T=1.0, t_nodes=13, x_min=(-1e154,), x_max=(1e154,),
+                    x_nodes=(5,))
+        rng = np.random.default_rng(seed)
+        V = GridFunction(grid, rng.choice([-1.5e308, 0.0, 1.0, 1.5e308],
+                                          size=grid.shape))
+        V_hat = GridFunction(grid, rng.choice([-1.5e308, 0.0, -1.0, 1.5e308],
+                                              size=grid.shape))
+        with np.errstate(all="ignore"):
+            bounded, reference = both_sweeps(V, V_hat, levels=(0.1,))
+        # json spells NaN, so equal text means equal values, NaN included
+        assert json.dumps(bounded) == json.dumps(reference)

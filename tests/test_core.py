@@ -242,6 +242,37 @@ class TestGridFunction:
         with pytest.raises(ConfigError, match="header"):
             core.read_csv(Grid(1.0, 2, (0.0, 0.0), (1.0, 1.0), (2, 2)), path)
 
+    @pytest.mark.parametrize("row, col", [(0, 0), (5, 2), (11, 1), (12, 0),
+                                          (12, 2), (35, 0), (35, 1)],
+                             ids=["t0", "slice0-x2", "slice0-last-x1",
+                                  "t1", "slice1-x2", "t-last", "last-x1"])
+    def test_read_csv_checks_the_node_coordinates(self, tmp_path, row, col):
+        # rows 0-11 are the first time slice, row 12 opens the second and
+        # row 35 closes the file; each pins part of the grid
+        grid = Grid(1.0, 3, (-1.0, 0.0), (1.0, 2.0), (4, 3))
+        path = tmp_path / "nodes.csv"
+        GridFunction(grid, np.zeros(grid.shape)).write_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[1 + row].split(",")
+        fields[col] = repr(float(fields[col]) + 0.25)
+        lines[1 + row] = ",".join(fields)
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigError, match="another grid") as err:
+            core.read_csv(grid, path)
+        assert "nodes.csv" in str(err.value)
+
+    def test_read_csv_rejects_the_same_row_count_on_another_grid(self,
+                                                                 tmp_path):
+        path = tmp_path / "other.csv"
+        grid = Grid(1.0, 3, (0.0,), (1.0,), (5,))
+        GridFunction(grid, np.zeros(grid.shape)).write_csv(path)
+        for other in (Grid(1.0, 5, (0.0,), (1.0,), (3,)),  # swapped counts
+                      Grid(2.0, 3, (0.0,), (1.0,), (5,)),  # longer horizon
+                      Grid(1.0, 3, (-1.0,), (1.0,), (5,))):  # wider box
+            with pytest.raises(ConfigError, match="another grid"):
+                core.read_csv(other, path)
+        assert core.read_csv(grid, path).grid == grid
+
 
 class TestSampling:
     def test_terminal_payoff_values(self):

@@ -157,6 +157,14 @@ class TestGapAgreement:
                 res = measure_obstacle_gap(build_instance(t0=t0, l0=l0))
                 assert res["difference"] <= 1e-6, (l0, t0)
 
+    @pytest.mark.parametrize("l0", (0.12, 0.13, 0.135))
+    def test_near_zero_jump_caps_the_closed_form_gap(self, l0):
+        # psi(0+) - e^-1 = l0; above it, the far dip is not the cheapest jump
+        flagged = build_instance(0.5, l0)
+        assert flagged.psi_min - flagged.value_at_anchor > l0
+        assert flagged.gap == l0
+        assert measure_obstacle_gap(flagged)["difference"] <= 1e-6
+
 
 class TestVerdicts:
     def test_classical_passes(self, report):

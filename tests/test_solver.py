@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq, minimize_scalar
 
 from qvilab import cli
@@ -16,6 +19,7 @@ from qvilab.core import (
     Grid,
     ImpulseProblem,
     interp_slice,
+    load_problem,
     role_variables,
 )
 from qvilab.obstacle import SearchParams
@@ -466,3 +470,68 @@ class TestInteriorMask:
         assert np.array_equal(mask[0], expect_first)
         # widening in time
         assert mask.sum(axis=1)[0] <= mask.sum(axis=1)[-1]
+
+
+SHIPPED = [load_problem(path.read_text()) for path in (
+    CONFIGS / "example.cfg", CONFIGS / "example-lifted.cfg",
+    CONFIGS / "transport.cfg", CONFIGS.parent / "perfbench" / "plane.cfg")]
+
+
+@st.composite
+def stable_steps(draw):
+    """(step, W, raise mask, raise amounts): one explicit step of a shipped
+    Hamiltonian on a small grid of its box, with the estimated dissipation
+    and a time step within the CFL bound."""
+    cfg = draw(st.sampled_from(SHIPPED))
+    box = cfg.grid
+    nodes = tuple(draw(st.integers(2, 8)) for _ in range(box.n))
+    coarse = Grid(box.T, 2, box.x_min, box.x_max, nodes)
+    # the suggested count is the coarsest time step within the bound
+    t_nodes = (suggest_t_nodes(coarse, estimate_dissipation(cfg.problem,
+                                                            coarse))
+               + draw(st.sampled_from((0, 0, 1, 10))))
+    grid = Grid(box.T, t_nodes, box.x_min, box.x_max, nodes)
+    dissipation = check_cfl(grid, estimate_dissipation(cfg.problem, grid))
+    x = np.meshgrid(*grid.axes, indexing="ij")
+    t_next = float(grid.t[draw(st.integers(1, t_nodes - 1))])
+
+    def step(W):
+        return solver._hjb_step(cfg.problem, grid, dissipation, W, t_next, x)
+
+    W = draw(hnp.arrays(np.float64, nodes,
+                        elements=st.floats(-1e3, 1e3)))
+    mask = draw(hnp.arrays(np.bool_, nodes))
+    amounts = draw(hnp.arrays(np.float64, nodes,
+                              elements=st.floats(0.0, 1e3)))
+    return step, W, mask, amounts
+
+
+class TestMonotoneStep:
+    """Raising any input of _hjb_step never lowers any output (the
+    monotonicity of Barles and Souganidis), under the CFL bound."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(case=stable_steps())
+    def test_raising_inputs_never_lowers_an_output(self, case):
+        step, W, mask, amounts = case
+        # every raise is at least 1e-6 of the slice's scale, far above the
+        # rounding of the step, so the comparison is exact
+        raised = W + np.where(mask, 1e-6 + amounts, 0.0) * (
+            1.0 + np.abs(W).max())
+        assert np.all(step(raised) >= step(W))
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(case=stable_steps())
+    def test_raises_down_to_one_ulp_lower_nothing_beyond_rounding(self,
+                                                                   case):
+        step, W, mask, amounts = case
+        raised = np.where(mask, np.maximum(np.nextafter(W, np.inf),
+                                           W + amounts), W)
+        base = step(W)
+        # one-ulp raises can round an output one ulp lower; the margin is
+        # four ulps of the largest input or output magnitude
+        margin = 4.0 * np.finfo(float).eps * (np.abs(raised).max()
+                                              + np.abs(base).max())
+        assert np.all(step(raised) >= base - margin)
