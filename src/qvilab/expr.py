@@ -250,14 +250,19 @@ def _check_finite(result, op, argument):
 
 
 def _eval_power(base, expo):
-    base, expo = np.broadcast_arrays(
-        np.asarray(base, dtype=float), np.asarray(expo, dtype=float)
-    )
-    neg_frac = (base < 0.0) & (np.mod(expo, 1.0) != 0.0)
-    if np.any(neg_frac):
-        raise DomainError("^", _first_offender(base, neg_frac))
-    zero_neg = (base == 0.0) & (expo < 0.0)
-    if np.any(zero_neg):
+    base = np.asarray(base, dtype=float)
+    expo = np.asarray(expo, dtype=float)
+    if expo.ndim:
+        base, expo = np.broadcast_arrays(base, expo)
+    # each base test runs only where the exponent can make it fail, so a
+    # constant exponent costs one scalar test
+    fractional = np.mod(expo, 1.0) != 0.0
+    if np.any(fractional):
+        neg_frac = (base < 0.0) & fractional
+        if np.any(neg_frac):
+            raise DomainError("^", _first_offender(base, neg_frac))
+    negative = expo < 0.0
+    if np.any(negative) and np.any((base == 0.0) & negative):
         raise DomainError("^", 0.0)
     with np.errstate(all="ignore"):
         out = np.power(base, expo)

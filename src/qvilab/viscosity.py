@@ -30,6 +30,14 @@ where the definitions differ: the classical one asks min{a + H, N[V] - V}
 <= tol at every probe, the modified one demands the constraint globally
 and the transport inequality wherever V sits strictly below the obstacle.
 The final time slice carries only the terminal comparison with h.
+
+For each (space slopes, time slope) pair the scan first finds the
+centers where the flat probe breaks the inequality; a curved probe's
+tolerance is never below the flat one, so curved probes are compared only
+among those centers.  The touching test visits the nearest ring of
+neighbors first and drops a probe at its first refuting neighbor.  So the
+cost follows the number of candidates, not 3 * 3^n * 3 full-array passes,
+and the rows equal those of such passes with every neighbor tested.
 """
 
 import itertools
@@ -275,16 +283,19 @@ def _slack(Vv):
 
 def _touches(Vv, center, a, p, kappa_eff, side, grid, slack):
     """Whether each probe touches Vv from its side on the RADIUS node
-    neighborhood of `center`: index arrays aligned with the probe arrays,
-    or plain indices for a single probe."""
+    neighborhood of `center`: index arrays aligned with the probe arrays.
+    Neighbors are visited nearest ring first, and a probe leaves the test
+    at its first refuting neighbor, so each neighbor costs only the probes
+    still standing."""
     steps = (grid.dt,) + grid.dx
     r = RADIUS
     sign = -1.0 if side == "sub" else 1.0
+    ok = np.zeros(len(a), dtype=bool)
+    alive = np.arange(len(a))  # positions of the probes still standing
     V0 = Vv[center]
-    ok = np.ones(np.shape(V0), dtype=bool)
-    for off in itertools.product(range(-r, r + 1), repeat=len(center)):
-        if not any(off):
-            continue
+    offsets = itertools.product(range(-r, r + 1), repeat=len(center))
+    # by ring; [1:] drops the center itself
+    for off in sorted(offsets, key=lambda o: max(map(abs, o)))[1:]:
         neighbor = tuple(c + o for c, o in zip(center, off))
         lin = a * (off[0] * steps[0])
         dist2 = (off[0] * steps[0]) ** 2
@@ -293,7 +304,15 @@ def _touches(Vv, center, a, p, kappa_eff, side, grid, slack):
             lin = lin + p[d] * step
             dist2 += step ** 2
         lhs = Vv[neighbor] - V0 - lin + sign * 0.5 * kappa_eff * dist2
-        ok &= (lhs <= slack) if side == "sub" else (lhs >= -slack)
+        good = (lhs <= slack) if side == "sub" else (lhs >= -slack)
+        if not good.all():
+            alive = alive[good]
+            if not len(alive):
+                return ok
+            center = tuple(c[good] for c in center)
+            a, V0, kappa_eff = a[good], V0[good], kappa_eff[good]
+            p = [pd[good] for pd in p]
+    ok[alive] = True
     return ok
 
 
@@ -304,12 +323,22 @@ def _scan_violations(field, side, base_tol, unit, gap, sees_gap):
     requiring gap > tol when `sees_gap` is "min", and restricted to the
     strictly-below-obstacle centers (gap > 2*unit) when it is "below".
     Rows are ordered by (t_index, x_index, kappa, a, p).
+
+    Each (combo, slope) pass finds the flat probe's candidates once, at
+    base_tol.  A curved probe's tolerance is never below base_tol (a NaN
+    one admits nothing), so its candidates lie among them, and only they
+    are compared with it.
     """
     grid = field.grid
     n = grid.n
-    if sees_gap:
-        gap_centers = _block(gap, (0,) * gap.ndim, RADIUS)
-        below = gap_centers > 2.0 * unit
+    sub = side == "sub"
+    if not sub and sees_gap:
+        gap_centers = _block(gap, (0,) * gap.ndim, RADIUS).ravel()
+        # the centers the gap lets a flat probe through
+        if sees_gap == "min":
+            gap_open = gap_centers > base_tol
+        else:
+            gap_open = gap_centers > 2.0 * unit
     # one (t_index, x_index, a, p, kappa, kappa_eff, margin) block per
     # (combo, slope, kappa) batch, indices relative to the center block
     blocks = [(np.empty(0, dtype=np.intp), np.empty((0, n), dtype=np.intp),
@@ -317,35 +346,47 @@ def _scan_violations(field, side, base_tol, unit, gap, sees_gap):
                np.empty(0))]
     for combo, ham in sorted(field.ham.items()):
         for a_choice in range(3):
-            pde = field.a_cand[a_choice] + ham
+            pde = (field.a_cand[a_choice] + ham).ravel()
+            if sub:
+                flat = pde < -base_tol
+            else:
+                flat = pde > base_tol
+                if sees_gap:
+                    flat &= gap_open
+            flat = np.flatnonzero(flat)  # positions, in np.nonzero order
+            if not len(flat):
+                continue
+            pde_f = pde[flat]
+            curv_f = field.curv_scale.ravel()[flat]
+            if sees_gap == "min":
+                gap_f = gap_centers[flat]
             for kappa in CURVATURES:
                 # tolerance grows with the probe's effective curvature: a
                 # one-sided slope admitted against curvature |V''| sits
                 # O(step * |V''|) away from the true gradient
-                tol = base_tol + kappa * field.curv_scale * unit
-                if side == "sub":
-                    cond = pde < -tol
+                tol = base_tol + kappa * curv_f * unit
+                if sub:
+                    cond = pde_f < -tol
                 else:
-                    cond = pde > tol
+                    cond = pde_f > tol
                     if sees_gap == "min":
-                        cond &= gap_centers > tol
-                    elif sees_gap == "below":
-                        cond &= below
-                if not cond.any():
+                        cond &= gap_f > tol
+                sel = np.flatnonzero(cond)
+                if not len(sel):
                     continue
-                cand_idx = np.nonzero(cond)
+                cand_idx = np.unravel_index(flat[sel], field.center_shape)
                 a = field.a_cand[a_choice][cand_idx]
                 p_list = [field.p_cand[combo[d]][d][cand_idx]
                           for d in range(n)]
-                kappa_eff = kappa * field.curv_scale[cand_idx]
+                kappa_eff = kappa * curv_f[sel]
                 keep = field.admitted(cand_idx, a, p_list, kappa_eff, side)
                 if not keep.any():
                     continue
-                pde_k = pde[cand_idx][keep]
-                if side == "sub":
+                pde_k = pde_f[sel][keep]
+                if sub:
                     margin = pde_k
                 elif sees_gap == "min":
-                    margin = -np.minimum(pde_k, gap_centers[cand_idx][keep])
+                    margin = -np.minimum(pde_k, gap_f[sel][keep])
                 else:
                     margin = -pde_k
                 blocks.append((
@@ -531,6 +572,8 @@ def probe_admitted(V, t_index, x_index, a, p, kappa_eff, side):
     for d in range(n):
         if not (r <= x_index[d] < grid.x_nodes[d] - r):
             raise ConfigError("node has no full probe neighborhood")
-    center = (t_index,) + tuple(x_index)
-    return bool(_touches(V.values, center, a, p, kappa_eff, side, grid,
+    center = tuple(np.array([i]) for i in (t_index, *x_index))
+    return bool(_touches(V.values, center, np.array([a], dtype=float),
+                         [np.array([pd], dtype=float) for pd in p],
+                         np.array([kappa_eff], dtype=float), side, grid,
                          _slack(V.values)))

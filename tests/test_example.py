@@ -210,3 +210,36 @@ class TestVerdicts:
         assert not rep.separated
         assert rep.violations_in_band
         assert "shrink" in rep.notes
+
+
+class TestSeparationUnderRefinement:
+    """The verdict pattern on the reproduce-example box at three nested
+    grids: the classical check passes, the modified one fails through the
+    obstacle constraint alone, and on the anchor slice N[V] - V < 0 holds
+    exactly at the nodes inside the profitable band."""
+
+    @pytest.mark.parametrize("nt, nx, constraint_rows, band_nodes", [
+        (101, 351, 7974, 104),
+        (201, 701, 36588, 208),
+        (401, 1401, 156028, 415),
+    ])
+    def test_pattern_holds_at_every_level(self, inst, nt, nx,
+                                          constraint_rows, band_nodes):
+        # the box of `qvilab reproduce-example`
+        grid = Grid(inst.T, nt, (-1.5,),
+                    (max(5.5, inst.x0 + inst.xi2 + 1.0),), (nx,))
+        rep = verify_separation(inst, grid)
+        assert rep.classical.passed
+        assert not rep.modified.passed
+        assert rep.separated and rep.violations_in_band
+        assert not rep.modified.violations
+        assert not rep.modified.terminal_violations
+        assert len(rep.modified.constraint_violations) == constraint_rows
+        assert rep.sub.passed
+
+        k0 = int(round(inst.t0 / grid.dt))
+        assert grid.t[k0] == inst.t0
+        negative = rep.gap[k0] < 0.0
+        band = inst.in_band(grid.t[k0], grid.axes[0])
+        assert np.array_equal(negative, band)
+        assert int(band.sum()) == band_nodes

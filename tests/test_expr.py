@@ -126,6 +126,72 @@ class TestDomainErrors:
         assert "-3.0" in str(err.value)
 
 
+def power_broadcast(base, expo):
+    """Reference for expr._eval_power: the exponent broadcast to the
+    base's shape before every test."""
+    base, expo = np.broadcast_arrays(np.asarray(base, dtype=float),
+                                     np.asarray(expo, dtype=float))
+    neg_frac = (base < 0.0) & (np.mod(expo, 1.0) != 0.0)
+    if np.any(neg_frac):
+        raise DomainError("^", expr._first_offender(base, neg_frac))
+    if np.any((base == 0.0) & (expo < 0.0)):
+        raise DomainError("^", 0.0)
+    with np.errstate(all="ignore"):
+        out = np.power(base, expo)
+    return expr._check_finite(out, "^", base)
+
+
+def power_error(fn, base, expo):
+    with pytest.raises(DomainError) as err:
+        fn(base, expo)
+    return str(err.value)
+
+
+class TestPowerExponentShapes:
+    """A constant exponent is tested once, not broadcast to the base."""
+
+    @pytest.mark.parametrize("expo", [2, 3.0, 0.5, -1])
+    def test_constant_exponent_matches_broadcast_bitwise(self, expo):
+        rng = np.random.default_rng(7)
+        base = rng.uniform(0.01, 5.0, (195, 695))
+        if float(expo).is_integer():
+            base[::3] *= -1.0  # negative bases with integral exponents
+        for b in (base, base[:, 0], float(base[1, 1])):
+            got = expr._eval_power(b, expo)
+            want = power_broadcast(b, expo)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_same_domain_errors(self):
+        rows = [(-1.0, 0.5), (0.0, -1), (np.array([2.0, -1.0, -3.0]), 0.5),
+                (np.array([1.0, 0.0]), -1.0), (np.array([1e200]), 2.0)]
+        for base, expo in rows:
+            assert power_error(expr._eval_power, base, expo) \
+                == power_error(power_broadcast, base, expo)
+        assert "-1.0" in power_error(expr._eval_power, -1.0, 0.5)
+
+    def test_array_exponent_still_broadcasts(self):
+        base = np.array([[1.0], [2.0], [4.0]])
+        expo = np.array([[0.5, 2.0, -1.0, 3.0]])
+        got = expr._eval_power(base, expo)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got, power_broadcast(base, expo))
+        assert np.array_equal(expr._eval_power(2.0, expo),
+                              power_broadcast(2.0, expo))
+        # the offender is read off the broadcast base
+        base = np.array([[1.0], [-2.0]])
+        expo = np.array([[2.0, 0.5]])
+        assert power_error(expr._eval_power, base, expo) \
+            == power_error(power_broadcast, base, expo)
+        # a zero base fails only where its own exponent is negative
+        base = np.array([0.0, 3.0])
+        assert np.array_equal(expr._eval_power(base, np.array([2.0, -1.0])),
+                              power_broadcast(base, np.array([2.0, -1.0])))
+        assert power_error(expr._eval_power, base, np.array([-1.0, 2.0])) \
+            == power_error(power_broadcast, base, np.array([-1.0, 2.0]))
+
+
 class TestParseErrors:
     def test_undeclared_variable(self):
         with pytest.raises(UndeclaredVariableError) as err:

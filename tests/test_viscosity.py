@@ -1,8 +1,10 @@
 """Viscosity checkers: probe mechanics, verdicts, and cross-check identities."""
 
+import itertools
 import json
 from dataclasses import replace
 from hashlib import sha256
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ import pytest
 from qvilab import example as exm
 from qvilab import expr as ex
 from qvilab import viscosity as vc
-from qvilab.core import Cone, ConfigError, Grid, GridFunction, ImpulseProblem, sample
+from qvilab.core import (Cone, ConfigError, Grid, GridFunction, ImpulseProblem,
+                         load_problem, sample)
 from qvilab.obstacle import SearchParams
 from qvilab.solver import solve_qvi
+
+PLANE = Path(__file__).resolve().parent.parent / "perfbench" / "plane.cfg"
 
 
 def make_problem(H="-p1", h="x1*exp(-x1)", ell="0.05*(1 + xi1)", n=1, T=1.0):
@@ -436,3 +441,229 @@ class TestEdgesAndPlumbing:
         first = lines[1].split(",")
         assert first[0] == "probe"
         assert float(first[3]) == pytest.approx(report.violations.t[0])
+
+
+# ------------------------------------------------ scan against references ----
+
+def touches_every_offset(Vv, center, a, p, kappa_eff, side, grid, slack):
+    """Reference for viscosity._touches: every probe tested on every
+    neighbor, in itertools.product order."""
+    steps = (grid.dt,) + grid.dx
+    r = vc.RADIUS
+    sign = -1.0 if side == "sub" else 1.0
+    V0 = Vv[center]
+    ok = np.ones(np.shape(V0), dtype=bool)
+    for off in itertools.product(range(-r, r + 1), repeat=len(center)):
+        if not any(off):
+            continue
+        neighbor = tuple(c + o for c, o in zip(center, off))
+        lin = a * (off[0] * steps[0])
+        dist2 = (off[0] * steps[0]) ** 2
+        for d in range(grid.n):
+            step = off[1 + d] * steps[1 + d]
+            lin = lin + p[d] * step
+            dist2 += step ** 2
+        lhs = Vv[neighbor] - V0 - lin + sign * 0.5 * kappa_eff * dist2
+        ok &= (lhs <= slack) if side == "sub" else (lhs >= -slack)
+    return ok
+
+
+def scan_every_pass(field, side, base_tol, unit, gap, sees_gap):
+    """Reference for viscosity._scan_violations: one full-array pass per
+    (combo, slope, curvature), each candidate set sent whole to
+    touches_every_offset, rows in the same order."""
+    grid = field.grid
+    n = grid.n
+    r = vc.RADIUS
+    if sees_gap:
+        gap_centers = vc._block(gap, (0,) * gap.ndim, r)
+        below = gap_centers > 2.0 * unit
+    blocks = [(np.empty(0, dtype=np.intp), np.empty((0, n), dtype=np.intp),
+               np.empty(0), np.empty((0, n)), np.empty(0), np.empty(0),
+               np.empty(0))]
+    for combo, ham in sorted(field.ham.items()):
+        for a_choice in range(3):
+            pde = field.a_cand[a_choice] + ham
+            for kappa in vc.CURVATURES:
+                tol = base_tol + kappa * field.curv_scale * unit
+                if side == "sub":
+                    cond = pde < -tol
+                else:
+                    cond = pde > tol
+                    if sees_gap == "min":
+                        cond &= gap_centers > tol
+                    elif sees_gap == "below":
+                        cond &= below
+                if not cond.any():
+                    continue
+                cand_idx = np.nonzero(cond)
+                a = field.a_cand[a_choice][cand_idx]
+                p_list = [field.p_cand[combo[d]][d][cand_idx]
+                          for d in range(n)]
+                kappa_eff = kappa * field.curv_scale[cand_idx]
+                keep = touches_every_offset(
+                    field.Vv, tuple(ci + r for ci in cand_idx), a, p_list,
+                    kappa_eff, side, grid, field.slack)
+                if not keep.any():
+                    continue
+                pde_k = pde[cand_idx][keep]
+                if side == "sub":
+                    margin = pde_k
+                elif sees_gap == "min":
+                    margin = -np.minimum(pde_k, gap_centers[cand_idx][keep])
+                else:
+                    margin = -pde_k
+                blocks.append((
+                    cand_idx[0][keep],
+                    np.column_stack([i[keep] for i in cand_idx[1:]]),
+                    a[keep], np.column_stack([pl[keep] for pl in p_list]),
+                    np.full(margin.shape, kappa), kappa_eff[keep], margin))
+    t_index, x_index, a, p, kappa, kappa_eff, margin = (
+        np.concatenate(column) for column in zip(*blocks))
+    order = np.lexsort((*p.T[::-1], a, kappa, *x_index.T[::-1], t_index))
+    return vc._rows(grid, t_index[order] + r, x_index[order] + r,
+                    margin[order], a=a[order], p=p[order], kappa=kappa[order],
+                    kappa_eff=kappa_eff[order])
+
+
+def scan_rows(V, problem, gap, factors):
+    """{(variant, factor): (scan rows, reference rows)} over every notion;
+    notions that scan alike share one run."""
+    field = vc._ProbeField(V, problem)
+    unit = V.grid.tolerance_unit
+    runs = {}
+    for factor in factors:
+        for variant, (side, _, sees_gap) in vc._NOTIONS.items():
+            args = (field, side, factor * unit, unit, gap, sees_gap)
+            key = (side, sees_gap, factor)
+            if key not in runs:
+                runs[key] = (vc._scan_violations(*args),
+                             scan_every_pass(*args))
+            yield (variant, factor), runs[key]
+
+
+def assert_same_rows(V, problem, gap, factors):
+    """Every notion's rows equal the reference's; returns the row counts."""
+    counts = {}
+    for key, (rows, reference) in scan_rows(V, problem, gap, factors):
+        assert rows == reference, key
+        counts[key] = len(rows)
+    return counts
+
+
+def noisy(V, scale, seed):
+    rng = np.random.default_rng(seed)
+    return GridFunction(V.grid, V.values
+                        + scale * rng.standard_normal(V.grid.shape))
+
+
+def tilted(V, slope):
+    """V + slope*t: a + H moves by the slope and touching stays, so every
+    admitted probe breaks one side's inequality for a large enough slope."""
+    t = V.grid.t.reshape((-1,) + (1,) * V.grid.n)
+    return GridFunction(V.grid, V.values + slope * t)
+
+
+def two_dimensional_fixture():
+    problem = make_problem(H="-4*p1 - 4*p2", h="x1 + x2",
+                           ell="0.3 + 0.2*(xi1 + xi2)", n=2)
+    grid = Grid(T=1.0, t_nodes=13, x_min=(-2.0, -2.0), x_max=(2.0, 2.0),
+                x_nodes=(21, 21))
+    return problem, sample(ex.parse("x1 + x2 - t", {"t", "x1", "x2"}), grid)
+
+
+class TestScanMatchesReference:
+    """The scan finds flat-probe candidates once per slope and drops a
+    probe at its first refuting neighbor; its rows must equal those of a
+    full pass per curvature with every neighbor tested."""
+
+    def test_separation_profile_every_notion(self):
+        # the reproduce-example box; every probe is admitted once tilted,
+        # so the tilted profile runs on the coarser grid
+        instance = exm.build_instance(0.5, 0.05)
+        problem = instance.problem()
+        for nt, nx in ((201, 701), (101, 351)):
+            grid = Grid(instance.T, nt, (-1.5,),
+                        (max(5.5, instance.x0 + instance.xi2 + 1.0),), (nx,))
+            V = exm.sample_value_function(instance, grid)
+            gap = vc.obstacle_gap(V, problem)
+            assert_same_rows(V, problem, gap, (0.1, 1.0, 8.0, 10.0, 12.0))
+        # N[V] - V stays below l0 = 0.05 < 2*unit here; doubled, the
+        # modified check sees centers strictly below the obstacle
+        for tilt in (1.0, -1.0):
+            counts = assert_same_rows(tilted(V, tilt), problem, 2.0 * gap,
+                                      (1.0,))
+            assert all(counts[v, 1.0] for v in vc._NOTIONS
+                       if (vc._NOTIONS[v][0] == "super") == (tilt > 0))
+
+    def test_plane_solution(self):
+        cfg = load_problem(PLANE.read_text())
+        solved = solve_qvi(cfg.problem, cfg.grid, constants=cfg.constants)
+        gap = solved.obstacle_gap.values
+        assert_same_rows(solved.V, cfg.problem, gap, (0.1, 1.0, 10.0))
+        for tilt in (5.0, -5.0):
+            counts = assert_same_rows(tilted(solved.V, tilt), cfg.problem,
+                                      gap, (1.0,))
+            side = vc.VARIANT_HJB_SUPER if tilt > 0 else vc.VARIANT_HJB_SUB
+            assert counts[side, 1.0]
+
+    def test_two_dimensional_fixture(self):
+        problem, V = two_dimensional_fixture()
+        gap = vc.obstacle_gap(V, problem)
+        counts = assert_same_rows(V, problem, gap, (10.0,))
+        assert counts[vc.VARIANT_HJB_SUB, 10.0] == 127575
+        # noisy and tilted to the super side, with a gap that opens only
+        # two columns of x2
+        gap = np.full(V.grid.shape, -1.0)
+        gap[..., 7:9] = 1.0
+        counts = assert_same_rows(noisy(tilted(V, 20.0), 1e-2, 1), problem,
+                                  gap, (1.0,))
+        assert 0 < counts[vc.VARIANT_QVI_SUPER_MODIFIED, 1.0] \
+            < counts[vc.VARIANT_HJB_SUPER, 1.0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_noisy_profiles_admit_probes(self, problem, seed):
+        V = noisy(analytic_profile(GRID), 1e-3, seed)
+        gap = vc.obstacle_gap(V, problem, SEARCH)
+        counts = assert_same_rows(V, problem, gap, (0.1, 1.0, 10.0))
+        assert all(counts[v, 0.1] for v in (vc.VARIANT_HJB_SUB,
+                                            vc.VARIANT_HJB_SUPER,
+                                            vc.VARIANT_QVI_SUPER_CLASSICAL))
+
+    def test_values_near_overflow(self, problem):
+        # second differences overflow: curv_scale is inf or NaN, where
+        # every curvature's tolerance, flat included, admits nothing
+        V = GridFunction(GRID, 1e308 * np.cos(3.0 * analytic_profile(GRID)
+                                              .values))
+        gap = np.where(np.arange(GRID.x_nodes[0]) % 2, 1.0, -1.0) \
+            * np.ones(GRID.shape)
+        with np.errstate(all="ignore"):
+            curv = vc._ProbeField(V, problem).curv_scale
+            counts = assert_same_rows(V, problem, gap, (0.1, 10.0))
+        assert np.isinf(curv).any() and np.isnan(curv).any()
+        assert all(counts[v, 0.1] for v in vc._NOTIONS)
+
+    @pytest.mark.parametrize("side", ["sub", "super"])
+    def test_touches_matches_every_offset(self, side):
+        problem, V = two_dimensional_fixture()
+        V = noisy(V, 1e-2, 2)
+        field = vc._ProbeField(V, problem)
+        rng = np.random.default_rng(3)
+        centers = tuple(rng.integers(0, s, 5000) for s in field.center_shape)
+        a = field.a_cand[2][centers] + rng.normal(0.0, 0.05, 5000)
+        p = [field.p_cand[2][d][centers] + rng.normal(0.0, 0.05, 5000)
+             for d in range(2)]
+        kappa_eff = rng.choice(vc.CURVATURES, 5000) * field.curv_scale[centers]
+        shifted = tuple(c + vc.RADIUS for c in centers)
+        args = (field.Vv, shifted, a, p, kappa_eff, side, field.grid,
+                field.slack)
+        got = vc._touches(*args)
+        assert np.array_equal(got, touches_every_offset(*args))
+        assert 0 < got.sum() < len(got)
+        for j in np.flatnonzero(got)[:5].tolist() + \
+                np.flatnonzero(~got)[:5].tolist():
+            assert vc.probe_admitted(
+                V, int(shifted[0][j]), [int(shifted[1][j]),
+                                        int(shifted[2][j])],
+                float(a[j]), [float(p[0][j]), float(p[1][j])],
+                float(kappa_eff[j]), side) == got[j]
