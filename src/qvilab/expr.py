@@ -252,10 +252,9 @@ def _check_finite(result, op, argument):
 def _eval_power(base, expo):
     base = np.asarray(base, dtype=float)
     expo = np.asarray(expo, dtype=float)
-    if expo.ndim:
-        base, expo = np.broadcast_arrays(base, expo)
-    # each base test runs only where the exponent can make it fail, so a
-    # constant exponent costs one scalar test
+    # the masks, np.power and _first_offender all broadcast, so the exponent
+    # is never spread to the base's shape: a constant exponent costs one
+    # scalar test, and each base test runs only where it can fail
     fractional = np.mod(expo, 1.0) != 0.0
     if np.any(fractional):
         neg_frac = (base < 0.0) & fractional

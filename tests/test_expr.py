@@ -190,6 +190,12 @@ class TestPowerExponentShapes:
                               power_broadcast(base, np.array([2.0, -1.0])))
         assert power_error(expr._eval_power, base, np.array([-1.0, 2.0])) \
             == power_error(power_broadcast, base, np.array([-1.0, 2.0]))
+        # an overflow names its base, read off the broadcast shape as well
+        base = np.array([[2.0], [10.0]])
+        expo = np.array([[2.0, 400.0]])
+        assert power_error(expr._eval_power, base, expo) \
+            == power_error(power_broadcast, base, expo)
+        assert "10.0" in power_error(expr._eval_power, base, expo)
 
 
 class TestParseErrors:
