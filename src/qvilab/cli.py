@@ -94,7 +94,7 @@ def _collect_overrides(args):
 def _load_config(path, overrides):
     try:
         text = Path(path).read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path!r}: {err}") from err
     return load_problem(text, overrides)
 
@@ -258,7 +258,7 @@ def cmd_doubling(args):
     if V_hat is None:
         V_hat, hat_source = V, "the same function"
     levels = None
-    if args.levels:
+    if args.levels is not None:
         try:
             levels = tuple(float(part) for part in args.levels.split(","))
         except ValueError:

@@ -369,8 +369,11 @@ def write_csv(gf, path):
 
 def read_csv(grid, path):
     """Load a grid function exported by write_csv onto a matching grid."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"cannot read CSV {str(path)!r}: {err}") from err
     expected = ["t", *_axis_names("x", grid.n), "value"]
     if header != expected:
         raise ConfigError(

@@ -125,7 +125,7 @@ def _pick(values, xi, lam):
 
 def _psi(grid, slice_values, t, ell, x, xi):
     """psi(xi) = V_interp(t, x + xi) + ell(t, x, xi); x: (N, 1, n), xi:
-    (N, B, n).  Returns (N, B)."""
+    (N, B, n).  Returns (N, B); x and xi of shape (N, n) give (N,)."""
     v = interp_slice(grid, slice_values, x + xi)
     cost = np.asarray(ex.evaluate(ell, make_env(t=t, x=x, xi=xi)), dtype=float)
     return v + np.broadcast_to(cost, v.shape)
@@ -364,15 +364,6 @@ def _node_ties(grid, key, ti, tj, batch=1 << 16):
     return out
 
 
-def _exact_payoff(grid, values, t, ell, x, xi, search):
-    """Payoff V(x + xi) + ell(t, xi) and truncation flag of chosen impulses."""
-    cost = np.broadcast_to(
-        np.asarray(ex.evaluate(ell, make_env(t=float(t), xi=xi)), dtype=float),
-        (x.shape[0],))
-    payoff = interp_slice(grid, values, x + xi) + cost
-    return payoff, _truncated(np.linalg.norm(xi, axis=-1), search)
-
-
 def _obstacle(grid, slice_values, t, ell, cone, search, points, at_nodes):
     """N at points (N, n) by the exact path when it applies, else the search.
 
@@ -395,9 +386,9 @@ def _obstacle(grid, slice_values, t, ell, cone, search, points, at_nodes):
         bxi, probes = _exact_1d_nodes(grid, slice_values, slopes[0]), None
     else:
         bxi, probes = _exact_2d_nodes(grid, slice_values, slopes), None
-    values, truncated = _exact_payoff(grid, slice_values, t, ell, points, bxi,
-                                      search)
-    return values, bxi, truncated, probes
+    values = _psi(grid, slice_values, t, ell, points, bxi)
+    return (values, bxi, _truncated(np.linalg.norm(bxi, axis=-1), search),
+            probes)
 
 
 def evaluate_slice_values(grid, slice_values, t, ell, cone, search=None):

@@ -31,13 +31,15 @@ where the definitions differ: the classical one asks min{a + H, N[V] - V}
 and the transport inequality wherever V sits strictly below the obstacle.
 The final time slice carries only the terminal comparison with h.
 
-For each (space slopes, time slope) pair the scan first finds the
-centers where the flat probe breaks the inequality; a curved probe's
-tolerance is never below the flat one, so curved probes are compared only
-among those centers.  The touching test visits the nearest ring of
-neighbors first and drops a probe at its first refuting neighbor.  So the
-cost follows the number of candidates, not 3 * 3^n * 3 full-array passes,
-and the rows equal those of such passes with every neighbor tested.
+The scan makes one pass per (space slopes, time slope) pair.  It first
+finds the centers where the flat probe breaks the inequality; a curved
+probe's tolerance is never below the flat one, so all three curvatures
+are compared only among those centers, as one (curvature, center) array.
+The probes that break it go to one touching test, which visits the
+nearest ring of neighbors first and drops a probe at its first refuting
+neighbor.  So the cost follows the number of candidates, not
+3 * 3^n * 3 full-array passes, and the rows equal those of such passes
+with every neighbor tested.
 """
 
 import itertools
@@ -270,12 +272,6 @@ class _ProbeField:
         n = self.grid.n
         return 3 * 3 ** n * len(CURVATURES)
 
-    def admitted(self, cand_idx, a, p_list, kappa_eff, side):
-        """Touching mask at candidate centers; cand_idx indexes the center
-        block, and a, p_list, kappa_eff are aligned candidate arrays."""
-        return _touches(self.Vv, tuple(ci + RADIUS for ci in cand_idx), a,
-                        p_list, kappa_eff, side, self.grid, self.slack)
-
 
 def _slack(Vv):
     return ADMISSION_SLACK * (1.0 + float(np.max(np.abs(Vv))))
@@ -326,13 +322,15 @@ def _scan_violations(field, side, base_tol, unit, gap, sees_gap):
 
     Each (combo, slope) pass finds the flat probe's candidates once, at
     base_tol.  A curved probe's tolerance is never below base_tol (a NaN
-    one admits nothing), so its candidates lie among them, and only they
-    are compared with it.
+    one admits nothing), so its candidates lie among them.  The pass
+    compares them with a (curvature, candidate) tolerance array and sends
+    every pair that breaks it to one touching test.
     """
     grid = field.grid
     n = grid.n
-    sub = side == "sub"
-    if not sub and sees_gap:
+    sign = -1.0 if side == "sub" else 1.0
+    kappas = np.array(CURVATURES)
+    if sees_gap:  # only super-side notions see the gap
         gap_centers = _block(gap, (0,) * gap.ndim, RADIUS).ravel()
         # the centers the gap lets a flat probe through
         if sees_gap == "min":
@@ -340,60 +338,50 @@ def _scan_violations(field, side, base_tol, unit, gap, sees_gap):
         else:
             gap_open = gap_centers > 2.0 * unit
     # one (t_index, x_index, a, p, kappa, kappa_eff, margin) block per
-    # (combo, slope, kappa) batch, indices relative to the center block
+    # (combo, slope) pass, indices relative to the center block
     blocks = [(np.empty(0, dtype=np.intp), np.empty((0, n), dtype=np.intp),
                np.empty(0), np.empty((0, n)), np.empty(0), np.empty(0),
                np.empty(0))]
     for combo, ham in sorted(field.ham.items()):
         for a_choice in range(3):
+            # sign*(a + H): in place, so no second center block is held
             pde = (field.a_cand[a_choice] + ham).ravel()
-            if sub:
-                flat = pde < -base_tol
-            else:
-                flat = pde > base_tol
-                if sees_gap:
-                    flat &= gap_open
+            pde *= sign
+            flat = pde > base_tol
+            if sees_gap:
+                flat &= gap_open
             flat = np.flatnonzero(flat)  # positions, in np.nonzero order
             if not len(flat):
                 continue
             pde_f = pde[flat]
             curv_f = field.curv_scale.ravel()[flat]
+            # tolerance grows with the probe's effective curvature: a
+            # one-sided slope admitted against curvature |V''| sits
+            # O(step * |V''|) away from the true gradient; one row per kappa
+            tol = base_tol + kappas[:, None] * curv_f * unit
+            cond = pde_f > tol
             if sees_gap == "min":
                 gap_f = gap_centers[flat]
-            for kappa in CURVATURES:
-                # tolerance grows with the probe's effective curvature: a
-                # one-sided slope admitted against curvature |V''| sits
-                # O(step * |V''|) away from the true gradient
-                tol = base_tol + kappa * curv_f * unit
-                if sub:
-                    cond = pde_f < -tol
-                else:
-                    cond = pde_f > tol
-                    if sees_gap == "min":
-                        cond &= gap_f > tol
-                sel = np.flatnonzero(cond)
-                if not len(sel):
-                    continue
-                cand_idx = np.unravel_index(flat[sel], field.center_shape)
-                a = field.a_cand[a_choice][cand_idx]
-                p_list = [field.p_cand[combo[d]][d][cand_idx]
-                          for d in range(n)]
-                kappa_eff = kappa * curv_f[sel]
-                keep = field.admitted(cand_idx, a, p_list, kappa_eff, side)
-                if not keep.any():
-                    continue
-                pde_k = pde_f[sel][keep]
-                if sub:
-                    margin = pde_k
-                elif sees_gap == "min":
-                    margin = -np.minimum(pde_k, gap_f[sel][keep])
-                else:
-                    margin = -pde_k
-                blocks.append((
-                    cand_idx[0][keep],
-                    np.column_stack([i[keep] for i in cand_idx[1:]]),
-                    a[keep], np.column_stack([pl[keep] for pl in p_list]),
-                    np.full(margin.shape, kappa), kappa_eff[keep], margin))
+                cond &= gap_f > tol
+            k, sel = np.nonzero(cond)
+            if not len(sel):
+                continue
+            cand_idx = np.unravel_index(flat[sel], field.center_shape)
+            a = field.a_cand[a_choice][cand_idx]
+            p_list = [field.p_cand[combo[d]][d][cand_idx] for d in range(n)]
+            kappa_eff = kappas[k] * curv_f[sel]
+            keep = _touches(field.Vv, tuple(ci + RADIUS for ci in cand_idx),
+                            a, p_list, kappa_eff, side, grid, field.slack)
+            if not keep.any():
+                continue
+            margin = -pde_f[sel][keep]
+            if sees_gap == "min":
+                margin = np.maximum(margin, -gap_f[sel][keep])
+            blocks.append((
+                cand_idx[0][keep],
+                np.column_stack([i[keep] for i in cand_idx[1:]]),
+                a[keep], np.column_stack([pl[keep] for pl in p_list]),
+                kappas[k][keep], kappa_eff[keep], margin))
     t_index, x_index, a, p, kappa, kappa_eff, margin = (
         np.concatenate(column) for column in zip(*blocks))
     # lexsort's last key is the primary one; the sort is stable

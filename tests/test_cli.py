@@ -1,6 +1,7 @@
 """Command line surface: exit codes, artifacts, determinism, overrides."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +76,14 @@ class TestCheck:
     def test_missing_config_is_invalid_input(self, tmp_path):
         assert run(["check", str(tmp_path / "nope.cfg"),
                     "--out", str(tmp_path)]) == 2
+
+    def test_non_utf8_config_is_invalid_input(self, tmp_path, capsys):
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(Path(EXAMPLE).read_bytes() + b"\xff\n")
+        assert run(["check", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "binary.cfg" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("config", [EXAMPLE, PLANE],
                              ids=["example", "plane"])
@@ -227,6 +236,15 @@ class TestViscosity:
                     "--analytic", PROFILE,
                     "--variant", "qvi-sub", "--out", str(tmp_path)]) == 2
 
+    def test_non_utf8_solution_is_invalid(self, tmp_path, capsys):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(np.random.default_rng(0).bytes(300))
+        assert run(["viscosity", EXAMPLE, "--solution", str(path),
+                    "--variant", "hjb-sub", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "binary.csv" in err
+        assert "Traceback" not in err
+
     def test_wrong_shape_solution_is_invalid(self, tmp_path, solve_dir):
         assert run(["viscosity", EXAMPLE, "--grid-nx", "101",
                     "--solution", str(solve_dir / "solution.csv"),
@@ -344,8 +362,9 @@ class TestDoubling:
         assert not (tmp_path / "doubling.json").exists()
 
     def test_bad_levels_are_invalid(self, tmp_path):
-        assert run(["doubling", EXAMPLE, "--analytic", PROFILE,
-                    "--levels", "a,b", "--out", str(tmp_path)]) == 2
+        for levels in ("a,b", ""):
+            assert run(["doubling", EXAMPLE, "--analytic", PROFILE,
+                        "--levels", levels, "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("level", ["nan", "inf", "1e-320"])
     def test_levels_need_a_finite_penalty_weight(self, level, tmp_path):
@@ -416,8 +435,12 @@ class TestReproduceExample:
 
 class TestEntryPoint:
     def test_console_script_help(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(CONFIGS.parent / "src"), env.get("PYTHONPATH"))
+            if p)
         proc = subprocess.run([sys.executable, "-m", "qvilab.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         for name in ("check", "solve", "viscosity", "compare", "doubling",
                      "reproduce-example"):

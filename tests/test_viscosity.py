@@ -621,6 +621,22 @@ class TestScanMatchesReference:
         assert 0 < counts[vc.VARIANT_QVI_SUPER_MODIFIED, 1.0] \
             < counts[vc.VARIANT_HJB_SUPER, 1.0]
 
+    def test_one_touching_test_per_pass(self, monkeypatch):
+        # the three curvatures of a (combo, slope) pass share one touching
+        # call: at most 9 combos x 3 slopes, not one call per curvature
+        problem, V = two_dimensional_fixture()
+        calls = []
+        touches = vc._touches
+
+        def counted(*args):
+            calls.append(args)
+            return touches(*args)
+
+        monkeypatch.setattr(vc, "_touches", counted)
+        report = vc.check_hjb_subsolution(V, problem)
+        assert len(report.violations) == 127575
+        assert len(calls) <= 27
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_noisy_profiles_admit_probes(self, problem, seed):
         V = noisy(analytic_profile(GRID), 1e-3, seed)
