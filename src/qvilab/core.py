@@ -185,6 +185,15 @@ def _count(value, key):
     return count
 
 
+def _box_diagonal(x_min, x_max):
+    """Length of the diagonal of a box; inf when its square overflows."""
+    try:
+        square = sum((hi - lo) ** 2 for lo, hi in zip(x_min, x_max))
+    except OverflowError:
+        return math.inf
+    return float(np.sqrt(square))
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform tensor grid on [0, T] x [x_min, x_max]."""
@@ -264,9 +273,7 @@ class Grid:
 
     @property
     def box_diagonal(self):
-        return float(
-            np.sqrt(sum((hi - lo) ** 2 for lo, hi in zip(self.x_min, self.x_max)))
-        )
+        return _box_diagonal(self.x_min, self.x_max)
 
     def space_env(self):
         """Meshgrid environment {x1: ..., x2: ...} over the spatial box."""
@@ -751,6 +758,13 @@ def load_problem(text, overrides=()):
             f"grid keys must each have {n} value(s): "
             f"x_nodes={x_nodes}, x_min={x_min}, x_max={x_max}"
         )
+    # the diagonal is the impulse radius of N and bounds the cost samples;
+    # an infinite width makes it infinite
+    diagonal = _box_diagonal(x_min, x_max)
+    if not 0.0 < diagonal < math.inf:
+        raise ConfigError(
+            f"grid box from x_min={x_min} to x_max={x_max} needs finite "
+            f"widths and a positive, finite diagonal, got {diagonal}")
     grid = Grid(T, t_nodes, x_min, x_max, x_nodes)
 
     problem = ImpulseProblem(n=n, T=T, H=H, h=h, ell=ell, cone=cone, g=g)

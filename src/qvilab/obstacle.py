@@ -17,9 +17,11 @@ interpolant plus the cost is multilinear, so it is minimised at a corner;
 beyond the box edge the clamped value stays put while the cost grows.
 The minimum therefore lies among the landing points {x_d} u {nodes > x_d}
 on each axis.  At the nodes, comparing V + c.y over them is a suffix
-minimum, taken along each axis in turn; at a single point they are
-enumerated.  The returned value is still V(x + xi) + ell(t, xi) at the
-chosen impulse.
+minimum, taken along axis 2 and then over the row minima along axis 1;
+the first index attaining it is the shortest jump along its axis, and
+only nodes with minimisers in two rows need the full tie-break.  At a
+single point the landing points are enumerated.  The returned value is
+still V(x + xi) + ell(t, xi) at the chosen impulse.
 
 Every other problem uses the search: a coarse product scan in ray
 coefficients followed by nested zoom refinements around the incumbent, so
@@ -260,21 +262,6 @@ def _exact_slopes(grid, t, ell, cone, search):
     return None if slopes_at is None else slopes_at(t)
 
 
-def _exact_1d_nodes(grid, values, slope):
-    """Impulses attaining N at every node of a 1-d box, shape (m, 1).
-
-    The minimum of V + c*y over the nodes at or right of each node is a
-    suffix minimum; the leftmost node attaining it is the shortest jump,
-    which the (|xi|, lexicographic) tie-break prefers.
-    """
-    axis = grid.axes[0]
-    key = values + slope * axis
-    suffix = np.minimum.accumulate(key[::-1])[::-1]
-    hit = np.where(key == suffix, np.arange(axis.size), axis.size)
-    arg = np.minimum.accumulate(hit[::-1])[::-1]
-    return (axis[arg] - axis)[:, None]
-
-
 def _exact_point(grid, values, slopes, x):
     """Impulse attaining N at one point x (n,) of the box, by enumeration.
 
@@ -305,40 +292,39 @@ def _exact_point(grid, values, slopes, x):
     return xi[pick], key.size
 
 
-def _exact_2d_nodes(grid, values, slopes):
-    """Impulses attaining N at every node of a 2-d box, shape (n1*n2, 2).
+def _suffix_min(key):
+    """Suffix minimum of `key` along its first axis, and the first index
+    at or after each position that attains it."""
+    low = np.minimum.accumulate(key[::-1])[::-1]
+    size = key.shape[0]
+    hit = np.where((key == low).T, np.arange(size), size).T
+    return low, np.minimum.accumulate(hit[::-1])[::-1]
 
-    The minimum of V + c.y over the quadrant above each node is a suffix
-    minimum along axis 2 and then along axis 1; the scans also count the
-    minimisers, and nodes with more than one go through _node_ties for
-    the (|xi|, lexicographic) tie-break.
+
+def _exact_nodes(grid, values, slopes):
+    """Impulses attaining N at every node of the box, shape (nodes, n).
+
+    The minimum of V + c.y over the nodes at or above each node is a
+    suffix minimum: along the axis in 1-d, along axis 2 and then over the
+    row minima along axis 1 in 2-d.  The first index attaining it is the
+    shortest jump along its axis.  A 2-d node whose next row also attains
+    its minimum has minimisers in two rows and goes through _node_ties for
+    the (|xi|, lexicographic) tie-break; a second minimiser in the same
+    row lies farther along axis 2, so the first one wins already.
     """
+    if grid.n == 1:
+        axis = grid.axes[0]
+        _, arg = _suffix_min(values + slopes[0] * axis)
+        return (axis[arg] - axis)[:, None]
     ax0, ax1 = grid.axes
     key = values + slopes[0] * ax0[:, None] + slopes[1] * ax1[None, :]
-    n0, n1 = key.shape
-    row_min = key.copy()
-    row_arg = np.broadcast_to(np.arange(n1), key.shape).copy()
-    row_cnt = np.ones(key.shape, dtype=np.int64)
-    for j in range(n1 - 2, -1, -1):
-        k, r = key[:, j], row_min[:, j + 1]
-        take = r < k
-        row_min[:, j] = np.where(take, r, k)
-        row_arg[:, j] = np.where(take, row_arg[:, j + 1], j)
-        row_cnt[:, j] = np.where(take, row_cnt[:, j + 1],
-                                 np.where(k == r, row_cnt[:, j + 1] + 1, 1))
-    best = row_min.copy()
-    arg0 = np.broadcast_to(np.arange(n0)[:, None], key.shape).copy()
-    cnt = row_cnt.copy()
-    for i in range(n0 - 2, -1, -1):
-        k, r = row_min[i], best[i + 1]
-        take = r < k
-        best[i] = np.where(take, r, k)
-        arg0[i] = np.where(take, arg0[i + 1], i)
-        cnt[i] = np.where(take, cnt[i + 1],
-                          np.where(k == r, cnt[i + 1] + row_cnt[i], row_cnt[i]))
-    arg1 = row_arg[arg0, np.arange(n1)]
-    xi = np.stack([ax0[arg0] - ax0[:, None], ax1[arg1] - ax1[None, :]], axis=-1)
-    ti, tj = np.nonzero(cnt > 1)
+    row_min, row_arg = _suffix_min(key.T)  # (n2, n1): along axis 2
+    best, arg0 = _suffix_min(row_min.T)
+    cols = np.arange(ax1.size)
+    xi = np.stack([ax0[arg0] - ax0[:, None], ax1[row_arg[cols, arg0]] - ax1],
+                  axis=-1)
+    after = np.vstack([best[1:], np.full((1, ax1.size), np.nan)])
+    ti, tj = np.nonzero(after[arg0, cols] == best)
     xi[ti, tj] = _node_ties(grid, key, ti, tj)
     return xi.reshape(-1, 2)
 
@@ -346,6 +332,8 @@ def _exact_2d_nodes(grid, values, slopes):
 def _node_ties(grid, key, ti, tj, batch=1 << 16):
     """Tie-broken impulses at the nodes (ti, tj) of a 2-d box, shape (T, 2).
 
+    The node scan sends here the nodes whose minimum of `key` is attained
+    in two rows, where the shorter jump is not known from the indices.
     Node (i, j) compares the nodes p >= i, q >= j on `key`, as
     _exact_point does at a node; the others get an infinite key.  Tied
     nodes go in batches of about `batch` keys, not one call per node.
@@ -382,10 +370,8 @@ def _obstacle(grid, slice_values, t, ell, cone, search, points, at_nodes):
     if not at_nodes:
         xi, probes = _exact_point(grid, slice_values, slopes, points[0])
         bxi = xi[None, :]
-    elif grid.n == 1:
-        bxi, probes = _exact_1d_nodes(grid, slice_values, slopes[0]), None
     else:
-        bxi, probes = _exact_2d_nodes(grid, slice_values, slopes), None
+        bxi, probes = _exact_nodes(grid, slice_values, slopes), None
     values = _psi(grid, slice_values, t, ell, points, bxi)
     return (values, bxi, _truncated(np.linalg.norm(bxi, axis=-1), search),
             probes)

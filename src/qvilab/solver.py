@@ -109,11 +109,19 @@ def cfl_number(grid, dissipation) -> float:
 
 
 def suggest_t_nodes(grid, dissipation) -> int:
-    """Smallest node count whose time step satisfies the stability bound."""
+    """Smallest node count whose time step satisfies the stability bound.
+
+    Raises CflError when that count is not finite.
+    """
     rate = sum(s / dx for s, dx in zip(dissipation, grid.dx))
     if rate <= 0.0:
         return 2
-    return max(2, ceil(grid.T * rate / CFL_SAFETY) + 1)
+    steps = grid.T * rate / CFL_SAFETY
+    if not isfinite(steps):
+        raise CflError(
+            f"no finite t_nodes satisfies the stability bound: "
+            f"T*sum(sigma/dx) = {grid.T * rate:.6g}")
+    return max(2, ceil(steps) + 1)
 
 
 def check_cfl(grid, dissipation):
@@ -129,10 +137,13 @@ def check_cfl(grid, dissipation):
             f"({grid.n} here), got {diss}")
     number = cfl_number(grid, diss)
     if number > CFL_SAFETY:
+        try:
+            hint = f"use at least t_nodes = {suggest_t_nodes(grid, diss)}"
+        except CflError as err:
+            hint = str(err)
         raise CflError(
             f"time step violates the stability bound: "
-            f"dt*sum(sigma/dx) = {number:.6g} > {CFL_SAFETY:.6g}; "
-            f"use at least t_nodes = {suggest_t_nodes(grid, diss)}"
+            f"dt*sum(sigma/dx) = {number:.6g} > {CFL_SAFETY:.6g}; {hint}"
         )
     return diss
 

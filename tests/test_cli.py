@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qvilab import cli
 from qvilab import example as exm
@@ -478,6 +481,40 @@ class TestConfigNumbers:
                                                           tmp_path, capsys):
         assert run(["solve", EXAMPLE, *flags, "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lo, hi", [(-1e200, 1e200), (-1.7e308, 1.7e308),
+                                        (-5e-324, 5e-324)])
+    @pytest.mark.parametrize("command", ["solve", "check", "viscosity",
+                                         "doubling"])
+    def test_degenerate_box_is_invalid(self, command, lo, hi, tmp_path,
+                                       capsys):
+        # a diagonal that overflows or underflows leaves N no radius
+        extra = {"viscosity": ["--variant", "hjb-sub"],
+                 "doubling": ["--analytic", PROFILE]}.get(command, [])
+        assert run([command, EXAMPLE, *extra, "--set", f"grid.x_min={lo!r}",
+                    "--set", f"grid.x_max={hi!r}",
+                    "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: grid box" in err and "diagonal" in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(x_min=st.floats(allow_nan=False, allow_infinity=False),
+           x_max=st.floats(allow_nan=False, allow_infinity=False),
+           T=st.floats(allow_nan=False, allow_infinity=False))
+    @example(x_min=-1e200, x_max=1e200, T=1.0)
+    @example(x_min=-1.7e308, x_max=1.7e308, T=1.0)
+    @example(x_min=-5e-324, x_max=5e-324, T=1.0)
+    @example(x_min=-5e-324, x_max=1e-320, T=5e-324)
+    @example(x_min=-1.0, x_max=-0.9, T=1e308)
+    def test_any_box_and_horizon_ends_in_an_exit_code(self, x_min, x_max, T):
+        # finite floats, subnormals and near-overflow values alike end in
+        # a verdict, an invalid-input error or a solver failure
+        with tempfile.TemporaryDirectory() as out:
+            code = run(["solve", EXAMPLE, "--grid-nt", "3", "--grid-nx", "5",
+                        "--set", f"grid.x_min={x_min!r}",
+                        "--set", f"grid.x_max={x_max!r}",
+                        "--set", f"problem.T={T!r}", "--out", out])
+        assert code in (0, 1, 2)
 
 
 class TestConfigKeys:

@@ -27,6 +27,7 @@ from qvilab.obstacle import (
 from qvilab.solver import solve_qvi
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+PERFBENCH = CONFIGS.parent / "perfbench"
 VARS_1D = ("t", "x1", "xi1")
 VARS_2D = ("t", "x1", "x2", "xi1", "xi2")
 
@@ -151,8 +152,10 @@ class TestOracle:
             check_against_oracle(grid, values, ell, search)
 
     @pytest.mark.parametrize("cost", ["0.1", "0.1 + 1.0*xi1 + 0.5*xi2",
-                                      "0.1 + 1.0*xi2"])
+                                      "0.1 + 1.0*xi2", "0.1 + 1.0*xi1"])
     def test_plateau_2d_tie_break(self, cost):
+        # "0.1 + 1.0*xi1" has a zero slope along axis 2, so keys tie
+        # within rows, which the first-index scan settles without _node_ties
         rng = np.random.default_rng(24)
         grid = grid_2d(x_nodes=(9, 7), x_min=(0.0, 0.0), x_max=(2.0, 1.5))
         ell = ex.parse(cost, VARS_2D)
@@ -421,6 +424,21 @@ def test_exact_n_is_shift_equivariant(case, shift):
 # ------------------------------------------------------ callers of the path ----
 
 class TestCallers:
+    def test_only_cross_row_ties_reach_the_tie_break(self, monkeypatch):
+        # a tie within one row is settled by the first index; only nodes
+        # whose minimisers span rows go through _node_ties
+        cfg = load_problem((PERFBENCH / "plane.cfg").read_text())
+        tied = []
+        inner = obs._node_ties
+
+        def counted(grid, key, ti, tj):
+            tied.append(ti.size)
+            return inner(grid, key, ti, tj)
+
+        monkeypatch.setattr(obs, "_node_ties", counted)
+        solve_qvi(cfg.problem, cfg.grid, constants=cfg.constants)
+        assert tied and sum(tied) <= 16
+
     def test_solve_reuses_settled_sweep_bitwise(self, monkeypatch):
         cfg = load_problem((CONFIGS / "example.cfg").read_text(),
                            ("grid.t_nodes=21", "grid.x_nodes=71"))
