@@ -318,6 +318,14 @@ def write_trend_csv(diag, path):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _square(v):
+    """v ** 2 of a Python float; inf when the square overflows."""
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _phi_tuples(As, Bs, t, sub, norms, theta, eps, dlt, T, kk, ll, ii, jj):
     """Phi for explicit index tuples; the certificate's reference path."""
     w = (2.0 * NU * T - t[kk] - t[ll]) / (2.0 * NU * T)
@@ -400,7 +408,7 @@ def _sweep_argmax(FA, Bs, t, pair_norms, half_d2, theta, eps, T):
             yield K0, bound
 
     scale = (np.abs(FA).max() + np.abs(Bs).max() + theta * pair_norms.max()
-             + 0.5 / eps * T ** 2 + 2.0 * RHO * T + half_d2.max())
+             + 0.5 / eps * _square(T) + 2.0 * RHO * T + half_d2.max())
     slack = 1e-12 * (1.0 + scale)
     threshold = -np.inf
     if math.isfinite(slack):
@@ -525,12 +533,12 @@ def doubling_maximize(V, V_hat, theta=THETA, levels=None, gamma=0.0):
         dx2 = float(((x0 - y0) ** 2).sum())
         v_gap = abs(float(As[k0, i0]) - float(As[l0, j0]))
         vh_gap = abs(float(Bs[k0, i0]) - float(Bs[l0, j0]))
-        residual = dt0 ** 2 / eps + dx2 / dlt - v_gap - vh_gap
+        residual = _square(dt0) / eps + dx2 / dlt - v_gap - vh_gap
         nx0 = float(np.sqrt(1.0 + (x0 ** 2).sum()))
         ny0 = float(np.sqrt(1.0 + (y0 ** 2).sum()))
         cross = theta * dt0 * (nx0 - ny0) / (NU * T)
         growth_lhs = (theta * (nx0 + ny0)
-                      + 0.5 / eps * dt0 ** 2 + 0.5 / dlt * dx2)
+                      + 0.5 / eps * _square(dt0) + 0.5 / dlt * dx2)
         growth_constant = growth_lhs * theta ** (gamma / (1.0 - gamma))
         rows.append(DoublingLevel(
             epsilon=eps, delta=dlt, t0=t0, s0=s0,

@@ -224,6 +224,9 @@ class Grid:
                     f"grid needs finite x_min and x_max in dimension {d + 1}")
             if not lo < hi:
                 raise ConfigError(f"grid needs x_min < x_max in dimension {d + 1}")
+            if not math.isfinite(hi - lo):
+                raise ConfigError(
+                    f"grid needs a finite width x_max - x_min in dimension {d + 1}")
         # node coordinates, built once and kept out of the dataclass fields
         # so ==, hash and repr still see only the five fields above
         t = np.linspace(0.0, self.T, self.t_nodes)

@@ -18,11 +18,6 @@ The constrained solve clips every stepped slice by the impulse obstacle
 through the fixed point W <- min(W_unclipped, N[W]), which converges
 geometrically because each application either leaves a node alone or
 lowers it by at least the cost floor.
-
-Residual bookkeeping: for stepped slices the scheme residual equals
-(unclipped step - final slice)/dt, which is zero exactly at continuation
-nodes and nonnegative elsewhere, and the reported residual is the
-minimum of that and the obstacle gap N[V] - V.
 """
 
 from __future__ import annotations
@@ -151,7 +146,6 @@ def check_cfl(grid, dissipation):
 @dataclass(frozen=True)
 class SolveResult:
     V: GridFunction
-    residual: GridFunction
     obstacle_gap: Optional[GridFunction]
     argmin_xi: Optional[np.ndarray]
     truncated: Optional[np.ndarray]
@@ -231,7 +225,7 @@ def _backward(problem, grid, dissipation, constants, obstacle, search=None):
     """The backward loop of both solves, with the obstacle on or off.
 
     Off, no obstacle call is made and no gap, argmin or truncation array
-    is allocated; the residual (W0 - V_k)/dt then vanishes identically.
+    is allocated.
     """
     terminal = sample_terminal(problem.h, grid)
     if dissipation is None:
@@ -241,7 +235,6 @@ def _backward(problem, grid, dissipation, constants, obstacle, search=None):
     nt = grid.t_nodes
     V = np.empty(grid.shape)
     V[nt - 1] = terminal
-    residual = np.zeros(grid.shape)
     iterations = np.zeros(nt, dtype=int)
     gap = argmin = truncated = None
     if obstacle:
@@ -266,7 +259,6 @@ def _backward(problem, grid, dissipation, constants, obstacle, search=None):
             problem, grid, search, W0, t_k)
         V[k] = W
         gap[k] = n_vals - W
-        residual[k] = np.minimum((W0 - W) / grid.dt, gap[k])
 
     flags = []
     if constants is not None and float(np.min(V[nt - 1])) + constants.h0 < 0.0:
@@ -275,7 +267,6 @@ def _backward(problem, grid, dissipation, constants, obstacle, search=None):
         flags.append("obstacle search truncated")
     return SolveResult(
         V=GridFunction(grid, V),
-        residual=GridFunction(grid, residual),
         obstacle_gap=None if gap is None else GridFunction(grid, gap),
         argmin_xi=argmin,
         truncated=truncated,

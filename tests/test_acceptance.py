@@ -189,7 +189,7 @@ class TestAcceptance:
         print(f"ACCEPTANCE 4: PASS — 3 ordered pairs within the interior "
               f"bound at both resolutions, {elapsed:.1f}s")
 
-    def test_criterion_5_solver_validity(self):
+    def test_criterion_5_solver_validity(self, fixed_point_residual):
         problem = transport_problem()
 
         def transport_error(x_nodes):
@@ -218,7 +218,7 @@ class TestAcceptance:
 
         tol = 10.0 * (grid.dt + sum(grid.dx))
         mask = interior_mask(grid, res.dissipation)[:-1]
-        residual = np.abs(res.residual.values[:-1])
+        residual = np.abs(fixed_point_residual(problem, res))
         assert float(np.mean(residual[mask] <= tol)) >= 0.99
 
         dp = dp_reference(grid)

@@ -137,9 +137,9 @@ class TestSolve:
         assert payload["passed"] is True
         assert payload["intervention_fraction"] > 0.0
         assert payload["intervention_nodes"] > 0
-        for name in ("solution.csv", "residual.csv", "obstacle_gap.csv",
-                     "manifest.json"):
+        for name in ("solution.csv", "obstacle_gap.csv", "manifest.json"):
             assert (solve_dir / name).exists()
+        assert not (solve_dir / "residual.csv").exists()
 
     def test_unstable_step_fails_with_diagnostics(self, tmp_path, capsys):
         assert run(["solve", EXAMPLE, "--grid-nt", "11",
@@ -151,7 +151,7 @@ class TestSolve:
         b = tmp_path / "second"
         for out in (a, b):
             assert run(["solve", EXAMPLE, *FAST, "--out", str(out)]) == 0
-        for name in ("solution.csv", "residual.csv", "solve.json"):
+        for name in ("solution.csv", "obstacle_gap.csv", "solve.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_manifest_records_the_run(self, tmp_path):
@@ -456,7 +456,8 @@ class TestEntryPoint:
         assert err.value.code == 2
 
 
-# every command that reads --tol, with arguments that would otherwise run
+# every command that reads --tol, and `solve`, which has none, with
+# arguments that would otherwise run
 TOL_COMMANDS = {
     "solve": ["solve", EXAMPLE, *FAST],
     "viscosity": ["viscosity", EXAMPLE, *FAST, "--variant", "hjb-super",
@@ -506,15 +507,18 @@ class TestConfigNumbers:
     @example(x_min=-5e-324, x_max=5e-324, T=1.0)
     @example(x_min=-5e-324, x_max=1e-320, T=5e-324)
     @example(x_min=-1.0, x_max=-0.9, T=1e308)
+    @example(x_min=0.0, x_max=1.0, T=1.3407807929942597e+154)
     def test_any_box_and_horizon_ends_in_an_exit_code(self, x_min, x_max, T):
         # finite floats, subnormals and near-overflow values alike end in
         # a verdict, an invalid-input error or a solver failure
-        with tempfile.TemporaryDirectory() as out:
-            code = run(["solve", EXAMPLE, "--grid-nt", "3", "--grid-nx", "5",
-                        "--set", f"grid.x_min={x_min!r}",
-                        "--set", f"grid.x_max={x_max!r}",
-                        "--set", f"problem.T={T!r}", "--out", out])
-        assert code in (0, 1, 2)
+        for command in (["solve"], ["doubling", "--analytic", PROFILE]):
+            with tempfile.TemporaryDirectory() as out:
+                code = run([command[0], EXAMPLE, *command[1:],
+                            "--grid-nt", "3", "--grid-nx", "5",
+                            "--set", f"grid.x_min={x_min!r}",
+                            "--set", f"grid.x_max={x_max!r}",
+                            "--set", f"problem.T={T!r}", "--out", out])
+            assert code in (0, 1, 2), command
 
 
 class TestConfigKeys:
@@ -543,8 +547,7 @@ class TestFlags:
     def test_tol_must_be_finite_and_nonnegative(self, command, value,
                                                 tmp_path):
         # a NaN tolerance makes every `pde > tol` test false, so a failing
-        # check would pass, and `solve` would write "tolerance": NaN, which
-        # is not JSON
+        # check would pass; `solve` rejects --tol of any value
         with pytest.raises(SystemExit) as err:
             run([*TOL_COMMANDS[command], "--tol", value,
                  "--out", str(tmp_path)])
@@ -569,8 +572,10 @@ class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["check", EXAMPLE, "--tol", "123"],
         ["doubling", EXAMPLE, "--analytic", PROFILE, "--tol", "1"],
+        ["solve", EXAMPLE, "--tol", "1"],
         ["reproduce-example", "--set", "problem.T=7"],
-    ], ids=["check-tol", "doubling-tol", "reproduce-example-set"])
+    ], ids=["check-tol", "doubling-tol", "solve-tol",
+            "reproduce-example-set"])
     def test_flags_a_command_ignores_are_rejected(self, argv, tmp_path):
         with pytest.raises(SystemExit) as err:
             run([*argv, "--out", str(tmp_path)])

@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -138,6 +139,18 @@ class TestGrid:
                 Grid(1.0, 11, (-1.0,), (bad,), (21,))
             with pytest.raises(ConfigError, match="finite x_min and x_max"):
                 Grid(1.0, 11, (-bad,), (4.0,), (21,))
+
+    def test_overflowing_width_rejected(self):
+        # finite ends whose difference overflows would fill the axis with
+        # inf and nan; a wide box with a finite width still builds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="finite width"):
+                Grid(1.0, 3, (-1.7e308,), (1.7e308,), (5,))
+            with pytest.raises(ConfigError, match="dimension 2"):
+                Grid(1.0, 3, (0.0, -1.7e308), (1.0, 1.7e308), (3, 5))
+            grid = Grid(1.0, 13, (-1e154,), (1e154,), (5,))
+        assert np.isfinite(grid.axes[0]).all()
 
     @pytest.mark.parametrize("t_nodes, x_nodes", [
         (11, (2.5,)), (2.5, (21,)), (11, (21, 7.5)), (math.inf, (21,)),

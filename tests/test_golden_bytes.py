@@ -86,30 +86,24 @@ COMMANDS = {
         ["solve", str(ROOT / "configs" / "example.cfg")],
         {"obstacle_gap.csv":
              "749f7fdcc492520dfccf8325fcf81c1533640f737b98189994b191d11c6d2674",
-         "residual.csv":
-             "7f4a9e22625ec0c6ea28ca1c7bd26b36a9299908ecf297a7090d9f71646f6bd5",
          "solution.csv":
              "254dbdad37b73ffbd252a61a7ff46350873720b6fec1922ccddc742dd936f7e0",
          "solve.json":
-             "d0795afc2f8031aa760b51f028ec10954a339925eab46265de9f7d974ca2f9c9"}),
+             "b618a7e9294724dc9eb97c80a9c9c6bc1c3d66a21a32e341c20573df9bbca3c1"}),
     "solve-plane": (
         ["solve", str(ROOT / "perfbench" / "plane.cfg")],
         {"obstacle_gap.csv":
              "7082093ab4c109c528b96e07b603ea4c67431a27bd34db72a13d5a05d9396ced",
-         "residual.csv":
-             "3b7edebe3c9f7d2820e00a9cdcefccd736f591a5b83eceeefefe59597e932814",
          "solution.csv":
              "832b25dc0f34c5164fc52949f5d2adca9bc190afdd3ebc1350685fb409ca28c3",
          "solve.json":
-             "813fb8c8cc092dfab516b8ce1b42ff41c7a115023288f4fc238dd383ec7a342d"}),
+             "41549c214619b580d7d9a18f398a13761dd4ec9bbb658504b588c72411329b50"}),
     "solve-transport-no-obstacle": (
         ["solve", str(ROOT / "configs" / "transport.cfg"), "--no-obstacle"],
-        {"residual.csv":
-             "7f4a9e22625ec0c6ea28ca1c7bd26b36a9299908ecf297a7090d9f71646f6bd5",
-         "solution.csv":
+        {"solution.csv":
              "36a697aa60b62e8d183cc6c122d412b0fc7903233a27b99c2f1f8fb897360aea",
          "solve.json":
-             "9904c4b30354a7f73a33f2176597cd5dcc2b5e35683aa998332774028d04aacd"}),
+             "edcbffee66b871586aaa461e98b237cbe748a76ea9f78151723272e6fc7689fb"}),
     "check-example": (
         ["check", str(ROOT / "configs" / "example.cfg")],
         {"check.json":
