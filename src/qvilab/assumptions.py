@@ -32,10 +32,11 @@ import numpy as np
 from . import expr as ex
 from .core import ConfigError, Grid, make_env
 from .core import halton as _halton
-from .obstacle import default_search
 
 TOL_EXACT = 1e-9
 TOL_SCAN = 1e-6
+P_MAX = 4.0  # the gradient samples fill [-P_MAX, P_MAX]^n
+SEED = 11  # base seed of every Halton stream
 
 # seed offsets keep the per-check Halton streams independent
 _OFF_X = 1
@@ -54,19 +55,17 @@ _OFF_NODE_PAIRS = 8
 class SamplerSpec:
     """Where and how densely to sample the hypothesis checks.
 
-    `x_min`/`x_max` bound the spatial box, `p_max` the gradient box
-    [-p_max, p_max]^n, and `xi_max` the ray coefficients of sampled
-    impulses.  When `grid` is given its nodes join the `x` cloud and the
-    `(t, x, p)` cloud, there with p = 0; the cost clouds never include
-    them.
+    `x_min`/`x_max` bound the spatial box and `xi_max` the ray
+    coefficients of sampled impulses.  The gradient box is always
+    [-P_MAX, P_MAX]^n and the Halton streams start from SEED.  When
+    `grid` is given its nodes join the `x` cloud and the `(t, x, p)`
+    cloud, there with p = 0; the cost clouds never include them.
     """
 
     x_min: tuple
     x_max: tuple
-    p_max: float = 4.0
     xi_max: float = 4.0
     n_samples: int = 512
-    seed: int = 11
     grid: Grid = None
 
     def __post_init__(self):
@@ -77,8 +76,6 @@ class SamplerSpec:
         for lo, hi in zip(self.x_min, self.x_max):
             if not lo < hi:
                 raise ConfigError(f"sampler box needs x_min < x_max, got [{lo}, {hi}]")
-        if not (np.isfinite(self.p_max) and self.p_max > 0.0):
-            raise ConfigError(f"need p_max > 0, got {self.p_max}")
         if not (np.isfinite(self.xi_max) and self.xi_max > 0.0):
             raise ConfigError(f"need xi_max > 0, got {self.xi_max}")
         if self.n_samples < 8:
@@ -91,9 +88,9 @@ class SamplerSpec:
 
 def default_sampler(grid):
     """Sampler over a grid's box, with the grid's nodes joined in and ray
-    coefficients up to the radius the obstacle search scans."""
+    coefficients up to the box diagonal, the radius of the obstacle N."""
     return SamplerSpec(x_min=grid.x_min, x_max=grid.x_max,
-                       xi_max=default_search(grid).xi_max, grid=grid)
+                       xi_max=grid.box_diagonal, grid=grid)
 
 
 def _check_dimension(spec, problem):
@@ -113,7 +110,7 @@ def _x_cloud(spec):
     """Spatial samples (N, n): Halton points plus any grid space nodes."""
     lo = np.asarray(spec.x_min)
     hi = np.asarray(spec.x_max)
-    u = _halton(spec.n, spec.n_samples, spec.seed + _OFF_X)
+    u = _halton(spec.n, spec.n_samples, SEED + _OFF_X)
     pts = lo + u * (hi - lo)
     if spec.grid is not None:
         pts = np.vstack([pts, spec.grid.space_nodes()])
@@ -123,12 +120,12 @@ def _x_cloud(spec):
 def _txp_cloud(spec, T):
     """(t, x, p) samples; grid nodes join with p = 0."""
     n = spec.n
-    u = _halton(1 + 2 * n, spec.n_samples, spec.seed + _OFF_TXP)
+    u = _halton(1 + 2 * n, spec.n_samples, SEED + _OFF_TXP)
     t = u[:, 0] * T
     lo = np.asarray(spec.x_min)
     hi = np.asarray(spec.x_max)
     x = lo + u[:, 1:1 + n] * (hi - lo)
-    p = (2.0 * u[:, 1 + n:] - 1.0) * spec.p_max
+    p = (2.0 * u[:, 1 + n:] - 1.0) * P_MAX
     if spec.grid is not None:
         gt, gx = _grid_full_nodes(spec.grid)
         t = np.concatenate([t, gt])
@@ -139,7 +136,7 @@ def _txp_cloud(spec, T):
 
 def _tx_cloud(spec, T, seed_offset=_OFF_TX):
     n = spec.n
-    u = _halton(1 + n, spec.n_samples, spec.seed + seed_offset)
+    u = _halton(1 + n, spec.n_samples, SEED + seed_offset)
     t = u[:, 0] * T
     lo = np.asarray(spec.x_min)
     hi = np.asarray(spec.x_max)
@@ -151,7 +148,7 @@ def _xi_cloud(spec, cone, seed_offset):
     """Impulses (N, n) in the cone: zero, the capped extreme rays, then a
     Halton block over ray coefficients in [0, xi_max]^m."""
     m = cone.n_rays
-    u = _halton(m, spec.n_samples, spec.seed + seed_offset)
+    u = _halton(m, spec.n_samples, SEED + seed_offset)
     lam = u * spec.xi_max
     fixed = np.vstack([np.zeros((1, m)), spec.xi_max * np.eye(m)])
     return cone.from_coefficients(np.vstack([fixed, lam]))
@@ -289,7 +286,7 @@ def _modulus_check(name, values, problem, fixed, spec, base_seed, step_seed):
     radius0 = (T + float(np.linalg.norm(hi - lo))) / 4.0
 
     t0, x0 = _tx_cloud(spec, T, seed_offset=base_seed)
-    u = _halton(2 + n, spec.n_samples, spec.seed + step_seed)
+    u = _halton(2 + n, spec.n_samples, SEED + step_seed)
     direction = 2.0 * u[:, :1 + n] - 1.0
     weight = np.abs(direction[:, 0]) + np.linalg.norm(direction[:, 1:], axis=1)
     weight = np.where(weight == 0.0, 1.0, weight)
@@ -386,8 +383,8 @@ def audit_H1(problem, constants, sampler_spec):
     checks.append(_min_check("hamiltonian growth", envelope - np.abs(h_of_p),
                              {"t": t, "x": xs, "p": p}, TOL_SCAN, note))
 
-    p_fixed = _halton(problem.n, spec.n_samples, spec.seed + _OFF_MOD_BASE + 17)
-    p_fixed = (2.0 * p_fixed - 1.0) * spec.p_max
+    p_fixed = _halton(problem.n, spec.n_samples, SEED + _OFF_MOD_BASE + 17)
+    p_fixed = (2.0 * p_fixed - 1.0) * P_MAX
     checks.append(_modulus_check("hamiltonian modulus", _hamiltonian_vals,
                                  problem, p_fixed, spec,
                                  _OFF_MOD_BASE, _OFF_MOD_STEP))
@@ -499,7 +496,7 @@ def audit_comparison_hypotheses(problem_pair, constants, V, V_hat, sampler_spec)
                               "x": np.vstack([gx, gx]),
                               "is_second": which}, TOL_SCAN))
 
-    u = _halton(1 + 2 * n, spec.n_samples, spec.seed + _OFF_NODE_PAIRS)
+    u = _halton(1 + 2 * n, spec.n_samples, SEED + _OFF_NODE_PAIRS)
     t_idx = np.minimum((u[:, 0] * grid.t_nodes).astype(int), grid.t_nodes - 1)
     i_idx = tuple(np.minimum((u[:, 1 + d] * grid.x_nodes[d]).astype(int),
                              grid.x_nodes[d] - 1) for d in range(n))

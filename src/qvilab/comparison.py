@@ -455,7 +455,7 @@ def _sweep_argmax(FA, Bs, t, pair_norms, half_d2, theta, eps, T):
     return tuple(int(v) for v in np.unravel_index(first[k0], (nt, nt, q, q)))
 
 
-def doubling_maximize(V, V_hat, theta=THETA, levels=None, gamma=0.0):
+def doubling_maximize(V, V_hat, theta=THETA, levels=None):
     """Maximize Phi over node tuples at a ladder of penalty weights.
 
     ``theta`` is the confinement weight, with 0 < theta and theta*G < 1.
@@ -476,8 +476,9 @@ def doubling_maximize(V, V_hat, theta=THETA, levels=None, gamma=0.0):
     grid = V.grid
     if V_hat.grid != grid:
         raise ConfigError("V and V_hat must share the grid")
-    if not 0.0 <= gamma < 1.0:
-        raise ConfigError("need 0 <= gamma < 1")
+    if not math.isfinite(2.0 * NU * grid.T):
+        # the barrier weight w(t, s) divides by 2 nu T
+        raise ConfigError(f"2*nu*T overflows at T = {grid.T!r}")
     levels = tuple(
         (float(lev), float(lev)) if np.isscalar(lev)
         else (float(lev[0]), float(lev[1]))
@@ -539,14 +540,13 @@ def doubling_maximize(V, V_hat, theta=THETA, levels=None, gamma=0.0):
         cross = theta * dt0 * (nx0 - ny0) / (NU * T)
         growth_lhs = (theta * (nx0 + ny0)
                       + 0.5 / eps * _square(dt0) + 0.5 / dlt * dx2)
-        growth_constant = growth_lhs * theta ** (gamma / (1.0 - gamma))
         rows.append(DoublingLevel(
             epsilon=eps, delta=dlt, t0=t0, s0=s0,
             x0=tuple(float(v) for v in x0), y0=tuple(float(v) for v in y0),
             t_gap=abs(dt0), x_gap=float(np.sqrt(dx2)), phi_value=phi_max,
             residual_symmetry=residual,
             residual_certified=residual + cross,
-            growth_lhs=growth_lhs, growth_constant=growth_constant))
+            growth_lhs=growth_lhs, growth_constant=growth_lhs))
 
     note = (f"space axis strided by {stride}: {q} of {n_space} points; "
             "time pairs exhaustive")

@@ -52,6 +52,8 @@ from .viscosity import (
 
 __all__ = [
     "COST_THRESHOLD",
+    "HORIZON",
+    "BUMP_HEIGHT",
     "ExampleInstance",
     "SeparationReport",
     "build_instance",
@@ -64,6 +66,8 @@ __all__ = [
 ]
 
 COST_THRESHOLD = math.exp(-2.0)
+HORIZON = 1.0  # T of every instance
+BUMP_HEIGHT = 0.05  # peak of the bump g at the anchor
 ROOT_TOL = 1e-10
 XI_CAP = 20.0
 _SCAN_STEP = 0.005  # outward step of the profitable-band sign scan
@@ -198,24 +202,22 @@ def _check_sign_pattern(l0, xi1, xi2):
                 f"failure in ({lo:.6g}, {hi:.6g})")
 
 
-def build_instance(t0=0.5, l0=0.05, T=1.0,
-                   bump_height=0.05) -> ExampleInstance:
+def build_instance(t0=0.5, l0=0.05) -> ExampleInstance:
     """Derive the separation data for a cost level and anchor time.
 
-    Needs 0 < l0 < e^{-2} so the jump profile has two critical points;
-    below roughly 0.077 the far dip is profitable and the instance can
-    exhibit the separation, otherwise it carries needs_smaller_cost.
+    The horizon is HORIZON and the bump peaks at BUMP_HEIGHT.  Needs
+    0 <= t0 < HORIZON, and 0 < l0 < e^{-2} so the jump profile has two
+    critical points; below roughly 0.077 the far dip is profitable and
+    the instance can exhibit the separation, otherwise it carries
+    needs_smaller_cost.
     """
-    if T <= 0.0:
-        raise ConfigError(f"need T > 0, got {T}")
+    T = HORIZON
     if not 0.0 <= t0 < T:
         raise ConfigError(f"need 0 <= t0 < T, got {t0}")
     if not 0.0 < l0 < COST_THRESHOLD:
         raise ConfigError(
             f"base cost out of range: need 0 < l0 < e^-2 = "
             f"{COST_THRESHOLD:.6f}, got {l0}")
-    if bump_height <= 0.0:
-        raise ConfigError("need bump_height > 0")
 
     target = l0 * math.e
 
@@ -242,7 +244,7 @@ def build_instance(t0=0.5, l0=0.05, T=1.0,
         return ExampleInstance(
             T=T, t0=t0, l0=l0, x0=x0, xi1=xi1, xi2=xi2, psi_min=psi_min,
             value_at_anchor=anchor, gap=gap, u_lo=math.nan, u_hi=math.nan,
-            delta=0.0, bump_height=bump_height, g_source="",
+            delta=0.0, bump_height=BUMP_HEIGHT, g_source="",
             needs_smaller_cost=True)
 
     w_star = 1.0 + xi2
@@ -267,13 +269,13 @@ def build_instance(t0=0.5, l0=0.05, T=1.0,
 
     half = delta / 2.0
     radial = f"(abs(t - {t0!r}) + abs(x1 - {x0!r}))/{half!r}"
-    g_source = (f"{bump_height!r}*cos({math.pi / 2.0!r}"
+    g_source = (f"{BUMP_HEIGHT!r}*cos({math.pi / 2.0!r}"
                 f"*min(1, {radial}))^2*max(0, sign(1 - {radial}))")
 
     return ExampleInstance(
         T=T, t0=t0, l0=l0, x0=x0, xi1=xi1, xi2=xi2, psi_min=psi_min,
         value_at_anchor=anchor, gap=gap, u_lo=u_lo, u_hi=u_hi, delta=delta,
-        bump_height=bump_height, g_source=g_source, needs_smaller_cost=False)
+        bump_height=BUMP_HEIGHT, g_source=g_source, needs_smaller_cost=False)
 
 
 def sample_value_function(instance, grid) -> GridFunction:
@@ -356,17 +358,18 @@ class SeparationReport:
         }
 
 
-def verify_separation(instance, grid, tol_factor=TOL_FACTOR, search=None):
+def verify_separation(instance, grid, tol_factor=TOL_FACTOR):
     """Run all three checkers on the sampled profile over one grid.
 
-    `tol_factor` is the checkers' probe tolerance in units of dt + sum dx;
-    `search` is handed to viscosity.obstacle_gap.
+    `tol_factor` is the checkers' probe tolerance in units of dt + sum dx.
+    The gap N[V] - V is viscosity.obstacle_gap's, at the radius every
+    command uses.
     """
     problem = instance.problem()
     V = sample_value_function(instance, grid)
     # first, so a bad tol_factor is rejected before N runs on every slice
     sub = check_hjb_subsolution(V, problem, tol_factor)
-    gap = obstacle_gap(V, problem, search)
+    gap = obstacle_gap(V, problem)
     classical = check_qvi_supersolution_classical(V, problem, tol_factor,
                                                   gap=gap)
     modified = check_qvi_supersolution_modified(V, problem, tol_factor,

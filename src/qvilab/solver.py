@@ -205,8 +205,7 @@ def solve_hjb(problem, grid, dissipation=None, constants=None) -> SolveResult:
     return _backward(problem, grid, dissipation, constants, obstacle=False)
 
 
-def solve_qvi(problem, grid, dissipation=None, search=None,
-              constants=None) -> SolveResult:
+def solve_qvi(problem, grid, dissipation=None, constants=None) -> SolveResult:
     """Backward solve with every stepped slice clipped by the obstacle.
 
     Each slice runs W <- min(W_unclipped, N[W]) until the update falls
@@ -214,14 +213,13 @@ def solve_qvi(problem, grid, dissipation=None, search=None,
     truncation of the settled slice (from the last sweep when its update
     was exactly zero, since that sweep already saw the settled slice).
     The terminal slice is the sampled terminal data and is never clipped.
-    `dissipation` defaults as in solve_hjb; `search` defaults to
-    obstacle.default_search(grid).
+    `dissipation` defaults as in solve_hjb.  N is the one every command
+    uses, at the radius obstacle.default_search(grid).
     """
-    return _backward(problem, grid, dissipation, constants, obstacle=True,
-                     search=search)
+    return _backward(problem, grid, dissipation, constants, obstacle=True)
 
 
-def _backward(problem, grid, dissipation, constants, obstacle, search=None):
+def _backward(problem, grid, dissipation, constants, obstacle):
     """The backward loop of both solves, with the obstacle on or off.
 
     Off, no obstacle call is made and no gap, argmin or truncation array
@@ -243,8 +241,7 @@ def _backward(problem, grid, dissipation, constants, obstacle, search=None):
         truncated = np.zeros(grid.shape, dtype=bool)
         # terminal slice: gap recorded for reporting, never enforced
         n_term, argmin[nt - 1], truncated[nt - 1] = obs.evaluate_slice_values(
-            grid, V[nt - 1], float(grid.t[nt - 1]), problem.ell, problem.cone,
-            search)
+            grid, V[nt - 1], float(grid.t[nt - 1]), problem.ell, problem.cone)
         gap[nt - 1] = n_term - V[nt - 1]
 
     for k in range(nt - 2, -1, -1):
@@ -256,7 +253,7 @@ def _backward(problem, grid, dissipation, constants, obstacle, search=None):
             V[k] = W0
             continue
         W, n_vals, argmin[k], truncated[k], iterations[k] = _settle(
-            problem, grid, search, W0, t_k)
+            problem, grid, W0, t_k)
         V[k] = W
         gap[k] = n_vals - W
 
@@ -276,7 +273,7 @@ def _backward(problem, grid, dissipation, constants, obstacle, search=None):
     )
 
 
-def _settle(problem, grid, search, W0, t_k):
+def _settle(problem, grid, W0, t_k):
     """Fixed point W <- min(W0, N[W]) of one stepped slice.
 
     Returns (W, N[W], argmin, truncated, sweeps).
@@ -284,8 +281,7 @@ def _settle(problem, grid, search, W0, t_k):
     W = W0
     for it in range(1, FP_MAX_ITER + 1):
         n_vals, arg_k, trunc_k = obs.evaluate_slice_values(
-            grid, W, t_k, problem.ell, problem.cone, search
-        )
+            grid, W, t_k, problem.ell, problem.cone)
         W_new = np.minimum(W0, n_vals)
         delta = float(np.max(np.abs(W_new - W)))
         W = W_new
@@ -300,8 +296,7 @@ def _settle(problem, grid, search, W0, t_k):
         # the last sweep saw the previous iterate; a zero update means
         # it saw this one, so its N, argmin and truncation stand
         n_vals, arg_k, trunc_k = obs.evaluate_slice_values(
-            grid, W, t_k, problem.ell, problem.cone, search
-        )
+            grid, W, t_k, problem.ell, problem.cone)
     return W, n_vals, arg_k, trunc_k, it
 
 

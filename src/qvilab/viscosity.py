@@ -182,17 +182,17 @@ def write_violations_csv(report, path):
 
 # -------------------------------------------------------------- obstacle ----
 
-def obstacle_gap(V, problem, search=None):
+def obstacle_gap(V, problem):
     """N[V] - V on every time slice of a grid function.
 
-    `search` defaults to obstacle.default_search(grid), the radius the
-    solver clips with.  The checkers take this array as `gap=`.
+    N is the one the solver clips with, at the radius
+    obstacle.default_search(grid).  The checkers take this array as `gap=`.
     """
     grid = V.grid
     gap = np.empty(grid.shape)
     for k in range(grid.t_nodes):
         vals, _, _ = evaluate_slice_values(grid, V.values[k], grid.t[k],
-                                           problem.ell, problem.cone, search)
+                                           problem.ell, problem.cone)
         gap[k] = vals - V.values[k]
     return gap
 

@@ -68,7 +68,6 @@ def dp_reference(grid, ell0=ELL0):
     return out
 
 
-SEARCH = SearchParams(xi_max=5.0, refine_levels=6)
 CORPUS_GRID = Grid(T=1.0, t_nodes=61, x_min=(-1.0,), x_max=(4.0,),
                    x_nodes=(141,))
 
@@ -77,7 +76,7 @@ CORPUS_GRID = Grid(T=1.0, t_nodes=61, x_min=(-1.0,), x_max=(4.0,),
 def corpus():
     """Six grid functions: solver output, shifts, and deliberate damage."""
     problem = transport_problem()
-    solved = solve_qvi(problem, CORPUS_GRID, search=SEARCH).V
+    solved = solve_qvi(problem, CORPUS_GRID).V
     env = CORPUS_GRID.full_env()
     members = {
         "solved": solved,
@@ -91,7 +90,7 @@ def corpus():
         "flat": GridFunction(CORPUS_GRID,
                              np.full(CORPUS_GRID.shape, -1e6)),
     }
-    gaps = {name: vc.obstacle_gap(V, problem, SEARCH)
+    gaps = {name: vc.obstacle_gap(V, problem)
             for name, V in members.items()}
     return problem, members, gaps
 
@@ -113,9 +112,7 @@ class TestAcceptance:
 
         grid = Grid(T=1.0, t_nodes=201, x_min=(-1.5,), x_max=(5.5,),
                     x_nodes=(701,))
-        report = exm.verify_separation(
-            instance, grid,
-            search=SearchParams(xi_max=instance.xi2 + 1.0, refine_levels=6))
+        report = exm.verify_separation(instance, grid)
         assert report.classical.passed
         assert not report.classical.violations
         assert not report.modified.passed
@@ -211,8 +208,7 @@ class TestAcceptance:
 
         grid = Grid(T=1.0, t_nodes=201, x_min=(-1.0,), x_max=(4.0,),
                     x_nodes=(701,))
-        res = solve_qvi(problem, grid, (1.05,),
-                        SEARCH)
+        res = solve_qvi(problem, grid, (1.05,))
         stepped_gap = res.obstacle_gap.values[:-1]
         assert float(stepped_gap.min()) >= -1e-8  # V <= N[V] + 1e-8 everywhere
 
@@ -233,7 +229,7 @@ class TestAcceptance:
         grid = Grid(T=1.0, t_nodes=201, x_min=(0.5,), x_max=(3.5,),
                     x_nodes=(351,))
         V = sample(ex.parse(PROFILE_SRC, ("t", "x1")), grid)
-        res = solve_qvi(transport_problem(), grid, search=SEARCH)
+        res = solve_qvi(transport_problem(), grid)
         diag = cmp.doubling_maximize(V, res.V, theta=0.001)
         assert len(diag.levels) == 3
         eps = [lev.epsilon for lev in diag.levels]

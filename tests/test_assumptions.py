@@ -46,8 +46,6 @@ class TestSamplerSpec:
         with pytest.raises(ConfigError):
             au.SamplerSpec(x_min=(0.0, 1.0), x_max=(2.0,))
         with pytest.raises(ConfigError):
-            au.SamplerSpec(x_min=(0.0,), x_max=(1.0,), p_max=0.0)
-        with pytest.raises(ConfigError):
             au.SamplerSpec(x_min=(0.0,), x_max=(1.0,), xi_max=-2.0)
         with pytest.raises(ConfigError):
             au.SamplerSpec(x_min=(0.0,), x_max=(1.0,), n_samples=4)

@@ -378,6 +378,22 @@ class TestDoubling:
                     "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "doubling.json").exists()
 
+    def test_horizon_needs_a_finite_barrier_weight(self, tmp_path, capsys):
+        # w(t, s) divides by 2*nu*T: where that overflows, doubling.json
+        # held NaN at a placeholder argmax
+        def doubling(T, out):
+            return run(["doubling", EXAMPLE, "--analytic", PROFILE,
+                        "--grid-nt", "3", "--grid-nx", "5",
+                        "--set", "grid.x_min=0", "--set", "grid.x_max=1",
+                        "--set", f"problem.T={T}", "--out", str(out)])
+
+        assert doubling("1e308", tmp_path / "over") == 2
+        assert "2*nu*T" in capsys.readouterr().err
+        assert not (tmp_path / "over" / "doubling.json").exists()
+        assert doubling("1e200", tmp_path / "big") == 0
+        diag = json.loads((tmp_path / "big" / "doubling.json").read_text())
+        assert all(np.isfinite(lev["phi_value"]) for lev in diag["levels"])
+
 
 class TestReproduceExample:
     def test_default_run_separates(self, tmp_path, capsys):

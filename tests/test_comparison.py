@@ -210,8 +210,6 @@ class TestDoublingMaximize:
         assert diag.final.delta == 0.05
         with pytest.raises(ConfigError):
             cmp.doubling_maximize(V, V_hat, levels=())
-        with pytest.raises(ConfigError):
-            cmp.doubling_maximize(V, V_hat, gamma=1.0)
         other = Grid(T=1.0, t_nodes=11, x_min=(-1.0,), x_max=(4.0,),
                      x_nodes=(21,))
         W = GridFunction(other, np.zeros(other.shape))

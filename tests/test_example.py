@@ -18,7 +18,6 @@ from qvilab.example import (
     sample_value_function,
     verify_separation,
 )
-from qvilab.obstacle import SearchParams
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +29,7 @@ def inst():
 def report(inst):
     grid = Grid(T=1.0, t_nodes=101, x_min=(-1.0,), x_max=(4.0,),
                 x_nodes=(351,))
-    return verify_separation(inst, grid,
-                             search=SearchParams(xi_max=5.0, refine_levels=6))
+    return verify_separation(inst, grid)
 
 
 class TestBuildInstance:
@@ -204,8 +202,7 @@ class TestVerdicts:
         flagged = build_instance(0.5, 0.13)
         grid = Grid(T=1.0, t_nodes=61, x_min=(-1.0,), x_max=(4.0,),
                     x_nodes=(141,))
-        rep = verify_separation(
-            flagged, grid, search=SearchParams(xi_max=5.0, refine_levels=6))
+        rep = verify_separation(flagged, grid)
         assert rep.classical.passed and rep.modified.passed
         assert not rep.separated
         assert rep.violations_in_band

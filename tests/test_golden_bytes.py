@@ -8,9 +8,12 @@ classical probe rows, whose margin is the minimum of the equation and the
 obstacle gap; of the three `reproduce-example` artifacts at the default
 tolerance and at `--tol 8`; and of every artifact but `manifest.json` of
 `solve`, `check`, `compare` and `doubling` runs.  A moved hash is a moved
-artifact: the rows, their order or their formatting changed.
+artifact: the rows, their order or their formatting changed.  Every
+JSON artifact of these runs, `manifest.json` included, must also parse as
+strict JSON, with no NaN or Infinity.
 """
 
+import json
 from hashlib import sha256
 from pathlib import Path
 
@@ -20,6 +23,18 @@ from qvilab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PROFILE = "(x1 - 1 + t)*exp(-(x1 - 1 + t))"
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def assert_strict_json(out):
+    """Every .json file in `out` parses with NaN and Infinity refused."""
+    paths = sorted(out.glob("*.json"))
+    assert paths
+    for path in paths:
+        json.loads(path.read_text(), parse_constant=_refuse)
 
 RUNS = {
     "transport-hjb-sub": (
@@ -60,6 +75,7 @@ def test_viscosity_artifacts_are_pinned(name, tmp_path):
     digest = lambda f: sha256((tmp_path / f).read_bytes()).hexdigest()
     assert digest("viscosity.json") == report_hash
     assert digest("violations.csv") == csv_hash
+    assert_strict_json(tmp_path)
 
 
 # the verdicts, and so the bytes, are the same at both tolerances
@@ -78,6 +94,7 @@ def test_reproduce_example_artifacts_are_pinned(tol, tmp_path):
     assert cli.main(["reproduce-example", *tol, "--out", str(tmp_path)]) == 0
     for name, expected in EXAMPLE.items():
         assert sha256((tmp_path / name).read_bytes()).hexdigest() == expected
+    assert_strict_json(tmp_path)
 
 
 # command line -> every artifact but manifest.json; each run exits 0
@@ -136,3 +153,4 @@ def test_command_artifacts_are_pinned(name, tmp_path):
     written = {f.name: sha256(f.read_bytes()).hexdigest()
                for f in tmp_path.iterdir() if f.name != "manifest.json"}
     assert written == expected
+    assert_strict_json(tmp_path)

@@ -1,6 +1,7 @@
 """Scheme tests: transport oracle, exact invariants, DP cross-check."""
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,10 @@ from qvilab.core import (
     load_problem,
     role_variables,
 )
-from qvilab.obstacle import SearchParams
 from qvilab import solver
 from qvilab.solver import (
     CFL_SAFETY,
+    FP_TOL,
     CflError,
     SolverError,
     cfl_number,
@@ -163,8 +164,7 @@ class TestExactInvariants:
                     x_nodes=(101,))
         dissipation = (1.05,)
         free = solve_hjb(problem, grid, dissipation)
-        clipped = solve_qvi(problem, grid, dissipation,
-                            SearchParams(xi_max=5.0, refine_levels=4))
+        clipped = solve_qvi(problem, grid, dissipation)
         assert np.array_equal(free.V.values, clipped.V.values)
         assert not extract_regions(clipped).labels.any()
         assert clipped.iterations.max() <= 2
@@ -175,17 +175,15 @@ class TestExactInvariants:
         grid = Grid(T=1.0, t_nodes=101, x_min=(-1.0,), x_max=(4.0,),
                     x_nodes=(201,))
         dissipation = (1.05,)
-        search = SearchParams(xi_max=5.0, refine_levels=4)
-        v1 = solve_qvi(base, grid, dissipation, search).V.values
-        v2 = solve_qvi(shifted, grid, dissipation, search).V.values
+        v1 = solve_qvi(base, grid, dissipation).V.values
+        v2 = solve_qvi(shifted, grid, dissipation).V.values
         assert float(np.max(np.abs(v2 - (v1 + 0.75)))) <= 1e-10
 
     def test_terminal_slice_is_sampled_data(self):
         problem = transport_problem()
         grid = Grid(T=1.0, t_nodes=21, x_min=(-1.0,), x_max=(4.0,),
                     x_nodes=(51,))
-        res = solve_qvi(problem, grid, (1.05,),
-                        SearchParams(xi_max=5.0, refine_levels=4))
+        res = solve_qvi(problem, grid, (1.05,))
         assert np.array_equal(res.V.values[-1], f_profile(grid.axes[0]))
 
 
@@ -320,8 +318,7 @@ def qvi_example():
     grid = Grid(T=1.0, t_nodes=201, x_min=(-1.0,), x_max=(4.0,),
                 x_nodes=(701,))
     dissipation = (1.05,)
-    search = SearchParams(xi_max=5.0, refine_levels=6)
-    res = solve_qvi(problem, grid, dissipation, search)
+    res = solve_qvi(problem, grid, dissipation)
     dp = dp_solve_transport(grid)
     return grid, res, dp
 
@@ -331,8 +328,7 @@ def qvi_wide():
     problem = transport_problem()
     grid = Grid(T=1.0, t_nodes=201, x_min=(-1.0,), x_max=(7.0,),
                 x_nodes=(1121,))
-    res = solve_qvi(problem, grid, (1.05,),
-                    SearchParams(xi_max=5.0, refine_levels=6))
+    res = solve_qvi(problem, grid, (1.05,))
     return grid, res
 
 
@@ -399,8 +395,7 @@ class TestConstrainedSolve:
             problem = transport_problem(ell_src=f"{ell0}*(1 + xi1)")
             grid = Grid(T=1.0, t_nodes=201, x_min=(-1.0,), x_max=(7.0,),
                         x_nodes=(1121,))
-            res = solve_qvi(problem, grid, (1.05,),
-                            SearchParams(xi_max=5.0, refine_levels=5))
+            res = solve_qvi(problem, grid, (1.05,))
             fractions[ell0] = extract_regions(res).fraction
         assert fractions[0.05] > fractions[0.06] > fractions[0.07] > 0.0
         assert fractions[0.05] > fractions[0.1] >= fractions[0.2]
@@ -436,6 +431,33 @@ class TestConstrainedSolve:
         with pytest.raises(ValueError, match="obstacle"):
             extract_regions(res)
 
+    def test_ray_cone_takes_the_search_and_matches_the_orthant(
+            self, monkeypatch):
+        # one ray along +x1 allows the orthant's impulses, but N takes the
+        # search there: its value bounds the exact one from above
+        grid = Grid(T=1.0, t_nodes=61, x_min=(-1.0,), x_max=(4.0,),
+                    x_nodes=(141,))
+        orthant = transport_problem()
+        searched = []
+        search = obs._search
+
+        def spy(*args, **kwargs):
+            searched.append(args[5].kind)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(obs, "_search", spy)
+        exact = solve_qvi(orthant, grid, (1.05,))
+        assert not searched
+        res = solve_qvi(replace(orthant, cone=Cone.from_rays([[1.0]])), grid,
+                        (1.05,))
+        assert searched and set(searched) == {"rays"}
+        diff = res.V.values - exact.V.values
+        assert float(diff.min()) >= -FP_TOL
+        assert float(diff.max()) <= 1e-8
+        assert float(res.obstacle_gap.values[:-1].min()) >= -1e-8
+        assert int(exact.iterations.max()) <= 2
+        assert int(res.iterations.max()) <= 2
+
 
 class TestTwoDimensionalConstrained:
     def test_constraint_and_shapes(self):
@@ -449,8 +471,7 @@ class TestTwoDimensionalConstrained:
         )
         grid = Grid(T=1.0, t_nodes=21, x_min=(-2.0, -2.0), x_max=(3.0, 3.0),
                     x_nodes=(41, 41))
-        res = solve_qvi(problem, grid, (1.05, 1.05),
-                        SearchParams(xi_max=4.0, coarse=11, refine_levels=5))
+        res = solve_qvi(problem, grid, (1.05, 1.05))
         assert res.V.values.shape == (21, 41, 41)
         assert res.argmin_xi.shape == (21, 41, 41, 2)
         assert float(res.obstacle_gap.values[:-1].min()) >= -1e-8

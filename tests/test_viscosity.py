@@ -14,7 +14,6 @@ from qvilab import expr as ex
 from qvilab import viscosity as vc
 from qvilab.core import (Cone, ConfigError, Grid, GridFunction, ImpulseProblem,
                          load_problem, sample)
-from qvilab.obstacle import SearchParams
 from qvilab.solver import solve_qvi
 
 PLANE = Path(__file__).resolve().parent.parent / "perfbench" / "plane.cfg"
@@ -34,7 +33,6 @@ def make_problem(H="-p1", h="x1*exp(-x1)", ell="0.05*(1 + xi1)", n=1, T=1.0):
 
 
 GRID = Grid(T=1.0, t_nodes=61, x_min=(-1.0,), x_max=(4.0,), x_nodes=(141,))
-SEARCH = SearchParams(xi_max=5.0, refine_levels=6)
 
 
 def analytic_profile(grid):
@@ -66,7 +64,7 @@ def problem():
 
 @pytest.fixture(scope="module")
 def solved(problem):
-    return solve_qvi(problem, GRID, (1.05,), SEARCH)
+    return solve_qvi(problem, GRID, (1.05,))
 
 
 @pytest.fixture(scope="module")
@@ -76,18 +74,17 @@ def corpus(problem, solved):
     members = {}
     members["solved"] = (solved.V, solved.obstacle_gap)
     shifted = GridFunction(GRID, solved.V.values + 5.0)
-    members["shifted"] = (shifted, vc.obstacle_gap(shifted, problem, SEARCH))
+    members["shifted"] = (shifted, vc.obstacle_gap(shifted, problem))
     profile = analytic_profile(GRID)
-    members["profile"] = (profile, vc.obstacle_gap(profile, problem, SEARCH))
+    members["profile"] = (profile, vc.obstacle_gap(profile, problem))
     frozen = frozen_terminal(GRID)
-    members["frozen"] = (frozen, vc.obstacle_gap(frozen, problem, SEARCH))
+    members["frozen"] = (frozen, vc.obstacle_gap(frozen, problem))
     x = GRID.axes[0]
     bump = 0.4 * np.exp(-(((x - 1.5) / 0.3) ** 2))
     corrupted = GridFunction(GRID, solved.V.values + bump)
-    members["corrupted"] = (corrupted, vc.obstacle_gap(corrupted, problem,
-                                                       SEARCH))
+    members["corrupted"] = (corrupted, vc.obstacle_gap(corrupted, problem))
     flat = GridFunction(GRID, np.full(GRID.shape, -1.0e6))
-    members["flat"] = (flat, vc.obstacle_gap(flat, problem, SEARCH))
+    members["flat"] = (flat, vc.obstacle_gap(flat, problem))
     return members
 
 
@@ -212,7 +209,7 @@ class TestTransportChecks:
 def fine(problem):
     grid = Grid(T=1.0, t_nodes=101, x_min=(-0.5,), x_max=(4.0,),
                 x_nodes=(351,))
-    return solve_qvi(problem, grid, (1.05,), SEARCH)
+    return solve_qvi(problem, grid, (1.05,))
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +217,7 @@ def verdicts(problem):
     grid = Grid(T=1.0, t_nodes=101, x_min=(-1.0,), x_max=(4.0,),
                 x_nodes=(351,))
     V = analytic_profile(grid)
-    gap = vc.obstacle_gap(V, problem, SEARCH)
+    gap = vc.obstacle_gap(V, problem)
     classical = vc.check_qvi_supersolution_classical(V, problem, gap=gap)
     modified = vc.check_qvi_supersolution_modified(V, problem, gap=gap)
     sub = vc.check_qvi_subsolution(V, problem, gap=gap)
@@ -368,7 +365,7 @@ class TestShiftInvariance:
     def test_verdict_sets_survive_constant_shifts(self, problem, corpus):
         V, gap = corpus["corrupted"]
         shifted = GridFunction(GRID, V.values + 100.0)
-        gap_s = vc.obstacle_gap(shifted, problem, SEARCH)
+        gap_s = vc.obstacle_gap(shifted, problem)
         for checker in (vc.check_qvi_subsolution,
                         vc.check_qvi_supersolution_classical,
                         vc.check_qvi_supersolution_modified):
@@ -640,7 +637,7 @@ class TestScanMatchesReference:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_noisy_profiles_admit_probes(self, problem, seed):
         V = noisy(analytic_profile(GRID), 1e-3, seed)
-        gap = vc.obstacle_gap(V, problem, SEARCH)
+        gap = vc.obstacle_gap(V, problem)
         counts = assert_same_rows(V, problem, gap, (0.1, 1.0, 10.0))
         assert all(counts[v, 0.1] for v in (vc.VARIANT_HJB_SUB,
                                             vc.VARIANT_HJB_SUPER,
