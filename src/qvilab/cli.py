@@ -272,17 +272,22 @@ def cmd_example(args):
         raise ConfigError(
             f"--grid-nx must be a single integer here, got {args.grid_nx!r}"
         ) from None
-    key = f"reproduce-example l0={instance.l0!r} t0={instance.t0!r} nt={nt} nx={nx}"
-    run = _Session("reproduce-example", args.out,
-                   hashlib.sha256(key.encode()).hexdigest(), ())
     # box must reach the jump target or the clipped search hides the dip
     x_hi = max(5.5, instance.x0 + instance.xi2 + 1.0)
     grid = Grid(instance.T, nt, (-1.5,), (x_hi,), (nx,))
+    # the anchor slice is written at t0 itself, never at a nearby node
+    k0 = int(round(instance.t0 / grid.dt))
+    if abs(instance.t0 / grid.dt - k0) > 1e-9:
+        raise ConfigError(
+            f"--t0 {instance.t0!r} is not a time node of the grid: "
+            f"{nt} nodes on [0, {instance.T!r}] step by {grid.dt!r}")
+    key = f"reproduce-example l0={instance.l0!r} t0={instance.t0!r} nt={nt} nx={nx}"
+    run = _Session("reproduce-example", args.out,
+                   hashlib.sha256(key.encode()).hexdigest(), ())
     tol_factor = vc.TOL_FACTOR if args.tol is None else args.tol
     report = exm.verify_separation(instance, grid, tol_factor)
     measured = exm.measure_obstacle_gap(instance)
 
-    k0 = int(round(instance.t0 / grid.dt))
     slice_path = run.path("anchor_slice.csv")
     with open(slice_path, "w") as fh:
         fh.write("x1,obstacle_minus_value\n")
@@ -410,7 +415,7 @@ def build_parser():
     p.add_argument("--l0", type=float, default=0.05,
                    help="base impulse cost (default 0.05)")
     p.add_argument("--t0", type=float, default=0.5,
-                   help="anchor time (default 0.5; keep it on 0.01 steps)")
+                   help="anchor time, a time node of the grid (default 0.5)")
     p.set_defaults(func=cmd_example)
 
     return parser

@@ -326,13 +326,20 @@ def _square(v):
         return math.inf
 
 
+def _time_penalty(eps, gap):
+    """0.5/eps * gap**2 of an array of time gaps; inf, with no warning,
+    where it overflows (then the bound's slack is not finite)."""
+    with np.errstate(over="ignore"):
+        return 0.5 / eps * gap ** 2
+
+
 def _phi_tuples(As, Bs, t, sub, norms, theta, eps, dlt, T, kk, ll, ii, jj):
     """Phi for explicit index tuples; the certificate's reference path."""
     w = (2.0 * NU * T - t[kk] - t[ll]) / (2.0 * NU * T)
     d2 = ((sub[ii] - sub[jj]) ** 2).sum(axis=-1)
     phi = (theta * w * (norms[ii] + norms[jj])
            - RHO * (t[kk] + t[ll])
-           + 0.5 / eps * (t[kk] - t[ll]) ** 2
+           + _time_penalty(eps, t[kk] - t[ll])
            + 0.5 / dlt * d2)
     return (1.0 - theta * G) * As[kk, ii] - Bs[ll, jj] - phi
 
@@ -376,7 +383,7 @@ def _sweep_argmax(FA, Bs, t, pair_norms, half_d2, theta, eps, T):
 
     def time_terms(tk, tl):
         w = (two_nu_T - tk - tl) / two_nu_T
-        return theta * w, 0.5 / eps * (tk - tl) ** 2 - RHO * (tk + tl)
+        return theta * w, _time_penalty(eps, tk - tl) - RHO * (tk + tl)
 
     def evaluate(K, L, i, j):
         """(Phi, k, l) on every tuple of the given blocks, Phi of shape
@@ -395,7 +402,7 @@ def _sweep_argmax(FA, Bs, t, pair_norms, half_d2, theta, eps, T):
     tw_lo = time_terms(t_last[:, None], t_last)[0]
     near = np.maximum(0.0, np.maximum(t[starts] - t_last[:, None],
                                       t[starts][:, None] - t_last))
-    pen_lo = 0.5 / eps * near ** 2 - RHO * (t_last[:, None] + t_last)
+    pen_lo = _time_penalty(eps, near) - RHO * (t_last[:, None] + t_last)
 
     def bound_batches():
         """(first K, bounds of shape (rows, nb, q, q)) per batch of rows."""

@@ -44,10 +44,12 @@ from .core import (Cone, ConfigError, Grid, GridFunction, ImpulseProblem,
 from .obstacle import evaluate_slice_values
 from .viscosity import (
     TOL_FACTOR,
-    check_hjb_subsolution,
-    check_qvi_supersolution_classical,
-    check_qvi_supersolution_modified,
+    VARIANT_HJB_SUB,
+    VARIANT_QVI_SUPER_CLASSICAL,
+    VARIANT_QVI_SUPER_MODIFIED,
+    check_notions,
     obstacle_gap,
+    validate_tol_factor,
 )
 
 __all__ = [
@@ -363,17 +365,17 @@ def verify_separation(instance, grid, tol_factor=TOL_FACTOR):
 
     `tol_factor` is the checkers' probe tolerance in units of dt + sum dx.
     The gap N[V] - V is viscosity.obstacle_gap's, at the radius every
-    command uses.
+    command uses.  The three notions are one check_notions call, so they
+    share one probe field and this one gap.
     """
+    # first, so a bad tol_factor is rejected before N runs on every slice
+    validate_tol_factor(tol_factor)
     problem = instance.problem()
     V = sample_value_function(instance, grid)
-    # first, so a bad tol_factor is rejected before N runs on every slice
-    sub = check_hjb_subsolution(V, problem, tol_factor)
     gap = obstacle_gap(V, problem)
-    classical = check_qvi_supersolution_classical(V, problem, tol_factor,
-                                                  gap=gap)
-    modified = check_qvi_supersolution_modified(V, problem, tol_factor,
-                                                gap=gap)
+    sub, classical, modified = check_notions(
+        V, problem, (VARIANT_HJB_SUB, VARIANT_QVI_SUPER_CLASSICAL,
+                     VARIANT_QVI_SUPER_MODIFIED), tol_factor, gap)
 
     separated = bool(classical.passed and not modified.passed)
     cons = modified.constraint_violations

@@ -31,6 +31,12 @@ where the definitions differ: the classical one asks min{a + H, N[V] - V}
 and the transport inequality wherever V sits strictly below the obstacle.
 The final time slice carries only the terminal comparison with h.
 
+check_notions is that driver, and it takes several notions on one grid
+function at once.  They share one probe field (the slope candidates, the
+curvature scale and H + g at every center, none of which depends on the
+probe side) and one gap N[V] - V, so each notion adds only its own scan.
+The five public checks each call it with one notion.
+
 The scan makes one pass per (space slopes, time slope) pair.  It first
 finds the centers where the flat probe breaks the inequality; a curved
 probe's tolerance is never below the flat one, so all three curvatures
@@ -435,30 +441,36 @@ def validate_tol_factor(tol_factor):
         raise ConfigError(f"need a finite tol_factor > 0, got {tol_factor}")
 
 
-def _check(variant, V, problem, tol_factor, gap=None):
-    """Probe V for one solution notion of _NOTIONS.
+def check_notions(V, problem, variants, tol_factor=TOL_FACTOR, gap=None):
+    """Probe V for several notions of _NOTIONS: one ViscosityReport per
+    variant, in the order given.
 
-    `gap` is N[V] - V (an array or grid function on V's grid); it is
-    computed with obstacle_gap when a constrained notion is given None.
+    The notions share one probe field, which does not depend on the probe
+    side, and one gap N[V] - V (an array or grid function on V's grid).
+    The gap is computed with obstacle_gap when a constrained notion is
+    given None, and not at all when no notion reads it.
     """
-    side, constrained, sees_gap = _NOTIONS[variant]
     validate_tol_factor(tol_factor)
+    notions = [_NOTIONS[variant] for variant in variants]
     grid = V.grid
     unit = grid.tolerance_unit
-    if constrained or sees_gap:
+    if any(constrained or sees_gap for _, constrained, sees_gap in notions):
         gap = _gap_or_compute(V, problem, gap)
     field = _ProbeField(V, problem)
-    violations = _scan_violations(field, side, tol_factor * unit, unit, gap,
-                                  sees_gap)
-    if constrained:
-        constraint = _constraint_nodes(V, gap, unit)
-    else:
-        constraint = _rows(grid, np.empty(0, dtype=np.intp),
-                           np.empty((0, grid.n), dtype=np.intp), np.empty(0))
-    terminal = _terminal_nodes(V, problem, side, unit)
-    return ViscosityReport(
-        variant, field.n_centers, field.probes_per_point(), violations,
-        constraint, terminal, tol_factor * unit, unit, _notes(field))
+    notes = _notes(field)
+    no_rows = _rows(grid, np.empty(0, dtype=np.intp),
+                    np.empty((0, grid.n), dtype=np.intp), np.empty(0))
+    reports = []
+    for variant, (side, constrained, sees_gap) in zip(variants, notions):
+        violations = _scan_violations(field, side, tol_factor * unit, unit,
+                                      gap, sees_gap)
+        constraint = (_constraint_nodes(V, gap, unit) if constrained
+                      else no_rows)
+        terminal = _terminal_nodes(V, problem, side, unit)
+        reports.append(ViscosityReport(
+            variant, field.n_centers, field.probes_per_point(), violations,
+            constraint, terminal, tol_factor * unit, unit, notes))
+    return reports
 
 
 # ------------------------------------------------------------- checkers ----
@@ -466,13 +478,13 @@ def _check(variant, V, problem, tol_factor, gap=None):
 def check_hjb_subsolution(V, problem, tol_factor=TOL_FACTOR):
     """One-sided transport check: a + H(t, x, p) >= -tol at admitted
     sub-side probes, plus the terminal inequality V(T, .) <= h."""
-    return _check(VARIANT_HJB_SUB, V, problem, tol_factor)
+    return check_notions(V, problem, (VARIANT_HJB_SUB,), tol_factor)[0]
 
 
 def check_hjb_supersolution(V, problem, tol_factor=TOL_FACTOR):
     """Mirror of check_hjb_subsolution: a + H <= tol at admitted super-side
     probes, terminal V(T, .) >= h."""
-    return _check(VARIANT_HJB_SUPER, V, problem, tol_factor)
+    return check_notions(V, problem, (VARIANT_HJB_SUPER,), tol_factor)[0]
 
 
 def check_qvi_subsolution(V, problem, tol_factor=TOL_FACTOR, gap=None):
@@ -483,7 +495,7 @@ def check_qvi_subsolution(V, problem, tol_factor=TOL_FACTOR, gap=None):
     reported once as constraint violations, and admitted probes with
     a + H < -tol are reported as probe violations.
     """
-    return _check(VARIANT_QVI_SUB, V, problem, tol_factor, gap)
+    return check_notions(V, problem, (VARIANT_QVI_SUB,), tol_factor, gap)[0]
 
 
 def check_qvi_subsolution_decomposed(V, problem, tol_factor=TOL_FACTOR,
@@ -509,7 +521,8 @@ def check_qvi_supersolution_classical(V, problem, tol_factor=TOL_FACTOR,
     """Classical constrained super-solution check: at every admitted
     super-side probe, min{a + H, N[V] - V} <= tol; terminal V(T, .) >= h.
     The obstacle constraint itself is NOT required."""
-    return _check(VARIANT_QVI_SUPER_CLASSICAL, V, problem, tol_factor, gap)
+    return check_notions(V, problem, (VARIANT_QVI_SUPER_CLASSICAL,),
+                         tol_factor, gap)[0]
 
 
 def check_qvi_supersolution_modified(V, problem, tol_factor=TOL_FACTOR,
@@ -522,12 +535,13 @@ def check_qvi_supersolution_modified(V, problem, tol_factor=TOL_FACTOR,
     where V sits strictly below the obstacle (gap > 2*tol), since on the
     contact set no transport inequality is demanded.
     """
-    return _check(VARIANT_QVI_SUPER_MODIFIED, V, problem, tol_factor, gap)
+    return check_notions(V, problem, (VARIANT_QVI_SUPER_MODIFIED,),
+                         tol_factor, gap)[0]
 
 
 # ------------------------------------------------- re-assertion helpers ----
 
-def probe_family(V, problem, t_index, x_index):
+def _probe_family(V, problem, t_index, x_index):
     """All probes (a, p, kappa, kappa_eff) the scan would try at one node."""
     field = _ProbeField(V, problem)
     if field.empty:
@@ -550,7 +564,7 @@ def probe_family(V, problem, t_index, x_index):
     return out
 
 
-def probe_admitted(V, t_index, x_index, a, p, kappa_eff, side):
+def _probe_admitted(V, t_index, x_index, a, p, kappa_eff, side):
     """Re-verify the touching condition for stored probe data."""
     grid = V.grid
     r = RADIUS

@@ -394,6 +394,17 @@ class TestDoubling:
         diag = json.loads((tmp_path / "big" / "doubling.json").read_text())
         assert all(np.isfinite(lev["phi_value"]) for lev in diag["levels"])
 
+    @pytest.mark.filterwarnings("error")
+    def test_time_penalty_overflow_raises_no_warning(self, tmp_path):
+        # past T ~ 1.34e154, 0.5/eps*(t - s)**2 overflows to inf on purpose:
+        # the bound's slack is then not finite and every block is evaluated
+        assert run(["doubling", EXAMPLE, "--analytic", PROFILE,
+                    "--grid-nt", "3", "--grid-nx", "5",
+                    "--set", "grid.x_min=0", "--set", "grid.x_max=1",
+                    "--set", "problem.T=1.5e154", "--out", str(tmp_path)]) == 0
+        diag = json.loads((tmp_path / "doubling.json").read_text())
+        assert all(np.isfinite(lev["phi_value"]) for lev in diag["levels"])
+
 
 class TestReproduceExample:
     def test_default_run_separates(self, tmp_path, capsys):
@@ -433,6 +444,33 @@ class TestReproduceExample:
         rows = (tmp_path / "anchor_slice.csv").read_text().splitlines()[1:]
         got = np.array([[float(c) for c in row.split(",")] for row in rows])
         assert np.array_equal(got[:, 1], report.gap[k0])
+
+    @pytest.mark.parametrize("t0", ["0.25", "0.96"])
+    def test_anchor_time_off_the_grid_is_invalid(self, t0, tmp_path, capsys):
+        # 11 nodes step by 0.1: 0.25 was written as the t = 0.2 slice and
+        # 0.96 as the terminal one
+        out = tmp_path / "out"
+        assert run(["reproduce-example", "--grid-nt", "11", "--t0", t0,
+                    "--out", str(out)]) == 2
+        assert "not a time node" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_anchor_time_on_the_grid_writes_its_slice(self, tmp_path,
+                                                       monkeypatch):
+        reports = []
+        inner = exm.verify_separation
+
+        def kept(*args, **kwargs):
+            reports.append(inner(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(exm, "verify_separation", kept)
+        assert run(["reproduce-example", "--grid-nt", "11", "--grid-nx",
+                    "141", "--t0", "0.3", "--out", str(tmp_path)]) in (0, 1)
+        report, = reports
+        rows = (tmp_path / "anchor_slice.csv").read_text().splitlines()[1:]
+        got = np.array([float(row.split(",")[1]) for row in rows])
+        assert np.array_equal(got, report.gap[3])
 
     def test_unprofitable_cost_does_not_separate(self, tmp_path, capsys):
         assert run(["reproduce-example", "--l0", "0.08", "--grid-nt", "101",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qvilab import expr as ex
+from qvilab import viscosity as vc
 from qvilab.core import ConfigError, Grid
 from qvilab.example import (
     COST_THRESHOLD,
@@ -197,6 +198,36 @@ class TestVerdicts:
             assert checked.pde_tolerance == 3.0 * unit
         with pytest.raises(ConfigError, match="tol_factor"):
             verify_separation(inst, grid, 0.0)
+
+    def test_three_notions_share_one_field_and_one_gap(self, inst,
+                                                      monkeypatch):
+        # one probe field for all three checkers, and N on each slice once
+        fields, slices = [], []
+        field_class = vc._ProbeField
+        evaluate = vc.evaluate_slice_values
+
+        class Counted(field_class):
+            def __init__(self, *args):
+                fields.append(args)
+                super().__init__(*args)
+
+        def counted(*args, **kwargs):
+            slices.append(args[2])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(vc, "_ProbeField", Counted)
+        monkeypatch.setattr(vc, "evaluate_slice_values", counted)
+        grid = Grid(T=1.0, t_nodes=21, x_min=(-1.0,), x_max=(4.0,),
+                    x_nodes=(51,))
+        with pytest.raises(ConfigError, match="tol_factor"):
+            verify_separation(inst, grid, 0.0)
+        assert not fields and not slices
+        rep = verify_separation(inst, grid)
+        assert len(fields) == 1
+        assert slices == list(grid.t)
+        assert [r.variant for r in (rep.sub, rep.classical, rep.modified)] \
+            == [vc.VARIANT_HJB_SUB, vc.VARIANT_QVI_SUPER_CLASSICAL,
+                vc.VARIANT_QVI_SUPER_MODIFIED]
 
     def test_flagged_instance_passes_both_checks(self):
         flagged = build_instance(0.5, 0.13)

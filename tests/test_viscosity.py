@@ -2,7 +2,7 @@
 
 import itertools
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from hashlib import sha256
 from pathlib import Path
 
@@ -96,7 +96,9 @@ class TestProbeSpec:
                         vc.check_qvi_subsolution,
                         vc.check_qvi_subsolution_decomposed,
                         vc.check_qvi_supersolution_classical,
-                        vc.check_qvi_supersolution_modified):
+                        vc.check_qvi_supersolution_modified,
+                        lambda V, problem, factor: vc.check_notions(
+                            V, problem, tuple(vc._NOTIONS), factor)):
             for bad in (0.0, float("nan"), float("inf")):
                 with pytest.raises(ConfigError, match="tol_factor"):
                     checker(V, problem, bad)
@@ -110,18 +112,18 @@ class TestProbeMechanics:
         self.center = (5, 20)  # x = 0, the bottom of the parabola
 
     def test_linear_probe_cannot_touch_smooth_minimum_from_above(self):
-        assert not vc.probe_admitted(self.V, 5, (20,), 0.0, (0.0,), 0.0, "sub")
+        assert not vc._probe_admitted(self.V, 5, (20,), 0.0, (0.0,), 0.0, "sub")
 
     def test_curved_probe_touches_it(self):
         # second difference of x^2 is exactly 2, so kappa_eff = 2 closes
         # the quadratic wiggle exactly
-        assert vc.probe_admitted(self.V, 5, (20,), 0.0, (0.0,), 2.0, "sub")
+        assert vc._probe_admitted(self.V, 5, (20,), 0.0, (0.0,), 2.0, "sub")
 
     def test_super_side_admits_linear_probe_at_minimum(self):
-        assert vc.probe_admitted(self.V, 5, (20,), 0.0, (0.0,), 0.0, "super")
+        assert vc._probe_admitted(self.V, 5, (20,), 0.0, (0.0,), 0.0, "super")
 
     def test_probe_family_size_and_scaling(self, problem):
-        fam = vc.probe_family(self.V, problem, 5, (20,))
+        fam = vc._probe_family(self.V, problem, 5, (20,))
         assert len(fam) == 27
         kappas = sorted({k for (_, _, k, _) in fam})
         assert kappas == [0.0, 1.0, 10.0]
@@ -130,9 +132,9 @@ class TestProbeMechanics:
 
     def test_center_without_neighborhood_rejected(self, problem):
         with pytest.raises(ConfigError):
-            vc.probe_family(self.V, problem, 1, (20,))
+            vc._probe_family(self.V, problem, 1, (20,))
         with pytest.raises(ConfigError):
-            vc.probe_admitted(self.V, 5, (39,), 0.0, (0.0,), 0.0, "sub")
+            vc._probe_admitted(self.V, 5, (39,), 0.0, (0.0,), 0.0, "sub")
 
 
 class TestTransportChecks:
@@ -157,7 +159,7 @@ class TestTransportChecks:
             assert v["margin"] == pytest.approx(v["a"] - v["p"][0], abs=1e-12)
             assert v["margin"] < -(report.pde_tolerance
                                    + v["kappa_eff"] * unit)
-            assert vc.probe_admitted(V, v["t_index"], v["x_index"], v["a"],
+            assert vc._probe_admitted(V, v["t_index"], v["x_index"], v["a"],
                                      v["p"], v["kappa_eff"], "sub")
 
     def test_super_mirror_of_negated_function(self, problem):
@@ -675,8 +677,104 @@ class TestScanMatchesReference:
         assert 0 < got.sum() < len(got)
         for j in np.flatnonzero(got)[:5].tolist() + \
                 np.flatnonzero(~got)[:5].tolist():
-            assert vc.probe_admitted(
+            assert vc._probe_admitted(
                 V, int(shifted[0][j]), [int(shifted[1][j]),
                                         int(shifted[2][j])],
                 float(a[j]), [float(p[0][j]), float(p[1][j])],
                 float(kappa_eff[j]), side) == got[j]
+
+
+# ------------------------------------------------ several notions at once ----
+
+SINGLE_CHECKERS = {
+    vc.VARIANT_HJB_SUB: vc.check_hjb_subsolution,
+    vc.VARIANT_HJB_SUPER: vc.check_hjb_supersolution,
+    vc.VARIANT_QVI_SUB: vc.check_qvi_subsolution,
+    vc.VARIANT_QVI_SUPER_CLASSICAL: vc.check_qvi_supersolution_classical,
+    vc.VARIANT_QVI_SUPER_MODIFIED: vc.check_qvi_supersolution_modified,
+}
+
+
+def assert_same_report(got, want):
+    """Every scalar and every Violations column, dtype included."""
+    for spec in fields(vc.ViscosityReport):
+        a, b = getattr(got, spec.name), getattr(want, spec.name)
+        if not isinstance(b, vc.Violations):
+            assert a == b, spec.name
+            continue
+        for column in fields(vc.Violations):
+            x, y = getattr(a, column.name), getattr(b, column.name)
+            key = (spec.name, column.name)
+            assert (x is None) == (y is None), key
+            if y is not None:
+                assert x.dtype == y.dtype and np.array_equal(x, y), key
+
+
+def separation_profile(nt, nx):
+    instance = exm.build_instance(0.5, 0.05)
+    grid = Grid(instance.T, nt, (-1.5,),
+                (max(5.5, instance.x0 + instance.xi2 + 1.0),), (nx,))
+    return instance.problem(), exm.sample_value_function(instance, grid)
+
+
+class TestCheckNotions:
+    """One check_notions call over several notions reports, notion by
+    notion, what the single checkers report."""
+
+    def cases(self):
+        # the separation profile: constraint rows, and a gap computed by
+        # the driver itself
+        problem, V = separation_profile(101, 351)
+        yield "example", problem, V, None
+        # tilted up on a coarser grid: super-side probe rows; the doubled
+        # gap puts centers strictly below the obstacle
+        problem, V = separation_profile(41, 141)
+        yield ("example tilted", problem, tilted(V, 1.0),
+               2.0 * vc.obstacle_gap(V, problem))
+        # noisy plane with a gap that opens two columns of x2: sub-side
+        # probe rows, constraint rows and super-side terminal rows
+        problem, V = two_dimensional_fixture()
+        gap = np.full(V.grid.shape, -1.0)
+        gap[..., 7:9] = 1.0
+        yield "plane", problem, noisy(V, 1e-2, 2), gap
+
+    def test_reports_equal_the_single_checkers(self):
+        variants = tuple(vc._NOTIONS)
+        seen = {kind: 0 for kind in ("probe", "constraint", "terminal")}
+        for name, problem, V, gap in self.cases():
+            together = vc.check_notions(V, problem, variants, 3.0, gap)
+            assert [r.variant for r in together] == list(variants), name
+            for variant, got in zip(variants, together):
+                check = SINGLE_CHECKERS[variant]
+                if variant in (vc.VARIANT_HJB_SUB, vc.VARIANT_HJB_SUPER):
+                    want = check(V, problem, 3.0)  # takes no gap
+                else:
+                    want = check(V, problem, 3.0, gap=gap)
+                assert_same_report(got, want)
+                for kind, rows in got.kinds():
+                    seen[kind] += len(rows)
+        assert all(seen.values()), seen
+
+    def test_order_follows_the_variants(self):
+        problem, V = two_dimensional_fixture()
+        V = noisy(V, 1e-2, 2)
+        gap = np.full(V.grid.shape, -1.0)
+        gap[..., 7:9] = 1.0
+        order = (vc.VARIANT_QVI_SUPER_MODIFIED, vc.VARIANT_HJB_SUB,
+                 vc.VARIANT_QVI_SUPER_MODIFIED)
+        reports = vc.check_notions(V, problem, order, gap=gap)
+        assert [r.variant for r in reports] == list(order)
+        assert_same_report(reports[0], reports[2])
+        assert_same_report(reports[1], vc.check_hjb_subsolution(V, problem))
+
+    def test_transport_notions_compute_no_gap(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("obstacle_gap called")
+
+        problem, V = separation_profile(41, 141)
+        monkeypatch.setattr(vc, "obstacle_gap", refused)
+        reports = vc.check_notions(
+            V, problem, (vc.VARIANT_HJB_SUB, vc.VARIANT_HJB_SUPER))
+        assert [r.passed for r in reports] == [True, True]
+        with pytest.raises(AssertionError, match="obstacle_gap"):
+            vc.check_notions(V, problem, (vc.VARIANT_QVI_SUB,))
