@@ -122,7 +122,7 @@ def _solution_on_grid(cfg, args, suffix=""):
                 None, "analytic expression")
     if suffix:
         return None, None, ""
-    result = solve_qvi(cfg.problem, cfg.grid, constants=cfg.constants)
+    result = solve_qvi(cfg.problem, cfg.grid)
     return result.V, result.obstacle_gap, "fresh solve"
 
 
@@ -154,9 +154,9 @@ def cmd_solve(args):
     cfg = _load_config(args.config, overrides)
     run = _Session("solve", args.out, cfg.config_hash, overrides)
     if args.no_obstacle:
-        result = solve_hjb(cfg.problem, cfg.grid, constants=cfg.constants)
+        result = solve_hjb(cfg.problem, cfg.grid)
     else:
-        result = solve_qvi(cfg.problem, cfg.grid, constants=cfg.constants)
+        result = solve_qvi(cfg.problem, cfg.grid)
 
     write_csv(result.V, run.path("solution.csv"))
     payload = {
@@ -286,7 +286,6 @@ def cmd_example(args):
                    hashlib.sha256(key.encode()).hexdigest(), ())
     tol_factor = vc.TOL_FACTOR if args.tol is None else args.tol
     report = exm.verify_separation(instance, grid, tol_factor)
-    measured = exm.measure_obstacle_gap(instance)
 
     slice_path = run.path("anchor_slice.csv")
     with open(slice_path, "w") as fh:
@@ -294,24 +293,8 @@ def cmd_example(args):
         for x, val in zip(grid.axes[0], report.gap[k0]):
             fh.write(f"{x:.17g},{val:.17g}\n")
 
-    payload = {
-        "l0": instance.l0,
-        "xi1": instance.xi1,
-        "xi2": instance.xi2,
-        "obstacle_at_anchor": instance.value_at_anchor + instance.gap,
-        "value_at_anchor": instance.value_at_anchor,
-        "gap": instance.gap,
-        "delta": instance.delta,
-        "classical": "PASS" if report.classical.passed else "FAIL",
-        "modified": "PASS" if report.modified.passed else "FAIL",
-        "separated": report.separated,
-        "notes": report.notes,
-        "gap_measured": measured["measured"],
-        "gap_difference": measured["difference"],
-        "instance": instance.to_dict(),
-    }
+    payload = report.to_dict()
     run.write_json("example.json", payload)
-    run.write_json("separation.json", report.to_dict())
 
     print(f"l0 {f17(instance.l0)}: xi1 {f17(instance.xi1)}, "
           f"xi2 {f17(instance.xi2)}, gap {f17(instance.gap)}, "

@@ -258,7 +258,6 @@ class DoublingLevel:
     residual_symmetry: float
     residual_certified: float
     growth_lhs: float
-    growth_constant: float
 
     def to_dict(self):
         return {
@@ -270,7 +269,6 @@ class DoublingLevel:
             "residual_symmetry": self.residual_symmetry,
             "residual_certified": self.residual_certified,
             "growth_lhs": self.growth_lhs,
-            "growth_constant": self.growth_constant,
         }
 
 
@@ -310,7 +308,7 @@ class DoublingDiagnostics:
 
 def write_trend_csv(diag, path):
     cols = ("epsilon", "delta", "t0", "s0", "t_gap", "x_gap", "phi_value",
-            "residual_symmetry", "residual_certified", "growth_constant")
+            "residual_symmetry", "residual_certified", "growth_lhs")
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for lev in diag.levels:
@@ -553,7 +551,7 @@ def doubling_maximize(V, V_hat, theta=THETA, levels=None):
             t_gap=abs(dt0), x_gap=float(np.sqrt(dx2)), phi_value=phi_max,
             residual_symmetry=residual,
             residual_certified=residual + cross,
-            growth_lhs=growth_lhs, growth_constant=growth_lhs))
+            growth_lhs=growth_lhs))
 
     note = (f"space axis strided by {stride}: {q} of {n_space} points; "
             "time pairs exhaustive")

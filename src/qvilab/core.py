@@ -341,9 +341,6 @@ class GridFunction:
             coords.append(float(axis[idx[d + 1]]))
         return coords
 
-    def write_csv(self, path):
-        write_csv(self, path)
-
     def shifted(self, c):
         return GridFunction(self.grid, self.values + c)
 
@@ -514,7 +511,7 @@ class ImpulseProblem:
                     f"{sorted(extra)}"
                 )
 
-    # -- evaluation helpers; x, p are coordinate arrays as make_env takes
+    # -- evaluation helper; x, p are coordinate arrays as make_env takes
     # -- them.  Wherever H is evaluated for a scheme step, a probe or an
     # -- audit, g(t, x) is added to it; each of those three callers adds it
     # -- under its own policy for a domain error (hamiltonian() here raises
@@ -528,10 +525,6 @@ class ImpulseProblem:
         if self.g is not None:
             out = out + ex.evaluate(self.g, make_env(t=t, x=x))
         return out
-
-    def terminal(self, x):
-        """h(x)."""
-        return ex.evaluate(self.h, make_env(x=x))
 
 
 def sample(e, grid):

@@ -27,8 +27,9 @@ disturbing either verdict, which makes the separation sharp.
 profitable band (u_lo, u_hi) from the closed-form gap, the diamond
 radius delta = min(1 - u_lo, u_hi - 1), and the bump expression.
 ``verify_separation`` runs the checkers on a grid and reports the
-verdict pattern; ``measure_obstacle_gap`` cross-checks the grid
-obstacle search against the closed-form psi minimization.
+verdict pattern together with ``measure_obstacle_gap``, which
+cross-checks the grid obstacle operator against the closed-form psi
+minimization.
 """
 
 from __future__ import annotations
@@ -328,12 +329,17 @@ def measure_obstacle_gap(instance):
     }
 
 
+def _verdict(report):
+    return "PASS" if report.passed else "FAIL"
+
+
 @dataclass(frozen=True)
 class SeparationReport:
     """Checker verdicts for one instance on one grid.
 
-    `gap` is the N[V] - V array the constrained checkers read; it is not
-    part of the JSON report.
+    `measured` is measure_obstacle_gap(instance).  `gap` is the N[V] - V
+    array the constrained checkers read; it is not part of the JSON
+    report.
     """
 
     instance: ExampleInstance
@@ -342,21 +348,25 @@ class SeparationReport:
     sub: object
     separated: bool
     violations_in_band: bool
-    terminal_exact: bool
+    measured: dict
     gap: np.ndarray = field(repr=False, compare=False)
     notes: str = ""
 
     def to_dict(self):
+        """The `reproduce-example` report: each fact once."""
+        instance = self.instance
         return {
-            "instance": self.instance.to_dict(),
-            "classical_passed": bool(self.classical.passed),
-            "modified_passed": bool(self.modified.passed),
-            "sub_passed": bool(self.sub.passed),
-            "constraint_violations": len(self.modified.constraint_violations),
+            "classical": _verdict(self.classical),
+            "modified": _verdict(self.modified),
             "separated": bool(self.separated),
+            "sub": _verdict(self.sub),
+            "constraint_violations": len(self.modified.constraint_violations),
             "violations_in_band": bool(self.violations_in_band),
-            "terminal_exact": bool(self.terminal_exact),
             "notes": self.notes,
+            "obstacle_at_anchor": instance.value_at_anchor + instance.gap,
+            "gap_measured": self.measured["measured"],
+            "gap_difference": self.measured["difference"],
+            "instance": instance.to_dict(),
         }
 
 
@@ -366,10 +376,12 @@ def verify_separation(instance, grid, tol_factor=TOL_FACTOR):
     `tol_factor` is the checkers' probe tolerance in units of dt + sum dx.
     The gap N[V] - V is viscosity.obstacle_gap's, at the radius every
     command uses.  The three notions are one check_notions call, so they
-    share one probe field and this one gap.
+    share one probe field and this one gap.  The report also carries
+    measure_obstacle_gap(instance), which needs x0 on its 0.01 lattice.
     """
     # first, so a bad tol_factor is rejected before N runs on every slice
     validate_tol_factor(tol_factor)
+    measured = measure_obstacle_gap(instance)
     problem = instance.problem()
     V = sample_value_function(instance, grid)
     gap = obstacle_gap(V, problem)
@@ -381,14 +393,11 @@ def verify_separation(instance, grid, tol_factor=TOL_FACTOR):
     cons = modified.constraint_violations
     in_band = bool(np.all(instance.in_band(cons.t, cons.x[:, 0])))
 
-    terminal_exact = bool(np.array_equal(V.values[-1],
-                                         sample_terminal(_PAYOFF, grid)))
-
     notes = ""
     if instance.needs_smaller_cost:
         notes = ("no profitable jump at this cost level; shrink the base "
                  "cost to exhibit the separation")
     return SeparationReport(
         instance=instance, classical=classical, modified=modified, sub=sub,
-        separated=separated, violations_in_band=in_band,
-        terminal_exact=terminal_exact, gap=gap, notes=notes)
+        separated=separated, violations_in_band=in_band, measured=measured,
+        gap=gap, notes=notes)

@@ -29,8 +29,9 @@ multimodal landscapes are handled by the scan and the refinement only
 sharpens the winning basin.  Its value never exceeds the payoff of any
 probed impulse, so it is an upper bound of the exact infimum.
 
-On both paths the `truncated` flag records results whose impulse sits at
-the radius cap.
+Only the search can truncate: its `truncated` flag records results
+whose impulse sits at the radius cap.  The exact path reaches every
+landing point, so it flags none.
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ class SearchParams:
 
     xi_max caps |xi|.  The exact path (see the module docstring for when
     it applies) needs it at or past the box diagonal, where it cuts off no
-    landing point, and reads it and `coarse` only for the truncation
-    threshold xi_max - xi_max/(2*(coarse - 1)).  The other fields steer
-    the search: `coarse` is the scan count per ray coefficient;
+    landing point; it reads no other field and never truncates.  Only the
+    search truncates: it flags an impulse within xi_max/(2*(coarse - 1))
+    of xi_max.  `coarse` is the scan count per ray coefficient;
     `refine_levels` nested zooms of REFINE_POINTS points per coefficient
     follow, each shrinking the bracket to one cell of the previous level.
     refine_levels=0 reduces the search to the shared coarse scan, which is
@@ -184,14 +185,9 @@ def _search(grid, slice_values, t, ell, nodes_x, cone, search: SearchParams):
         step *= 2.0 / (REFINE_POINTS - 1)
 
     values, bxi, _ = best
-    return (values, bxi, _truncated(np.linalg.norm(bxi, axis=-1), search),
-            probes)
-
-
-def _truncated(norms, search):
-    """Impulses within half a coarse scan step of the radius cap."""
-    coarse_step = search.xi_max / (search.coarse - 1)
-    return norms >= search.xi_max - 0.5 * coarse_step
+    # truncated: within half a coarse scan step of the radius cap
+    cap = search.xi_max - 0.5 * search.xi_max / (search.coarse - 1)
+    return values, bxi, np.linalg.norm(bxi, axis=-1) >= cap, probes
 
 
 # ------------------------------------------------------------- exact path ----
@@ -373,8 +369,7 @@ def _obstacle(grid, slice_values, t, ell, cone, search, points, at_nodes):
     else:
         bxi, probes = _exact_nodes(grid, slice_values, slopes), None
     values = _psi(grid, slice_values, t, ell, points, bxi)
-    return (values, bxi, _truncated(np.linalg.norm(bxi, axis=-1), search),
-            probes)
+    return values, bxi, np.zeros(values.shape, dtype=bool), probes
 
 
 def evaluate_slice_values(grid, slice_values, t, ell, cone, search=None):
@@ -395,18 +390,12 @@ def evaluate_slice_values(grid, slice_values, t, ell, cone, search=None):
     )
 
 
-def evaluate_slice(V: GridFunction, t_index, ell, cone, search=None):
-    """Obstacle operator applied to time slice `t_index` of a grid function."""
-    t = float(V.grid.t[t_index])
-    return evaluate_slice_values(V.grid, V.values[t_index], t, ell, cone, search)
-
-
 def evaluate(V: GridFunction, t_index, x_point, ell, cone, search=None):
     """Obstacle value at one (t_index, x_point), x_point inside the box.
 
     Runs the slice machinery on a single point, so every guarantee of
-    evaluate_slice (path choice, tie-breaking, truncation flag, value at
-    nodes) holds verbatim.  `probes` counts the payoffs the search
+    evaluate_slice_values (path choice, tie-breaking, truncation flag,
+    value at nodes) holds verbatim.  `probes` counts the payoffs the search
     evaluated, or the candidates the exact path compared.
     """
     grid = V.grid

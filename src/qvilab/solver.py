@@ -30,7 +30,7 @@ import numpy as np
 
 from . import expr as ex
 from . import obstacle as obs
-from .core import GridFunction, halton, make_env, sample_terminal
+from .core import ConfigError, GridFunction, halton, make_env, sample_terminal
 
 
 class SolverError(Exception):
@@ -196,16 +196,18 @@ def _check_finite(vals, t, grid):
         )
 
 
-def solve_hjb(problem, grid, dissipation=None, constants=None) -> SolveResult:
+def solve_hjb(problem, grid, dissipation=None) -> SolveResult:
     """Unconstrained backward solve; terminal slice is the sampled data.
 
     `dissipation` (one sigma_d per axis) defaults to
-    estimate_dissipation(problem, grid).
+    estimate_dissipation(problem, grid).  The grid must end at the
+    problem's horizon (ConfigError otherwise).  A solve audits no
+    hypothesis; assumptions.audit_H1 and audit_H2 do.
     """
-    return _backward(problem, grid, dissipation, constants, obstacle=False)
+    return _backward(problem, grid, dissipation, obstacle=False)
 
 
-def solve_qvi(problem, grid, dissipation=None, constants=None) -> SolveResult:
+def solve_qvi(problem, grid, dissipation=None) -> SolveResult:
     """Backward solve with every stepped slice clipped by the obstacle.
 
     Each slice runs W <- min(W_unclipped, N[W]) until the update falls
@@ -213,18 +215,21 @@ def solve_qvi(problem, grid, dissipation=None, constants=None) -> SolveResult:
     truncation of the settled slice (from the last sweep when its update
     was exactly zero, since that sweep already saw the settled slice).
     The terminal slice is the sampled terminal data and is never clipped.
-    `dissipation` defaults as in solve_hjb.  N is the one every command
-    uses, at the radius obstacle.default_search(grid).
+    `dissipation` and the horizon are as in solve_hjb.  N is the one every
+    command uses, at the radius obstacle.default_search(grid).
     """
-    return _backward(problem, grid, dissipation, constants, obstacle=True)
+    return _backward(problem, grid, dissipation, obstacle=True)
 
 
-def _backward(problem, grid, dissipation, constants, obstacle):
+def _backward(problem, grid, dissipation, obstacle):
     """The backward loop of both solves, with the obstacle on or off.
 
     Off, no obstacle call is made and no gap, argmin or truncation array
     is allocated.
     """
+    if problem.T != grid.T:
+        raise ConfigError(
+            f"grid horizon {grid.T!r} does not match the problem's {problem.T!r}")
     terminal = sample_terminal(problem.h, grid)
     if dissipation is None:
         dissipation = _dissipation(problem, grid, terminal)
@@ -257,18 +262,16 @@ def _backward(problem, grid, dissipation, constants, obstacle):
         V[k] = W
         gap[k] = n_vals - W
 
-    flags = []
-    if constants is not None and float(np.min(V[nt - 1])) + constants.h0 < 0.0:
-        flags.append("hypotheses unaudited")
+    flags = ()
     if obstacle and truncated.any():
-        flags.append("obstacle search truncated")
+        flags = ("obstacle search truncated",)
     return SolveResult(
         V=GridFunction(grid, V),
         obstacle_gap=None if gap is None else GridFunction(grid, gap),
         argmin_xi=argmin,
         truncated=truncated,
         iterations=iterations,
-        flags=tuple(flags),
+        flags=flags,
         dissipation=dissipation,
     )
 

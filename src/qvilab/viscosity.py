@@ -448,11 +448,15 @@ def check_notions(V, problem, variants, tol_factor=TOL_FACTOR, gap=None):
     The notions share one probe field, which does not depend on the probe
     side, and one gap N[V] - V (an array or grid function on V's grid).
     The gap is computed with obstacle_gap when a constrained notion is
-    given None, and not at all when no notion reads it.
+    given None, and not at all when no notion reads it.  V's grid must end
+    at the problem's horizon (ConfigError otherwise).
     """
     validate_tol_factor(tol_factor)
     notions = [_NOTIONS[variant] for variant in variants]
     grid = V.grid
+    if problem.T != grid.T:
+        raise ConfigError(
+            f"grid horizon {grid.T!r} does not match the problem's {problem.T!r}")
     unit = grid.tolerance_unit
     if any(constrained or sees_gap for _, constrained, sees_gap in notions):
         gap = _gap_or_compute(V, problem, gap)

@@ -217,7 +217,7 @@ class TestViscosity:
         # the constrained checks read the solve's own N[V] - V: each report
         # equals the checker on a recomputed gap, and no gap is recomputed
         cfg = load_problem(Path(config).read_text())
-        res = solve_qvi(cfg.problem, cfg.grid, constants=cfg.constants)
+        res = solve_qvi(cfg.problem, cfg.grid)
         gap = vc.obstacle_gap(res.V, cfg.problem)
 
         def refuse(*args, **kwargs):
@@ -411,13 +411,14 @@ class TestReproduceExample:
         assert run(["reproduce-example", "--grid-nt", "101",
                     "--grid-nx", "351", "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "example.json").read_text())
-        assert payload["gap"] == pytest.approx(-0.095, abs=1e-3)
+        instance = payload["instance"]
+        assert instance["gap"] == pytest.approx(-0.095, abs=1e-3)
         assert payload["gap_difference"] <= 1e-6
         assert payload["classical"] == "PASS"
         assert payload["modified"] == "FAIL"
         assert payload["separated"] is True
         assert payload["obstacle_at_anchor"] == pytest.approx(
-            payload["value_at_anchor"] + payload["gap"], abs=1e-12)
+            instance["value_at_anchor"] + instance["gap"], abs=1e-12)
         out = capsys.readouterr().out
         assert "reproduce-example: PASS" in out
         slice_lines = (tmp_path / "anchor_slice.csv").read_text().splitlines()
@@ -488,6 +489,28 @@ class TestReproduceExample:
     def test_bad_nx_is_invalid(self, tmp_path):
         assert run(["reproduce-example", "--grid-nx", "101,101",
                     "--out", str(tmp_path)]) == 2
+
+
+# each command with the one JSON report it writes besides manifest.json
+REPORTS = {
+    "check": (["check", EXAMPLE], "check.json"),
+    "solve": (["solve", EXAMPLE, *FAST], "solve.json"),
+    "viscosity": (["viscosity", EXAMPLE, *FAST, "--variant", "qvi-sub",
+                   "--analytic", PROFILE], "viscosity.json"),
+    "compare": (["compare", EXAMPLE, LIFTED, *FAST], "compare.json"),
+    "doubling": (["doubling", EXAMPLE, *FAST, "--analytic", PROFILE],
+                 "doubling.json"),
+    "reproduce-example": (["reproduce-example", "--grid-nt", "101",
+                           "--grid-nx", "351"], "example.json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORTS))
+def test_every_command_writes_one_report(command, tmp_path):
+    argv, report = REPORTS[command]
+    assert run([*argv, "--out", str(tmp_path)]) in (0, 1)
+    written = sorted(f.name for f in tmp_path.glob("*.json"))
+    assert written == sorted([report, "manifest.json"])
 
 
 class TestEntryPoint:

@@ -7,7 +7,8 @@ import pytest
 
 from qvilab import comparison as cmp
 from qvilab import expr as ex
-from qvilab.core import Cone, ConfigError, Grid, GridFunction, ImpulseProblem, sample
+from qvilab.core import (Cone, ConfigError, Grid, GridFunction, ImpulseProblem,
+                         make_env, sample)
 
 
 def make_problem(H="-p1", h="x1*exp(-x1)", ell="0.05*(1 + xi1)", n=1, T=1.0):
@@ -65,8 +66,8 @@ class TestOrderedPairs:
 
     def test_constant_terminal_offset(self, base):
         _, dominated = cmp.ordered_pair_generator(base, ("0.1", None, None))
-        x = [np.array([-1.0, 0.0, 2.5])]
-        lifted = dominated.terminal(x) - base.terminal(x)
+        env = make_env(x=[np.array([-1.0, 0.0, 2.5])])
+        lifted = ex.evaluate(dominated.h, env) - ex.evaluate(base.h, env)
         assert lifted == pytest.approx([0.1, 0.1, 0.1], abs=1e-15)
 
     def test_bump_offset_parses_and_is_nonnegative(self, base):

@@ -218,7 +218,7 @@ class TestGridFunction:
         grid = Grid(1.0, 2, (0.0,), (1.0,), (2,))
         gf = GridFunction(grid, np.array([[1.0, 2.0], [3.0, 4.0]]))
         path = tmp_path / "out.csv"
-        gf.write_csv(path)
+        core.write_csv(gf, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,x1,value"
         assert len(lines) == 5
@@ -231,7 +231,7 @@ class TestGridFunction:
         grid = Grid(1.0, 2, (0.0, 0.0), (1.0, 1.0), (2, 2))
         gf = GridFunction(grid, np.arange(8.0).reshape(2, 2, 2))
         path = tmp_path / "out2.csv"
-        gf.write_csv(path)
+        core.write_csv(gf, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,x1,x2,value"
         assert len(lines) == 9
@@ -241,7 +241,7 @@ class TestGridFunction:
         rng = np.random.default_rng(3)
         gf = GridFunction(grid, rng.normal(size=grid.shape))
         path = tmp_path / "round.csv"
-        gf.write_csv(path)
+        core.write_csv(gf, path)
         back = core.read_csv(grid, path)
         assert np.array_equal(back.values, gf.values)
 
@@ -249,7 +249,7 @@ class TestGridFunction:
         grid = Grid(1.0, 2, (0.0,), (1.0,), (2,))
         gf = GridFunction(grid, np.array([[1.0, 2.0], [3.0, 4.0]]))
         path = tmp_path / "round.csv"
-        gf.write_csv(path)
+        core.write_csv(gf, path)
         with pytest.raises(ConfigError, match="rows"):
             core.read_csv(Grid(1.0, 3, (0.0,), (1.0,), (2,)), path)
         with pytest.raises(ConfigError, match="header"):
@@ -264,7 +264,7 @@ class TestGridFunction:
         # row 35 closes the file; each pins part of the grid
         grid = Grid(1.0, 3, (-1.0, 0.0), (1.0, 2.0), (4, 3))
         path = tmp_path / "nodes.csv"
-        GridFunction(grid, np.zeros(grid.shape)).write_csv(path)
+        core.write_csv(GridFunction(grid, np.zeros(grid.shape)), path)
         lines = path.read_text().splitlines(keepends=True)
         fields = lines[1 + row].split(",")
         fields[col] = repr(float(fields[col]) + 0.25)
@@ -278,7 +278,7 @@ class TestGridFunction:
                                                                  tmp_path):
         path = tmp_path / "other.csv"
         grid = Grid(1.0, 3, (0.0,), (1.0,), (5,))
-        GridFunction(grid, np.zeros(grid.shape)).write_csv(path)
+        core.write_csv(GridFunction(grid, np.zeros(grid.shape)), path)
         for other in (Grid(1.0, 5, (0.0,), (1.0,), (3,)),  # swapped counts
                       Grid(2.0, 3, (0.0,), (1.0,), (5,)),  # longer horizon
                       Grid(1.0, 3, (-1.0,), (1.0,), (5,))):  # wider box

@@ -182,11 +182,10 @@ class TestVerdicts:
     def test_separation_summary_flags(self, report):
         assert report.separated
         assert report.violations_in_band
-        assert report.terminal_exact
         payload = json.loads(json.dumps(report.to_dict(), indent=2))
         assert payload["separated"] is True
-        assert payload["classical_passed"] is True
-        assert payload["modified_passed"] is False
+        assert payload["classical"] == "PASS"
+        assert payload["modified"] == "FAIL"
         assert payload["constraint_violations"] > 0
 
     def test_tolerance_factor_reaches_every_checker(self, inst):

@@ -5,7 +5,7 @@ The sha256 of `viscosity.json` and `violations.csv` for five CLI runs,
 one per solution notion, that together produce 1-d sub and super probe
 rows, terminal rows, 1-d constraint rows, 2-d constraint rows and
 classical probe rows, whose margin is the minimum of the equation and the
-obstacle gap; of the three `reproduce-example` artifacts at the default
+obstacle gap; of the two `reproduce-example` artifacts at the default
 tolerance and at `--tol 8`; and of every artifact but `manifest.json` of
 `solve`, `check`, `compare` and `doubling` runs.  A moved hash is a moved
 artifact: the rows, their order or their formatting changed.  Every
@@ -83,9 +83,7 @@ EXAMPLE = {
     "anchor_slice.csv":
         "8d9c75f77abb0df965242b85faee8d3e2bdcabc3880a79e25d1c0b3a8aff04a7",
     "example.json":
-        "cdf0976c5e45d3bec3207c7c9c5ca98d3d21671bf8c9e9666b9375931e51d6f5",
-    "separation.json":
-        "5daf77defcc2786142f33ca6a88e229407ab00ac44828f934b166029f0095770",
+        "948dc5dc25b7e309528c4b67ca1b10f40ce3c1f4cb1a94f0382d30c1c117abd9",
 }
 
 
@@ -140,9 +138,9 @@ COMMANDS = {
         ["doubling", str(ROOT / "configs" / "example.cfg"),
          "--analytic", PROFILE],
         {"doubling.json":
-             "53a7cf0129a678adc4e2a935b4d8851433d68dd0307c27632f8c8d56d87a4ff6",
+             "de79c7b7ffcb2bf8f7071a957b859d2ff6d1c4d0c28b38d14080294de7e10478",
          "trend.csv":
-             "8bfdf1a9680cf0dc5f050ee1a4586bc4856e9f20f964ca57fccdd82d0c5f85df"}),
+             "40770a375db1e56dfb52473fe965b838e00e963ae57c1601f41aa07ae835f87d"}),
 }
 
 

@@ -10,7 +10,6 @@ from qvilab.obstacle import (
     ObstacleResult,
     SearchParams,
     evaluate,
-    evaluate_slice,
     evaluate_slice_values,
 )
 
@@ -38,7 +37,8 @@ class TestOracles:
         V = constant_slice_fn(grid, lambda x: np.abs(x - 2.0))
         ell = ex.parse("0.05", ("t", "x1", "xi1"))
         search = SearchParams(xi_max=4.0)
-        vals, argmin, trunc = evaluate_slice(V, 0, ell, Cone.orthant(1), search)
+        vals, argmin, trunc = evaluate_slice_values(
+            grid, V.values[0], float(grid.t[0]), ell, Cone.orthant(1), search)
         x = grid.axes[0]
         left = x <= 2.0
         assert np.allclose(vals[left], 0.05, atol=1e-9)
@@ -77,7 +77,8 @@ class TestOracles:
         V = GridFunction(grid, np.zeros(grid.shape))
         ell = ex.parse("0.05", ("t", "x1", "xi1"))
         search = SearchParams(xi_max=2.0)
-        vals, argmin, trunc = evaluate_slice(V, 1, ell, Cone.orthant(1), search)
+        vals, argmin, trunc = evaluate_slice_values(
+            grid, V.values[1], float(grid.t[1]), ell, Cone.orthant(1), search)
         assert np.allclose(vals, 0.05, atol=0)
         assert np.all(argmin == 0.0)
         assert not trunc.any()
@@ -102,7 +103,8 @@ class TestOracles:
         search = SearchParams(xi_max=1.0)
         for k in (0, 4):
             t = grid.t[k]
-            vals, argmin, _ = evaluate_slice(V, k, ell, Cone.orthant(1), search)
+            vals, argmin, _ = evaluate_slice_values(
+                grid, V.values[k], float(t), ell, Cone.orthant(1), search)
             expect = 0.05 * (1 + t) + 0.01 * np.abs(grid.axes[0])
             assert np.allclose(vals, expect, atol=1e-12)
             assert np.all(argmin == 0.0)
@@ -230,7 +232,8 @@ class TestInterfaces:
         ell = ex.parse("0.05 + 0.05*xi1", ("t", "x1", "xi1"))
         cone = Cone.orthant(1)
         search = SearchParams(xi_max=2.0, coarse=15, refine_levels=4)
-        vals, argmin, trunc = evaluate_slice(V, 1, ell, cone, search)
+        vals, argmin, trunc = evaluate_slice_values(
+            grid, V.values[1], float(grid.t[1]), ell, cone, search)
         for i in (0, 7, 23, 40):
             res = evaluate(V, 1, np.array([grid.axes[0][i]]), ell, cone, search)
             assert res.value == vals[i]

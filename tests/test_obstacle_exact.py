@@ -14,14 +14,14 @@ from qvilab import example as exm
 from qvilab import expr as ex
 from qvilab import obstacle as obs
 from qvilab import viscosity as vc
-from qvilab.core import Cone, Grid, GridFunction, interp_slice, load_problem
+from qvilab.core import (Cone, Grid, GridFunction, ImpulseProblem, interp_slice,
+                         load_problem)
 from qvilab.obstacle import (
     SearchParams,
     _exact_slopes,
     _search,
     default_search,
     evaluate,
-    evaluate_slice,
     evaluate_slice_values,
 )
 from qvilab.solver import solve_qvi
@@ -96,7 +96,8 @@ def check_against_oracle(grid, values, ell, search, points=()):
     slopes = _exact_slopes(grid, t, ell, cone, search)
     assert slopes is not None
     V = GridFunction(grid, np.broadcast_to(values, grid.shape))
-    slice_vals, slice_xi, _ = evaluate_slice(V, 1, ell, cone, search)
+    slice_vals, slice_xi, _ = evaluate_slice_values(
+        grid, V.values[1], float(grid.t[1]), ell, cone, search)
     nodes = nodes_of(grid)
     for i, x in enumerate(np.vstack([nodes, np.reshape(points, (-1, grid.n))])):
         want_xi, want_count = oracle(grid, values, slopes, x)
@@ -193,7 +194,8 @@ class TestOracle:
         cone = Cone.orthant(n)
         assert _exact_slopes(grid, 0.5, ell, cone, search) is not None
         for k in (0, 1):
-            vals, argmin, trunc = evaluate_slice(V, k, ell, cone, search)
+            vals, argmin, trunc = evaluate_slice_values(
+                grid, V.values[k], float(grid.t[k]), ell, cone, search)
             for flat, x in enumerate(nodes_of(grid)):
                 idx = np.unravel_index(flat, grid.x_nodes)
                 res = evaluate(V, k, x, ell, cone, search)
@@ -292,7 +294,7 @@ class TestSearchUpperBound:
 
     def test_example_config_slices(self):
         cfg = load_problem((CONFIGS / "example.cfg").read_text())
-        res = solve_qvi(cfg.problem, cfg.grid, constants=cfg.constants)
+        res = solve_qvi(cfg.problem, cfg.grid)
         grid = cfg.grid
         search = default_search(grid)
         for k in range(0, grid.t_nodes, 20):
@@ -318,6 +320,23 @@ class TestEligibility:
         search = SearchParams(xi_max=grid.box_diagonal)
         assert _exact_slopes(grid, 0.5, ell, Cone.orthant(1),
                              search) is not None
+
+    def test_exact_path_flags_no_truncation(self):
+        # node 0 jumps across the whole box, the diagonal; the radius
+        # reaches every landing point, so nothing was cut off
+        grid = grid_1d(x_nodes=21, x_min=0.0, x_max=1.0)
+        problem = ImpulseProblem(
+            n=1, T=1.0, H=ex.parse("0", ("t", "x1", "p1")),
+            h=ex.parse("-10*x1", ("x1",)),
+            ell=ex.parse("0.05 + 0.01*xi1", VARS_1D), cone=Cone.orthant(1))
+        assert _exact_slopes(grid, 0.5, problem.ell, problem.cone,
+                             default_search(grid)) is not None
+        res = solve_qvi(problem, grid, (0.0,))
+        assert res.argmin_xi[0, 0, 0] == 1.0
+        assert not res.truncated.any()
+        assert res.flags == ()
+        point = evaluate(res.V, 0, [0.0], problem.ell, problem.cone)
+        assert point.argmin[0] == 1.0 and not point.truncated
 
     @pytest.mark.parametrize("n, source, cone, xi_max", [
         (1, "0.05*(1 + xi1^2)", "orthant", 5.0),        # nonlinear in xi
@@ -436,7 +455,7 @@ class TestCallers:
             return inner(grid, key, ti, tj)
 
         monkeypatch.setattr(obs, "_node_ties", counted)
-        solve_qvi(cfg.problem, cfg.grid, constants=cfg.constants)
+        solve_qvi(cfg.problem, cfg.grid)
         assert tied and sum(tied) <= 16
 
     def test_solve_reuses_settled_sweep_bitwise(self, monkeypatch):
@@ -450,7 +469,7 @@ class TestCallers:
             return inner(*args)
 
         monkeypatch.setattr(obs, "evaluate_slice_values", counted)
-        res = solve_qvi(cfg.problem, cfg.grid, constants=cfg.constants)
+        res = solve_qvi(cfg.problem, cfg.grid)
         monkeypatch.undo()
         grid = cfg.grid
         # every slice here settles with an update of exactly zero, so the
@@ -481,7 +500,7 @@ class TestCallers:
         monkeypatch.setattr(obs, "_exact_slopes", spy)
         cfg = load_problem((CONFIGS / "example.cfg").read_text(),
                            ("grid.t_nodes=21", "grid.x_nodes=71"))
-        res = solve_qvi(cfg.problem, cfg.grid, constants=cfg.constants)
+        res = solve_qvi(cfg.problem, cfg.grid)
         caller[0] = "obstacle_gap"
         vc.obstacle_gap(res.V, cfg.problem)
         caller[0] = "measure_obstacle_gap"

@@ -17,13 +17,17 @@ from qvilab import obstacle as obs
 from qvilab.core import (
     AssumptionConstants,
     Cone,
+    ConfigError,
     Grid,
+    GridFunction,
     ImpulseProblem,
     interp_slice,
     load_problem,
     role_variables,
 )
 from qvilab import solver
+from qvilab.assumptions import audit_H1, default_sampler
+from qvilab.viscosity import check_qvi_supersolution_modified
 from qvilab.solver import (
     CFL_SAFETY,
     FP_TOL,
@@ -269,20 +273,33 @@ class TestGuards:
         with pytest.raises(SolverError, match="Hamiltonian evaluation failed"):
             solve_hjb(problem, grid, dissipation)
 
-    def test_unaudited_flag_from_terminal_bound(self):
+    def test_terminal_bound_is_audited_not_flagged(self):
+        # h + h0 >= 0 is check's audit; the sampler holds every space node
+        # of the grid, so a solve has nothing to add and flags nothing
         problem = transport_problem()
         grid = Grid(T=1.0, t_nodes=21, x_min=(-1.0,), x_max=(4.0,),
                     x_nodes=(51,))
         kw = dict(L=1.0, mu=0.0, ell0=0.05, alpha=0.05, beta=0.5,
                   delta0=0.05, C=16.0, gamma=0.0, kappa=0.25)
-        low = AssumptionConstants(h0=0.5, **kw)
-        high = AssumptionConstants(h0=3.0, **kw)
-        res_low = solve_hjb(problem, grid, (1.05,),
-                            constants=low)
-        assert "hypotheses unaudited" in res_low.flags
-        res_high = solve_hjb(problem, grid, (1.05,),
-                             constants=high)
-        assert "hypotheses unaudited" not in res_high.flags
+        for h0, passed in ((0.5, False), (3.0, True)):
+            report = audit_H1(problem, AssumptionConstants(h0=h0, **kw),
+                              default_sampler(grid))
+            check = report.check("terminal lower bound")
+            assert check.passed is passed
+            assert check.worst_point == {"x": [-1.0]}
+        assert solve_hjb(problem, grid, (1.05,)).flags == ()
+
+    @pytest.mark.parametrize("call", [
+        solve_hjb, solve_qvi,
+        lambda problem, grid: check_qvi_supersolution_modified(
+            GridFunction(grid, np.zeros(grid.shape)), problem),
+    ], ids=["solve_hjb", "solve_qvi", "checker"])
+    def test_grid_horizon_must_match_the_problem(self, call):
+        # the solver would step to grid.T while the audits sample
+        # [0, problem.T]
+        grid = Grid(3.0, 61, (-1.0,), (4.0,), (51,))
+        with pytest.raises(ConfigError, match="horizon"):
+            call(transport_problem(), grid)
 
     def test_scheme_params_validation(self):
         grid = Grid(T=1.0, t_nodes=21, x_min=(-1.0,), x_max=(4.0,),

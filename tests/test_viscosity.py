@@ -597,7 +597,7 @@ class TestScanMatchesReference:
 
     def test_plane_solution(self):
         cfg = load_problem(PLANE.read_text())
-        solved = solve_qvi(cfg.problem, cfg.grid, constants=cfg.constants)
+        solved = solve_qvi(cfg.problem, cfg.grid)
         gap = solved.obstacle_gap.values
         assert_same_rows(solved.V, cfg.problem, gap, (0.1, 1.0, 10.0))
         for tilt in (5.0, -5.0):
