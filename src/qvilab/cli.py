@@ -29,7 +29,7 @@ from . import expr as ex
 from . import viscosity as vc
 from .assumptions import audit_H1, audit_H2, default_sampler
 from .core import (ConfigError, Grid, GridFunction, load_problem, read_csv,
-                   role_variables, sample, write_csv)
+                   read_floats, read_int, role_variables, sample, write_csv)
 from .solver import SolverError, extract_regions, solve_hjb, solve_qvi
 
 
@@ -244,12 +244,7 @@ def cmd_doubling(args):
         V_hat, hat_source = V, "the same function"
     levels = None
     if args.levels is not None:
-        try:
-            levels = tuple(float(part) for part in args.levels.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"--levels must be comma-separated numbers, got {args.levels!r}"
-            ) from None
+        levels = read_floats(args.levels, "--levels")
     diag = cmp.doubling_maximize(V, V_hat, theta=args.theta, levels=levels)
     passed = (diag.certificate_ok and diag.gaps_nonincreasing()
               and all(lev.residual_certified <= 0.0 for lev in diag.levels))
@@ -266,12 +261,7 @@ def cmd_doubling(args):
 def cmd_example(args):
     instance = exm.build_instance(t0=args.t0, l0=args.l0)
     nt = args.grid_nt if args.grid_nt is not None else 201
-    try:
-        nx = int(args.grid_nx) if args.grid_nx is not None else 701
-    except ValueError:
-        raise ConfigError(
-            f"--grid-nx must be a single integer here, got {args.grid_nx!r}"
-        ) from None
+    nx = 701 if args.grid_nx is None else read_int(args.grid_nx, "--grid-nx")
     # box must reach the jump target or the clipped search hides the dip
     x_hi = max(5.5, instance.x0 + instance.xi2 + 1.0)
     grid = Grid(instance.T, nt, (-1.5,), (x_hi,), (nx,))

@@ -95,16 +95,9 @@ _ORDER_CHECKS = ("terminal order", "hamiltonian order", "cost order")
 # ------------------------------------------------------------- ordering ----
 
 
-def _offset_expr(raw, allowed, label):
-    if raw is None:
-        return None
-    if isinstance(raw, str):
-        return ex.parse(raw, allowed)
-    extra = ex.variables(raw) - allowed
-    if extra:
-        raise ConfigError(
-            f"{label} uses disallowed variable(s): {sorted(extra)}")
-    return raw
+def _offset_expr(raw, allowed):
+    # a parsed offset's variables are checked by the dominated problem
+    return ex.parse(raw, allowed) if isinstance(raw, str) else raw
 
 
 def _plus(base_node, offset):
@@ -128,8 +121,8 @@ def ordered_pair_generator(base, offsets):
     n = base.n
     roles = role_variables(n)
     labels = ("terminal offset", "hamiltonian offset", "cost offset")
-    dh, dH, dell = (_offset_expr(raw, roles[role], label) for raw, role, label
-                    in zip(offsets, ("h", "H", "ell"), labels))
+    dh, dH, dell = (_offset_expr(raw, roles[role])
+                    for raw, role in zip(offsets, ("h", "H", "ell")))
 
     dominated = ImpulseProblem(
         n=base.n, T=base.T,

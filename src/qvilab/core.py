@@ -146,12 +146,20 @@ class Cone:
 
     @staticmethod
     def from_rays(rays):
+        """The cone spanned by `rays`, each scaled to unit length.
+
+        Each ray needs a positive, finite length: a zero ray, a NaN or
+        infinite component, or a length that overflows is a ConfigError.
+        """
         rays = np.atleast_2d(np.asarray(rays, dtype=float))
         if rays.size == 0:
             raise ConfigError("cone needs at least one ray")
-        norms = np.linalg.norm(rays, axis=1)
-        if np.any(norms == 0.0):
-            raise ConfigError("cone rays must be nonzero")
+        with np.errstate(over="ignore"):  # an overflowing length is inf
+            norms = np.linalg.norm(rays, axis=1)
+        for ray, norm in zip(rays, norms):
+            if not 0.0 < norm < math.inf:
+                raise ConfigError(f"cone ray {ray.tolist()} needs a positive, "
+                                  f"finite length, got {float(norm)!r}")
         return Cone("rays", rays / norms[:, None])
 
     @property
@@ -619,7 +627,8 @@ def _unquote(value, key):
     raise ConfigError(f"value for '{key}' must be a double-quoted string, got {value!r}")
 
 
-def _floats(value, key):
+def read_floats(value, key):
+    """The comma-separated numbers of `value`; `key` names it in errors."""
     try:
         return tuple(float(part.strip()) for part in value.split(","))
     except ValueError:
@@ -627,20 +636,22 @@ def _floats(value, key):
 
 
 def _float(value, key):
-    parts = _floats(value, key)
+    parts = read_floats(value, key)
     if len(parts) != 1:
         raise ConfigError(f"value for '{key}' must be a single number, got {value!r}")
     return parts[0]
 
 
 def _ints(value, key):
-    parts = _floats(value, key)
+    parts = read_floats(value, key)
     if not all(math.isfinite(f) and f == int(f) for f in parts):
         raise ConfigError(f"value for '{key}' must be an integer, got {value!r}")
     return tuple(int(f) for f in parts)
 
 
-def _int(value, key):
+def read_int(value, key):
+    """The one integer of `value`, such as "7" or "7e2"; `key` names it in
+    errors."""
     _float(value, key)  # one number, not a list
     return _ints(value, key)[0]
 
@@ -660,7 +671,7 @@ def _parse_cone(value, n):
         part = part.strip()
         if not part:
             continue
-        comps = tuple(float(c.strip()) for c in part.split(","))
+        comps = read_floats(part, "cone")
         if len(comps) != n:
             raise ConfigError(
                 f"cone ray {part!r} has {len(comps)} component(s), problem has n={n}"
@@ -720,7 +731,7 @@ def load_problem(text, overrides=()):
     cons = sections["constants"]
     grd = sections["grid"]
 
-    n = _int(_require("problem", "n", prob), "n")
+    n = read_int(_require("problem", "n", prob), "n")
     if n not in (1, 2):
         raise ConfigError(f"space dimension must be 1 or 2, got {n}")
     T = _float(_require("problem", "T", prob), "T")
@@ -745,10 +756,10 @@ def load_problem(text, overrides=()):
         **{key: _float(_require("constants", key, cons), key) for key in _CONSTANT_KEYS}
     )
 
-    t_nodes = _int(_require("grid", "t_nodes", grd), "t_nodes")
+    t_nodes = read_int(_require("grid", "t_nodes", grd), "t_nodes")
     x_nodes = _ints(_require("grid", "x_nodes", grd), "x_nodes")
-    x_min = _floats(_require("grid", "x_min", grd), "x_min")
-    x_max = _floats(_require("grid", "x_max", grd), "x_max")
+    x_min = read_floats(_require("grid", "x_min", grd), "x_min")
+    x_max = read_floats(_require("grid", "x_max", grd), "x_max")
     if not (len(x_nodes) == len(x_min) == len(x_max) == n):
         raise ConfigError(
             f"grid keys must each have {n} value(s): "
@@ -782,9 +793,9 @@ def _check_cost_positive(problem, grid):
     xi = problem.cone.from_coefficients(lam)
     vals = np.asarray(ex.evaluate(problem.ell, make_env(t=t, x=x, xi=xi)),
                       dtype=float)
-    if np.any(vals <= 0.0):
-        bad = np.argwhere(np.atleast_1d(vals) <= 0.0)[0]
+    bad = vals[vals <= 0.0]
+    if bad.size:
         raise ConfigError(
             "impulse cost must be strictly positive; found nonpositive sample "
-            f"value {np.atleast_1d(vals)[tuple(bad)]!r}"
+            f"value {float(bad[0])!r}"
         )

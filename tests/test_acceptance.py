@@ -107,8 +107,8 @@ class TestAcceptance:
         assert instance.gap < 0.0
         assert instance.gap == pytest.approx(-0.095, abs=1e-3)
         measured = exm.measure_obstacle_gap(instance)
-        assert measured["difference"] <= 1e-6
-        assert measured["measured"] < 0.0
+        assert abs(measured - instance.gap) <= 1e-6
+        assert measured < 0.0
 
         grid = Grid(T=1.0, t_nodes=201, x_min=(-1.5,), x_max=(5.5,),
                     x_nodes=(701,))

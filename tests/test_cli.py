@@ -1,5 +1,7 @@
 """Command line surface: exit codes, artifacts, determinism, overrides."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -473,6 +475,17 @@ class TestReproduceExample:
         got = np.array([float(row.split(",")[1]) for row in rows])
         assert np.array_equal(got, report.gap[3])
 
+    def test_anchor_between_hundredths_gets_a_verdict(self, tmp_path,
+                                                      capsys):
+        # x0 = 2 - 1/3 is off every 0.01 lattice from a round number; the
+        # anchor gap is measured on the lattice that starts at x0 itself
+        assert run(["reproduce-example", "--grid-nt", "4", "--grid-nx", "101",
+                    "--t0", "0.3333333333333333",
+                    "--out", str(tmp_path)]) in (0, 1)
+        assert "anchor point" not in capsys.readouterr().err
+        payload = json.loads((tmp_path / "example.json").read_text())
+        assert payload["gap_difference"] <= 1e-6
+
     def test_unprofitable_cost_does_not_separate(self, tmp_path, capsys):
         assert run(["reproduce-example", "--l0", "0.08", "--grid-nt", "101",
                     "--grid-nx", "351", "--out", str(tmp_path)]) == 1
@@ -554,11 +567,19 @@ class TestConfigNumbers:
         ["--set", "grid.x_max=inf"],
         ["--grid-nx", "2.5"],
         ["--set", "constants.L=inf"],
+        ["--set", 'problem.cone="a"'],
+        ["--set", 'problem.cone="nan"'],
+        ["--set", 'problem.cone="inf"'],
+        ["--set", 'problem.cone="1,x; 0,1"'],
     ], ids=lambda flags: "=".join(flags).lstrip("-"))
     def test_non_finite_or_fractional_numbers_are_invalid(self, flags,
                                                           tmp_path, capsys):
         assert run(["solve", EXAMPLE, *flags, "--out", str(tmp_path)]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        # the message names the key it rejects
+        setting = flags[1].split("=")[0] if flags[0] == "--set" else "x_nodes"
+        assert setting.rpartition(".")[2] in err
 
     @pytest.mark.parametrize("lo, hi", [(-1e200, 1e200), (-1.7e308, 1.7e308),
                                         (-5e-324, 5e-324)])
@@ -596,6 +617,52 @@ class TestConfigNumbers:
                             "--set", f"grid.x_max={x_max!r}",
                             "--set", f"problem.T={T!r}", "--out", out])
             assert code in (0, 1, 2), command
+
+    def test_nonpositive_cost_prints_a_plain_number(self, tmp_path, capsys):
+        # the ray -1 makes 0.05*(1 + xi1) negative at the far samples
+        assert run(["solve", EXAMPLE, *FAST, "--set", 'problem.cone="-1"',
+                    "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "np.float64" not in err
+        assert float(err.rsplit("value ", 1)[1]) < 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(rays=st.lists(
+        st.lists(st.one_of(st.floats(-1.0, 3.0).map(repr),
+                           st.floats().map(repr),
+                           st.sampled_from(["nan", "inf", "-inf", "x", "",
+                                            "1e400", "-0", "orthant"])),
+                 min_size=1, max_size=2).map(",".join),
+        max_size=2).map("; ".join))
+    @example(rays="1")
+    @example(rays="0.5; 2")
+    @example(rays="1e308")
+    @example(rays="1,x; 0,1")
+    def test_any_cone_text_ends_in_an_exit_code(self, rays):
+        # at most two rays: the search scans 25^m coefficient points per node
+        with tempfile.TemporaryDirectory() as out:
+            code = run(["solve", EXAMPLE, "--grid-nt", "3", "--grid-nx", "5",
+                        "--set", f'problem.cone="{rays}"', "--out", out])
+        assert code in (0, 1, 2), rays
+
+    @settings(max_examples=40, deadline=None)
+    @given(nt=st.integers(2, 21), nx=st.integers(2, 41),
+           l0=st.floats(0.0, exm.COST_THRESHOLD, exclude_min=True,
+                        exclude_max=True),
+           data=st.data())
+    def test_any_example_grid_and_anchor_node_ends_in_an_exit_code(
+            self, nt, nx, l0, data):
+        # every time node before the last is a valid anchor time
+        t0 = data.draw(st.integers(0, nt - 2)) * (1.0 / (nt - 1))
+        printed = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, \
+                contextlib.redirect_stdout(printed), \
+                contextlib.redirect_stderr(printed):
+            code = run(["reproduce-example", "--grid-nt", str(nt),
+                        "--grid-nx", str(nx), "--l0", repr(l0),
+                        "--t0", repr(t0), "--out", out])
+        assert code in (0, 1, 2), (nt, nx, l0, t0)
+        assert "anchor point" not in printed.getvalue()
 
 
 class TestConfigKeys:

@@ -105,6 +105,17 @@ class TestCone:
         with pytest.raises(ConfigError):
             Cone.from_rays([[0.0, 0.0]])
 
+    @pytest.mark.parametrize("ray", [[math.nan, 1.0], [math.inf, 0.0],
+                                     [1e308, 1e308], [0.0, 0.0]],
+                             ids=["nan", "inf", "overflow", "zero"])
+    def test_ray_needs_a_positive_finite_length(self, ray):
+        # [1e308, 1e308] is finite, but its length overflows to inf and
+        # would scale the ray to zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="positive, finite length"):
+                Cone.from_rays([ray])
+
     def test_coefficient_map(self):
         cone = Cone.orthant(2)
         xi = cone.from_coefficients(np.array([[1.0, 2.0], [0.0, 0.5]]))

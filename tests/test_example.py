@@ -144,17 +144,19 @@ class TestSampling:
 
 class TestGapAgreement:
     def test_grid_search_matches_the_closed_form(self, inst):
-        res = measure_obstacle_gap(inst)
-        assert res["measured"] < 0.0
-        assert res["difference"] <= 1e-6
+        measured = measure_obstacle_gap(inst)
+        assert measured < 0.0
+        assert abs(measured - inst.gap) <= 1e-6
 
     def test_box_must_contain_the_jump_target(self):
         # the measurement box grows with the jump target x0 + xi2 (6.39
-        # at l0 = 0.02, t0 = 0): a clamped target would miss the closed form
+        # at l0 = 0.02, t0 = 0): a clamped target would miss the closed form;
+        # t0 = 1/3 and 0.123 put the anchor x0 = 2 - t0 between hundredths
         for l0 in (0.02, 0.05, 0.08):
-            for t0 in (0.0, 0.5, 0.9):
-                res = measure_obstacle_gap(build_instance(t0=t0, l0=l0))
-                assert res["difference"] <= 1e-6, (l0, t0)
+            for t0 in (0.0, 0.5, 0.9, 1.0 / 3.0, 0.123):
+                instance = build_instance(t0=t0, l0=l0)
+                measured = measure_obstacle_gap(instance)
+                assert abs(measured - instance.gap) <= 1e-6, (l0, t0)
 
     @pytest.mark.parametrize("l0", (0.12, 0.13, 0.135))
     def test_near_zero_jump_caps_the_closed_form_gap(self, l0):
@@ -162,7 +164,7 @@ class TestGapAgreement:
         flagged = build_instance(0.5, l0)
         assert flagged.psi_min - flagged.value_at_anchor > l0
         assert flagged.gap == l0
-        assert measure_obstacle_gap(flagged)["difference"] <= 1e-6
+        assert abs(measure_obstacle_gap(flagged) - flagged.gap) <= 1e-6
 
 
 class TestVerdicts:
