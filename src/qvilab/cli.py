@@ -260,7 +260,7 @@ def cmd_doubling(args):
 
 def cmd_example(args):
     instance = exm.build_instance(t0=args.t0, l0=args.l0)
-    nt = args.grid_nt if args.grid_nt is not None else 201
+    nt = 201 if args.grid_nt is None else read_int(args.grid_nt, "--grid-nt")
     nx = 701 if args.grid_nx is None else read_int(args.grid_nx, "--grid-nx")
     # box must reach the jump target or the clipped search hides the dip
     x_hi = max(5.5, instance.x0 + instance.xi2 + 1.0)
@@ -321,7 +321,7 @@ def _add_common(sub, config=True, tol=None):
         sub.add_argument("--set", action="append", default=[],
                          metavar="SECTION.KEY=VALUE",
                          help="override one config value after parsing")
-    sub.add_argument("--grid-nt", type=int, default=None,
+    sub.add_argument("--grid-nt", default=None, metavar="N",
                      help="override grid.t_nodes")
     sub.add_argument("--grid-nx", default=None, metavar="N[,M]",
                      help="override grid.x_nodes")

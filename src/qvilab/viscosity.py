@@ -49,7 +49,7 @@ with every neighbor tested.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -80,7 +80,6 @@ ADMISSION_SLACK = 1e-12  # relative to 1 + max|V|
 TOL_FACTOR = 10.0  # default probe tolerance, in units of dt + sum dx
 
 
-_NODE_KEYS = ("t_index", "x_index", "t", "x", "margin")
 _PROBE_KEYS = ("t_index", "x_index", "t", "x", "a", "p", "kappa",
                "kappa_eff", "margin")
 _CSV_CHUNK = 1 << 16  # violation rows formatted per write
@@ -106,20 +105,24 @@ class Violations:
     def __len__(self):
         return len(self.margin)
 
-    def _columns(self):
-        return _NODE_KEYS if self.a is None else _PROBE_KEYS
-
     def __eq__(self, other):
-        keys = self._columns()
-        return (isinstance(other, Violations) and keys == other._columns()
-                and all(np.array_equal(getattr(self, k), getattr(other, k))
-                        for k in keys))
+        # np.array_equal holds for None against None, fails against an array
+        return isinstance(other, Violations) and all(
+            np.array_equal(getattr(self, k), getattr(other, k))
+            for k in _PROBE_KEYS)
 
-    def to_dicts(self):
-        """The rows as dicts of Python scalars and lists, JSON-ready."""
-        keys = self._columns()
-        columns = [getattr(self, k).tolist() for k in keys]
-        return [dict(zip(keys, row)) for row in zip(*columns)]
+    def summary(self):
+        """Row count, count of distinct (t_index, x_index) nodes, and the
+        worst row: the first with the smallest margin, None if no rows."""
+        if not len(self):
+            return {"rows": 0, "nodes": 0, "worst": None}
+        node = np.column_stack([self.t_index, self.x_index])
+        key = np.ravel_multi_index(node.T, node.max(axis=0) + 1)
+        j = int(np.argmin(self.margin))
+        return {"rows": len(self), "nodes": len(np.unique(key)),
+                "worst": {"t_index": int(self.t_index[j]),
+                          "x_index": self.x_index[j].tolist(),
+                          "margin": float(self.margin[j])}}
 
 
 def _rows(grid, t_index, x_index, margin, **probe):
@@ -153,35 +156,38 @@ class ViscosityReport:
         return not any(len(rows) for _, rows in self.kinds())
 
     def to_dict(self):
-        return {
-            "variant": self.variant,
-            "passed": self.passed,
-            "points_tested": self.points_tested,
-            "probes_per_point": self.probes_per_point,
-            "violations": self.violations.to_dicts(),
-            "constraint_violations": self.constraint_violations.to_dicts(),
-            "terminal_violations": self.terminal_violations.to_dicts(),
-            "pde_tolerance": self.pde_tolerance,
-            "constraint_tolerance": self.constraint_tolerance,
-            "notes": self.notes,
-        }
+        """The variant, the verdict, then each other field, with every
+        Violations as its summary(); write_violations_csv holds the rows."""
+        payload = {"variant": self.variant, "passed": self.passed}
+        for field in fields(self)[1:]:
+            value = getattr(self, field.name)
+            payload[field.name] = (value.summary()
+                                   if isinstance(value, Violations) else value)
+        return payload
 
 
 def write_violations_csv(report, path):
-    """Plot-ready CSV of all violation locations in a report: one line per
-    row, numbers as %.17g, the axes of x_index and x separated by ';'."""
+    """Plot-ready CSV of every violation row in a report: the kind, then
+    the columns of _PROBE_KEYS, one line per row, numbers as %.17g, the
+    axes of x_index, x and p separated by ';'.  Node rows leave the four
+    probe cells empty."""
     with open(path, "w") as fh:
-        fh.write("kind,t_index,x_index,t,x,margin\n")
+        fh.write(",".join(("kind",) + _PROBE_KEYS) + "\n")
         for kind, rows in report.kinds():
-            n = rows.x.shape[1]
-            line = (f"{kind},%d," + ";".join(["%d"] * n) + ",%.17g,"
-                    + ";".join(["%.17g"] * n) + ",%.17g\n")
+            cells, columns = [kind], []
+            for key in _PROBE_KEYS:
+                # (rows, axes); a probe column of node rows has no axes
+                column = getattr(rows, key)
+                column = (np.empty((len(rows), 0)) if column is None
+                          else np.column_stack([column]))
+                spec = "%d" if key.endswith("index") else "%.17g"
+                cells.append(";".join([spec] * column.shape[1]))
+                columns.extend(column.T)
+            line = ",".join(cells) + "\n"
             for s in range(0, len(rows), _CSV_CHUNK):
-                part = slice(s, s + _CSV_CHUNK)
                 # object dtype keeps indices int and the rest float
-                table = np.array([rows.t_index[part], *rows.x_index[part].T,
-                                  rows.t[part], *rows.x[part].T,
-                                  rows.margin[part]], dtype=object)
+                table = np.array([c[s:s + _CSV_CHUNK] for c in columns],
+                                 dtype=object)
                 fh.write((line * table.shape[1])
                          % tuple(table.T.ravel().tolist()))
 
@@ -550,11 +556,9 @@ def _probe_family(V, problem, t_index, x_index):
     field = _ProbeField(V, problem)
     if field.empty:
         return []
-    r = RADIUS
     grid = V.grid
-    ci = (t_index - r,) + tuple(i - r for i in x_index)
-    if any(c < 0 for c in ci) or any(
-            c >= s for c, s in zip(ci, field.center_shape)):
+    ci = tuple(i - RADIUS for i in (t_index, *x_index))
+    if not all(0 <= c < s for c, s in zip(ci, field.center_shape)):
         raise ConfigError("node has no full probe neighborhood")
     out = []
     for combo in itertools.product(range(3), repeat=grid.n):
@@ -571,14 +575,10 @@ def _probe_family(V, problem, t_index, x_index):
 def _probe_admitted(V, t_index, x_index, a, p, kappa_eff, side):
     """Re-verify the touching condition for stored probe data."""
     grid = V.grid
-    r = RADIUS
-    n = grid.n
-    if not (r <= t_index < grid.t_nodes - r):
+    node = (t_index, *x_index)
+    if not all(RADIUS <= i < s - RADIUS for i, s in zip(node, grid.shape)):
         raise ConfigError("node has no full probe neighborhood")
-    for d in range(n):
-        if not (r <= x_index[d] < grid.x_nodes[d] - r):
-            raise ConfigError("node has no full probe neighborhood")
-    center = tuple(np.array([i]) for i in (t_index, *x_index))
+    center = tuple(np.array([i]) for i in node)
     return bool(_touches(V.values, center, np.array([a], dtype=float),
                          [np.array([pd], dtype=float) for pd in p],
                          np.array([kappa_eff], dtype=float), side, grid,

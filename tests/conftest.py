@@ -1,4 +1,5 @@
-"""Shared helpers: re-derive a solve's fixed-point residual from its values."""
+"""Shared helpers: re-derive a solve's fixed-point residual from its values,
+and read a violations.csv back into columns."""
 
 import numpy as np
 import pytest
@@ -36,3 +37,38 @@ def restep():
 @pytest.fixture
 def fixed_point_residual():
     return _fixed_point_residual
+
+
+# the violations.csv columns that hold one cell part per space axis
+_AXIS_COLUMNS = ("x_index", "x", "p")
+
+
+def _read_violations(path):
+    """violations.csv as {kind: {column: array or None}}, rows in file
+    order: x_index, x and p as (rows, n), the rest as (rows,), index
+    columns int and the others float; a column left empty is None."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        lines = {}
+        for line in fh:
+            kind, *cells = line.rstrip("\n").split(",")
+            assert len(cells) == len(header) - 1, line
+            lines.setdefault(kind, []).append(cells)
+    assert header[0] == "kind"
+    table = {}
+    for kind, rows in lines.items():
+        table[kind] = columns = {}
+        for key, cells in zip(header[1:], zip(*rows)):
+            if not any(cells):
+                columns[key] = None
+                continue
+            cast = int if key.endswith("index") else float
+            parts = np.array([[cast(v) for v in cell.split(";")]
+                              for cell in cells])
+            columns[key] = parts if key in _AXIS_COLUMNS else parts[:, 0]
+    return table
+
+
+@pytest.fixture
+def read_violations():
+    return _read_violations

@@ -172,18 +172,22 @@ class TestSolve:
 
 
 class TestViscosity:
-    def test_modified_fails_on_the_profile(self, tmp_path, capsys):
+    def test_modified_fails_on_the_profile(self, tmp_path, capsys,
+                                           read_violations):
         assert run(["viscosity", EXAMPLE, "--analytic", PROFILE,
                     "--variant", "qvi-super-modified",
                     "--out", str(tmp_path)]) == 1
         report = json.loads((tmp_path / "viscosity.json").read_text())
         assert report["passed"] is False
-        assert not report["violations"]
-        assert report["constraint_violations"]
+        assert report["violations"]["rows"] == 0
+        assert report["constraint_violations"]["rows"] > 0
+        table = read_violations(tmp_path / "violations.csv")
+        assert list(table) == ["constraint"]
+        rows = table["constraint"]
+        assert len(rows["t"]) == report["constraint_violations"]["rows"]
         # every flagged node sits in the profitable strip
-        for v in report["constraint_violations"]:
-            u = v["x"][0] - 1.0 + v["t"]
-            assert 0.4 < u < 2.7
+        u = rows["x"][:, 0] - 1.0 + rows["t"]
+        assert np.all((0.4 < u) & (u < 2.7))
         assert "constraint violation at" in capsys.readouterr().out
 
     def test_examples_of_each_kind_are_printed(self, tmp_path, capsys):
@@ -234,6 +238,10 @@ class TestViscosity:
             expect = cli._VARIANTS[variant](res.V, cfg.problem, gap=gap)
             assert ((out / "viscosity.json").read_text()
                     == json.dumps(expect.to_dict(), indent=2) + "\n")
+            expect_csv = tmp_path / f"{variant}.csv"
+            vc.write_violations_csv(expect, expect_csv)
+            assert ((out / "violations.csv").read_bytes()
+                    == expect_csv.read_bytes())
 
     def test_both_sources_is_invalid(self, tmp_path, solve_dir):
         assert run(["viscosity", EXAMPLE,
@@ -566,6 +574,7 @@ class TestConfigNumbers:
         ["--set", "problem.T=nan"],
         ["--set", "grid.x_max=inf"],
         ["--grid-nx", "2.5"],
+        ["--grid-nt", "2.5"],
         ["--set", "constants.L=inf"],
         ["--set", 'problem.cone="a"'],
         ["--set", 'problem.cone="nan"'],
@@ -578,8 +587,23 @@ class TestConfigNumbers:
         err = capsys.readouterr().err
         assert "error:" in err
         # the message names the key it rejects
-        setting = flags[1].split("=")[0] if flags[0] == "--set" else "x_nodes"
+        setting = (flags[1].split("=")[0] if flags[0] == "--set" else
+                   {"--grid-nx": "x_nodes", "--grid-nt": "t_nodes"}[flags[0]])
         assert setting.rpartition(".")[2] in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", EXAMPLE, "--grid-nx", "101"],
+        ["reproduce-example", "--grid-nx", "141", "--t0", "0.3"],
+    ], ids=["solve", "reproduce-example"])
+    def test_grid_nt_is_read_like_a_config_integer(self, argv, tmp_path):
+        # "4.1e1" means 41, as it does for grid.t_nodes and --grid-nx
+        written = []
+        for text in ("41", "4.1e1"):
+            out = tmp_path / text
+            assert run([*argv, "--grid-nt", text, "--out", str(out)]) in (0, 1)
+            written.append({f.name: f.read_bytes() for f in out.iterdir()
+                            if f.name != "manifest.json"})
+        assert written[0] and written[0] == written[1]
 
     @pytest.mark.parametrize("lo, hi", [(-1e200, 1e200), (-1.7e308, 1.7e308),
                                         (-5e-324, 5e-324)])

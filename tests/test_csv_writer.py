@@ -1,5 +1,6 @@
-"""CSV writer byte identity, CSV round trip, malformed CSV input, and the
-bulk construction of node violation tables."""
+"""CSV writer byte identity, CSV round trip, malformed CSV input, the
+bulk construction of node violation tables, and the violations.csv round
+trip."""
 
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +13,9 @@ from hypothesis.extra import numpy as hnp
 
 from qvilab import cli
 from qvilab import expr as ex
-from qvilab.core import ConfigError, Grid, GridFunction, load_problem, read_csv, write_csv
+from qvilab import viscosity as vc
+from qvilab.core import (ConfigError, Grid, GridFunction, load_problem, read_csv,
+                         sample, write_csv)
 from qvilab.viscosity import _constraint_nodes, _terminal_nodes
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -44,13 +47,18 @@ SPECIAL = np.array([-0.0, 0.0, 5e-324, 1e308, -1e-300, 1.0, -7.0, 123456789.0,
                     2.2250738585072014e-308, 1 / 3, -123.456e-20])
 
 
-def filled(grid, seed):
-    """Grid function cycling SPECIAL through random scaled normals."""
-    rng = np.random.default_rng(seed)
-    vals = rng.normal(size=grid.shape) * 10.0 ** rng.integers(-30, 30, grid.shape)
+def special_normals(rng, shape):
+    """Random scaled normals with SPECIAL cycled through every third one."""
+    vals = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, shape)
     flat = vals.reshape(-1)
     flat[::3] = np.resize(SPECIAL, flat[::3].size)
-    return GridFunction(grid, vals)
+    return vals
+
+
+def filled(grid, seed):
+    """Grid function cycling SPECIAL through random scaled normals."""
+    return GridFunction(grid,
+                        special_normals(np.random.default_rng(seed), grid.shape))
 
 
 GRIDS = [
@@ -169,8 +177,14 @@ def loop_constraint_nodes(V, gap, ctol):
     return out
 
 
+NODE_KEYS = ("t_index", "x_index", "t", "x", "margin")
+
+
 def assert_same_violations(new, old):
-    rows = new.to_dicts()
+    # node rows hold no probe
+    assert new.a is new.p is new.kappa is new.kappa_eff is None
+    columns = [getattr(new, key).tolist() for key in NODE_KEYS]
+    rows = [dict(zip(NODE_KEYS, row)) for row in zip(*columns)]
     assert len(new) == len(rows) == len(old)
     assert rows == old
     for row in rows:
@@ -218,3 +232,55 @@ def test_terminal_nodes_match_loop(grid, side):
     old = loop_terminal_nodes(V, problem, side, 5e-4)
     assert len(old) > 1
     assert_same_violations(new, old)
+
+
+# ------------------------------------------------ violations.csv round trip ----
+
+def assert_csv_recovers_report(report, path, read_violations):
+    """violations.csv read back gives every Violations column of every
+    kind bit for bit, and None for the probe columns of node rows."""
+    vc.write_violations_csv(report, path)
+    table = read_violations(path)
+    assert list(table) == ["probe", "constraint", "terminal"]
+    for kind, rows in report.kinds():
+        assert len(rows) > 0
+        for key in vc._PROBE_KEYS:
+            want, got = getattr(rows, key), table[kind][key]
+            if want is None:
+                assert kind != "probe" and got is None, key
+                continue
+            assert got.dtype == want.dtype and got.shape == want.shape, key
+            assert got.tobytes() == want.tobytes(), key
+
+
+def test_violations_csv_recovers_a_check(tmp_path, read_violations):
+    cfg = load_problem((CONFIGS / "example.cfg").read_text(),
+                       ["grid.t_nodes=21", "grid.x_nodes=46"])
+    V = sample(ex.parse("sin(3*x1) + 4 - 5*t", {"t", "x1"}), cfg.grid)
+    report = vc.check_qvi_subsolution(V, cfg.problem)
+    assert_csv_recovers_report(report, tmp_path / "violations.csv",
+                               read_violations)
+
+
+@pytest.mark.parametrize("grid", VIOLATION_GRIDS, ids=lambda g: f"n{g.n}")
+def test_violations_csv_recovers_special_values(grid, tmp_path,
+                                                read_violations):
+    # probe rows drawn from SPECIAL and random scales at random nodes, the
+    # node rows from the builders above
+    rng = np.random.default_rng(5)
+    k = 300
+    t_index = rng.integers(0, grid.t_nodes, k)
+    x_index = np.column_stack([rng.integers(0, m, k) for m in grid.x_nodes])
+    probe = vc._rows(grid, t_index, x_index, special_normals(rng, k),
+                     a=special_normals(rng, k),
+                     p=special_normals(rng, (k, grid.n)),
+                     kappa=rng.choice(vc.CURVATURES, k),
+                     kappa_eff=special_normals(rng, k))
+    gap = rng.normal(scale=1e-3, size=grid.shape)
+    V = GridFunction(grid, rng.normal(size=grid.shape))
+    problem = SimpleNamespace(h=ex.parse("0*x1", ("x1", "x2")[:grid.n]))
+    report = vc.ViscosityReport(
+        vc.VARIANT_QVI_SUB, 0, 0, probe, _constraint_nodes(V, gap, 5e-4),
+        _terminal_nodes(V, problem, "sub", 5e-4), 1.0, 1.0)
+    assert_csv_recovers_report(report, tmp_path / "violations.csv",
+                               read_violations)

@@ -8,9 +8,11 @@ classical probe rows, whose margin is the minimum of the equation and the
 obstacle gap; of the two `reproduce-example` artifacts at the default
 tolerance and at `--tol 8`; and of every artifact but `manifest.json` of
 `solve`, `check`, `compare` and `doubling` runs.  A moved hash is a moved
-artifact: the rows, their order or their formatting changed.  Every
-JSON artifact of these runs, `manifest.json` included, must also parse as
-strict JSON, with no NaN or Infinity.
+artifact: the rows, their order or their formatting changed.  The
+viscosity JSON holds counts and the worst row of each kind; the CSV holds
+every row with its probe.  Every JSON artifact of these runs,
+`manifest.json` included, must also parse as strict JSON, with no NaN or
+Infinity.
 """
 
 import json
@@ -40,31 +42,31 @@ RUNS = {
     "transport-hjb-sub": (
         [str(ROOT / "configs" / "transport.cfg"), "--variant", "hjb-sub",
          "--analytic", "abs(x1)", "--grid-nt", "41", "--grid-nx", "71"],
-        "8d705deea2a59227cfda7f37355a39d9088baaf7f243bbeaa4074129869109e8",
-        "a0e14162a77d6196496b83907bcb75605e635cef2b4608ee13fd6d35acc05971"),
+        "4a9057722ec7c9c05fbbf43bed8e6cbe28a6bbe76ea7d845b7801b1d9d3cc239",
+        "8d6a8a8cd014aa51c687d3cd3ab6fc8e3bb511a3aa0667939d7114b3c9f26306"),
     "transport-hjb-super": (
         [str(ROOT / "configs" / "transport.cfg"), "--variant", "hjb-super",
          "--analytic=-abs(x1)", "--grid-nt", "41", "--grid-nx", "71"],
-        "65e6ece0aebd92b6d7e8b1a1d696232d02252bfa8866d04dfb29a1639bbc0a1b",
-        "732249c6da4b85e3c871820ee9755123e05685db041543ea829f7f2cdde80d5c"),
+        "605a2de5b591d690346d0044cd92b3523db23ee5b2b7f2ba8649950b4f804998",
+        "e5f8a3986f9ca369e63d75b31baff1c9bd1e2f8835c031308c49212055616bab"),
     "example-modified": (
         [str(ROOT / "configs" / "example.cfg"), "--variant",
          "qvi-super-modified", "--analytic", PROFILE,
          "--grid-nt", "41", "--grid-nx", "71"],
-        "11be7b22cb175f5d4224c1a4c82d665ef2504962737ca592fda970cbaf5306a8",
-        "2b33fd6de36e91ef7b93a65c3fe46f30416d44b26a8671b49d2c06e722415b59"),
+        "d194c11ced7a148f8d1d2b364202296ede352b2191f2c33023dc7af9bb911fe3",
+        "37b0e0b12b9854accf7624846653be93978eca6ab6eac892e614bf3145a5d54a"),
     "plane-qvi-sub": (
         [str(ROOT / "perfbench" / "plane.cfg"), "--variant", "qvi-sub",
          "--analytic", "sin(x1) + cos(x2) + 0.5*(1-t)*x1"],
-        "71f3647f794d9df7d2669dcf4f2a04b27a70d8ed777d0a24d6dde6ba4b4cf102",
-        "caa2223942bb8a9060ce9e79651235365f3a48d97893538bc4b9520fca6c5273"),
+        "dc3cf365d98e64174ab4fa9bd133417306052671b3ceb893d2f2c2f54c62e497",
+        "a53c1d6a9674cb5cb888ec5fe280f8beaf33976fdbd6f0d2cca34f6725e5a4a6"),
     # a - p = 2 and N[V] - V = 0.05 both clear the tolerance everywhere
     "example-classical": (
         [str(ROOT / "configs" / "example.cfg"), "--variant",
          "qvi-super-classical", "--analytic", "2*t",
          "--grid-nt", "13", "--grid-nx", "15", "--tol", "0.05"],
-        "fa1faa72df88b2b8f36675bacab18b48dbb9af86ce3246ccce078c7d6af8def4",
-        "84d3ba9e8ab5b33530fb3c7bf8f0394ade23000640d1f68e7666b1a9f56f45d6"),
+        "d81c6dfd20017c56a9fa0391f5bb918cec2a483a9723737151c769f06b156864",
+        "8ef71db2b5facbc230e31f5167fce11ab5614dd3da845c95dc8b03e2ca047b9e"),
 }
 
 

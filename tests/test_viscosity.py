@@ -154,13 +154,17 @@ class TestTransportChecks:
         V = frozen_terminal(GRID)
         report = vc.check_hjb_subsolution(V, problem)
         unit = report.constraint_tolerance
-        for v in report.violations.to_dicts()[:50]:
+        rows = report.violations
+        assert len(rows) >= 50
+        for j in range(50):
             # margin is a + H(p) = a - p for the transport Hamiltonian
-            assert v["margin"] == pytest.approx(v["a"] - v["p"][0], abs=1e-12)
-            assert v["margin"] < -(report.pde_tolerance
-                                   + v["kappa_eff"] * unit)
-            assert vc._probe_admitted(V, v["t_index"], v["x_index"], v["a"],
-                                     v["p"], v["kappa_eff"], "sub")
+            assert rows.margin[j] == pytest.approx(rows.a[j] - rows.p[j, 0],
+                                                   abs=1e-12)
+            assert rows.margin[j] < -(report.pde_tolerance
+                                      + rows.kappa_eff[j] * unit)
+            assert vc._probe_admitted(V, rows.t_index[j], rows.x_index[j],
+                                      rows.a[j], rows.p[j],
+                                      rows.kappa_eff[j], "sub")
 
     def test_super_mirror_of_negated_function(self, problem):
         V = frozen_terminal(GRID)
@@ -191,18 +195,20 @@ class TestTransportChecks:
         report = vc.check_hjb_subsolution(V, problem)
         assert report.probes_per_point == 81
         assert report.violations
-        v = report.violations.to_dicts()[0]
-        assert v["a"] == pytest.approx(-1.0, abs=1e-12)
-        assert v["p"] == [pytest.approx(1.0), pytest.approx(1.0)]
-        assert v["margin"] == pytest.approx(-9.0, abs=1e-12)
-        # all 127,575 probe rows, pinned byte for byte
+        rows = report.violations
+        assert rows.a[0] == pytest.approx(-1.0, abs=1e-12)
+        assert rows.p[0].tolist() == [pytest.approx(1.0), pytest.approx(1.0)]
+        assert rows.margin[0] == pytest.approx(-9.0, abs=1e-12)
+        assert len(rows) == 127575
+        # the summary, and all 127,575 probe rows with their probe columns,
+        # pinned byte for byte
         text = json.dumps(report.to_dict(), indent=2)
         assert sha256(text.encode()).hexdigest() == \
-            "f133d4d7acdc6f0953ebb971292bd8e5b00a715c9dd2671ee62867de7ad5b6fd"
+            "5f2f45200f145d08f1f4affa29d577c22ceb46841b6ca8607f38b87d112b96ac"
         path = tmp_path / "violations.csv"
         vc.write_violations_csv(report, path)
         assert sha256(path.read_bytes()).hexdigest() == \
-            "6ec0800e246c84085329f0f3e1852cfa3ae387d1f7a6586eb3f556eddb5016d4"
+            "ad14ad63ace317b3e5138b059cf29ab632aea5bc5d081c72b4898dcc01e232a8"
         sup = vc.check_hjb_supersolution(V, problem)
         assert not sup.violations
 
@@ -431,11 +437,20 @@ class TestEdgesAndPlumbing:
         payload = report.to_dict()
         assert payload["variant"] == vc.VARIANT_HJB_SUB
         assert payload["passed"] is False
-        assert len(payload["violations"]) == len(report.violations)
+        rows = report.violations
+        assert payload["violations"]["rows"] == len(rows)
+        assert payload["violations"]["nodes"] == len(node_keys(rows))
+        # the worst row is the first with the smallest margin
+        j = np.flatnonzero(rows.margin == rows.margin.min())[0]
+        assert payload["violations"]["worst"] == {
+            "t_index": rows.t_index[j], "x_index": [rows.x_index[j, 0]],
+            "margin": rows.margin.min()}
+        assert payload["constraint_violations"] == {"rows": 0, "nodes": 0,
+                                                    "worst": None}
         path = tmp_path / "violations.csv"
         vc.write_violations_csv(report, str(path))
         lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("kind,")
+        assert lines[0] == "kind,t_index,x_index,t,x,a,p,kappa,kappa_eff,margin"
         assert len(lines) == 1 + len(report.violations)
         first = lines[1].split(",")
         assert first[0] == "probe"
