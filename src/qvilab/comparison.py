@@ -405,8 +405,9 @@ def _sweep_argmax(FA, Bs, t, pair_norms, half_d2, theta, eps, T):
             bound -= half_d2
             yield K0, bound
 
-    scale = (np.abs(FA).max() + np.abs(Bs).max() + theta * pair_norms.max()
-             + 0.5 / eps * _square(T) + 2.0 * RHO * T + half_d2.max())
+    with np.errstate(over="ignore"):  # values near overflow: inf, no slack
+        scale = (np.abs(FA).max() + np.abs(Bs).max() + theta * pair_norms.max()
+                 + 0.5 / eps * _square(T) + 2.0 * RHO * T + half_d2.max())
     slack = 1e-12 * (1.0 + scale)
     threshold = -np.inf
     if math.isfinite(slack):

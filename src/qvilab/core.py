@@ -42,7 +42,8 @@ class ConfigError(Exception):
 _AXIS_COORDS = ("x", "p", "xi")
 
 
-def _axis_names(coord, n):
+def axis_names(coord, n):
+    """The names of `coord` ("x", "p" or "xi") on n axes: x1..xn."""
     return tuple(f"{coord}{d + 1}" for d in range(n))
 
 
@@ -53,7 +54,7 @@ def role_variables(n):
     A grid function given in closed form reads what g reads.
     """
     t = frozenset({"t"})
-    x, p, xi = (frozenset(_axis_names(c, n)) for c in _AXIS_COORDS)
+    x, p, xi = (frozenset(axis_names(c, n)) for c in _AXIS_COORDS)
     return {"H": t | x | p, "h": x, "ell": t | x | xi, "g": t | x}
 
 
@@ -74,7 +75,7 @@ def make_env(**coords):
             raise TypeError(f"make_env() got an unknown coordinate {coord!r}")
         if isinstance(value, np.ndarray):
             value = [value[..., d] for d in range(value.shape[-1])]
-        env.update(zip(_axis_names(coord, len(value)), value))
+        env.update(zip(axis_names(coord, len(value)), value))
     return env
 
 
@@ -150,12 +151,20 @@ class Cone:
 
         Each ray needs a positive, finite length: a zero ray, a NaN or
         infinite component, or a length that overflows is a ConfigError.
+        A nonzero ray whose length underflows is still accepted.
         """
         rays = np.atleast_2d(np.asarray(rays, dtype=float))
         if rays.size == 0:
             raise ConfigError("cone needs at least one ray")
         with np.errstate(over="ignore"):  # an overflowing length is inf
             norms = np.linalg.norm(rays, axis=1)
+        # a length that underflows to 0 is measured on the ray scaled by its
+        # largest component; every other ray keeps its plain norm
+        tiny = (norms == 0.0) & np.any(rays != 0.0, axis=1)
+        if tiny.any():
+            rays = rays.copy()
+            rays[tiny] /= np.abs(rays[tiny]).max(axis=1, keepdims=True)
+            norms[tiny] = np.linalg.norm(rays[tiny], axis=1)
         for ray, norm in zip(rays, norms):
             if not 0.0 < norm < math.inf:
                 raise ConfigError(f"cone ray {ray.tolist()} needs a positive, "
@@ -364,7 +373,7 @@ def write_csv(gf, path):
     rely on that.
     """
     grid = gf.grid
-    cols = ["t", *_axis_names("x", grid.n), "value"]
+    cols = ["t", *axis_names("x", grid.n), "value"]
     # ",x1[,x2]" per space node in row-major order, each coordinate
     # formatted once per grid rather than once per row
     space = [""]
@@ -389,7 +398,7 @@ def read_csv(grid, path):
             header = fh.readline().strip().split(",")
     except UnicodeDecodeError as err:
         raise ConfigError(f"cannot read CSV {str(path)!r}: {err}") from err
-    expected = ["t", *_axis_names("x", grid.n), "value"]
+    expected = ["t", *axis_names("x", grid.n), "value"]
     if header != expected:
         raise ConfigError(
             f"unexpected CSV header {header!r}; this grid needs {expected!r}"
@@ -690,7 +699,6 @@ class ProblemConfig:
     constants: AssumptionConstants
     grid: Grid
     config_hash: str
-    text: str
 
 
 def apply_overrides(sections, overrides):
@@ -781,7 +789,7 @@ def load_problem(text, overrides=()):
     digest.update(text.encode())
     for item in overrides:
         digest.update(b"\x00" + item.encode())
-    return ProblemConfig(problem, constants, grid, digest.hexdigest(), text)
+    return ProblemConfig(problem, constants, grid, digest.hexdigest())
 
 
 def _check_cost_positive(problem, grid):

@@ -15,17 +15,30 @@ so '^' binds above '*' and '/', which bind above binary '+' and '-', and a
 unary minus binds tighter than a binary minus ("-a - b" is "(-a) - b").
 Exponentiation is right associative: "2^3^2" is 2^(3^2) = 512.
 
-Numbers are decimal literals with optional scientific notation.  Functions:
-exp, log, sqrt, abs, sin, cos, sign (one argument) and min, max (two).
+Numbers are decimal literals with optional scientific notation; one that
+overflows a float is a ParseError.  Functions: exp, log, sqrt, abs, sin,
+cos, sign (one argument) and min, max (two).
+
+Nesting is bounded by MAX_DEPTH, twice over: an expression is at most
+MAX_DEPTH levels deep, where every operator and function call adds one
+level to each leaf below it ("2*(x1 + 1)" is two levels deep), and at most
+MAX_DEPTH parentheses are open at any point, a call's own included.
+Deeper text is a ParseError.  The bound keeps the parser and every walk
+over a parsed tree (evaluation, printing, hashing, `variables`, `degree`)
+far below Python's recursion limit, and `to_source` of a parsed tree
+stays within it.
 
 Evaluation works elementwise on floats or numpy arrays and either returns a
 finite result or raises DomainError naming the offending operation and the
 first offending argument value.  ASTs are immutable; `to_source` prints a
-fully parenthesized form that reparses to an equivalent tree.
+fully parenthesized form that reparses to an equivalent tree.  `variables`
+and `degree` answer questions about a tree's shape, so no other module
+needs to know the node types.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -93,6 +106,12 @@ _UNARY_FUNCS = ("exp", "log", "sqrt", "abs", "sin", "cos", "sign")
 _BINARY_FUNCS = ("min", "max")
 FUNCTION_NAMES = _UNARY_FUNCS + _BINARY_FUNCS
 
+# The parser spends five stack frames per open parenthesis (six for a
+# call) and at most two per other level, each tree walk one per level: 50
+# of each stay under 400 of the default recursion limit of 1000.  The
+# deepest shipped expression, the separating example's bump, is 10 deep.
+MAX_DEPTH = 50
+
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -126,10 +145,18 @@ def _tokenize(source):
 
 
 class _Parser:
+    """Recursive descent over the tokens.  Each parse_* method returns the
+    node it read and its depth, in levels as the module docstring counts
+    them.  `level` counts the operators and calls, and `parens` the
+    parentheses, open around the current token, so text nested too deep
+    is refused before the recursion goes deeper."""
+
     def __init__(self, tokens, allowed_vars):
         self.tokens = tokens
         self.i = 0
         self.allowed = frozenset(allowed_vars)
+        self.level = 0
+        self.parens = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -145,45 +172,75 @@ class _Parser:
             raise ParseError(f"expected '{symbol}'", pos)
         return self.advance()
 
+    def bounded(self, depth, pos):
+        """`depth` of a node read at this level, if the levels open around
+        it leave room for it."""
+        if self.level + depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels",
+                             pos)
+        return depth
+
+    def enter(self, pos):
+        self.level += 1
+        self.bounded(0, pos)
+
+    def open_paren(self, pos):
+        self.parens += 1
+        if self.parens > MAX_DEPTH:
+            raise ParseError(f"more than {MAX_DEPTH} parentheses open", pos)
+
     def parse_expr(self):
-        node = self.parse_term()
+        node, depth = self.parse_term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
-                node = Bin(text, node, self.parse_term())
+                right, right_depth = self.parse_term()
+                node = Bin(text, node, right)
+                depth = self.bounded(max(depth, right_depth) + 1, pos)
             else:
-                return node
+                return node, depth
 
     def parse_term(self):
-        node = self.parse_unary()
+        node, depth = self.parse_unary()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
-                node = Bin(text, node, self.parse_unary())
+                right, right_depth = self.parse_unary()
+                node = Bin(text, node, right)
+                depth = self.bounded(max(depth, right_depth) + 1, pos)
             else:
-                return node
+                return node, depth
 
     def parse_unary(self):
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.parse_unary())
+            self.enter(pos)
+            arg, depth = self.parse_unary()
+            self.level -= 1
+            return Neg(arg), depth + 1
         return self.parse_power()
 
     def parse_power(self):
-        base = self.parse_atom()
-        kind, text, _ = self.peek()
+        base, depth = self.parse_atom()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            return Bin("^", base, self.parse_unary())
-        return base
+            self.enter(pos)
+            expo, expo_depth = self.parse_unary()
+            self.level -= 1
+            return Bin("^", base, expo), self.bounded(max(depth, expo_depth) + 1, pos)
+        return base, depth
 
     def parse_atom(self):
         kind, text, pos = self.advance()
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text} overflows a float", pos)
+            return Num(value), 0
         if kind == "name":
             nxt_kind, nxt_text, _ = self.peek()
             if nxt_kind == "op" and nxt_text == "(":
@@ -192,10 +249,12 @@ class _Parser:
                 raise ParseError(f"function '{text}' needs an argument list", pos)
             if text not in self.allowed:
                 raise UndeclaredVariableError(text, pos, self.allowed)
-            return Var(text)
+            return Var(text), 0
         if kind == "op" and text == "(":
+            self.open_paren(pos)
             node = self.parse_expr()
             self.expect_op(")")
+            self.parens -= 1
             return node
         raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", pos)
 
@@ -203,6 +262,8 @@ class _Parser:
         if func not in FUNCTION_NAMES:
             raise ParseError(f"unknown function '{func}'", pos)
         self.expect_op("(")
+        self.open_paren(pos)
+        self.enter(pos)
         args = [self.parse_expr()]
         while True:
             kind, text, _ = self.peek()
@@ -212,20 +273,25 @@ class _Parser:
             else:
                 break
         self.expect_op(")")
+        self.level -= 1
+        self.parens -= 1
         want = 1 if func in _UNARY_FUNCS else 2
         if len(args) != want:
             raise ParseError(f"function '{func}' takes {want} argument(s), got {len(args)}", pos)
-        return Call(func, tuple(args))
+        return (Call(func, tuple(node for node, _ in args)),
+                max(depth for _, depth in args) + 1)
 
 
 def parse(source, allowed_vars=()):
     """Parse `source` into an immutable AST.
 
-    Raises ParseError on malformed input and UndeclaredVariableError for any
-    name outside `allowed_vars` (function names are always reserved).
+    Raises ParseError on malformed input, a literal that overflows a
+    float, or nesting deeper than MAX_DEPTH, and UndeclaredVariableError
+    for any name outside `allowed_vars` (function names are always
+    reserved).
     """
     parser = _Parser(_tokenize(source), allowed_vars)
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     kind, text, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"trailing input {text!r}", pos)
@@ -272,9 +338,11 @@ def evaluate(node, env):
     """Evaluate an AST against an environment of floats or numpy arrays.
 
     Array values broadcast elementwise.  Returns a numpy array, or a plain
-    float when every input is scalar.
+    float when every input is scalar.  numpy's floating-point warnings are
+    off: an operation whose result is not finite raises DomainError.
     """
-    out = _eval(node, env)
+    with np.errstate(all="ignore"):
+        out = _eval(node, env)
     if np.ndim(out) == 0:
         return float(out)
     return out
@@ -298,14 +366,12 @@ def _eval(node, env):
         if node.op == "-":
             return _check_finite(np.subtract(left, right), "-", left)
         if node.op == "*":
-            with np.errstate(all="ignore"):
-                return _check_finite(np.multiply(left, right), "*", left)
+            return _check_finite(np.multiply(left, right), "*", left)
         if node.op == "/":
             zero = np.asarray(right, dtype=float) == 0.0
             if np.any(zero):
                 raise DomainError("/", 0.0)
-            with np.errstate(all="ignore"):
-                return _check_finite(np.divide(left, right), "/", left)
+            return _check_finite(np.divide(left, right), "/", left)
         if node.op == "^":
             return _eval_power(left, right)
         raise ExprError(f"unknown operator {node.op!r}")
@@ -318,8 +384,7 @@ def _eval(node, env):
 def _eval_call(func, args):
     a = np.asarray(args[0], dtype=float)
     if func == "exp":
-        with np.errstate(all="ignore"):
-            return _check_finite(np.exp(a), "exp", a)
+        return _check_finite(np.exp(a), "exp", a)
     if func == "log":
         bad = a <= 0.0
         if np.any(bad):
@@ -377,4 +442,35 @@ def variables(node):
         for a in node.args:
             out |= variables(a)
         return out
+    raise ExprError(f"unknown node {node!r}")
+
+
+def degree(node, names):
+    """Degree of the expression in the variables `names`, by its structure.
+
+    0 when it reads none of them; 1 when it is affine in them: built from
+    sums, differences, negations, products with at most one factor that
+    reads them, and quotients by a term that reads none.  None otherwise,
+    for instance a power or a function of a term that reads them.
+    """
+    if isinstance(node, Num):
+        return 0
+    if isinstance(node, Var):
+        return int(node.name in names)
+    if isinstance(node, Neg):
+        return degree(node.arg, names)
+    if isinstance(node, Bin):
+        left, right = degree(node.left, names), degree(node.right, names)
+        if left is None or right is None:
+            return None
+        if node.op in ("+", "-"):
+            return max(left, right)
+        if node.op == "*":
+            return left + right if left + right <= 1 else None
+        if node.op == "/":
+            return left if right == 0 else None
+        return 0 if left == right == 0 else None  # "^"
+    if isinstance(node, Call):
+        args = [degree(a, names) for a in node.args]
+        return 0 if all(d == 0 for d in args) else None
     raise ExprError(f"unknown node {node!r}")

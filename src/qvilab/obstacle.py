@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import expr as ex
-from .core import GridFunction, interp_slice, make_env
+from .core import GridFunction, axis_names, interp_slice, make_env
 
 REFINE_POINTS = 9  # points per ray coefficient in each zoom of the search
 
@@ -192,27 +192,6 @@ def _search(grid, slice_values, t, ell, nodes_x, cone, search: SearchParams):
 
 # ------------------------------------------------------------- exact path ----
 
-def _xi_free(node):
-    return not any(name.startswith("xi") for name in ex.variables(node))
-
-
-def _affine_in_xi(node):
-    """True when the expression is affine in xi by its structure."""
-    if isinstance(node, ex.Neg):
-        return _affine_in_xi(node.arg)
-    if isinstance(node, ex.Bin):
-        if node.op in ("+", "-"):
-            return _affine_in_xi(node.left) and _affine_in_xi(node.right)
-        if node.op == "*":
-            return (_xi_free(node.left) and _affine_in_xi(node.right)) or (
-                _xi_free(node.right) and _affine_in_xi(node.left))
-        if node.op == "/":
-            return _xi_free(node.right) and _affine_in_xi(node.left)
-    if isinstance(node, (ex.Bin, ex.Call)):
-        return _xi_free(node)
-    return True  # Num or Var
-
-
 def _slopes_at(ell, n, t):
     """Cost slopes c_d = ell(t, e_d) - ell(t, 0), or None if one is negative."""
     basis = np.vstack([np.zeros(n), np.eye(n)])
@@ -232,12 +211,10 @@ def _cost_slopes(ell, n):
     the cache).  A cost that does not read t has its slopes evaluated here
     once; one that reads t is evaluated at each call's t.
     """
-    names = ex.variables(ell)
-    if any(name.startswith("x") and not name.startswith("xi") for name in names):
+    if (ex.degree(ell, axis_names("x", n)) != 0
+            or ex.degree(ell, axis_names("xi", n)) is None):
         return None
-    if not _affine_in_xi(ell):
-        return None
-    if "t" in names:
+    if "t" in ex.variables(ell):
         return lambda t: _slopes_at(ell, n, t)
     slopes = _slopes_at(ell, n, 0.0)
     if slopes is not None:

@@ -167,21 +167,26 @@ def _axis_neighbors(W, axis):
 
 
 def _hjb_step(problem, grid, dissipation, W, t_next, x):
-    """One explicit step from W at t_next; x is the space meshgrid."""
+    """One explicit step from W at t_next; x is the space meshgrid.
+
+    Differences of values near the float limit overflow quietly: the step
+    then holds inf or NaN, which the caller's _check_finite reports.
+    """
     grads = []
     diss = np.zeros_like(W)
-    for d in range(grid.n):
-        hi, lo = _axis_neighbors(W, d)
-        grads.append((hi - lo) / (2.0 * grid.dx[d]))
-        if dissipation[d] != 0.0:
-            diss = diss + dissipation[d] * (hi - 2.0 * W + lo) / (2.0 * grid.dx[d])
-    try:
-        H = problem.hamiltonian(t_next, x, grads)
-    except ex.DomainError as e:
-        raise SolverError(
-            f"Hamiltonian evaluation failed at t = {t_next:.6g}: {e}"
-        ) from e
-    return W + grid.dt * (np.asarray(H, dtype=float) + diss)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(grid.n):
+            hi, lo = _axis_neighbors(W, d)
+            grads.append((hi - lo) / (2.0 * grid.dx[d]))
+            if dissipation[d] != 0.0:
+                diss = diss + dissipation[d] * (hi - 2.0 * W + lo) / (2.0 * grid.dx[d])
+        try:
+            H = problem.hamiltonian(t_next, x, grads)
+        except ex.DomainError as e:
+            raise SolverError(
+                f"Hamiltonian evaluation failed at t = {t_next:.6g}: {e}"
+            ) from e
+        return W + grid.dt * (np.asarray(H, dtype=float) + diss)
 
 
 def _check_finite(vals, t, grid):

@@ -689,6 +689,93 @@ class TestConfigNumbers:
         assert "anchor point" not in printed.getvalue()
 
 
+def expression_command(key, text, out):
+    """argv that reads `text` as problem key `key`, or as --analytic."""
+    grid = ["--grid-nt", "3", "--grid-nx", "5", "--out", out]
+    if key == "analytic":
+        return ["doubling", EXAMPLE, f"--analytic={text}", *grid]
+    return ["solve", EXAMPLE, "--set", f'problem.{key}="{text}"', *grid]
+
+
+DEEP = ["(" * 300 + "x1" + ")" * 300, "-" * 5000 + "x1",
+        " + ".join(["x1"] * 3000)]
+# each used to end in a traceback or a numpy warning
+INVALID_TEXT = [("h", "1e400"), ("ell", "1e400"), ("ell", "0.05 + xi1^1e400"),
+                *(("h", text) for text in DEEP),
+                *(("analytic", text) for text in ("1e400", *DEEP))]
+
+# text for the expression keys: grammar tokens in any order, numbers near
+# and past overflow, and any of those wrapped far past the depth bound
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, min_value=0.0).map(repr),
+    st.sampled_from(["0", "1", "0.05", "1e308", "1.7976931348623157e308",
+                     "1.8e308", "1e400", "1e-400", "5e-324", "9" * 400]))
+_TOKENS = st.one_of(
+    _NUMBERS,
+    st.sampled_from(["t", "x1", "p1", "xi1", "y", *ex.FUNCTION_NAMES,
+                     "+", "-", "*", "/", "^", "(", ")", ",", " "]))
+_SOUP = st.lists(_TOKENS, max_size=12).map(" ".join)
+_WELL_FORMED = st.recursive(
+    st.one_of(_NUMBERS, st.sampled_from(["t", "x1", "p1", "xi1"])),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/^"), sub).map(
+            lambda parts: f"({' '.join(parts)})"),
+        sub.map(lambda arg: f"-{arg}"),
+        st.tuples(st.sampled_from(["exp", "log", "sqrt", "abs", "sin",
+                                   "cos", "sign"]), sub).map(
+            lambda parts: f"{parts[0]}({parts[1]})")),
+    max_leaves=12)
+
+
+@st.composite
+def _nested(draw, text):
+    inner = draw(text)
+    levels = draw(st.sampled_from([ex.MAX_DEPTH - 1, ex.MAX_DEPTH,
+                                   ex.MAX_DEPTH + 1, 300, 3000]))
+    wrap = draw(st.sampled_from(["parentheses", "minus", "sum", "call"]))
+    if wrap == "parentheses":
+        return "(" * levels + inner + ")" * levels
+    if wrap == "minus":
+        return "-" * levels + inner
+    if wrap == "sum":
+        return " + ".join([inner] * (levels + 1))
+    return "sqrt(" * levels + inner + ")" * levels
+
+
+class TestExpressionText:
+    @pytest.mark.parametrize("key, text", INVALID_TEXT,
+                             ids=lambda value: value[:20])
+    def test_overflowing_or_deep_text_is_invalid(self, key, text, tmp_path,
+                                                 capsys):
+        assert run(expression_command(key, text, str(tmp_path))) == 2
+        named = ("bad --analytic expression" if key == "analytic"
+                 else f"bad expression for '{key}'")
+        assert f"error: {named}: " in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.sampled_from(["H", "h", "ell", "g", "analytic"]),
+           text=st.one_of(_SOUP, _WELL_FORMED, _nested(_SOUP),
+                          _nested(_WELL_FORMED)))
+    @example(key="h", text="1e400")
+    @example(key="ell", text="1e400")
+    @example(key="ell", text="0.05 + xi1^1e400")
+    @example(key="h", text=DEEP[0])
+    @example(key="h", text=DEEP[1])
+    @example(key="h", text=DEEP[2])
+    @example(key="analytic", text="1e400")
+    @example(key="analytic", text=DEEP[0])
+    @example(key="analytic", text=DEEP[1])
+    @example(key="analytic", text=DEEP[2])
+    def test_any_expression_text_ends_in_an_exit_code(self, key, text):
+        printed = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, \
+                contextlib.redirect_stdout(printed), \
+                contextlib.redirect_stderr(printed):
+            code = run(expression_command(key, text, out))
+        assert code in (0, 1, 2), (key, text)
+        assert "Traceback" not in printed.getvalue()
+
+
 class TestConfigKeys:
     @pytest.mark.parametrize("section, key", [
         ("grid", "xnodes"), ("grid", "dt"), ("constants", "Lx"),

@@ -116,6 +116,26 @@ class TestCone:
             with pytest.raises(ConfigError, match="positive, finite length"):
                 Cone.from_rays([ray])
 
+    @pytest.mark.parametrize("ray, unit", [
+        ([1e-200, 1e-200], [math.sqrt(0.5), math.sqrt(0.5)]),
+        ([-5e-324, 0.0], [-1.0, 0.0]),
+        ([3e-170, -4e-170], [0.6, -0.8]),
+    ], ids=["diagonal", "subnormal", "three-four-five"])
+    def test_ray_whose_length_underflows_is_accepted(self, ray, unit):
+        # the plain norm squares each component to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rays = Cone.from_rays([ray, [1.0, 2.0]]).rays
+        assert np.allclose(rays[0], unit, rtol=0.0, atol=1e-15)
+        assert np.array_equal(rays[1], np.array([1.0, 2.0]) / math.sqrt(5.0))
+
+    def test_ordinary_rays_keep_their_plain_unit_ray(self):
+        rng = np.random.default_rng(5)
+        rays = (rng.normal(size=(400, 2))
+                * 10.0 ** rng.uniform(-150.0, 150.0, size=(400, 1)))
+        want = rays / np.linalg.norm(rays, axis=1)[:, None]
+        assert np.array_equal(Cone.from_rays(rays).rays, want)
+
     def test_coefficient_map(self):
         cone = Cone.orthant(2)
         xi = cone.from_coefficients(np.array([[1.0, 2.0], [0.0, 0.5]]))

@@ -1,10 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvilab import expr
 from qvilab.expr import (
+    MAX_DEPTH,
     DomainError,
     ParseError,
     UndeclaredVariableError,
@@ -230,6 +234,170 @@ class TestParseErrors:
     def test_function_name_not_a_variable(self):
         with pytest.raises(ParseError):
             parse("exp + 1", VARS)
+
+    @pytest.mark.parametrize("src, pos", [
+        ("1e400", 0), ("-1.8e308", 1), ("0.05 + xi1^1e400", 11),
+        ("min(t, 2e308)", 7)])
+    def test_literal_that_overflows_is_an_error(self, src, pos):
+        with pytest.raises(ParseError, match="overflows a float") as err:
+            parse(src, VARS)
+        assert err.value.pos == pos
+
+    def test_extreme_finite_literals_are_read(self):
+        assert ev("1.7976931348623157e308") == sys.float_info.max
+        assert ev("5e-324") == 5e-324
+        assert ev("1e-400") == 0.0
+
+
+def nested(construct, levels):
+    """Text `levels` deep, or with `levels` parentheses open, built by
+    repeating one construct around x1."""
+    if construct == "parentheses":
+        return "(" * levels + "x1" + ")" * levels
+    if construct == "minus":
+        return "-" * levels + "x1"
+    if construct == "sum":
+        return " + ".join(["x1"] * (levels + 1))
+    if construct == "power":
+        return "^".join(["x1"] * (levels + 1))
+    if construct == "call":
+        return "sin(" * levels + "x1" + ")" * levels
+    if construct == "min":
+        return "min(t, " * levels + "x1" + ")" * levels
+    if construct == "product":
+        return "2*(" * levels + "x1" + ")" * levels
+    raise ValueError(construct)
+
+
+def frames():
+    """Frames on the stack below the caller."""
+    frame, count = sys._getframe(1), 0
+    while frame is not None:
+        frame, count = frame.f_back, count + 1
+    return count
+
+
+CONSTRUCTS = ["parentheses", "minus", "sum", "power", "call", "min",
+              "product"]
+TOO_DEEP = f"(deeper than|more than) {MAX_DEPTH} (levels|parentheses)"
+
+
+class TestDepth:
+    @pytest.mark.parametrize("construct", CONSTRUCTS)
+    def test_text_at_the_bound_parses_and_reprints(self, construct):
+        node = parse(nested(construct, MAX_DEPTH), VARS)
+        assert parse(to_source(node), VARS) == node
+
+    @pytest.mark.parametrize("construct", CONSTRUCTS)
+    @pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 5000])
+    def test_text_past_the_bound_is_an_error(self, construct, levels):
+        with pytest.raises(ParseError, match=TOO_DEEP):
+            parse(nested(construct, levels), VARS)
+
+    def test_every_path_counts(self):
+        # one level short of the bound, then one operator on either side
+        deep = nested("minus", MAX_DEPTH - 1)
+        for ok in (f"{deep} - 1", f"1 - {deep}", f"{deep} - -1"):
+            parse(ok, VARS)
+        for bad in (f"({deep})*2 - 1", f"1 - 2*({deep})", f"-({deep})^2"):
+            with pytest.raises(ParseError, match=TOO_DEEP):
+                parse(bad, VARS)
+        # a call's parentheses count with the ones around it
+        parse(nested("parentheses", MAX_DEPTH - 1).replace("x1", "exp(x1)"),
+              VARS)
+        with pytest.raises(ParseError, match=TOO_DEEP):
+            parse(nested("parentheses", MAX_DEPTH).replace("x1", "exp(x1)"),
+                  VARS)
+
+    @pytest.mark.parametrize("construct", CONSTRUCTS)
+    def test_every_walk_at_the_bound_fits_in_400_frames(self, construct):
+        source = nested(construct, MAX_DEPTH)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frames() + 400)
+        try:
+            node = parse(source, VARS)
+            evaluate(node, {"t": 0.5, "x1": 0.5})
+            parse(to_source(node), VARS)
+            expr.variables(node)
+            expr.degree(node, {"x1"})
+            hash(node)
+            assert node == parse(source, VARS)
+        finally:
+            sys.setrecursionlimit(limit)
+
+
+def reference_xi_free(node):
+    return not any(name.startswith("xi") for name in expr.variables(node))
+
+
+def reference_x_free(node):
+    return not any(name.startswith("x") and not name.startswith("xi")
+                   for name in expr.variables(node))
+
+
+def reference_affine_in_xi(node):
+    """Structural affinity in xi as a direct recursion over the node
+    types: the rule `degree` must reproduce."""
+    if isinstance(node, expr.Neg):
+        return reference_affine_in_xi(node.arg)
+    if isinstance(node, expr.Bin):
+        if node.op in ("+", "-"):
+            return (reference_affine_in_xi(node.left)
+                    and reference_affine_in_xi(node.right))
+        if node.op == "*":
+            return (reference_xi_free(node.left)
+                    and reference_affine_in_xi(node.right)) or (
+                reference_xi_free(node.right)
+                and reference_affine_in_xi(node.left))
+        if node.op == "/":
+            return (reference_xi_free(node.right)
+                    and reference_affine_in_xi(node.left))
+    if isinstance(node, (expr.Bin, expr.Call)):
+        return reference_xi_free(node)
+    return True  # Num or Var
+
+
+TREE_NAMES = ("t", "x1", "x2", "xi1", "xi2")
+
+
+def trees(max_leaves=40):
+    leaves = st.one_of(st.sampled_from([0.0, 1.0, 2.5]).map(expr.Num),
+                       st.sampled_from(TREE_NAMES).map(expr.Var))
+    return st.recursive(leaves, lambda sub: st.one_of(
+        sub.map(expr.Neg),
+        st.builds(expr.Bin, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(lambda f, a: expr.Call(f, (a,)),
+                  st.sampled_from(expr._UNARY_FUNCS), sub),
+        st.builds(lambda f, a, b: expr.Call(f, (a, b)),
+                  st.sampled_from(expr._BINARY_FUNCS), sub, sub),
+    ), max_leaves=max_leaves)
+
+
+class TestDegree:
+    @pytest.mark.parametrize("src, want", [
+        ("0.3", 0), ("exp(t)*x1", 0), ("xi1", 1), ("0.05*(1 + xi1)", 1),
+        ("-(-0.1 - xi1)", 1), ("(0.1 + 0.05*xi1)/2", 1),
+        ("exp(t)*xi1 + 0.1 + t^2", 1), ("xi1 - xi2 + x1*xi2", 1),
+        ("xi1*xi2", None), ("xi1*xi1", None), ("2/xi1", None),
+        ("xi1^1", None), ("2^xi1", None), ("sqrt(xi1)", None),
+        ("min(xi1, 1)", None), ("abs(xi2)", None)])
+    def test_degree_in_xi(self, src, want):
+        assert expr.degree(parse(src, VARS), {"xi1", "xi2"}) == want
+
+    def test_names_pick_the_variables(self):
+        node = parse("x1*exp(-t) + xi1", VARS)
+        assert expr.degree(node, {"x1"}) == 1
+        assert expr.degree(node, {"t"}) is None
+        assert expr.degree(node, {"p1"}) == 0
+        assert expr.degree(node, set()) == 0
+
+    @settings(max_examples=500, deadline=None)
+    @given(node=trees())
+    def test_agrees_with_the_direct_recursion(self, node):
+        xi = expr.degree(node, {"xi1", "xi2"})
+        assert (xi is not None) == reference_affine_in_xi(node)
+        assert (xi == 0) == reference_xi_free(node)
+        assert (expr.degree(node, {"x1", "x2"}) == 0) == reference_x_free(node)
 
 
 class TestRoundTrip:
