@@ -25,7 +25,7 @@ point).  A check passes when its worst margin is at least minus the check's
 tolerance: 1e-9 where the arithmetic is exact, 1e-6 for scanned extrema.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -168,18 +168,6 @@ class CheckResult:
     passed: bool
     note: str = ""
 
-    def to_dict(self):
-        margin = self.worst_margin
-        return {
-            "name": self.name,
-            "points_tested": self.points_tested,
-            "worst_margin": margin if np.isfinite(margin) else None,
-            "worst_point": self.worst_point,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -199,7 +187,7 @@ class AuditReport:
         raise KeyError(f"no check named {name!r}")
 
     def to_dict(self):
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
 
 def _py(value):

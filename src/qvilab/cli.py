@@ -10,8 +10,9 @@ manifest into ``--out``, and exits with a three-way status:
 * 2  the input itself was rejected.
 
 Outputs are byte-deterministic for fixed inputs; the manifest is the
-one exception since it records wall time.  Printed numbers use 17
-significant digits so they round-trip exactly.
+one exception since it records wall time.  CSV goes through core's two
+writers, and JSON is strict (RFC 8259): a non-finite float is null.
+Printed numbers use 17 significant digits so they round-trip exactly.
 """
 
 import argparse
@@ -28,14 +29,30 @@ from . import example as exm
 from . import expr as ex
 from . import viscosity as vc
 from .assumptions import audit_H1, audit_H2, default_sampler
-from .core import (ConfigError, Grid, GridFunction, load_problem, read_csv,
-                   read_floats, read_int, role_variables, sample, write_csv)
+from .core import (ConfigError, GridFunction, load_problem, read_csv,
+                   read_floats, read_int, role_variables, sample, write_csv,
+                   write_table)
 from .solver import SolverError, extract_regions, solve_hjb, solve_qvi
 
 
 def f17(value):
     """Format one number with 17 significant digits."""
     return f"{float(value):.17g}"
+
+
+def _finite(value):
+    """`value` with every non-finite float in it replaced by None."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    finite = not isinstance(value, float) or math.isfinite(value)
+    return value if finite else None
+
+
+def json_text(payload):
+    """Strict JSON text of a report, with every non-finite float as null."""
+    return json.dumps(_finite(payload), indent=2, allow_nan=False) + "\n"
 
 
 # -------------------------------------------------------------- session ----
@@ -58,9 +75,11 @@ class _Session:
         return self.out / name
 
     def write_json(self, name, payload):
-        self.path(name).write_text(json.dumps(payload, indent=2) + "\n")
+        self.path(name).write_text(json_text(payload))
 
-    def finish(self, passed, summary):
+    def finish(self, passed, label=None):
+        """Write the manifest, print `label: PASS|FAIL`, return the status."""
+        summary = f"{label or self.command}: {'PASS' if passed else 'FAIL'}"
         manifest = {
             "command": self.command,
             "config_hash": self.config_hash,
@@ -70,8 +89,7 @@ class _Session:
             "passed": bool(passed),
             "summary": summary,
         }
-        (self.out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2) + "\n")
+        (self.out / "manifest.json").write_text(json_text(manifest))
         print(summary)
         return 0 if passed else 1
 
@@ -104,6 +122,16 @@ def _sample_expression(cfg, source, flag):
     except ex.ExprError as err:
         raise ConfigError(f"bad {flag} expression: {err}") from err
     return sample(node, cfg.grid)
+
+
+def _tol_factor(args, grid):
+    """--tol's probe tolerance factor, checked before any solve or N runs."""
+    tol_factor = vc.TOL_FACTOR if args.tol is None else args.tol
+    try:
+        vc.validate_tol_factor(tol_factor, grid)
+    except ConfigError as err:
+        raise ConfigError(f"--tol: {err}") from None
+    return tol_factor
 
 
 def _solution_on_grid(cfg, args, suffix=""):
@@ -146,7 +174,7 @@ def cmd_check(args):
             status = "pass" if check.passed else "FAIL"
             print(f"{status}  {check.name}: worst margin "
                   f"{f17(check.worst_margin)} over {check.points_tested} points")
-    return run.finish(passed, f"check: {'PASS' if passed else 'FAIL'}")
+    return run.finish(passed)
 
 
 def cmd_solve(args):
@@ -171,10 +199,9 @@ def cmd_solve(args):
         regions = extract_regions(result)
         payload["intervention_fraction"] = regions.fraction
         payload["intervention_nodes"] = regions.n_intervention
+        print(f"intervention fraction {f17(regions.fraction)}")
     run.write_json("solve.json", payload)
-    if "intervention_fraction" in payload:
-        print(f"intervention fraction {f17(payload['intervention_fraction'])}")
-    return run.finish(True, "solve: PASS")
+    return run.finish(True)
 
 
 _VARIANTS = {
@@ -190,8 +217,7 @@ def cmd_viscosity(args):
     overrides = _collect_overrides(args)
     cfg = _load_config(args.config, overrides)
     run = _Session("viscosity", args.out, cfg.config_hash, overrides)
-    tol_factor = vc.TOL_FACTOR if args.tol is None else args.tol
-    vc.validate_tol_factor(tol_factor)  # before a fresh solve can run
+    tol_factor = _tol_factor(args, cfg.grid)
     V, gap, source = _solution_on_grid(cfg, args)
     checker = _VARIANTS[args.variant]
     reuse = {}
@@ -199,16 +225,14 @@ def cmd_viscosity(args):
         reuse["gap"] = gap  # the fresh solve's N[V] - V, so N runs once
     report = checker(V, cfg.problem, tol_factor, **reuse)
     run.write_json("viscosity.json", report.to_dict())
-    vc.write_violations_csv(report, run.path("violations.csv"))
+    write_table(run.path("violations.csv"), *report.table())
     counts = ", ".join(f"{len(rows)} {kind}" for kind, rows in report.kinds())
     print(f"checked {source} as {report.variant}: {counts} violations")
     for kind, rows in report.kinds():
         for t, x, margin in zip(rows.t[:5], rows.x[:5], rows.margin[:5]):
             print(f"  {kind} violation at t={f17(t)}, "
                   f"x=({', '.join(f17(c) for c in x)}), margin {f17(margin)}")
-    return run.finish(report.passed,
-                      f"viscosity {args.variant}: "
-                      f"{'PASS' if report.passed else 'FAIL'}")
+    return run.finish(report.passed, f"viscosity {args.variant}")
 
 
 def cmd_compare(args):
@@ -230,8 +254,7 @@ def cmd_compare(args):
           f"(tolerance {f17(report.tolerance)})")
     if not report.ordered:
         print("data order audit failed; difference measured anyway")
-    return run.finish(report.passed,
-                      f"compare: {'PASS' if report.passed else 'FAIL'}")
+    return run.finish(report.passed)
 
 
 def cmd_doubling(args):
@@ -246,43 +269,27 @@ def cmd_doubling(args):
     if args.levels is not None:
         levels = read_floats(args.levels, "--levels")
     diag = cmp.doubling_maximize(V, V_hat, theta=args.theta, levels=levels)
-    passed = (diag.certificate_ok and diag.gaps_nonincreasing()
-              and all(lev.residual_certified <= 0.0 for lev in diag.levels))
     run.write_json("doubling.json", diag.to_dict())
-    cmp.write_trend_csv(diag, run.path("trend.csv"))
+    write_table(run.path("trend.csv"), *diag.table())
     print(f"doubling on {source} vs {hat_source}: {len(diag.levels)} levels, "
           f"{diag.space_points} space points per slice")
     for lev in diag.levels:
         print(f"  eps={f17(lev.epsilon)} t_gap={f17(lev.t_gap)} "
               f"x_gap={f17(lev.x_gap)} residual={f17(lev.residual_symmetry)}")
-    return run.finish(passed, f"doubling: {'PASS' if passed else 'FAIL'}")
+    return run.finish(diag.passed)
 
 
 def cmd_example(args):
     instance = exm.build_instance(t0=args.t0, l0=args.l0)
     nt = 201 if args.grid_nt is None else read_int(args.grid_nt, "--grid-nt")
     nx = 701 if args.grid_nx is None else read_int(args.grid_nx, "--grid-nx")
-    # box must reach the jump target or the clipped search hides the dip
-    x_hi = max(5.5, instance.x0 + instance.xi2 + 1.0)
-    grid = Grid(instance.T, nt, (-1.5,), (x_hi,), (nx,))
-    # the anchor slice is written at t0 itself, never at a nearby node
-    k0 = int(round(instance.t0 / grid.dt))
-    if abs(instance.t0 / grid.dt - k0) > 1e-9:
-        raise ConfigError(
-            f"--t0 {instance.t0!r} is not a time node of the grid: "
-            f"{nt} nodes on [0, {instance.T!r}] step by {grid.dt!r}")
+    grid, k0 = exm.anchor_grid(instance, nt, nx)
     key = f"reproduce-example l0={instance.l0!r} t0={instance.t0!r} nt={nt} nx={nx}"
     run = _Session("reproduce-example", args.out,
                    hashlib.sha256(key.encode()).hexdigest(), ())
-    tol_factor = vc.TOL_FACTOR if args.tol is None else args.tol
-    report = exm.verify_separation(instance, grid, tol_factor)
-
-    slice_path = run.path("anchor_slice.csv")
-    with open(slice_path, "w") as fh:
-        fh.write("x1,obstacle_minus_value\n")
-        for x, val in zip(grid.axes[0], report.gap[k0]):
-            fh.write(f"{x:.17g},{val:.17g}\n")
-
+    report = exm.verify_separation(instance, grid, _tol_factor(args, grid))
+    write_table(run.path("anchor_slice.csv"), ("x1", "obstacle_minus_value"),
+                [(grid.axes[0], report.gap[k0])])
     payload = report.to_dict()
     run.write_json("example.json", payload)
 
@@ -292,9 +299,7 @@ def cmd_example(args):
     print(f"classical {payload['classical']}, modified {payload['modified']}")
     if report.notes:
         print(f"note: {report.notes}")
-    return run.finish(report.separated,
-                      "reproduce-example: "
-                      f"{'PASS' if report.separated else 'FAIL'}")
+    return run.finish(report.separated)
 
 
 # --------------------------------------------------------------- parser ----

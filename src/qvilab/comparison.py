@@ -51,7 +51,7 @@ the maximum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -69,7 +69,6 @@ __all__ = [
     "shared_dissipation",
     "compare_solutions",
     "doubling_maximize",
-    "write_trend_csv",
     "DOUBLING_LEVELS",
     "TUPLE_BUDGET",
     "THETA",
@@ -252,30 +251,18 @@ class DoublingLevel:
     residual_certified: float
     growth_lhs: float
 
-    def to_dict(self):
-        return {
-            "epsilon": self.epsilon, "delta": self.delta,
-            "t0": self.t0, "s0": self.s0,
-            "x0": list(self.x0), "y0": list(self.y0),
-            "t_gap": self.t_gap, "x_gap": self.x_gap,
-            "phi_value": self.phi_value,
-            "residual_symmetry": self.residual_symmetry,
-            "residual_certified": self.residual_certified,
-            "growth_lhs": self.growth_lhs,
-        }
-
 
 @dataclass(frozen=True)
 class DoublingDiagnostics:
     """Trend table of two-point maximizations as the penalties tighten."""
 
     theta: float
-    levels: tuple
     stride: int
     space_points: int
     tuples_per_level: int
     certificate_count: int
     certificate_ok: bool
+    levels: tuple
     notes: str = ""
 
     @property
@@ -287,26 +274,25 @@ class DoublingDiagnostics:
         return all(b.t_gap <= a.t_gap + 1e-12 and b.x_gap <= a.x_gap + 1e-12
                    for a, b in pairs)
 
+    @property
+    def passed(self):
+        """The certificate holds, the gaps shrink level by level, and every
+        level's certified residual is nonpositive."""
+        return (self.certificate_ok and self.gaps_nonincreasing()
+                and all(lev.residual_certified <= 0.0 for lev in self.levels))
+
     def to_dict(self):
-        return {
-            "theta": self.theta, "nu": NU, "rho": RHO, "G": G,
-            "stride": self.stride, "space_points": self.space_points,
-            "tuples_per_level": self.tuples_per_level,
-            "certificate_count": self.certificate_count,
-            "certificate_ok": bool(self.certificate_ok),
-            "levels": [lev.to_dict() for lev in self.levels],
-            "notes": self.notes,
-        }
+        """The fields in order, and the constants NU, RHO, G after theta."""
+        payload = asdict(self)
+        return {"theta": payload.pop("theta"), "nu": NU, "rho": RHO, "G": G,
+                **payload}
 
-
-def write_trend_csv(diag, path):
-    cols = ("epsilon", "delta", "t0", "s0", "t_gap", "x_gap", "phi_value",
-            "residual_symmetry", "residual_certified", "growth_lhs")
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for lev in diag.levels:
-            row = [getattr(lev, c) for c in cols]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    def table(self):
+        """trend.csv as the header and blocks core.write_table takes: one
+        row per level, one column per scalar field of DoublingLevel."""
+        # annotations are strings under `from __future__ import annotations`
+        cols = [f.name for f in fields(DoublingLevel) if f.type == "float"]
+        return cols, [[[getattr(lev, c) for lev in self.levels] for c in cols]]
 
 
 def _square(v):
@@ -550,7 +536,7 @@ def doubling_maximize(V, V_hat, theta=THETA, levels=None):
     note = (f"space axis strided by {stride}: {q} of {n_space} points; "
             "time pairs exhaustive")
     return DoublingDiagnostics(
-        theta=theta, levels=tuple(rows), stride=stride, space_points=q,
+        theta=theta, stride=stride, space_points=q,
         tuples_per_level=nt * nt * q * q,
         certificate_count=CERTIFICATE_TUPLES,
-        certificate_ok=cert_ok, notes=note)
+        certificate_ok=cert_ok, levels=tuple(rows), notes=note)

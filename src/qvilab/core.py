@@ -391,6 +391,39 @@ def write_csv(gf, path):
             fh.write((t_tok + t_tok.join(tails)) % tuple(values[k].tolist()))
 
 
+_TABLE_CHUNK = 1 << 16  # table rows formatted per write
+
+
+def write_table(path, header, blocks):
+    """Write a CSV table: the header line, then the rows of each block.
+
+    A block holds one cell per column: a str, written on each of its rows;
+    None, an empty cell; or a column of shape (rows,) or (rows, axes),
+    whose axes are joined by ';' (width 0: an empty cell).  Integers print
+    as %d, other numbers as %.17g.  A block is one line template, filled
+    _TABLE_CHUNK rows at a time.  Grid functions go through write_csv.
+    """
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            specs, columns = [], []
+            for cell in block:
+                if cell is None or isinstance(cell, str):
+                    specs.append((cell or "").replace("%", "%%"))
+                    continue
+                cell = np.column_stack([cell])  # (rows, axes)
+                spec = "%d" if cell.dtype.kind in "iu" else "%.17g"
+                specs.append(";".join([spec] * cell.shape[1]))
+                columns.extend(cell.T)
+            line = ",".join(specs) + "\n"
+            for s in range(0, len(columns[0]), _TABLE_CHUNK):
+                # object dtype keeps integers int and the rest float
+                table = np.array([c[s:s + _TABLE_CHUNK] for c in columns],
+                                 dtype=object)
+                fh.write((line * table.shape[1])
+                         % tuple(table.T.ravel().tolist()))
+
+
 def read_csv(grid, path):
     """Load a grid function exported by write_csv onto a matching grid."""
     try:

@@ -35,7 +35,7 @@ minimization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,6 +60,7 @@ __all__ = [
     "ExampleInstance",
     "SeparationReport",
     "build_instance",
+    "anchor_grid",
     "psi",
     "psi_prime",
     "continuum_gap",
@@ -153,21 +154,6 @@ class ExampleInstance:
             ell=ex.parse(f"{self.l0!r}*(1 + xi1)", _ROLES["ell"]),
             cone=Cone.orthant(1),
             g=g_node)
-
-    def to_dict(self):
-        return {
-            "T": self.T, "t0": self.t0, "l0": self.l0, "x0": self.x0,
-            "xi1": self.xi1, "xi2": self.xi2,
-            "psi_min": self.psi_min,
-            "value_at_anchor": self.value_at_anchor,
-            "gap": self.gap,
-            "u_lo": None if math.isnan(self.u_lo) else self.u_lo,
-            "u_hi": None if math.isnan(self.u_hi) else self.u_hi,
-            "delta": self.delta,
-            "bump_height": self.bump_height,
-            "g_source": self.g_source,
-            "needs_smaller_cost": self.needs_smaller_cost,
-        }
 
 
 def _bisect(f, a, b, xtol):
@@ -285,6 +271,23 @@ def build_instance(t0=0.5, l0=0.05) -> ExampleInstance:
         bump_height=BUMP_HEIGHT, g_source=g_source, needs_smaller_cost=False)
 
 
+def anchor_grid(instance, t_nodes, x_nodes):
+    """The `reproduce-example` grid and the index k0 of the time t0.
+
+    The box [-1.5, max(5.5, x0 + xi2 + 1)] reaches the jump target, or the
+    clipped search would hide the dip.  t0 must be a time node (else a
+    ConfigError): the anchor slice is read there, never at a nearby node.
+    """
+    x_hi = max(5.5, instance.x0 + instance.xi2 + 1.0)
+    grid = Grid(instance.T, t_nodes, (-1.5,), (x_hi,), (x_nodes,))
+    k0 = int(round(instance.t0 / grid.dt))
+    if abs(instance.t0 / grid.dt - k0) > 1e-9:
+        raise ConfigError(
+            f"t0 {instance.t0!r} is not a time node of the grid: "
+            f"{grid.t_nodes} nodes on [0, {instance.T!r}] step by {grid.dt!r}")
+    return grid, k0
+
+
 def sample_value_function(instance, grid) -> GridFunction:
     """Sample the transported profile; the final slice is h exactly.
 
@@ -361,7 +364,7 @@ class SeparationReport:
             "obstacle_at_anchor": instance.value_at_anchor + instance.gap,
             "gap_measured": self.measured,
             "gap_difference": abs(self.measured - instance.gap),
-            "instance": instance.to_dict(),
+            "instance": asdict(instance),
         }
 
 
@@ -375,7 +378,7 @@ def verify_separation(instance, grid, tol_factor=TOL_FACTOR):
     measure_obstacle_gap(instance).
     """
     # first, so a bad tol_factor is rejected before N runs on every slice
-    validate_tol_factor(tol_factor)
+    validate_tol_factor(tol_factor, grid)
     measured = measure_obstacle_gap(instance)
     problem = instance.problem()
     V = sample_value_function(instance, grid)

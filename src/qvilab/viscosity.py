@@ -82,7 +82,6 @@ TOL_FACTOR = 10.0  # default probe tolerance, in units of dt + sum dx
 
 _PROBE_KEYS = ("t_index", "x_index", "t", "x", "a", "p", "kappa",
                "kappa_eff", "margin")
-_CSV_CHUNK = 1 << 16  # violation rows formatted per write
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +156,7 @@ class ViscosityReport:
 
     def to_dict(self):
         """The variant, the verdict, then each other field, with every
-        Violations as its summary(); write_violations_csv holds the rows."""
+        Violations as its summary(); table() holds the rows."""
         payload = {"variant": self.variant, "passed": self.passed}
         for field in fields(self)[1:]:
             value = getattr(self, field.name)
@@ -165,31 +164,12 @@ class ViscosityReport:
                                    if isinstance(value, Violations) else value)
         return payload
 
-
-def write_violations_csv(report, path):
-    """Plot-ready CSV of every violation row in a report: the kind, then
-    the columns of _PROBE_KEYS, one line per row, numbers as %.17g, the
-    axes of x_index, x and p separated by ';'.  Node rows leave the four
-    probe cells empty."""
-    with open(path, "w") as fh:
-        fh.write(",".join(("kind",) + _PROBE_KEYS) + "\n")
-        for kind, rows in report.kinds():
-            cells, columns = [kind], []
-            for key in _PROBE_KEYS:
-                # (rows, axes); a probe column of node rows has no axes
-                column = getattr(rows, key)
-                column = (np.empty((len(rows), 0)) if column is None
-                          else np.column_stack([column]))
-                spec = "%d" if key.endswith("index") else "%.17g"
-                cells.append(";".join([spec] * column.shape[1]))
-                columns.extend(column.T)
-            line = ",".join(cells) + "\n"
-            for s in range(0, len(rows), _CSV_CHUNK):
-                # object dtype keeps indices int and the rest float
-                table = np.array([c[s:s + _CSV_CHUNK] for c in columns],
-                                 dtype=object)
-                fh.write((line * table.shape[1])
-                         % tuple(table.T.ravel().tolist()))
+    def table(self):
+        """violations.csv for core.write_table: per row its kind, then the
+        columns of _PROBE_KEYS; node rows leave the probe cells empty."""
+        return (("kind",) + _PROBE_KEYS,
+                [(kind, *(getattr(rows, key) for key in _PROBE_KEYS))
+                 for kind, rows in self.kinds()])
 
 
 # -------------------------------------------------------------- obstacle ----
@@ -440,11 +420,15 @@ def _gap_or_compute(V, problem, gap):
     return gap
 
 
-def validate_tol_factor(tol_factor):
+def validate_tol_factor(tol_factor, grid):
     """Raise ConfigError unless the probe tolerance factor is finite and
-    positive."""
+    positive, and so is the probe tolerance tol_factor*(dt + sum dx) it
+    gives on `grid`: an infinite one would let every probe pass."""
     if not (np.isfinite(tol_factor) and tol_factor > 0):
         raise ConfigError(f"need a finite tol_factor > 0, got {tol_factor}")
+    if not np.isfinite(float(tol_factor) * grid.tolerance_unit):
+        raise ConfigError(f"probe tolerance tol_factor*(dt + sum dx) = "
+                          f"{tol_factor!r}*{grid.tolerance_unit!r} overflows")
 
 
 def check_notions(V, problem, variants, tol_factor=TOL_FACTOR, gap=None):
@@ -457,9 +441,9 @@ def check_notions(V, problem, variants, tol_factor=TOL_FACTOR, gap=None):
     given None, and not at all when no notion reads it.  V's grid must end
     at the problem's horizon (ConfigError otherwise).
     """
-    validate_tol_factor(tol_factor)
-    notions = [_NOTIONS[variant] for variant in variants]
     grid = V.grid
+    validate_tol_factor(tol_factor, grid)
+    notions = [_NOTIONS[variant] for variant in variants]
     if problem.T != grid.T:
         raise ConfigError(
             f"grid horizon {grid.T!r} does not match the problem's {problem.T!r}")

@@ -19,7 +19,7 @@ from qvilab import example as exm
 from qvilab import expr as ex
 from qvilab import viscosity as vc
 from qvilab.assumptions import default_sampler
-from qvilab.core import Grid, load_problem, read_csv, sample
+from qvilab.core import Grid, load_problem, read_csv, sample, write_table
 from qvilab.solver import interior_mask, solve_qvi
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -239,7 +239,7 @@ class TestViscosity:
             assert ((out / "viscosity.json").read_text()
                     == json.dumps(expect.to_dict(), indent=2) + "\n")
             expect_csv = tmp_path / f"{variant}.csv"
-            vc.write_violations_csv(expect, expect_csv)
+            write_table(expect_csv, *expect.table())
             assert ((out / "violations.csv").read_bytes()
                     == expect_csv.read_bytes())
 
@@ -796,6 +796,33 @@ class TestConfigKeys:
         assert not out.exists()
 
 
+def _refuse_constant(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+class TestStrictJson:
+    def test_non_finite_floats_are_written_as_null(self):
+        nan, inf = float("nan"), float("inf")
+        payload = {"nan": nan, "list": [inf, -inf, 1.5],
+                   "nested": {"tuple": (np.float64(-inf), 2)}, "text": "NaN"}
+        text = cli.json_text(payload)
+        assert text.endswith("}\n")
+        assert json.loads(text, parse_constant=_refuse_constant) == {
+            "nan": None, "list": [None, None, 1.5],
+            "nested": {"tuple": [None, 2]}, "text": "NaN"}
+
+    def test_a_band_without_edges_is_null(self, tmp_path):
+        # no profitable jump at l0 = 0.1: the band edges are NaN
+        assert run(["reproduce-example", "--l0", "0.1", "--grid-nt", "21",
+                    "--grid-nx", "71", "--out", str(tmp_path)]) == 1
+        payload = {name: json.loads((tmp_path / name).read_text(),
+                                    parse_constant=_refuse_constant)
+                   for name in ("manifest.json", "example.json")}
+        instance = payload["example.json"]["instance"]
+        assert instance["needs_smaller_cost"] is True
+        assert instance["u_lo"] is None and instance["u_hi"] is None
+
+
 class TestFlags:
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
@@ -823,6 +850,28 @@ class TestFlags:
                     "--tol", "0", "--out", str(tmp_path)]) == 2
         assert ("need a finite tol_factor > 0, got 0.0"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ["viscosity", TRANSPORT, "--variant", "hjb-sub", "--analytic", "x1",
+         "--set", "grid.x_max=1e5", "--grid-nt", "9", "--grid-nx", "9"],
+        ["viscosity", TRANSPORT, "--variant", "qvi-super-modified",
+         "--set", "grid.x_max=1e5", "--grid-nt", "9", "--grid-nx", "9"],
+        ["reproduce-example", "--grid-nx", "2"],
+    ], ids=["viscosity-analytic", "viscosity-solve", "reproduce-example"])
+    def test_overflowing_probe_tolerance_is_rejected_before_solving(
+            self, argv, tmp_path, monkeypatch, capsys):
+        # 1e308*(dt + sum dx) is inf on these wide grids, so no probe could
+        # fail; the run must stop before any solve or N runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before --tol was rejected")
+
+        for module, name in ((cli, "solve_qvi"), (exm, "verify_separation"),
+                             (vc, "evaluate_slice_values")):
+            monkeypatch.setattr(module, name, refuse)
+        assert run([*argv, "--tol", "1e308", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol: probe tolerance")
+        assert "overflows" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["check", EXAMPLE, "--tol", "123"],

@@ -1,6 +1,7 @@
 """Ordered-pair comparison and the two-point maximization diagnostic."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from qvilab import comparison as cmp
 from qvilab import expr as ex
 from qvilab.core import (Cone, ConfigError, Grid, GridFunction, ImpulseProblem,
-                         make_env, sample)
+                         make_env, sample, write_table)
 
 
 def make_problem(H="-p1", h="x1*exp(-x1)", ell="0.05*(1 + xi1)", n=1, T=1.0):
@@ -217,6 +218,18 @@ class TestDoublingMaximize:
         with pytest.raises(ConfigError):
             cmp.doubling_maximize(V, W)
 
+    def test_passed_needs_certificate_shrinking_gaps_and_residuals(
+            self, pair_values):
+        V, V_hat = pair_values
+        diag = cmp.doubling_maximize(V, V_hat, levels=(0.1, 0.05))
+        assert diag.passed
+        first, last = diag.levels
+        assert not replace(diag, certificate_ok=False).passed
+        grown = replace(last, t_gap=first.t_gap + 1.0)
+        assert not replace(diag, levels=(first, grown)).passed
+        positive = replace(last, residual_certified=1e-9)
+        assert not replace(diag, levels=(first, positive)).passed
+
     def test_trend_csv_and_json(self, pair_values, tmp_path):
         V, V_hat = pair_values
         diag = cmp.doubling_maximize(V, V_hat, levels=(0.1, 0.05))
@@ -224,7 +237,7 @@ class TestDoublingMaximize:
         assert payload["certificate_ok"] is True
         assert len(payload["levels"]) == 2
         path = tmp_path / "trend.csv"
-        cmp.write_trend_csv(diag, str(path))
+        write_table(str(path), *diag.table())
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("epsilon,")
         assert len(lines) == 3

@@ -15,7 +15,7 @@ from qvilab import cli
 from qvilab import expr as ex
 from qvilab import viscosity as vc
 from qvilab.core import (ConfigError, Grid, GridFunction, load_problem, read_csv,
-                         sample, write_csv)
+                         sample, write_csv, write_table)
 from qvilab.viscosity import _constraint_nodes, _terminal_nodes
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -195,6 +195,23 @@ def assert_same_violations(new, old):
         assert all(type(x) is float for x in row["x"])
 
 
+def test_write_table_cells(tmp_path):
+    # a str cell repeats (its % is literal), None and width-0 columns are
+    # empty cells, int columns print as %d, axes join with ';', and a
+    # block without rows writes nothing
+    path = tmp_path / "table.csv"
+    write_table(path, ("kind", "i", "x", "none", "empty", "y"), [
+        ("100%", np.array([1, -2]), np.array([[0.1, 2.0], [np.nan, -np.inf]]),
+         None, np.empty((2, 0)), [3.0, 1e300]),
+        ("no rows", np.array([], dtype=int), np.empty((0, 2)), None,
+         np.empty((0, 0)), []),
+    ])
+    assert path.read_text() == (
+        "kind,i,x,none,empty,y\n"
+        "100%,1,0.10000000000000001;2,,,3\n"
+        "100%,-2,nan;-inf,,,1.0000000000000001e+300\n")
+
+
 # the grid reproduce-example checks: 201 x 701 nodes on [-1.5, x_hi]
 VIOLATION_GRIDS = [
     Grid(1.0, 201, (-1.5,), (4.0,), (701,)),
@@ -239,7 +256,7 @@ def test_terminal_nodes_match_loop(grid, side):
 def assert_csv_recovers_report(report, path, read_violations):
     """violations.csv read back gives every Violations column of every
     kind bit for bit, and None for the probe columns of node rows."""
-    vc.write_violations_csv(report, path)
+    write_table(path, *report.table())
     table = read_violations(path)
     assert list(table) == ["probe", "constraint", "terminal"]
     for kind, rows in report.kinds():

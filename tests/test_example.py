@@ -11,6 +11,7 @@ from qvilab import viscosity as vc
 from qvilab.core import ConfigError, Grid
 from qvilab.example import (
     COST_THRESHOLD,
+    anchor_grid,
     build_instance,
     continuum_gap,
     measure_obstacle_gap,
@@ -255,8 +256,7 @@ class TestSeparationUnderRefinement:
     def test_pattern_holds_at_every_level(self, inst, nt, nx,
                                           constraint_rows, band_nodes):
         # the box of `qvilab reproduce-example`
-        grid = Grid(inst.T, nt, (-1.5,),
-                    (max(5.5, inst.x0 + inst.xi2 + 1.0),), (nx,))
+        grid, k0 = anchor_grid(inst, nt, nx)
         rep = verify_separation(inst, grid)
         assert rep.classical.passed
         assert not rep.modified.passed
@@ -266,7 +266,7 @@ class TestSeparationUnderRefinement:
         assert len(rep.modified.constraint_violations) == constraint_rows
         assert rep.sub.passed
 
-        k0 = int(round(inst.t0 / grid.dt))
+        assert k0 == int(round(inst.t0 / grid.dt))
         assert grid.t[k0] == inst.t0
         negative = rep.gap[k0] < 0.0
         band = inst.in_band(grid.t[k0], grid.axes[0])

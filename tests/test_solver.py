@@ -265,6 +265,20 @@ class TestGuards:
                     x_nodes=(11,))
         assert suggest_t_nodes(grid, (0.0,)) == 2
 
+    def test_fixed_point_that_does_not_settle_raises(self, monkeypatch,
+                                                     tmp_path, capsys):
+        # example.cfg clips a slice whose fixed point takes a second sweep
+        config = CONFIGS / "example.cfg"
+        cfg = load_problem(config.read_text())
+        assert solve_qvi(cfg.problem, cfg.grid).iterations.max() == 2
+        monkeypatch.setattr(solver, "FP_MAX_ITER", 1)
+        with pytest.raises(solver.FixedPointError,
+                           match="did not settle .* after 1 sweeps"):
+            solve_qvi(cfg.problem, cfg.grid)
+        assert cli.main(["solve", str(config), "--out", str(tmp_path)]) == 1
+        assert ("solver failure: obstacle fixed point did not settle"
+                in capsys.readouterr().err)
+
     def test_domain_failure_names_slice(self):
         problem = transport_problem(H_src="sqrt(p1)", h_src="x1*x1")
         grid = Grid(T=1.0, t_nodes=21, x_min=(-1.0,), x_max=(4.0,),

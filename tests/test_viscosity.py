@@ -13,7 +13,7 @@ from qvilab import example as exm
 from qvilab import expr as ex
 from qvilab import viscosity as vc
 from qvilab.core import (Cone, ConfigError, Grid, GridFunction, ImpulseProblem,
-                         load_problem, sample)
+                         load_problem, sample, write_table)
 from qvilab.solver import solve_qvi
 
 PLANE = Path(__file__).resolve().parent.parent / "perfbench" / "plane.cfg"
@@ -206,7 +206,7 @@ class TestTransportChecks:
         assert sha256(text.encode()).hexdigest() == \
             "5f2f45200f145d08f1f4affa29d577c22ceb46841b6ca8607f38b87d112b96ac"
         path = tmp_path / "violations.csv"
-        vc.write_violations_csv(report, path)
+        write_table(path, *report.table())
         assert sha256(path.read_bytes()).hexdigest() == \
             "ad14ad63ace317b3e5138b059cf29ab632aea5bc5d081c72b4898dcc01e232a8"
         sup = vc.check_hjb_supersolution(V, problem)
@@ -448,7 +448,7 @@ class TestEdgesAndPlumbing:
         assert payload["constraint_violations"] == {"rows": 0, "nodes": 0,
                                                     "worst": None}
         path = tmp_path / "violations.csv"
-        vc.write_violations_csv(report, str(path))
+        write_table(str(path), *report.table())
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "kind,t_index,x_index,t,x,a,p,kappa,kappa_eff,margin"
         assert len(lines) == 1 + len(report.violations)
@@ -597,8 +597,7 @@ class TestScanMatchesReference:
         instance = exm.build_instance(0.5, 0.05)
         problem = instance.problem()
         for nt, nx in ((201, 701), (101, 351)):
-            grid = Grid(instance.T, nt, (-1.5,),
-                        (max(5.5, instance.x0 + instance.xi2 + 1.0),), (nx,))
+            grid, _ = exm.anchor_grid(instance, nt, nx)
             V = exm.sample_value_function(instance, grid)
             gap = vc.obstacle_gap(V, problem)
             assert_same_rows(V, problem, gap, (0.1, 1.0, 8.0, 10.0, 12.0))
@@ -727,8 +726,7 @@ def assert_same_report(got, want):
 
 def separation_profile(nt, nx):
     instance = exm.build_instance(0.5, 0.05)
-    grid = Grid(instance.T, nt, (-1.5,),
-                (max(5.5, instance.x0 + instance.xi2 + 1.0),), (nx,))
+    grid, _ = exm.anchor_grid(instance, nt, nx)
     return instance.problem(), exm.sample_value_function(instance, grid)
 
 
