@@ -418,6 +418,14 @@ def audit_H2(problem, constants, sampler_spec):
     return AuditReport(tuple(checks))
 
 
+def check_pair(problem, problem_hat):
+    """Reject two problems of different dimensions or horizons."""
+    if problem.n != problem_hat.n:
+        raise ConfigError("mismatched problem dimensions")
+    if problem.T != problem_hat.T:
+        raise ConfigError("compared problems must share the horizon")
+
+
 def audit_order(problem_pair, sampler_spec):
     """Audit the data order of two problems on the sample clouds.
 
@@ -426,10 +434,7 @@ def audit_order(problem_pair, sampler_spec):
     (ell <= ell_hat); each margin is the second value minus the first.
     """
     problem, problem_hat = problem_pair
-    if problem.n != problem_hat.n:
-        raise ConfigError("mismatched problem dimensions")
-    if problem.T != problem_hat.T:
-        raise ConfigError("compared problems must share the horizon")
+    check_pair(problem, problem_hat)
     if (problem.cone.kind != problem_hat.cone.kind
             or problem.cone.rays.shape != problem_hat.cone.rays.shape
             or not np.array_equal(problem.cone.rays, problem_hat.cone.rays)):

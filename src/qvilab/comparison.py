@@ -57,7 +57,7 @@ import numpy as np
 
 from . import expr as ex
 from .assumptions import (SamplerSpec, audit_comparison_hypotheses,
-                          audit_order, default_sampler)
+                          audit_order, check_pair, default_sampler)
 from .core import ConfigError, ImpulseProblem, make_env, role_variables
 from .solver import estimate_dissipation, interior_mask, solve_qvi
 
@@ -100,9 +100,13 @@ def _offset_expr(raw, allowed):
 
 
 def _plus(base_node, offset):
+    """base + offset, parsed from its text so that the parser's depth
+    bound holds for the sum as for any parsed tree; the problem built on
+    it judges which variables it may read."""
     if offset is None:
         return base_node
-    return ex.Bin("+", base_node, offset)
+    text = f"{ex.to_source(base_node)} + {ex.to_source(offset)}"
+    return ex.parse(text, ex.variables(base_node) | ex.variables(offset))
 
 
 def ordered_pair_generator(base, offsets):
@@ -194,10 +198,7 @@ def compare_solutions(problem, problem_hat, grid, constants=None):
     ordered=False, names the failing checks in ``notes``, and so fails
     ``passed``.
     """
-    if problem.n != problem_hat.n:
-        raise ConfigError("mismatched problem dimensions")
-    if problem.T != problem_hat.T:
-        raise ConfigError("compared problems must share the horizon")
+    check_pair(problem, problem_hat)
     dissipation = shared_dissipation(problem, problem_hat, grid)
     res = solve_qvi(problem, grid, dissipation)
     res_hat = solve_qvi(problem_hat, grid, dissipation)

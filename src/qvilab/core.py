@@ -577,6 +577,13 @@ class ImpulseProblem:
         return out
 
 
+def check_horizon(problem, grid):
+    """Reject a grid that does not end at the problem's horizon."""
+    if problem.T != grid.T:
+        raise ConfigError(
+            f"grid horizon {grid.T!r} does not match the problem's {problem.T!r}")
+
+
 def sample(e, grid):
     """Evaluate an expression on every (t, x) node of the grid."""
     out = ex.evaluate(e, grid.full_env())

@@ -5,16 +5,17 @@ For a time slice V(t, .) the obstacle value at x is
     N[V](t, x) = inf over cone impulses xi of  V(t, x + xi) + ell(t, x, xi)
 
 where V is multilinearly interpolated in space (clamped at the box edges)
-and the infimum is taken over the cone intersected with a ball
-|xi| <= xi_max, the box diagonal unless a search says otherwise.  Ties
-are broken toward smaller |xi|, then lexicographically.
+and the infimum is taken over the cone intersected with the ball
+|xi| <= the box diagonal, which reaches every landing point in the box
+from every node.  Ties are broken toward smaller |xi|, then
+lexicographically.
 
-Exact path.  When the cone is the orthant, ell does not use x, ell is
-affine in xi (by the structure of its expression) with slopes
-c_d = ell(e_d) - ell(0) >= 0, and xi_max reaches the box diagonal, the
-infimum is computed exactly.  On every box of whole or partial cells the
-interpolant plus the cost is multilinear, so it is minimised at a corner;
-beyond the box edge the clamped value stays put while the cost grows.
+Exact path.  When the cone is the orthant, ell does not use x, and ell
+is affine in xi (by the structure of its expression) with slopes
+c_d = ell(e_d) - ell(0) >= 0, the infimum is computed exactly.  On every
+box of whole or partial cells the interpolant plus the cost is
+multilinear, so it is minimised at a corner; beyond the box edge the
+clamped value stays put while the cost grows.
 The minimum therefore lies among the landing points {x_d} u {nodes > x_d}
 on each axis.  At the nodes, comparing V + c.y over them is a suffix
 minimum, taken along axis 2 and then over the row minima along axis 1;
@@ -23,15 +24,19 @@ only nodes with minimisers in two rows need the full tie-break.  At a
 single point the landing points are enumerated.  The returned value is
 still V(x + xi) + ell(t, xi) at the chosen impulse.
 
-Every other problem uses the search: a coarse product scan in ray
-coefficients followed by nested zoom refinements around the incumbent, so
-multimodal landscapes are handled by the scan and the refinement only
-sharpens the winning basin.  Its value never exceeds the payoff of any
+Every other problem uses the search: a coarse product scan of COARSE
+points per ray coefficient, followed by REFINE_LEVELS nested zooms of
+REFINE_POINTS points per coefficient around the incumbent, each shrinking
+the bracket to one cell of the previous level.  Multimodal landscapes are
+handled by the scan; the refinement only sharpens the winning basin.
+With REFINE_LEVELS = 0 the search is the shared scan alone: one fixed
+probe set for every slice, so it is exactly monotone in V and equivariant
+under constant shifts.  Its value never exceeds the payoff of any
 probed impulse, so it is an upper bound of the exact infimum.
 
 Only the search can truncate: its `truncated` flag records results
-whose impulse sits at the radius cap.  The exact path reaches every
-landing point, so it flags none.
+whose impulse lies within half a coarse step of the radius cap.  The
+exact path reaches every landing point, so it flags none.
 """
 
 from __future__ import annotations
@@ -44,47 +49,9 @@ import numpy as np
 from . import expr as ex
 from .core import GridFunction, axis_names, interp_slice, make_env
 
+COARSE = 25  # scan points per ray coefficient in the search
+REFINE_LEVELS = 10  # nested zooms of the search after the scan
 REFINE_POINTS = 9  # points per ray coefficient in each zoom of the search
-
-
-@dataclass(frozen=True)
-class SearchParams:
-    """Controls for the obstacle infimum.
-
-    xi_max caps |xi|.  The exact path (see the module docstring for when
-    it applies) needs it at or past the box diagonal, where it cuts off no
-    landing point; it reads no other field and never truncates.  Only the
-    search truncates: it flags an impulse within xi_max/(2*(coarse - 1))
-    of xi_max.  `coarse` is the scan count per ray coefficient;
-    `refine_levels` nested zooms of REFINE_POINTS points per coefficient
-    follow, each shrinking the bracket to one cell of the previous level.
-    refine_levels=0 reduces the search to the shared coarse scan, which is
-    what exact monotonicity or equivariance comparisons of the search
-    should use.
-    """
-
-    xi_max: float
-    coarse: int = 25
-    refine_levels: int = 10
-
-    def __post_init__(self):
-        if not (self.xi_max > 0.0 and np.isfinite(self.xi_max)):
-            raise ValueError(f"xi_max must be positive and finite, got {self.xi_max}")
-        if self.coarse < 2:
-            raise ValueError("coarse scan needs at least 2 points per coefficient")
-        if self.refine_levels < 0:
-            raise ValueError("refine_levels must be >= 0")
-
-
-def default_search(grid):
-    """The one radius policy of N: xi_max = the box diagonal.
-
-    Every landing point inside the box lies within one diagonal of every
-    node, so this ball reaches all of them; it is also the radius the exact
-    path needs.  Callers that pass no search get this policy, so every
-    command sees the same N.
-    """
-    return SearchParams(xi_max=grid.box_diagonal)
 
 
 @dataclass(frozen=True)
@@ -134,21 +101,22 @@ def _psi(grid, slice_values, t, ell, x, xi):
     return v + np.broadcast_to(cost, v.shape)
 
 
-def _coarse_lambda_grid(m, search):
-    axes = [np.linspace(0.0, search.xi_max, search.coarse) for _ in range(m)]
+def _coarse_lambda_grid(m, xi_max):
+    axes = [np.linspace(0.0, xi_max, COARSE) for _ in range(m)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([md.ravel() for md in mesh], axis=-1)  # (B, m)
 
 
-def _search(grid, slice_values, t, ell, nodes_x, cone, search: SearchParams):
+def _search(grid, slice_values, t, ell, nodes_x, cone):
     """Run the coarse scan plus zoom refinement at every point of nodes_x
-    (N, n).
+    (N, n), over the ball of the box diagonal.
 
     Returns (values, argmin_xi, truncated, probes), the first three flat
     over the points; probes counts the payoffs evaluated.
     """
     slice_values = np.asarray(slice_values, dtype=float)
     t = float(t)
+    xi_max = grid.box_diagonal
     x = nodes_x[:, None, :]
     rays = cone.rays
     m = cone.n_rays
@@ -162,23 +130,23 @@ def _search(grid, slice_values, t, ell, nodes_x, cone, search: SearchParams):
         vals = _psi(grid, slice_values, t, ell, x, xi)
         probes += vals.size
         norms = np.linalg.norm(xi, axis=-1)
-        vals = np.where(norms <= search.xi_max * (1.0 + 1e-12), vals, np.inf)
+        vals = np.where(norms <= xi_max * (1.0 + 1e-12), vals, np.inf)
         return vals, xi
 
     # coarse shared scan (the lambda grid always includes 0)
     lam0 = np.broadcast_to(
-        _coarse_lambda_grid(m, search)[None], (n_nodes, search.coarse**m, m)
+        _coarse_lambda_grid(m, xi_max)[None], (n_nodes, COARSE**m, m)
     )
     best = _pick(*eval_lam(lam0), lam0)
 
     # nested zooms around the incumbent coefficient vector
-    step = search.xi_max / (search.coarse - 1)
+    step = xi_max / (COARSE - 1)
     offsets_1d = np.linspace(-1.0, 1.0, REFINE_POINTS)
     mesh = np.meshgrid(*([offsets_1d] * m), indexing="ij")
     offsets = np.stack([md.ravel() for md in mesh], axis=-1)  # (B, m)
-    for _ in range(search.refine_levels):
+    for _ in range(REFINE_LEVELS):
         lam = best[2][:, None, :] + step * offsets[None, :, :]
-        np.clip(lam, 0.0, search.xi_max, out=lam)
+        np.clip(lam, 0.0, xi_max, out=lam)
         cand = _pick(*eval_lam(lam), lam)
         # the incumbent is column 0: a full tie or a NaN value keeps it
         best = _pick(*(np.stack(pair, axis=1) for pair in zip(best, cand)))
@@ -186,7 +154,7 @@ def _search(grid, slice_values, t, ell, nodes_x, cone, search: SearchParams):
 
     values, bxi, _ = best
     # truncated: within half a coarse scan step of the radius cap
-    cap = search.xi_max - 0.5 * search.xi_max / (search.coarse - 1)
+    cap = xi_max - 0.5 * xi_max / (COARSE - 1)
     return values, bxi, np.linalg.norm(bxi, axis=-1) >= cap, probes
 
 
@@ -222,14 +190,13 @@ def _cost_slopes(ell, n):
     return lambda t: slopes
 
 
-def _exact_slopes(grid, t, ell, cone, search):
+def _exact_slopes(grid, t, ell, cone):
     """Cost slopes c_d = ell(e_d) - ell(0) when the exact path applies.
 
     Returns None when it does not: a cone other than the orthant, a cost
-    that reads x or is not affine in xi, a negative slope, or a radius
-    short of the box diagonal (the ball would cut cells).
+    that reads x or is not affine in xi, or a negative slope.
     """
-    if cone.kind != "orthant" or search.xi_max < grid.box_diagonal:
+    if cone.kind != "orthant":
         return None
     slopes_at = _cost_slopes(ell, grid.n)
     return None if slopes_at is None else slopes_at(t)
@@ -325,20 +292,17 @@ def _node_ties(grid, key, ti, tj, batch=1 << 16):
     return out
 
 
-def _obstacle(grid, slice_values, t, ell, cone, search, points, at_nodes):
+def _obstacle(grid, slice_values, t, ell, cone, points, at_nodes):
     """N at points (N, n) by the exact path when it applies, else the search.
 
     `at_nodes` says the points are every node in row-major order, else
     they are one point.  Returns (values, argmin_xi, truncated, probes)
     flat over the points; probes counts the payoffs the search evaluated
     or the candidates the exact path compared (None for the node scans).
-    A search of None means default_search(grid).
     """
-    if search is None:
-        search = default_search(grid)
-    slopes = _exact_slopes(grid, t, ell, cone, search)
+    slopes = _exact_slopes(grid, t, ell, cone)
     if slopes is None:
-        return _search(grid, slice_values, t, ell, points, cone, search)
+        return _search(grid, slice_values, t, ell, points, cone)
     slice_values = np.asarray(slice_values, dtype=float)
     if not at_nodes:
         xi, probes = _exact_point(grid, slice_values, slopes, points[0])
@@ -349,7 +313,7 @@ def _obstacle(grid, slice_values, t, ell, cone, search, points, at_nodes):
     return values, bxi, np.zeros(values.shape, dtype=bool), probes
 
 
-def evaluate_slice_values(grid, slice_values, t, ell, cone, search=None):
+def evaluate_slice_values(grid, slice_values, t, ell, cone):
     """Obstacle operator applied to raw slice values at every spatial node.
 
     Takes the exact path when the problem allows it, else the search.
@@ -357,8 +321,7 @@ def evaluate_slice_values(grid, slice_values, t, ell, cone, search=None):
     (*x_nodes,), (*x_nodes, n), (*x_nodes,).
     """
     values, bxi, truncated, _ = _obstacle(grid, slice_values, t, ell, cone,
-                                          search, grid.space_nodes(),
-                                          at_nodes=True)
+                                          grid.space_nodes(), at_nodes=True)
     shape = tuple(grid.x_nodes)
     return (
         values.reshape(shape),
@@ -367,7 +330,7 @@ def evaluate_slice_values(grid, slice_values, t, ell, cone, search=None):
     )
 
 
-def evaluate(V: GridFunction, t_index, x_point, ell, cone, search=None):
+def evaluate(V: GridFunction, t_index, x_point, ell, cone):
     """Obstacle value at one (t_index, x_point), x_point inside the box.
 
     Runs the slice machinery on a single point, so every guarantee of
@@ -387,7 +350,7 @@ def evaluate(V: GridFunction, t_index, x_point, ell, cone, search=None):
             )
     t = float(grid.t[t_index])
     values, bxi, truncated, probes = _obstacle(
-        grid, V.values[t_index], t, ell, cone, search, x_point[None, :],
+        grid, V.values[t_index], t, ell, cone, x_point[None, :],
         at_nodes=False)
     return ObstacleResult(
         value=float(values[0]),

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import expr as ex
 from . import obstacle as obs
-from .core import ConfigError, GridFunction, halton, make_env, sample_terminal
+from .core import (GridFunction, check_horizon, halton, make_env,
+                   sample_terminal)
 
 
 class SolverError(Exception):
@@ -221,7 +222,7 @@ def solve_qvi(problem, grid, dissipation=None) -> SolveResult:
     was exactly zero, since that sweep already saw the settled slice).
     The terminal slice is the sampled terminal data and is never clipped.
     `dissipation` and the horizon are as in solve_hjb.  N is the one every
-    command uses, at the radius obstacle.default_search(grid).
+    command uses, over the ball of the box diagonal.
     """
     return _backward(problem, grid, dissipation, obstacle=True)
 
@@ -232,9 +233,7 @@ def _backward(problem, grid, dissipation, obstacle):
     Off, no obstacle call is made and no gap, argmin or truncation array
     is allocated.
     """
-    if problem.T != grid.T:
-        raise ConfigError(
-            f"grid horizon {grid.T!r} does not match the problem's {problem.T!r}")
+    check_horizon(problem, grid)
     terminal = sample_terminal(problem.h, grid)
     if dissipation is None:
         dissipation = _dissipation(problem, grid, terminal)

@@ -54,7 +54,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import expr as ex
-from .core import ConfigError, make_env, sample_terminal
+from .core import ConfigError, check_horizon, make_env, sample_terminal
 from .obstacle import evaluate_slice_values
 
 VARIANT_HJB_SUB = "HJB-SUB"
@@ -177,8 +177,8 @@ class ViscosityReport:
 def obstacle_gap(V, problem):
     """N[V] - V on every time slice of a grid function.
 
-    N is the one the solver clips with, at the radius
-    obstacle.default_search(grid).  The checkers take this array as `gap=`.
+    N is the one the solver clips with, over the ball of the box
+    diagonal.  The checkers take this array as `gap=`.
     """
     grid = V.grid
     gap = np.empty(grid.shape)
@@ -444,9 +444,7 @@ def check_notions(V, problem, variants, tol_factor=TOL_FACTOR, gap=None):
     grid = V.grid
     validate_tol_factor(tol_factor, grid)
     notions = [_NOTIONS[variant] for variant in variants]
-    if problem.T != grid.T:
-        raise ConfigError(
-            f"grid horizon {grid.T!r} does not match the problem's {problem.T!r}")
+    check_horizon(problem, grid)
     unit = grid.tolerance_unit
     if any(constrained or sees_gap for _, constrained, sees_gap in notions):
         gap = _gap_or_compute(V, problem, gap)

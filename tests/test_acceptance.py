@@ -13,11 +13,12 @@ import pytest
 from qvilab import comparison as cmp
 from qvilab import example as exm
 from qvilab import expr as ex
+from qvilab import obstacle as obs
 from qvilab import viscosity as vc
 from qvilab.assumptions import SamplerSpec, audit_H1, audit_H2
 from qvilab.core import (AssumptionConstants, Cone, Grid, GridFunction,
                          ImpulseProblem, interp_slice, sample)
-from qvilab.obstacle import SearchParams, evaluate_slice_values
+from qvilab.obstacle import evaluate_slice_values
 from qvilab.solver import (estimate_dissipation, interior_mask, solve_hjb,
                            solve_qvi, suggest_t_nodes)
 
@@ -110,8 +111,8 @@ class TestAcceptance:
         assert abs(measured - instance.gap) <= 1e-6
         assert measured < 0.0
 
-        grid = Grid(T=1.0, t_nodes=201, x_min=(-1.5,), x_max=(5.5,),
-                    x_nodes=(701,))
+        # the grid reproduce-example runs on
+        grid, _ = exm.anchor_grid(instance, 201, 701)
         report = exm.verify_separation(instance, grid)
         assert report.classical.passed
         assert not report.classical.violations
@@ -242,14 +243,16 @@ class TestAcceptance:
         print("ACCEPTANCE 6: PASS — penalty residual nonpositive at every "
               "argmax and pair gaps nonincreasing over the 3-level sweep")
 
-    def test_criterion_7_obstacle_properties(self):
+    def test_criterion_7_obstacle_properties(self, monkeypatch):
         rng = np.random.default_rng(7)
         grid = Grid(T=1.0, t_nodes=3, x_min=(-1.0,), x_max=(4.0,),
                     x_nodes=(61,))
         ell = ex.parse(f"{ELL0}*(1 + xi1)", ("t", "x1", "xi1"))
-        cone = Cone.orthant(1)
-        # a shared scan-only probe set makes both properties exact algebra
-        search = SearchParams(xi_max=3.0, coarse=41, refine_levels=0)
+        # the orthant as a ray runs the search; a shared scan-only probe set
+        # makes both properties exact algebra
+        cone = Cone.from_rays(np.eye(1))
+        monkeypatch.setattr(obs, "COARSE", 41)
+        monkeypatch.setattr(obs, "REFINE_LEVELS", 0)
         worst_mono = 0.0
         worst_shift = 0.0
         for _ in range(100):
@@ -257,11 +260,11 @@ class TestAcceptance:
             lift = rng.uniform(0.0, 1.0, size=grid.x_nodes[0])
             c = float(rng.uniform(-2.0, 2.0))
             n_lower, _, _ = evaluate_slice_values(grid, lower, 0.5, ell,
-                                                  cone, search)
+                                                  cone)
             n_upper, _, _ = evaluate_slice_values(grid, lower + lift, 0.5,
-                                                  ell, cone, search)
+                                                  ell, cone)
             n_shift, _, _ = evaluate_slice_values(grid, lower + c, 0.5, ell,
-                                                  cone, search)
+                                                  cone)
             worst_mono = max(worst_mono, float(np.max(n_lower - n_upper)))
             worst_shift = max(worst_shift,
                               float(np.max(np.abs(n_shift - (n_lower + c)))))

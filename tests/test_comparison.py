@@ -103,12 +103,35 @@ class TestOrderedPairs:
         with pytest.raises(ConfigError, match="disallowed"):
             cmp.ordered_pair_generator(base, (bad, None, None))
 
+    def test_sum_obeys_the_parser_depth_bound(self, base):
+        # the offset alone is 50 levels deep, the most a parsed tree may
+        # be; its sum with ell would be one level deeper
+        _, dominated = cmp.ordered_pair_generator(base, (None, None, "0.02"))
+        names = {"t", "x1", "xi1"}
+        assert ex.parse(ex.to_source(dominated.ell), names) == dominated.ell
+        with pytest.raises(ex.ExprError):
+            cmp.ordered_pair_generator(base, (None, None, "-" * 50 + "0.01"))
+
     def test_offsets_must_be_a_triple(self, base):
         with pytest.raises(ConfigError):
             cmp.ordered_pair_generator(base, ("0.1", None))
 
 
 class TestCompareSolutions:
+    @pytest.mark.parametrize("change, message", [
+        ({"T": 2.0}, "share the horizon"),
+        ({"n": 2, "cone": Cone.orthant(2), "H": ex.parse("-p1", {"p1"})},
+         "mismatched problem dimensions"),
+    ])
+    def test_mismatched_pair_is_rejected_before_solving(self, base, change,
+                                                        message, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_qvi ran on a mismatched pair")
+
+        monkeypatch.setattr(cmp, "solve_qvi", refuse)
+        with pytest.raises(ConfigError, match=message):
+            cmp.compare_solutions(base, replace(base, **change), GRID)
+
     def test_identical_problems_differ_by_exactly_zero(self, base):
         report = cmp.compare_solutions(base, base, GRID)
         assert report.max_difference == 0.0

@@ -5,15 +5,16 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from qvilab import expr as ex
+from qvilab import obstacle as obs
 from qvilab.core import Cone, Grid, GridFunction, sample
-from qvilab.obstacle import (
-    ObstacleResult,
-    SearchParams,
-    evaluate,
-    evaluate_slice_values,
-)
+from qvilab.obstacle import ObstacleResult, evaluate, evaluate_slice_values
 
 ELL0 = 0.05
+
+
+def orthant_rays(n):
+    """The orthant written as rays: the same jumps, taken by the search."""
+    return Cone.from_rays(np.eye(n))
 
 
 def make_grid_1d(x_min=-1.0, x_max=4.0, x_nodes=501, t_nodes=3):
@@ -36,9 +37,8 @@ class TestOracles:
         grid = make_grid_1d()
         V = constant_slice_fn(grid, lambda x: np.abs(x - 2.0))
         ell = ex.parse("0.05", ("t", "x1", "xi1"))
-        search = SearchParams(xi_max=4.0)
         vals, argmin, trunc = evaluate_slice_values(
-            grid, V.values[0], float(grid.t[0]), ell, Cone.orthant(1), search)
+            grid, V.values[0], float(grid.t[0]), ell, orthant_rays(1))
         x = grid.axes[0]
         left = x <= 2.0
         assert np.allclose(vals[left], 0.05, atol=1e-9)
@@ -56,8 +56,7 @@ class TestOracles:
         grid = make_grid_1d(x_min=-1.0, x_max=5.0, x_nodes=1201)
         V = constant_slice_fn(grid, lambda x: x * np.exp(-x))
         ell = ex.parse("0.05*(1 + xi1)", ("t", "x1", "xi1"))
-        search = SearchParams(xi_max=5.5)
-        res = evaluate(V, 0, np.array([1.0]), ell, Cone.orthant(1), search)
+        res = evaluate(V, 0, np.array([1.0]), ell, orthant_rays(1))
 
         def psi(xi):
             s = 1.0 + xi
@@ -76,9 +75,8 @@ class TestOracles:
         grid = make_grid_1d(x_nodes=51)
         V = GridFunction(grid, np.zeros(grid.shape))
         ell = ex.parse("0.05", ("t", "x1", "xi1"))
-        search = SearchParams(xi_max=2.0)
         vals, argmin, trunc = evaluate_slice_values(
-            grid, V.values[1], float(grid.t[1]), ell, Cone.orthant(1), search)
+            grid, V.values[1], float(grid.t[1]), ell, orthant_rays(1))
         assert np.allclose(vals, 0.05, atol=0)
         assert np.all(argmin == 0.0)
         assert not trunc.any()
@@ -87,11 +85,11 @@ class TestOracles:
         grid = make_grid_1d(x_nodes=251)
         V = constant_slice_fn(grid, lambda x: -x)
         ell = ex.parse("0.05", ("t", "x1", "xi1"))
-        search = SearchParams(xi_max=2.0)
-        res = evaluate(V, 0, np.array([0.0]), ell, Cone.orthant(1), search)
+        # from the left edge the best jump is the whole box diagonal
+        res = evaluate(V, 0, np.array([-1.0]), ell, orthant_rays(1))
         assert res.truncated
-        assert res.argmin[0] == pytest.approx(2.0, abs=1e-9)
-        assert res.value == pytest.approx(-2.0 + 0.05, abs=1e-9)
+        assert res.argmin[0] == pytest.approx(5.0, abs=1e-9)
+        assert res.value == pytest.approx(-4.0 + 0.05, abs=1e-9)
 
     def test_cost_depends_on_t_and_x(self):
         # V identically zero and a cost increasing in xi: the infimum sits
@@ -100,18 +98,17 @@ class TestOracles:
         V = GridFunction(grid, np.zeros(grid.shape))
         ell = ex.parse("0.05*(1 + t) + 0.01*abs(x1) + 0.05*xi1",
                        ("t", "x1", "xi1"))
-        search = SearchParams(xi_max=1.0)
         for k in (0, 4):
             t = grid.t[k]
             vals, argmin, _ = evaluate_slice_values(
-                grid, V.values[k], float(t), ell, Cone.orthant(1), search)
+                grid, V.values[k], float(t), ell, Cone.orthant(1))
             expect = 0.05 * (1 + t) + 0.01 * np.abs(grid.axes[0])
             assert np.allclose(vals, expect, atol=1e-12)
             assert np.all(argmin == 0.0)
 
 
 class TestTwoDimensional:
-    def test_orthant_reaches_separable_kink(self):
+    def test_orthant_reaches_separable_kink(self, monkeypatch):
         grid = Grid(T=1.0, t_nodes=2, x_min=(-1.0, -1.0), x_max=(4.0, 4.0),
                     x_nodes=(51, 51))
         env = grid.space_env()
@@ -119,8 +116,9 @@ class TestTwoDimensional:
         vals = np.broadcast_to(slice_vals, grid.shape).copy()
         V = GridFunction(grid, vals)
         ell = ex.parse("0.05", ("t", "x1", "x2", "xi1", "xi2"))
-        search = SearchParams(xi_max=5.0, coarse=13, refine_levels=10)
-        res = evaluate(V, 0, np.array([0.0, 1.0]), ell, Cone.orthant(2), search)
+        monkeypatch.setattr(obs, "COARSE", 13)
+        monkeypatch.setattr(obs, "REFINE_LEVELS", 10)
+        res = evaluate(V, 0, np.array([0.0, 1.0]), ell, orthant_rays(2))
         # kink bottom: accuracy is one final zoom cell per coordinate
         assert res.value == pytest.approx(0.05, abs=2e-6)
         assert np.allclose(res.argmin, [1.0, 2.0], atol=1e-4)
@@ -134,8 +132,7 @@ class TestTwoDimensional:
         V = GridFunction(grid, np.broadcast_to(slice_vals, grid.shape).copy())
         ell = ex.parse("0.1", ("t", "x1", "x2", "xi1", "xi2"))
         cone = Cone.from_rays([[1.0, 1.0]])
-        search = SearchParams(xi_max=5.0)
-        res = evaluate(V, 0, np.array([0.0, 0.0]), ell, cone, search)
+        res = evaluate(V, 0, np.array([0.0, 0.0]), ell, cone)
         # the ray passes through the bottom of the separable kink at (2, 2)
         assert res.value == pytest.approx(0.1, abs=1e-6)
         assert np.allclose(res.argmin, [2.0, 2.0], atol=1e-4)
@@ -150,61 +147,59 @@ class TestTwoDimensional:
         V = GridFunction(grid, np.broadcast_to(slice_vals, grid.shape).copy())
         ell = ex.parse("0.1", ("t", "x1", "x2", "xi1", "xi2"))
         cone = Cone.from_rays([[1.0, 1.0]])
-        search = SearchParams(xi_max=5.0)
-        res = evaluate(V, 0, np.array([0.0, 0.0]), ell, cone, search)
+        res = evaluate(V, 0, np.array([0.0, 0.0]), ell, cone)
         # bilinear interpolation of the quadratic costs dx^2/4 in value
         assert res.value == pytest.approx(2.0 + 0.1, abs=1e-4)
         assert np.allclose(res.argmin, [1.0, 1.0], atol=0.02)
 
 
 class TestExactProperties:
-    def scan_only(self, xi_max=3.0):
-        return SearchParams(xi_max=xi_max, coarse=41, refine_levels=0)
+    @pytest.fixture
+    def scan_only(self, monkeypatch):
+        monkeypatch.setattr(obs, "COARSE", 41)
+        monkeypatch.setattr(obs, "REFINE_LEVELS", 0)
 
-    def test_monotone_in_v_on_random_pairs(self):
+    def test_monotone_in_v_on_random_pairs(self, scan_only):
         # shared scan-only probe set makes monotonicity exact
         rng = np.random.default_rng(7)
         grid = make_grid_1d(x_nodes=61)
         ell = ex.parse("0.05 + 0.05*xi1", ("t", "x1", "xi1"))
-        cone = Cone.orthant(1)
-        search = self.scan_only()
+        cone = orthant_rays(1)
         worst = 0.0
         for _ in range(100):
             base = rng.normal(size=grid.x_nodes[0])
             bump = rng.uniform(0.0, 1.0, size=grid.x_nodes[0])
-            nv, _, _ = evaluate_slice_values(grid, base, 0.5, ell, cone, search)
-            nw, _, _ = evaluate_slice_values(grid, base + bump, 0.5, ell, cone,
-                                             search)
+            nv, _, _ = evaluate_slice_values(grid, base, 0.5, ell, cone)
+            nw, _, _ = evaluate_slice_values(grid, base + bump, 0.5, ell, cone)
             worst = max(worst, float(np.max(nv - nw)))
         assert worst <= 1e-12
 
-    def test_shift_equivariance(self):
+    def test_shift_equivariance(self, scan_only):
         rng = np.random.default_rng(8)
         grid = make_grid_1d(x_nodes=61)
         ell = ex.parse("0.05 + 0.05*xi1", ("t", "x1", "xi1"))
-        cone = Cone.orthant(1)
-        search = self.scan_only()
+        cone = orthant_rays(1)
         for c in (1.0, -2.5, 0.125):
             base = rng.normal(size=grid.x_nodes[0])
-            nv, av, _ = evaluate_slice_values(grid, base, 0.5, ell, cone, search)
-            ns, as_, _ = evaluate_slice_values(grid, base + c, 0.5, ell, cone,
-                                               search)
+            nv, av, _ = evaluate_slice_values(grid, base, 0.5, ell, cone)
+            ns, as_, _ = evaluate_slice_values(grid, base + c, 0.5, ell, cone)
             assert np.max(np.abs(ns - (nv + c))) <= 1e-12
             assert np.array_equal(av, as_)
 
-    def test_never_exceeds_probed_payoff(self):
+    def test_never_exceeds_probed_payoff(self, monkeypatch):
         # with refinement on, the result is a running min over every probe,
         # so it is bounded by each coarse-lattice payoff
         rng = np.random.default_rng(9)
         grid = make_grid_1d(x_nodes=61)
         ell = ex.parse("0.05 + 0.05*xi1", ("t", "x1", "xi1"))
-        cone = Cone.orthant(1)
-        search = SearchParams(xi_max=3.0, coarse=17, refine_levels=6)
+        cone = orthant_rays(1)
+        monkeypatch.setattr(obs, "COARSE", 17)
+        monkeypatch.setattr(obs, "REFINE_LEVELS", 6)
         base = rng.normal(size=grid.x_nodes[0])
-        vals, _, _ = evaluate_slice_values(grid, base, 0.5, ell, cone, search)
+        vals, _, _ = evaluate_slice_values(grid, base, 0.5, ell, cone)
         x = grid.axes[0]
         from qvilab.core import interp_slice
-        for xi in np.linspace(0.0, 3.0, 17):
+        for xi in np.linspace(0.0, grid.box_diagonal, 17):
             target = np.clip(x + xi, -1.0, 4.0)[:, None]
             payoff = interp_slice(grid, base, target) + 0.05 + 0.05 * xi
             assert np.all(vals <= payoff + 1e-12)
@@ -214,28 +209,27 @@ class TestExactProperties:
         # agreement at the optimization accuracy, not bitwise
         grid = make_grid_1d(x_nodes=201)
         ell = ex.parse("0.05 + 0.05*xi1", ("t", "x1", "xi1"))
-        cone = Cone.orthant(1)
-        search = SearchParams(xi_max=3.0)
+        cone = orthant_rays(1)
         x = grid.axes[0]
         base = np.sin(x)
-        nv, _, _ = evaluate_slice_values(grid, base, 0.5, ell, cone, search)
-        nw, _, _ = evaluate_slice_values(grid, base + 0.3, 0.5, ell, cone,
-                                         search)
+        nv, _, _ = evaluate_slice_values(grid, base, 0.5, ell, cone)
+        nw, _, _ = evaluate_slice_values(grid, base + 0.3, 0.5, ell, cone)
         assert np.max(nv - nw) <= 1e-9
 
 
 class TestInterfaces:
-    def test_point_matches_slice_at_nodes(self):
+    def test_point_matches_slice_at_nodes(self, monkeypatch):
         rng = np.random.default_rng(11)
         grid = make_grid_1d(x_nodes=41)
         V = GridFunction(grid, rng.normal(size=grid.shape))
         ell = ex.parse("0.05 + 0.05*xi1", ("t", "x1", "xi1"))
-        cone = Cone.orthant(1)
-        search = SearchParams(xi_max=2.0, coarse=15, refine_levels=4)
+        cone = orthant_rays(1)
+        monkeypatch.setattr(obs, "COARSE", 15)
+        monkeypatch.setattr(obs, "REFINE_LEVELS", 4)
         vals, argmin, trunc = evaluate_slice_values(
-            grid, V.values[1], float(grid.t[1]), ell, cone, search)
+            grid, V.values[1], float(grid.t[1]), ell, cone)
         for i in (0, 7, 23, 40):
-            res = evaluate(V, 1, np.array([grid.axes[0][i]]), ell, cone, search)
+            res = evaluate(V, 1, np.array([grid.axes[0][i]]), ell, cone)
             assert res.value == vals[i]
             assert res.argmin[0] == argmin[i, 0]
             assert res.truncated == bool(trunc[i])
@@ -246,8 +240,7 @@ class TestInterfaces:
         grid = make_grid_1d(x_nodes=501)
         V = constant_slice_fn(grid, lambda x: np.abs(x - 2.0))
         ell = ex.parse("0.05", ("t", "x1", "xi1"))
-        res = evaluate(V, 0, np.array([0.123]), ell, Cone.orthant(1),
-                       SearchParams(xi_max=4.0))
+        res = evaluate(V, 0, np.array([0.123]), ell, orthant_rays(1))
         # kink bottom off the probe lattice: one final zoom cell of slack
         assert res.value == pytest.approx(0.05, abs=2e-7)
         assert res.argmin[0] == pytest.approx(2.0 - 0.123, abs=1e-5)
@@ -257,15 +250,5 @@ class TestInterfaces:
         V = GridFunction(grid, np.zeros(grid.shape))
         ell = ex.parse("0.05", ("t", "x1", "xi1"))
         with pytest.raises(ValueError, match="outside"):
-            evaluate(V, 0, np.array([4.5]), ell, Cone.orthant(1),
-                     SearchParams(xi_max=1.0))
-
-    def test_search_params_validation(self):
-        with pytest.raises(ValueError, match="xi_max"):
-            SearchParams(xi_max=0.0)
-        with pytest.raises(ValueError, match="coarse"):
-            SearchParams(xi_max=1.0, coarse=1)
-        with pytest.raises(ValueError, match="refine_levels"):
-            SearchParams(xi_max=1.0, refine_levels=-1)
-        SearchParams(xi_max=1.0, refine_levels=0)  # ok
+            evaluate(V, 0, np.array([4.5]), ell, Cone.orthant(1))
 

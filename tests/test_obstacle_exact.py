@@ -9,21 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvilab import cli
-from qvilab import example as exm
 from qvilab import expr as ex
 from qvilab import obstacle as obs
-from qvilab import viscosity as vc
 from qvilab.core import (Cone, Grid, GridFunction, ImpulseProblem, interp_slice,
                          load_problem)
-from qvilab.obstacle import (
-    SearchParams,
-    _exact_slopes,
-    _search,
-    default_search,
-    evaluate,
-    evaluate_slice_values,
-)
+from qvilab.obstacle import (_exact_slopes, _search, evaluate,
+                             evaluate_slice_values)
 from qvilab.solver import solve_qvi
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -89,15 +80,15 @@ def oracle(grid, values, slopes, x):
     return np.array(min(ranked)[2:]), len(ranked)
 
 
-def check_against_oracle(grid, values, ell, search, points=()):
+def check_against_oracle(grid, values, ell, points=()):
     """Slice at every node, and evaluate at the nodes and at `points`."""
     t = 0.5
     cone = Cone.orthant(grid.n)
-    slopes = _exact_slopes(grid, t, ell, cone, search)
+    slopes = _exact_slopes(grid, t, ell, cone)
     assert slopes is not None
     V = GridFunction(grid, np.broadcast_to(values, grid.shape))
     slice_vals, slice_xi, _ = evaluate_slice_values(
-        grid, V.values[1], float(grid.t[1]), ell, cone, search)
+        grid, V.values[1], float(grid.t[1]), ell, cone)
     nodes = nodes_of(grid)
     for i, x in enumerate(np.vstack([nodes, np.reshape(points, (-1, grid.n))])):
         want_xi, want_count = oracle(grid, values, slopes, x)
@@ -106,7 +97,7 @@ def check_against_oracle(grid, values, ell, search, points=()):
             idx = np.unravel_index(i, grid.x_nodes)
             assert np.array_equal(slice_xi[idx], want_xi), (x, slice_xi[idx])
             assert slice_vals[idx] == want_value
-        res = evaluate(V, 1, x, ell, cone, search)
+        res = evaluate(V, 1, x, ell, cone)
         assert np.array_equal(res.argmin, want_xi), (x, res.argmin, want_xi)
         assert res.value == want_value
         assert res.probes == want_count
@@ -115,30 +106,26 @@ def check_against_oracle(grid, values, ell, search, points=()):
 # ---------------------------------------------------------------- oracles ----
 
 class TestOracle:
-    @pytest.mark.parametrize("xi_max", [5.0, 8.0])
-    def test_random_1d_slices(self, xi_max):
-        # 5.0 is the box diagonal, 8.0 reaches past it
+    def test_random_1d_slices(self):
         rng = np.random.default_rng(21)
         grid = grid_1d(x_nodes=21, x_min=0.0, x_max=5.0)
         ell = ex.parse("0.05 + 0.08*xi1", VARS_1D)
-        search = SearchParams(xi_max=xi_max)
         off_node = rng.uniform(0.0, 5.0, size=(8, 1))
         for _ in range(5):
             values = rng.normal(size=21)
-            check_against_oracle(grid, values, ell, search, off_node)
+            check_against_oracle(grid, values, ell, off_node)
 
     def test_random_2d_slices(self):
         rng = np.random.default_rng(22)
         grid = grid_2d()
         ell = ex.parse("0.1 + 0.05*xi1 + 0.2*xi2", VARS_2D)
-        search = SearchParams(xi_max=grid.box_diagonal)
         off_node = np.column_stack([rng.uniform(-1.0, 2.0, 6),
                                     rng.uniform(0.0, 3.0, 6)])
         # half-off: one coordinate on a node line, the other between nodes
         mixed = np.array([[grid.axes[0][3], 1.1], [0.05, grid.axes[1][4]]])
         for _ in range(3):
             values = rng.normal(size=grid.x_nodes)
-            check_against_oracle(grid, values, ell, search,
+            check_against_oracle(grid, values, ell,
                                  np.vstack([off_node, mixed]))
 
     @pytest.mark.parametrize("cost", ["0.1", "0.1 + 1.0*xi1"])
@@ -147,10 +134,9 @@ class TestOracle:
         rng = np.random.default_rng(23)
         grid = grid_1d(x_nodes=17, x_min=0.0, x_max=4.0)
         ell = ex.parse(cost, VARS_1D)
-        search = SearchParams(xi_max=grid.box_diagonal)
         for _ in range(5):
             values = rng.integers(0, 3, size=17).astype(float)
-            check_against_oracle(grid, values, ell, search)
+            check_against_oracle(grid, values, ell)
 
     @pytest.mark.parametrize("cost", ["0.1", "0.1 + 1.0*xi1 + 0.5*xi2",
                                       "0.1 + 1.0*xi2", "0.1 + 1.0*xi1"])
@@ -160,10 +146,9 @@ class TestOracle:
         rng = np.random.default_rng(24)
         grid = grid_2d(x_nodes=(9, 7), x_min=(0.0, 0.0), x_max=(2.0, 1.5))
         ell = ex.parse(cost, VARS_2D)
-        search = SearchParams(xi_max=grid.box_diagonal)
         for _ in range(3):
             values = rng.integers(0, 3, size=grid.x_nodes).astype(float)
-            check_against_oracle(grid, values, ell, search)
+            check_against_oracle(grid, values, ell)
 
     def test_point_keys_sum_left_to_right(self):
         # tenths and these slopes round, so which keys tie depends on the
@@ -172,10 +157,9 @@ class TestOracle:
         rng = np.random.default_rng(27)
         grid = grid_2d(x_nodes=(9, 7), x_min=(0.0, 0.0), x_max=(2.0, 1.5))
         ell = ex.parse("0.1 + 0.3*xi1 + 0.7*xi2", VARS_2D)
-        search = SearchParams(xi_max=grid.box_diagonal)
         for _ in range(10):
             values = 0.1 * rng.integers(0, 3, size=grid.x_nodes)
-            check_against_oracle(grid, values, ell, search)
+            check_against_oracle(grid, values, ell)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_point_matches_slice_bitwise_at_nodes(self, n):
@@ -187,18 +171,17 @@ class TestOracle:
             grid = grid_2d()
             ell = ex.parse("0.05 + 0.05*(xi1 + xi2)", VARS_2D)
         # the exact path, where points and nodes run different code
-        search = SearchParams(xi_max=grid.box_diagonal)
         values = rng.integers(0, 4, size=grid.shape).astype(float)
         values[1] = rng.normal(size=grid.x_nodes)
         V = GridFunction(grid, values)
         cone = Cone.orthant(n)
-        assert _exact_slopes(grid, 0.5, ell, cone, search) is not None
+        assert _exact_slopes(grid, 0.5, ell, cone) is not None
         for k in (0, 1):
             vals, argmin, trunc = evaluate_slice_values(
-                grid, V.values[k], float(grid.t[k]), ell, cone, search)
+                grid, V.values[k], float(grid.t[k]), ell, cone)
             for flat, x in enumerate(nodes_of(grid)):
                 idx = np.unravel_index(flat, grid.x_nodes)
-                res = evaluate(V, k, x, ell, cone, search)
+                res = evaluate(V, k, x, ell, cone)
                 assert res.value == vals[idx]
                 assert np.array_equal(res.argmin, argmin[idx])
                 assert res.truncated == bool(trunc[idx])
@@ -242,16 +225,17 @@ class TestOracle:
 
     def test_value_is_the_infimum_of_sampled_payoffs(self):
         # independent of the candidate rule: no feasible impulse, inside or
-        # beyond the box, pays less than the reported value
+        # beyond the box, pays less than the reported value; the 1-d case
+        # writes the orthant as a ray, so it runs the search
         rng = np.random.default_rng(26)
-        cases = ((grid_1d(x_nodes=21), ex.parse("0.05 + 0.1*xi1", VARS_1D)),
-                 (grid_2d(), ex.parse("0.05 + 0.1*xi1 + 0.02*xi2", VARS_2D)))
-        for grid, ell in cases:
-            xi_max = 2.2 if grid.n == 1 else grid.box_diagonal
-            search = SearchParams(xi_max=xi_max)
+        cases = ((grid_1d(x_nodes=21), ex.parse("0.05 + 0.1*xi1", VARS_1D),
+                  Cone.from_rays(np.eye(1))),
+                 (grid_2d(), ex.parse("0.05 + 0.1*xi1 + 0.02*xi2", VARS_2D),
+                  Cone.orthant(2)))
+        for grid, ell, cone in cases:
+            xi_max = grid.box_diagonal
             values = rng.normal(size=grid.x_nodes)
-            vals, _, _ = evaluate_slice_values(grid, values, 0.5, ell,
-                                               Cone.orthant(grid.n), search)
+            vals, _, _ = evaluate_slice_values(grid, values, 0.5, ell, cone)
             vals = vals.ravel()
             for i, x in enumerate(nodes_of(grid)):
                 xi = rng.uniform(0.0, xi_max, size=(200, grid.n))
@@ -263,47 +247,43 @@ class TestOracle:
 # ------------------------------------------------------- search is a bound ----
 
 class TestSearchUpperBound:
-    def search_values(self, grid, values, ell, search):
+    def search_values(self, grid, values, ell):
         return _search(grid, values, 0.5, ell, nodes_of(grid),
-                       Cone.orthant(grid.n), search)[0]
+                       Cone.orthant(grid.n))[0]
 
-    @pytest.mark.parametrize("xi_max", [5.0])
-    def test_1d(self, xi_max):
+    def test_1d(self):
         rng = np.random.default_rng(31)
         grid = grid_1d(x_nodes=41)
         ell = ex.parse("0.05*(1 + xi1)", VARS_1D)
-        search = SearchParams(xi_max=xi_max)
         for _ in range(5):
             values = np.cumsum(rng.normal(size=41)) * 0.2
             exact, _, _ = evaluate_slice_values(grid, values, 0.5, ell,
-                                                Cone.orthant(1), search)
-            searched = self.search_values(grid, values, ell, search)
+                                                Cone.orthant(1))
+            searched = self.search_values(grid, values, ell)
             assert np.all(searched >= exact - 1e-12)
 
     def test_2d(self):
         rng = np.random.default_rng(32)
         grid = grid_2d(x_nodes=(9, 9))
         ell = ex.parse("0.1 + 0.05*(xi1 + xi2)", VARS_2D)
-        search = SearchParams(xi_max=grid.box_diagonal)
         for _ in range(2):
             values = rng.normal(size=grid.x_nodes)
             exact, _, _ = evaluate_slice_values(grid, values, 0.5, ell,
-                                                Cone.orthant(2), search)
-            searched = self.search_values(grid, values, ell, search)
+                                                Cone.orthant(2))
+            searched = self.search_values(grid, values, ell)
             assert np.all(searched >= exact.ravel() - 1e-12)
 
     def test_example_config_slices(self):
         cfg = load_problem((CONFIGS / "example.cfg").read_text())
         res = solve_qvi(cfg.problem, cfg.grid)
         grid = cfg.grid
-        search = default_search(grid)
         for k in range(0, grid.t_nodes, 20):
             exact, _, _ = evaluate_slice_values(
                 grid, res.V.values[k], float(grid.t[k]), cfg.problem.ell,
-                cfg.problem.cone, search)
+                cfg.problem.cone)
             searched = _search(grid, res.V.values[k], float(grid.t[k]),
                                cfg.problem.ell, nodes_of(grid),
-                               cfg.problem.cone, search)[0]
+                               cfg.problem.cone)[0]
             assert np.all(searched >= exact - 1e-12)
 
 
@@ -317,9 +297,7 @@ class TestEligibility:
     def test_affine_costs_take_the_exact_path(self, source):
         ell = ex.parse(source, VARS_1D)
         grid = grid_1d()
-        search = SearchParams(xi_max=grid.box_diagonal)
-        assert _exact_slopes(grid, 0.5, ell, Cone.orthant(1),
-                             search) is not None
+        assert _exact_slopes(grid, 0.5, ell, Cone.orthant(1)) is not None
 
     def test_exact_path_flags_no_truncation(self):
         # node 0 jumps across the whole box, the diagonal; the radius
@@ -329,8 +307,7 @@ class TestEligibility:
             n=1, T=1.0, H=ex.parse("0", ("t", "x1", "p1")),
             h=ex.parse("-10*x1", ("x1",)),
             ell=ex.parse("0.05 + 0.01*xi1", VARS_1D), cone=Cone.orthant(1))
-        assert _exact_slopes(grid, 0.5, problem.ell, problem.cone,
-                             default_search(grid)) is not None
+        assert _exact_slopes(grid, 0.5, problem.ell, problem.cone) is not None
         res = solve_qvi(problem, grid, (0.0,))
         assert res.argmin_xi[0, 0, 0] == 1.0
         assert not res.truncated.any()
@@ -338,55 +315,50 @@ class TestEligibility:
         point = evaluate(res.V, 0, [0.0], problem.ell, problem.cone)
         assert point.argmin[0] == 1.0 and not point.truncated
 
-    @pytest.mark.parametrize("n, source, cone, xi_max", [
-        (1, "0.05*(1 + xi1^2)", "orthant", 5.0),        # nonlinear in xi
-        (1, "0.05 + sqrt(xi1)", "orthant", 5.0),        # call on xi
-        (1, "0.05 + xi1*xi1", "orthant", 5.0),          # product of xi terms
-        (1, "0.1 + 0.05/(1 + xi1)", "orthant", 5.0),    # division by xi
-        (1, "0.05 + 0.01*x1 + 0.05*xi1", "orthant", 5.0),  # reads x
-        (1, "0.05 + 0.05*xi1", "rays", 5.0),            # ray cone
-        (1, "2.0 - 0.1*xi1", "orthant", 5.0),           # negative slope
-        (1, "0.05 + 0.05*xi1", "orthant", 2.0),         # ball short of box
-        (2, "0.1 + 0.05*(xi1 + xi2)", "orthant", 2.5),  # ball cuts cells
-        (2, "0.1 + 0.05*xi1 - 0.01*xi2", "orthant", 10.0),  # negative slope
+    @pytest.mark.parametrize("n, source, cone", [
+        (1, "0.05*(1 + xi1^2)", "orthant"),           # nonlinear in xi
+        (1, "0.05 + sqrt(xi1)", "orthant"),           # call on xi
+        (1, "0.05 + xi1*xi1", "orthant"),             # product of xi terms
+        (1, "0.1 + 0.05/(1 + xi1)", "orthant"),       # division by xi
+        (1, "0.05 + 0.01*x1 + 0.05*xi1", "orthant"),  # reads x
+        (1, "0.05 + 0.05*xi1", "rays"),               # ray cone
+        (1, "2.0 - 0.1*xi1", "orthant"),              # negative slope
+        (2, "0.1 + 0.05*xi1 - 0.01*xi2", "orthant"),  # negative slope
     ])
-    def test_ineligible_problems_run_the_search(self, n, source, cone, xi_max):
+    def test_ineligible_problems_run_the_search(self, n, source, cone,
+                                                 monkeypatch):
         rng = np.random.default_rng(41)
         grid = grid_1d(x_nodes=21) if n == 1 else grid_2d(x_nodes=(7, 7))
         ell = ex.parse(source, VARS_1D if n == 1 else VARS_2D)
         cone = Cone.orthant(n) if cone == "orthant" else Cone.from_rays(
             np.eye(n))
-        search = SearchParams(xi_max=xi_max, coarse=9, refine_levels=3)
-        assert _exact_slopes(grid, 0.5, ell, cone, search) is None
+        monkeypatch.setattr(obs, "COARSE", 9)
+        monkeypatch.setattr(obs, "REFINE_LEVELS", 3)
+        assert _exact_slopes(grid, 0.5, ell, cone) is None
         values = rng.normal(size=grid.x_nodes)
-        got = evaluate_slice_values(grid, values, 0.5, ell, cone, search)
-        want = _search(grid, values, 0.5, ell, nodes_of(grid), cone, search)
+        got = evaluate_slice_values(grid, values, 0.5, ell, cone)
+        want = _search(grid, values, 0.5, ell, nodes_of(grid), cone)
         assert np.array_equal(got[0].ravel(), want[0])
         assert np.array_equal(got[1].reshape(-1, n), want[1])
         assert np.array_equal(got[2].ravel(), want[2])
 
     def test_form_of_the_cost_is_judged_once(self):
         """t-free slopes are computed once per cost and shared read-only;
-        t-dependent ones follow each call's t; cone and radius are still
-        checked on every call."""
+        t-dependent ones follow each call's t; the cone is still checked
+        on every call."""
         grid = grid_1d()
-        search = SearchParams(xi_max=grid.box_diagonal)
         cone = Cone.orthant(1)
         timed = ex.parse("xi1*(1 + t)", VARS_1D)
         for t in (0.0, 0.25, 0.5):
-            assert _exact_slopes(grid, t, timed, cone, search)[0] == 1.0 + t
+            assert _exact_slopes(grid, t, timed, cone)[0] == 1.0 + t
         source = "0.05*(1 + xi1)"
-        first = _exact_slopes(grid, 0.2, ex.parse(source, VARS_1D), cone,
-                              search)
-        again = _exact_slopes(grid, 0.7, ex.parse(source, VARS_1D), cone,
-                              search)
+        first = _exact_slopes(grid, 0.2, ex.parse(source, VARS_1D), cone)
+        again = _exact_slopes(grid, 0.7, ex.parse(source, VARS_1D), cone)
         assert again is first and not first.flags.writeable
         assert first[0] == 0.05 * 2.0 - 0.05 * 1.0
-        short = SearchParams(xi_max=grid.box_diagonal / 2.0)
         rays = Cone.from_rays([[1.0]])
         ell = ex.parse(source, VARS_1D)
-        assert _exact_slopes(grid, 0.2, ell, cone, short) is None
-        assert _exact_slopes(grid, 0.2, ell, rays, search) is None
+        assert _exact_slopes(grid, 0.2, ell, rays) is None
 
 
 # ------------------------------------------------------------- properties ----
@@ -396,12 +368,10 @@ def slices(draw):
     n = draw(st.sampled_from([1, 2]))
     if n == 1:
         grid = grid_1d(x_nodes=draw(st.integers(2, 24)))
-        xi_max = draw(st.sampled_from([5.0, 8.0]))  # box diagonal and past
         ell = ex.parse("0.05 + 0.1*xi1", VARS_1D)
     else:
         grid = grid_2d(x_nodes=(draw(st.integers(2, 6)),
                                 draw(st.integers(2, 6))))
-        xi_max = grid.box_diagonal
         ell = ex.parse("0.05 + 0.1*xi1 + 0.03*xi2", VARS_2D)
     size = int(np.prod(grid.x_nodes))
     level = st.floats(-100.0, 100.0, allow_nan=False)
@@ -409,13 +379,13 @@ def slices(draw):
     bump = np.array(draw(st.lists(st.floats(0.0, 50.0), min_size=size,
                                   max_size=size)))
     return (grid, values.reshape(grid.x_nodes), bump.reshape(grid.x_nodes),
-            ell, SearchParams(xi_max=xi_max))
+            ell)
 
 
-def exact_n(grid, values, ell, search):
+def exact_n(grid, values, ell):
     cone = Cone.orthant(grid.n)
-    assert _exact_slopes(grid, 0.5, ell, cone, search) is not None
-    return evaluate_slice_values(grid, values, 0.5, ell, cone, search)[0]
+    assert _exact_slopes(grid, 0.5, ell, cone) is not None
+    return evaluate_slice_values(grid, values, 0.5, ell, cone)[0]
 
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -425,18 +395,18 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
 @PROPERTY_SETTINGS
 @given(slices())
 def test_exact_n_is_monotone_in_v(case):
-    grid, values, bump, ell, search = case
-    low = exact_n(grid, values, ell, search)
-    high = exact_n(grid, values + bump, ell, search)
+    grid, values, bump, ell = case
+    low = exact_n(grid, values, ell)
+    high = exact_n(grid, values + bump, ell)
     assert np.all(low <= high + 1e-10)
 
 
 @PROPERTY_SETTINGS
 @given(slices(), st.floats(-100.0, 100.0, allow_nan=False))
 def test_exact_n_is_shift_equivariant(case, shift):
-    grid, values, _, ell, search = case
-    base = exact_n(grid, values, ell, search)
-    moved = exact_n(grid, values + shift, ell, search)
+    grid, values, _, ell = case
+    base = exact_n(grid, values, ell)
+    moved = exact_n(grid, values + shift, ell)
     assert np.allclose(moved, base + shift, rtol=0.0, atol=1e-10)
 
 
@@ -475,41 +445,14 @@ class TestCallers:
         # every slice here settles with an update of exactly zero, so the
         # calls are one per sweep plus the terminal slice, no repeat
         assert len(calls) == 1 + int(res.iterations.sum())
-        search = default_search(grid)
         for k in range(grid.t_nodes - 1):
             n_vals, arg, trunc = evaluate_slice_values(
                 grid, res.V.values[k], float(grid.t[k]), cfg.problem.ell,
-                cfg.problem.cone, search)
+                cfg.problem.cone)
             assert np.array_equal(res.obstacle_gap.values[k],
                                   n_vals - res.V.values[k])
             assert np.array_equal(res.argmin_xi[k], arg)
             assert np.array_equal(res.truncated[k], trunc)
-
-    def test_every_caller_resolves_the_one_radius(self, monkeypatch,
-                                                   tmp_path):
-        seen = {}
-        inner = obs._exact_slopes
-        caller = ["solve_qvi"]
-
-        def spy(grid, t, ell, cone, search):
-            seen.setdefault(caller[0], set()).add(
-                search == default_search(grid)
-                == SearchParams(xi_max=grid.box_diagonal))
-            return inner(grid, t, ell, cone, search)
-
-        monkeypatch.setattr(obs, "_exact_slopes", spy)
-        cfg = load_problem((CONFIGS / "example.cfg").read_text(),
-                           ("grid.t_nodes=21", "grid.x_nodes=71"))
-        res = solve_qvi(cfg.problem, cfg.grid)
-        caller[0] = "obstacle_gap"
-        vc.obstacle_gap(res.V, cfg.problem)
-        caller[0] = "measure_obstacle_gap"
-        exm.measure_obstacle_gap(exm.build_instance())
-        caller[0] = "reproduce-example"
-        assert cli.main(["reproduce-example", "--out", str(tmp_path)]) == 0
-        assert seen == {name: {True} for name in (
-            "solve_qvi", "obstacle_gap", "measure_obstacle_gap",
-            "reproduce-example")}
 
     def test_grid_nodes_are_cached_read_only(self):
         grid = grid_2d()
