@@ -17,7 +17,7 @@ problem = ImpulseProblem(
     cone=Cone.orthant(1),
 )
 
-# the box must reach past the optimal jump target near x = 4.6
+# the box [-1, 7] reaches past the optimal jump target near x = 4.6
 grid = Grid(T=1.0, t_nodes=201, x_min=(-1.0,), x_max=(7.0,),
             x_nodes=(561,))
 result = solve_qvi(problem, grid)
@@ -27,6 +27,9 @@ print(f"solved {grid.t_nodes}x{grid.x_nodes[0]} nodes, "
       f"max fixed point sweeps {int(result.iterations.max())}")
 print(f"intervention fraction {regions.fraction:.4f} "
       f"({regions.n_intervention} nodes)")
+# a clipped node whose best jump lands on the box edge would be flagged;
+# this box holds every jump target, so the list is empty
+print(f"flags {list(result.flags)}")
 
 # where the band sits, slice by slice, in the transported coordinate
 x = grid.axes[0]

@@ -367,7 +367,8 @@ def audit_H1(problem, constants, sampler_spec):
     h_of_p, note = _hamiltonian_vals(problem, t, xs, p)
     xnorm = np.linalg.norm(xs, axis=1)
     pnorm = np.linalg.norm(p, axis=1)
-    envelope = constants.L * (1.0 + xnorm ** constants.mu) * (1.0 + pnorm)
+    with np.errstate(over="ignore"):  # an inf bound leaves no finite margin
+        envelope = constants.L * (1.0 + xnorm ** constants.mu) * (1.0 + pnorm)
     checks.append(_min_check("hamiltonian growth", envelope - np.abs(h_of_p),
                              {"t": t, "x": xs, "p": p}, TOL_SCAN, note))
 
@@ -392,7 +393,8 @@ def audit_H2(problem, constants, sampler_spec):
     count = min(len(t), len(xi))
     t, x, xi_c = t[:count], x[:count], xi[:count]
     cost, note = _cost_vals(problem, t, x, xi_c)
-    floor = constants.ell0 + constants.alpha * np.linalg.norm(xi_c, axis=1) ** constants.beta
+    with np.errstate(over="ignore"):
+        floor = constants.ell0 + constants.alpha * np.linalg.norm(xi_c, axis=1) ** constants.beta
     checks.append(_min_check("cost coercivity", cost - floor,
                              {"t": t, "x": x, "xi": xi_c}, TOL_SCAN, note))
 
@@ -480,7 +482,8 @@ def audit_comparison_hypotheses(problem_pair, constants, V, V_hat, sampler_spec)
 
     grid = V.grid
     gt, gx = _grid_full_nodes(grid)
-    bound = constants.C * (1.0 + np.linalg.norm(gx, axis=1) ** constants.gamma)
+    with np.errstate(over="ignore"):  # an inf bound leaves no finite margin
+        bound = constants.C * (1.0 + np.linalg.norm(gx, axis=1) ** constants.gamma)
     margins = np.concatenate([bound - np.abs(V.values.ravel()),
                               bound - np.abs(V_hat.values.ravel())])
     which = np.concatenate([np.zeros(len(gt)), np.ones(len(gt))])
@@ -498,7 +501,8 @@ def audit_comparison_hypotheses(problem_pair, constants, V, V_hat, sampler_spec)
     xi_pts = np.stack([grid.axes[d][i_idx[d]] for d in range(n)], axis=1)
     xj_pts = np.stack([grid.axes[d][j_idx[d]] for d in range(n)], axis=1)
     dist = np.linalg.norm(xi_pts - xj_pts, axis=1)
-    holder_bound = constants.C * (1.0 + dist ** constants.kappa)
+    with np.errstate(over="ignore"):
+        holder_bound = constants.C * (1.0 + dist ** constants.kappa)
     dv = np.abs(V.values[(t_idx,) + i_idx] - V.values[(t_idx,) + j_idx])
     dv_hat = np.abs(V_hat.values[(t_idx,) + i_idx] - V_hat.values[(t_idx,) + j_idx])
     margins = np.concatenate([holder_bound - dv, holder_bound - dv_hat])

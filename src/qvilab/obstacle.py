@@ -34,9 +34,8 @@ probe set for every slice, so it is exactly monotone in V and equivariant
 under constant shifts.  Its value never exceeds the payoff of any
 probed impulse, so it is an upper bound of the exact infimum.
 
-Only the search can truncate: its `truncated` flag records results
-whose impulse lies within half a coarse step of the radius cap.  The
-exact path reaches every landing point, so it flags none.
+Neither path knows where the box cuts a jump short: the solver reads
+that from the settled argmin (see solver.solve_qvi).
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ REFINE_POINTS = 9  # points per ray coefficient in each zoom of the search
 class ObstacleResult:
     value: float
     argmin: np.ndarray  # impulse xi, shape (n,)
-    truncated: bool
     probes: int
 
 
@@ -111,8 +109,8 @@ def _search(grid, slice_values, t, ell, nodes_x, cone):
     """Run the coarse scan plus zoom refinement at every point of nodes_x
     (N, n), over the ball of the box diagonal.
 
-    Returns (values, argmin_xi, truncated, probes), the first three flat
-    over the points; probes counts the payoffs evaluated.
+    Returns (values, argmin_xi, probes), the first two flat over the
+    points; probes counts the payoffs evaluated.
     """
     slice_values = np.asarray(slice_values, dtype=float)
     t = float(t)
@@ -152,10 +150,7 @@ def _search(grid, slice_values, t, ell, nodes_x, cone):
         best = _pick(*(np.stack(pair, axis=1) for pair in zip(best, cand)))
         step *= 2.0 / (REFINE_POINTS - 1)
 
-    values, bxi, _ = best
-    # truncated: within half a coarse scan step of the radius cap
-    cap = xi_max - 0.5 * xi_max / (COARSE - 1)
-    return values, bxi, np.linalg.norm(bxi, axis=-1) >= cap, probes
+    return best[0], best[1], probes
 
 
 # ------------------------------------------------------------- exact path ----
@@ -296,9 +291,10 @@ def _obstacle(grid, slice_values, t, ell, cone, points, at_nodes):
     """N at points (N, n) by the exact path when it applies, else the search.
 
     `at_nodes` says the points are every node in row-major order, else
-    they are one point.  Returns (values, argmin_xi, truncated, probes)
-    flat over the points; probes counts the payoffs the search evaluated
-    or the candidates the exact path compared (None for the node scans).
+    they are one point.  Returns (values, argmin_xi, probes), the first
+    two flat over the points; probes counts the payoffs the search
+    evaluated or the candidates the exact path compared (None for the
+    node scans).
     """
     slopes = _exact_slopes(grid, t, ell, cone)
     if slopes is None:
@@ -310,33 +306,28 @@ def _obstacle(grid, slice_values, t, ell, cone, points, at_nodes):
     else:
         bxi, probes = _exact_nodes(grid, slice_values, slopes), None
     values = _psi(grid, slice_values, t, ell, points, bxi)
-    return values, bxi, np.zeros(values.shape, dtype=bool), probes
+    return values, bxi, probes
 
 
 def evaluate_slice_values(grid, slice_values, t, ell, cone):
     """Obstacle operator applied to raw slice values at every spatial node.
 
     Takes the exact path when the problem allows it, else the search.
-    Returns (values, argmin_xi, truncated) with shapes
-    (*x_nodes,), (*x_nodes, n), (*x_nodes,).
+    Returns (values, argmin_xi) with shapes (*x_nodes,), (*x_nodes, n).
     """
-    values, bxi, truncated, _ = _obstacle(grid, slice_values, t, ell, cone,
-                                          grid.space_nodes(), at_nodes=True)
+    values, bxi, _ = _obstacle(grid, slice_values, t, ell, cone,
+                               grid.space_nodes(), at_nodes=True)
     shape = tuple(grid.x_nodes)
-    return (
-        values.reshape(shape),
-        bxi.reshape(shape + (grid.n,)),
-        truncated.reshape(shape),
-    )
+    return values.reshape(shape), bxi.reshape(shape + (grid.n,))
 
 
 def evaluate(V: GridFunction, t_index, x_point, ell, cone):
     """Obstacle value at one (t_index, x_point), x_point inside the box.
 
     Runs the slice machinery on a single point, so every guarantee of
-    evaluate_slice_values (path choice, tie-breaking, truncation flag,
-    value at nodes) holds verbatim.  `probes` counts the payoffs the search
-    evaluated, or the candidates the exact path compared.
+    evaluate_slice_values (path choice, tie-breaking, value at nodes)
+    holds verbatim.  `probes` counts the payoffs the search evaluated, or
+    the candidates the exact path compared.
     """
     grid = V.grid
     x_point = np.atleast_1d(np.asarray(x_point, dtype=float))
@@ -349,12 +340,7 @@ def evaluate(V: GridFunction, t_index, x_point, ell, cone):
                 f"[{grid.x_min[d]}, {grid.x_max[d]}]"
             )
     t = float(grid.t[t_index])
-    values, bxi, truncated, probes = _obstacle(
+    values, bxi, probes = _obstacle(
         grid, V.values[t_index], t, ell, cone, x_point[None, :],
         at_nodes=False)
-    return ObstacleResult(
-        value=float(values[0]),
-        argmin=np.array(bxi[0]),
-        truncated=bool(truncated[0]),
-        probes=probes,
-    )
+    return ObstacleResult(float(values[0]), np.array(bxi[0]), probes)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import expr as ex
 from . import obstacle as obs
-from .core import (GridFunction, check_horizon, halton, make_env,
+from .core import (GridFunction, axis_names, check_horizon, halton, make_env,
                    sample_terminal)
 
 
@@ -149,7 +149,6 @@ class SolveResult:
     V: GridFunction
     obstacle_gap: Optional[GridFunction]
     argmin_xi: Optional[np.ndarray]
-    truncated: Optional[np.ndarray]
     iterations: np.ndarray
     flags: tuple
     dissipation: tuple
@@ -217,12 +216,16 @@ def solve_qvi(problem, grid, dissipation=None) -> SolveResult:
     """Backward solve with every stepped slice clipped by the obstacle.
 
     Each slice runs W <- min(W_unclipped, N[W]) until the update falls
-    below FP_TOL, then records the obstacle gap, impulse argmin and
-    truncation of the settled slice (from the last sweep when its update
-    was exactly zero, since that sweep already saw the settled slice).
-    The terminal slice is the sampled terminal data and is never clipped.
-    `dissipation` and the horizon are as in solve_hjb.  N is the one every
-    command uses, over the ball of the box diagonal.
+    below FP_TOL, then records the obstacle gap and impulse argmin of the
+    settled slice (from the last sweep when its update was exactly zero,
+    since that sweep already saw the settled slice).  The terminal slice
+    is the sampled terminal data and is never clipped.  `dissipation` and
+    the horizon are as in solve_hjb.  N is the one every command uses,
+    over the ball of the box diagonal.
+
+    A clipped node (N[W] < W_unclipped) is cut by the box when its jump
+    lands within half a cell of an edge along an axis it moves; `flags`
+    counts these per axis and side, on the exact path and the search alike.
     """
     return _backward(problem, grid, dissipation, obstacle=True)
 
@@ -230,8 +233,9 @@ def solve_qvi(problem, grid, dissipation=None) -> SolveResult:
 def _backward(problem, grid, dissipation, obstacle):
     """The backward loop of both solves, with the obstacle on or off.
 
-    Off, no obstacle call is made and no gap, argmin or truncation array
-    is allocated.
+    Off, no obstacle call is made and no gap or argmin array is
+    allocated.  On, the box-edge counts of solve_qvi are summed slice by
+    slice from W0 and the settled argmin.
     """
     check_horizon(problem, grid)
     terminal = sample_terminal(problem.h, grid)
@@ -243,13 +247,14 @@ def _backward(problem, grid, dissipation, obstacle):
     V = np.empty(grid.shape)
     V[nt - 1] = terminal
     iterations = np.zeros(nt, dtype=int)
-    gap = argmin = truncated = None
+    gap = argmin = None
+    box = np.column_stack([grid.x_min, grid.x_max])  # (low, high) per axis
+    edges = np.zeros(box.shape, dtype=int)  # clipped nodes cut at each edge
     if obstacle:
         gap = np.empty(grid.shape)
         argmin = np.zeros(grid.shape + (grid.n,))
-        truncated = np.zeros(grid.shape, dtype=bool)
         # terminal slice: gap recorded for reporting, never enforced
-        n_term, argmin[nt - 1], truncated[nt - 1] = obs.evaluate_slice_values(
+        n_term, argmin[nt - 1] = obs.evaluate_slice_values(
             grid, V[nt - 1], float(grid.t[nt - 1]), problem.ell, problem.cone)
         gap[nt - 1] = n_term - V[nt - 1]
 
@@ -261,19 +266,24 @@ def _backward(problem, grid, dissipation, obstacle):
         if not obstacle:
             V[k] = W0
             continue
-        W, n_vals, argmin[k], truncated[k], iterations[k] = _settle(
-            problem, grid, W0, t_k)
+        W, n_vals, argmin[k], iterations[k] = _settle(problem, grid, W0, t_k)
         V[k] = W
         gap[k] = n_vals - W
+        clipped = n_vals < W0
+        for d in range(grid.n):
+            xi = argmin[k, ..., d]
+            land = (x[d] + xi)[clipped & (xi != 0.0)]  # clipped, moved along d
+            half = 0.5 * grid.dx[d]
+            edges[d] += (np.count_nonzero(land <= box[d, 0] + half),
+                         np.count_nonzero(land >= box[d, 1] - half))
 
-    flags = ()
-    if obstacle and truncated.any():
-        flags = ("obstacle search truncated",)
+    flags = tuple(f"best jump reaches {name} = {edge:.6g} at {count} clipped nodes"
+                  for name, sides, counts in zip(axis_names("x", grid.n), box, edges)
+                  for edge, count in zip(sides, counts) if count)
     return SolveResult(
         V=GridFunction(grid, V),
         obstacle_gap=None if gap is None else GridFunction(grid, gap),
         argmin_xi=argmin,
-        truncated=truncated,
         iterations=iterations,
         flags=flags,
         dissipation=dissipation,
@@ -283,11 +293,11 @@ def _backward(problem, grid, dissipation, obstacle):
 def _settle(problem, grid, W0, t_k):
     """Fixed point W <- min(W0, N[W]) of one stepped slice.
 
-    Returns (W, N[W], argmin, truncated, sweeps).
+    Returns (W, N[W], argmin, sweeps).
     """
     W = W0
     for it in range(1, FP_MAX_ITER + 1):
-        n_vals, arg_k, trunc_k = obs.evaluate_slice_values(
+        n_vals, arg_k = obs.evaluate_slice_values(
             grid, W, t_k, problem.ell, problem.cone)
         W_new = np.minimum(W0, n_vals)
         delta = float(np.max(np.abs(W_new - W)))
@@ -301,10 +311,10 @@ def _settle(problem, grid, W0, t_k):
         )
     if delta > 0.0:
         # the last sweep saw the previous iterate; a zero update means
-        # it saw this one, so its N, argmin and truncation stand
-        n_vals, arg_k, trunc_k = obs.evaluate_slice_values(
+        # it saw this one, so its N and argmin stand
+        n_vals, arg_k = obs.evaluate_slice_values(
             grid, W, t_k, problem.ell, problem.cone)
-    return W, n_vals, arg_k, trunc_k, it
+    return W, n_vals, arg_k, it
 
 
 # ------------------------------------------------------------ diagnostics ----

@@ -183,8 +183,8 @@ def obstacle_gap(V, problem):
     grid = V.grid
     gap = np.empty(grid.shape)
     for k in range(grid.t_nodes):
-        vals, _, _ = evaluate_slice_values(grid, V.values[k], grid.t[k],
-                                           problem.ell, problem.cone)
+        vals, _ = evaluate_slice_values(grid, V.values[k], grid.t[k],
+                                        problem.ell, problem.cone)
         gap[k] = vals - V.values[k]
     return gap
 

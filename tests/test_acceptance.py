@@ -259,12 +259,11 @@ class TestAcceptance:
             lower = rng.normal(size=grid.x_nodes[0])
             lift = rng.uniform(0.0, 1.0, size=grid.x_nodes[0])
             c = float(rng.uniform(-2.0, 2.0))
-            n_lower, _, _ = evaluate_slice_values(grid, lower, 0.5, ell,
-                                                  cone)
-            n_upper, _, _ = evaluate_slice_values(grid, lower + lift, 0.5,
-                                                  ell, cone)
-            n_shift, _, _ = evaluate_slice_values(grid, lower + c, 0.5, ell,
-                                                  cone)
+            n_lower, _ = evaluate_slice_values(grid, lower, 0.5, ell, cone)
+            n_upper, _ = evaluate_slice_values(grid, lower + lift, 0.5,
+                                               ell, cone)
+            n_shift, _ = evaluate_slice_values(grid, lower + c, 0.5, ell,
+                                               cone)
             worst_mono = max(worst_mono, float(np.max(n_lower - n_upper)))
             worst_shift = max(worst_shift,
                               float(np.max(np.abs(n_shift - (n_lower + c)))))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,19 @@ class TestSolve:
         for name in ("solution.csv", "obstacle_gap.csv", "manifest.json"):
             assert (solve_dir / name).exists()
         assert not (solve_dir / "residual.csv").exists()
+
+    def test_flags_name_the_box_edge_on_both_paths(self, solve_dir,
+                                                    tmp_path):
+        # every clipped jump lands on x1 = 4; the ray cone "1" allows the
+        # same jumps but takes the search, whose zoom stops short of the
+        # edge by less than half a cell
+        flags = ["best jump reaches x1 = 4 at 148 clipped nodes"]
+        assert json.loads((solve_dir / "solve.json").read_text())[
+            "flags"] == flags
+        assert run(["solve", EXAMPLE, "--set", 'problem.cone="1"',
+                    "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "solve.json").read_text())[
+            "flags"] == flags
 
     def test_unstable_step_fails_with_diagnostics(self, tmp_path, capsys):
         assert run(["solve", EXAMPLE, "--grid-nt", "11",
@@ -334,6 +348,17 @@ class TestCompare:
         assert report["tolerance"] == 0.0
         assert report["passed"] is True
         assert "(tolerance 0)" in capsys.readouterr().out
+
+    def test_overflowing_bounds_are_null_margins(self, tmp_path):
+        # C = 1e308 takes the growth bound C*(1 + |x|^0) and the Hoelder
+        # bound C*(1 + d^kappa) past the float range: the growth margin is
+        # written as null, with no numpy overflow warning on the way
+        assert run(["compare", EXAMPLE, LIFTED, *FAST,
+                    "--set", "constants.C=1e308", "--out", str(tmp_path)]) == 0
+        checks = json.loads((tmp_path / "compare.json").read_text())[
+            "audit"]["checks"]
+        growth = next(c for c in checks if c["name"] == "value growth")
+        assert growth["worst_margin"] is None
 
     def test_mismatched_grids_are_invalid(self, tmp_path):
         cfg = tmp_path / "wide.cfg"
@@ -821,6 +846,54 @@ class TestStrictJson:
         instance = payload["example.json"]["instance"]
         assert instance["needs_smaller_cost"] is True
         assert instance["u_lo"] is None and instance["u_hi"] is None
+
+
+def exit_code(argv):
+    """cli.main's exit code, argparse's rejections included."""
+    try:
+        return run(argv)
+    except SystemExit as err:
+        return err.code
+
+
+SMALL = ["--grid-nt", "21", "--grid-nx", "71"]
+EXTREMES = ("nan", "inf", "1e308", "1e-320")
+# the range edges of each [constants] key (kappa < beta = 0.5 here); check
+# reads every key, and compare's growth and Hoelder bounds read C, gamma
+# and kappa
+CONSTANT_EDGES = {"L": ("0",), "mu": ("0", "1"), "h0": ("0",), "ell0": ("0",),
+                  "alpha": ("0",), "beta": ("0", "1"), "delta0": ("0",),
+                  "C": ("0",), "gamma": ("0", "1"), "kappa": ("0", "0.5")}
+DOUBLING = ["doubling", EXAMPLE, *SMALL, "--analytic", PROFILE]
+EXTREME_ARGV = [
+    pytest.param([command, *configs, *SMALL, "--set", f"constants.{key}={value}"],
+                 id=f"{command}-{key}={value}")
+    for key, edges in CONSTANT_EDGES.items()
+    for value in EXTREMES + edges
+    for command, configs in (("check", [EXAMPLE]),
+                             ("compare", [EXAMPLE, LIFTED]))
+    if command == "check" or key in ("C", "gamma", "kappa")
+] + [
+    pytest.param([*argv, flag, value], id=f"{argv[0]}{flag}={value}")
+    for argv, flag, edges in (
+        (["viscosity", EXAMPLE, *SMALL, "--variant", "hjb-super",
+          "--analytic", "abs(x1)"], "--tol", ("0", "-1")),
+        (["compare", EXAMPLE, LIFTED, *SMALL], "--tol", ("0", "-1")),
+        (DOUBLING, "--theta", ("0", "0.1")),
+        (DOUBLING, "--levels", ("0", "-1")))
+    for value in EXTREMES + edges
+] + [pytest.param([*DOUBLING, "--analytic-hat", "1e300*x1"],
+                  id="doubling--analytic-hat=1e300*x1")]
+
+
+class TestExtremeValues:
+    @pytest.mark.parametrize("argv", EXTREME_ARGV)
+    def test_ends_in_an_exit_code_without_a_warning(self, argv, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = exit_code([*argv, "--out", str(tmp_path)])
+        assert code in (0, 1, 2)
+        assert [str(w.message) for w in caught] == []
 
 
 class TestFlags:

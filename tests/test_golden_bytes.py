@@ -106,7 +106,7 @@ COMMANDS = {
          "solution.csv":
              "254dbdad37b73ffbd252a61a7ff46350873720b6fec1922ccddc742dd936f7e0",
          "solve.json":
-             "b618a7e9294724dc9eb97c80a9c9c6bc1c3d66a21a32e341c20573df9bbca3c1"}),
+             "eacda5a3a787fedb6845ccfb58d66baf588ff13d906138ddbfc13ee6a96b1820"}),
     "solve-plane": (
         ["solve", str(ROOT / "perfbench" / "plane.cfg")],
         {"obstacle_gap.csv":
@@ -114,7 +114,7 @@ COMMANDS = {
          "solution.csv":
              "832b25dc0f34c5164fc52949f5d2adca9bc190afdd3ebc1350685fb409ca28c3",
          "solve.json":
-             "41549c214619b580d7d9a18f398a13761dd4ec9bbb658504b588c72411329b50"}),
+             "689bf12520a5e19eebc91112e122c0dfcc222e07d27ef338448cf0551a6b6d5d"}),
     "solve-transport-no-obstacle": (
         ["solve", str(ROOT / "configs" / "transport.cfg"), "--no-obstacle"],
         {"solution.csv":

@@ -1,13 +1,16 @@
 """Obstacle operator: oracles, exact properties, search behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
 from qvilab import expr as ex
 from qvilab import obstacle as obs
-from qvilab.core import Cone, Grid, GridFunction, sample
+from qvilab.core import Cone, Grid, GridFunction, ImpulseProblem, sample
 from qvilab.obstacle import ObstacleResult, evaluate, evaluate_slice_values
+from qvilab.solver import solve_qvi
 
 ELL0 = 0.05
 
@@ -37,7 +40,7 @@ class TestOracles:
         grid = make_grid_1d()
         V = constant_slice_fn(grid, lambda x: np.abs(x - 2.0))
         ell = ex.parse("0.05", ("t", "x1", "xi1"))
-        vals, argmin, trunc = evaluate_slice_values(
+        vals, argmin = evaluate_slice_values(
             grid, V.values[0], float(grid.t[0]), ell, orthant_rays(1))
         x = grid.axes[0]
         left = x <= 2.0
@@ -47,7 +50,6 @@ class TestOracles:
         right = x > 2.0 + 1e-9
         assert np.allclose(vals[right], np.abs(x[right] - 2.0) + 0.05, atol=1e-9)
         assert np.allclose(argmin[right, 0], 0.0, atol=1e-6)
-        assert not trunc.any()
 
     def test_separation_profile_minimum(self):
         # slice f(u) = u*exp(-u); at u0 = 1 the obstacle equals
@@ -66,7 +68,6 @@ class TestOracles:
                               options={"xatol": 1e-12})
         assert abs(res.value - ref.fun) <= 1e-6
         assert abs(res.argmin[0] - ref.x) <= 1e-4
-        assert not res.truncated
         assert res.argmin[0] > 3.0  # the far root, not the near one
 
     def test_flat_slice_picks_zero_impulse(self):
@@ -75,21 +76,34 @@ class TestOracles:
         grid = make_grid_1d(x_nodes=51)
         V = GridFunction(grid, np.zeros(grid.shape))
         ell = ex.parse("0.05", ("t", "x1", "xi1"))
-        vals, argmin, trunc = evaluate_slice_values(
+        vals, argmin = evaluate_slice_values(
             grid, V.values[1], float(grid.t[1]), ell, orthant_rays(1))
         assert np.allclose(vals, 0.05, atol=0)
         assert np.all(argmin == 0.0)
-        assert not trunc.any()
 
-    def test_decreasing_slice_truncates_at_cap(self):
+    def test_decreasing_slice_jumps_to_the_edge(self):
         grid = make_grid_1d(x_nodes=251)
         V = constant_slice_fn(grid, lambda x: -x)
         ell = ex.parse("0.05", ("t", "x1", "xi1"))
         # from the left edge the best jump is the whole box diagonal
         res = evaluate(V, 0, np.array([-1.0]), ell, orthant_rays(1))
-        assert res.truncated
         assert res.argmin[0] == pytest.approx(5.0, abs=1e-9)
         assert res.value == pytest.approx(-4.0 + 0.05, abs=1e-9)
+        # a solve flags it on the search path as on the exact one: the
+        # first stepped slice clips every node left of x = 3.95, and each
+        # jump lands on x1 = 4; the slice below, stepped from it, clips none
+        problem = ImpulseProblem(
+            n=1, T=1.0, H=ex.parse("0", ("t", "x1", "p1")),
+            h=ex.parse("-x1", ("x1",)), ell=ell, cone=orthant_rays(1))
+        flag = ("best jump reaches x1 = 4 at 248 clipped nodes",)
+        assert solve_qvi(problem, grid, (0.0,)).flags == flag
+        orthant = replace(problem, cone=Cone.orthant(1))
+        assert solve_qvi(orthant, grid, (0.0,)).flags == flag
+        # mirrored, the jump runs left and reaches the low edge
+        mirror = replace(problem, h=ex.parse("x1", ("x1",)),
+                         cone=Cone.from_rays([[-1.0]]))
+        assert solve_qvi(mirror, grid, (0.0,)).flags == (
+            "best jump reaches x1 = -1 at 248 clipped nodes",)
 
     def test_cost_depends_on_t_and_x(self):
         # V identically zero and a cost increasing in xi: the infimum sits
@@ -100,7 +114,7 @@ class TestOracles:
                        ("t", "x1", "xi1"))
         for k in (0, 4):
             t = grid.t[k]
-            vals, argmin, _ = evaluate_slice_values(
+            vals, argmin = evaluate_slice_values(
                 grid, V.values[k], float(t), ell, Cone.orthant(1))
             expect = 0.05 * (1 + t) + 0.01 * np.abs(grid.axes[0])
             assert np.allclose(vals, expect, atol=1e-12)
@@ -122,7 +136,6 @@ class TestTwoDimensional:
         # kink bottom: accuracy is one final zoom cell per coordinate
         assert res.value == pytest.approx(0.05, abs=2e-6)
         assert np.allclose(res.argmin, [1.0, 2.0], atol=1e-4)
-        assert not res.truncated
 
     def test_single_ray_cone_stays_on_ray(self):
         grid = Grid(T=1.0, t_nodes=2, x_min=(-1.0, -1.0), x_max=(4.0, 4.0),
@@ -169,8 +182,8 @@ class TestExactProperties:
         for _ in range(100):
             base = rng.normal(size=grid.x_nodes[0])
             bump = rng.uniform(0.0, 1.0, size=grid.x_nodes[0])
-            nv, _, _ = evaluate_slice_values(grid, base, 0.5, ell, cone)
-            nw, _, _ = evaluate_slice_values(grid, base + bump, 0.5, ell, cone)
+            nv, _ = evaluate_slice_values(grid, base, 0.5, ell, cone)
+            nw, _ = evaluate_slice_values(grid, base + bump, 0.5, ell, cone)
             worst = max(worst, float(np.max(nv - nw)))
         assert worst <= 1e-12
 
@@ -181,8 +194,8 @@ class TestExactProperties:
         cone = orthant_rays(1)
         for c in (1.0, -2.5, 0.125):
             base = rng.normal(size=grid.x_nodes[0])
-            nv, av, _ = evaluate_slice_values(grid, base, 0.5, ell, cone)
-            ns, as_, _ = evaluate_slice_values(grid, base + c, 0.5, ell, cone)
+            nv, av = evaluate_slice_values(grid, base, 0.5, ell, cone)
+            ns, as_ = evaluate_slice_values(grid, base + c, 0.5, ell, cone)
             assert np.max(np.abs(ns - (nv + c))) <= 1e-12
             assert np.array_equal(av, as_)
 
@@ -196,7 +209,7 @@ class TestExactProperties:
         monkeypatch.setattr(obs, "COARSE", 17)
         monkeypatch.setattr(obs, "REFINE_LEVELS", 6)
         base = rng.normal(size=grid.x_nodes[0])
-        vals, _, _ = evaluate_slice_values(grid, base, 0.5, ell, cone)
+        vals, _ = evaluate_slice_values(grid, base, 0.5, ell, cone)
         x = grid.axes[0]
         from qvilab.core import interp_slice
         for xi in np.linspace(0.0, grid.box_diagonal, 17):
@@ -212,8 +225,8 @@ class TestExactProperties:
         cone = orthant_rays(1)
         x = grid.axes[0]
         base = np.sin(x)
-        nv, _, _ = evaluate_slice_values(grid, base, 0.5, ell, cone)
-        nw, _, _ = evaluate_slice_values(grid, base + 0.3, 0.5, ell, cone)
+        nv, _ = evaluate_slice_values(grid, base, 0.5, ell, cone)
+        nw, _ = evaluate_slice_values(grid, base + 0.3, 0.5, ell, cone)
         assert np.max(nv - nw) <= 1e-9
 
 
@@ -226,13 +239,12 @@ class TestInterfaces:
         cone = orthant_rays(1)
         monkeypatch.setattr(obs, "COARSE", 15)
         monkeypatch.setattr(obs, "REFINE_LEVELS", 4)
-        vals, argmin, trunc = evaluate_slice_values(
+        vals, argmin = evaluate_slice_values(
             grid, V.values[1], float(grid.t[1]), ell, cone)
         for i in (0, 7, 23, 40):
             res = evaluate(V, 1, np.array([grid.axes[0][i]]), ell, cone)
             assert res.value == vals[i]
             assert res.argmin[0] == argmin[i, 0]
-            assert res.truncated == bool(trunc[i])
             assert res.probes > 0
             assert isinstance(res, ObstacleResult)
 

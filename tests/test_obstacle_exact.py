@@ -87,7 +87,7 @@ def check_against_oracle(grid, values, ell, points=()):
     slopes = _exact_slopes(grid, t, ell, cone)
     assert slopes is not None
     V = GridFunction(grid, np.broadcast_to(values, grid.shape))
-    slice_vals, slice_xi, _ = evaluate_slice_values(
+    slice_vals, slice_xi = evaluate_slice_values(
         grid, V.values[1], float(grid.t[1]), ell, cone)
     nodes = nodes_of(grid)
     for i, x in enumerate(np.vstack([nodes, np.reshape(points, (-1, grid.n))])):
@@ -177,14 +177,13 @@ class TestOracle:
         cone = Cone.orthant(n)
         assert _exact_slopes(grid, 0.5, ell, cone) is not None
         for k in (0, 1):
-            vals, argmin, trunc = evaluate_slice_values(
+            vals, argmin = evaluate_slice_values(
                 grid, V.values[k], float(grid.t[k]), ell, cone)
             for flat, x in enumerate(nodes_of(grid)):
                 idx = np.unravel_index(flat, grid.x_nodes)
                 res = evaluate(V, k, x, ell, cone)
                 assert res.value == vals[idx]
                 assert np.array_equal(res.argmin, argmin[idx])
-                assert res.truncated == bool(trunc[idx])
 
     def test_tied_nodes_match_the_point_enumerator_in_any_batch(self):
         # integer values tie many keys; the batched tie-break must pick
@@ -235,7 +234,7 @@ class TestOracle:
         for grid, ell, cone in cases:
             xi_max = grid.box_diagonal
             values = rng.normal(size=grid.x_nodes)
-            vals, _, _ = evaluate_slice_values(grid, values, 0.5, ell, cone)
+            vals, _ = evaluate_slice_values(grid, values, 0.5, ell, cone)
             vals = vals.ravel()
             for i, x in enumerate(nodes_of(grid)):
                 xi = rng.uniform(0.0, xi_max, size=(200, grid.n))
@@ -257,7 +256,7 @@ class TestSearchUpperBound:
         ell = ex.parse("0.05*(1 + xi1)", VARS_1D)
         for _ in range(5):
             values = np.cumsum(rng.normal(size=41)) * 0.2
-            exact, _, _ = evaluate_slice_values(grid, values, 0.5, ell,
+            exact, _ = evaluate_slice_values(grid, values, 0.5, ell,
                                                 Cone.orthant(1))
             searched = self.search_values(grid, values, ell)
             assert np.all(searched >= exact - 1e-12)
@@ -268,7 +267,7 @@ class TestSearchUpperBound:
         ell = ex.parse("0.1 + 0.05*(xi1 + xi2)", VARS_2D)
         for _ in range(2):
             values = rng.normal(size=grid.x_nodes)
-            exact, _, _ = evaluate_slice_values(grid, values, 0.5, ell,
+            exact, _ = evaluate_slice_values(grid, values, 0.5, ell,
                                                 Cone.orthant(2))
             searched = self.search_values(grid, values, ell)
             assert np.all(searched >= exact.ravel() - 1e-12)
@@ -278,7 +277,7 @@ class TestSearchUpperBound:
         res = solve_qvi(cfg.problem, cfg.grid)
         grid = cfg.grid
         for k in range(0, grid.t_nodes, 20):
-            exact, _, _ = evaluate_slice_values(
+            exact, _ = evaluate_slice_values(
                 grid, res.V.values[k], float(grid.t[k]), cfg.problem.ell,
                 cfg.problem.cone)
             searched = _search(grid, res.V.values[k], float(grid.t[k]),
@@ -299,9 +298,11 @@ class TestEligibility:
         grid = grid_1d()
         assert _exact_slopes(grid, 0.5, ell, Cone.orthant(1)) is not None
 
-    def test_exact_path_flags_no_truncation(self):
-        # node 0 jumps across the whole box, the diagonal; the radius
-        # reaches every landing point, so nothing was cut off
+    def test_exact_path_flags_the_box_edge(self):
+        # node 0 jumps across the whole box, the diagonal: the exact path
+        # lands on the edge x1 = 1 as the search would, and the solve says
+        # so; the first stepped slice clips its 20 nodes left of the edge,
+        # and the slice below it, stepped from that one, clips none
         grid = grid_1d(x_nodes=21, x_min=0.0, x_max=1.0)
         problem = ImpulseProblem(
             n=1, T=1.0, H=ex.parse("0", ("t", "x1", "p1")),
@@ -310,10 +311,9 @@ class TestEligibility:
         assert _exact_slopes(grid, 0.5, problem.ell, problem.cone) is not None
         res = solve_qvi(problem, grid, (0.0,))
         assert res.argmin_xi[0, 0, 0] == 1.0
-        assert not res.truncated.any()
-        assert res.flags == ()
+        assert res.flags == ("best jump reaches x1 = 1 at 20 clipped nodes",)
         point = evaluate(res.V, 0, [0.0], problem.ell, problem.cone)
-        assert point.argmin[0] == 1.0 and not point.truncated
+        assert point.argmin[0] == 1.0
 
     @pytest.mark.parametrize("n, source, cone", [
         (1, "0.05*(1 + xi1^2)", "orthant"),           # nonlinear in xi
@@ -340,7 +340,6 @@ class TestEligibility:
         want = _search(grid, values, 0.5, ell, nodes_of(grid), cone)
         assert np.array_equal(got[0].ravel(), want[0])
         assert np.array_equal(got[1].reshape(-1, n), want[1])
-        assert np.array_equal(got[2].ravel(), want[2])
 
     def test_form_of_the_cost_is_judged_once(self):
         """t-free slopes are computed once per cost and shared read-only;
@@ -446,13 +445,12 @@ class TestCallers:
         # calls are one per sweep plus the terminal slice, no repeat
         assert len(calls) == 1 + int(res.iterations.sum())
         for k in range(grid.t_nodes - 1):
-            n_vals, arg, trunc = evaluate_slice_values(
+            n_vals, arg = evaluate_slice_values(
                 grid, res.V.values[k], float(grid.t[k]), cfg.problem.ell,
                 cfg.problem.cone)
             assert np.array_equal(res.obstacle_gap.values[k],
                                   n_vals - res.V.values[k])
             assert np.array_equal(res.argmin_xi[k], arg)
-            assert np.array_equal(res.truncated[k], trunc)
 
     def test_grid_nodes_are_cached_read_only(self):
         grid = grid_2d()

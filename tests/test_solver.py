@@ -207,7 +207,7 @@ class TestObstacleOff:
         dissipation = (1.05,)
         res = solve_hjb(problem, grid, dissipation)
         assert res.obstacle_gap is None
-        assert res.argmin_xi is None and res.truncated is None
+        assert res.argmin_xi is None and res.flags == ()
         assert not res.iterations.any()
         # every slice is the unclipped step of the next, bit for bit
         assert np.array_equal(res.V.values[:-1], restep(problem, res))
@@ -406,9 +406,10 @@ class TestConstrainedSolve:
             assert row[core].all()
 
     def test_clipped_box_strip_at_midslice(self, qvi_example):
-        # on the narrow box the jump target is clamped at the edge, which
-        # lifts the obstacle backward in time; the strip still shows at
-        # mid horizon and covers the reference point x = 1.5, t = 0.5
+        # on the narrow box every clipped jump lands on the edge x1 = 4
+        # (the solve flags it), which lifts the obstacle backward in time;
+        # the strip still shows at mid horizon and covers the reference
+        # point x = 1.5, t = 0.5
         grid, res, _ = qvi_example
         k = grid.t_nodes // 2
         row = extract_regions(res).labels[k]
@@ -449,10 +450,21 @@ class TestConstrainedSolve:
         assert int(res.iterations[:-1].max()) <= 6
         assert int(res.iterations[-1]) == 0
 
-    def test_no_truncation_or_flags(self, qvi_example):
-        _, res, _ = qvi_example
-        assert not res.truncated.any()
-        assert res.flags == ()
+    def test_box_edge_flag_counts_clipped_jumps(self, qvi_example, qvi_wide,
+                                                restep):
+        # recount the rule from the result: a node is clipped where
+        # N[V] = V + gap < W0, and cut where its jump lands within half a
+        # cell of the edge; on [-1, 4] that is every clipped node
+        grid, res, _ = qvi_example
+        W0 = restep(transport_problem(), res)
+        clipped = res.V.values[:-1] + res.obstacle_gap.values[:-1] < W0
+        xi = res.argmin_xi[:-1, :, 0]
+        cut = (xi != 0.0) & (grid.axes[0] + xi >= 4.0 - 0.5 * grid.dx[0])
+        assert np.count_nonzero(clipped & cut) == np.count_nonzero(clipped) == 296
+        assert res.flags == ("best jump reaches x1 = 4 at 296 clipped nodes",)
+        # on [-1, 7] the box holds the jump target
+        assert np.count_nonzero(qvi_wide[1].argmin_xi) > 0
+        assert qvi_wide[1].flags == ()
 
     def test_extract_regions_needs_obstacle_data(self):
         problem = transport_problem()
@@ -486,6 +498,10 @@ class TestConstrainedSolve:
         assert float(diff.min()) >= -FP_TOL
         assert float(diff.max()) <= 1e-8
         assert float(res.obstacle_gap.values[:-1].min()) >= -1e-8
+        # the search's zoom may stop short of the edge x1 = 4, but within
+        # half a cell, so both paths flag the same clipped nodes
+        assert res.flags == exact.flags == (
+            "best jump reaches x1 = 4 at 59 clipped nodes",)
         assert int(exact.iterations.max()) <= 2
         assert int(res.iterations.max()) <= 2
 
