@@ -27,6 +27,11 @@ print(f"solved {grid.t_nodes}x{grid.x_nodes[0]} nodes, "
       f"max fixed point sweeps {int(result.iterations.max())}")
 print(f"intervention fraction {regions.fraction:.4f} "
       f"({regions.n_intervention} nodes)")
+print(f"clipped nodes {int(result.clipped.sum())} "
+      f"in {int((result.clipped > 0).sum())} slice(s)")
+# further back the unclipped step already sits at or just below N
+print("strict clips (N[W] < W0) sit next to the terminal slice; an "
+      "intervention node is within the dissipation scale of N")
 # a clipped node whose best jump lands on the box edge would be flagged;
 # this box holds every jump target, so the list is empty
 print(f"flags {list(result.flags)}")

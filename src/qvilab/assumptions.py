@@ -238,7 +238,7 @@ def _min_check(name, margins, points, tolerance, note=""):
     worst point is reported under those names.
     """
     margins = np.asarray(margins, dtype=float)
-    valid = np.isfinite(margins)
+    valid = ~np.isnan(margins)  # NaN marks a masked sample; inf is a margin
     n_valid = int(valid.sum())
     if n_valid == 0:
         return CheckResult(name, 0, float("nan"), {}, tolerance, False,

@@ -195,10 +195,11 @@ def cmd_solve(args):
         "dissipation": list(result.dissipation),
     }
     if result.obstacle_gap is not None:
-        write_csv(result.obstacle_gap, run.path("obstacle_gap.csv"))
         regions = extract_regions(result)
         payload["intervention_fraction"] = regions.fraction
         payload["intervention_nodes"] = regions.n_intervention
+        payload["clipped_nodes"] = int(result.clipped.sum())
+        payload["clipped_slices"] = int((result.clipped > 0).sum())
         print(f"intervention fraction {f17(regions.fraction)}")
     run.write_json("solve.json", payload)
     return run.finish(True)

@@ -150,6 +150,7 @@ class SolveResult:
     obstacle_gap: Optional[GridFunction]
     argmin_xi: Optional[np.ndarray]
     iterations: np.ndarray
+    clipped: np.ndarray  # nodes per slice strictly clipped, N[W] < W0
     flags: tuple
     dissipation: tuple
 
@@ -223,9 +224,10 @@ def solve_qvi(problem, grid, dissipation=None) -> SolveResult:
     the horizon are as in solve_hjb.  N is the one every command uses,
     over the ball of the box diagonal.
 
-    A clipped node (N[W] < W_unclipped) is cut by the box when its jump
-    lands within half a cell of an edge along an axis it moves; `flags`
-    counts these per axis and side, on the exact path and the search alike.
+    `clipped` counts the clipped nodes (N[W] < W_unclipped) of each slice.
+    A clipped node is cut by the box when its jump lands within half a
+    cell of an edge along an axis it moves; `flags` counts these per axis
+    and side, on the exact path and the search alike.
     """
     return _backward(problem, grid, dissipation, obstacle=True)
 
@@ -234,8 +236,8 @@ def _backward(problem, grid, dissipation, obstacle):
     """The backward loop of both solves, with the obstacle on or off.
 
     Off, no obstacle call is made and no gap or argmin array is
-    allocated.  On, the box-edge counts of solve_qvi are summed slice by
-    slice from W0 and the settled argmin.
+    allocated.  On, the clipped and box-edge counts of solve_qvi are
+    taken slice by slice from W0 and the settled argmin.
     """
     check_horizon(problem, grid)
     terminal = sample_terminal(problem.h, grid)
@@ -247,6 +249,7 @@ def _backward(problem, grid, dissipation, obstacle):
     V = np.empty(grid.shape)
     V[nt - 1] = terminal
     iterations = np.zeros(nt, dtype=int)
+    clipped_count = np.zeros(nt, dtype=int)
     gap = argmin = None
     box = np.column_stack([grid.x_min, grid.x_max])  # (low, high) per axis
     edges = np.zeros(box.shape, dtype=int)  # clipped nodes cut at each edge
@@ -270,6 +273,7 @@ def _backward(problem, grid, dissipation, obstacle):
         V[k] = W
         gap[k] = n_vals - W
         clipped = n_vals < W0
+        clipped_count[k] = np.count_nonzero(clipped)
         for d in range(grid.n):
             xi = argmin[k, ..., d]
             land = (x[d] + xi)[clipped & (xi != 0.0)]  # clipped, moved along d
@@ -285,6 +289,7 @@ def _backward(problem, grid, dissipation, obstacle):
         obstacle_gap=None if gap is None else GridFunction(grid, gap),
         argmin_xi=argmin,
         iterations=iterations,
+        clipped=clipped_count,
         flags=flags,
         dissipation=dissipation,
     )

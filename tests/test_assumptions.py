@@ -302,6 +302,19 @@ class TestReportPlumbing:
             [c.name for c in report.checks]
         assert isinstance(payload["checks"][0]["worst_point"]["x"], list)
 
+    def test_only_nan_margins_are_skipped(self):
+        # NaN marks a masked sample; an infinite margin is a margin
+        points = {"x": np.array([0.0, 1.0, 2.0])}
+        check = au._min_check("c", [np.inf, np.nan, np.inf], points, 0.0)
+        assert (check.points_tested, check.worst_margin) == (2, np.inf)
+        assert check.passed and check.worst_point == {"x": 0.0}
+        check = au._min_check("c", [1.0, -np.inf, np.nan], points, 0.0)
+        assert (check.points_tested, check.worst_margin) == (2, -np.inf)
+        assert not check.passed and check.worst_point == {"x": 1.0}
+        check = au._min_check("c", [np.nan] * 3, points, 0.0)
+        assert check.points_tested == 0 and np.isnan(check.worst_margin)
+        assert not check.passed and check.note == "no valid samples"
+
     def test_summary_and_lookup(self):
         report = au.audit_H1(make_problem(), constants_with(h0=0.5),
                              spec_1d(grid=GRID))

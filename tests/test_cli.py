@@ -32,6 +32,8 @@ PROFILE = "(x1 - 1 + t)*exp(-(x1 - 1 + t))"
 
 # CFL-safe shrink used where a test does not care about resolution
 FAST = ["--grid-nt", "41", "--grid-nx", "101"]
+# everything solve writes, with or without the obstacle
+SOLVE_FILES = ["manifest.json", "solution.csv", "solve.json"]
 
 
 def run(argv):
@@ -78,6 +80,17 @@ class TestCheck:
         growth = [c for c in report["hamiltonian"]["checks"]
                   if c["name"] == "hamiltonian growth"][0]
         assert growth["worst_margin"] < 0.0
+
+    def test_infinite_growth_bound_passes(self, tmp_path):
+        # L = 1e308 takes the growth envelope past the float range at every
+        # sample: an inf margin holds, so the audit passes over all points
+        assert run(["check", EXAMPLE, "--set", "constants.L=1e308",
+                    "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "check.json").read_text())
+        growth = next(c for c in report["hamiltonian"]["checks"]
+                      if c["name"] == "hamiltonian growth")
+        assert growth["passed"] is True
+        assert growth["points_tested"] > 0
 
     def test_missing_config_is_invalid_input(self, tmp_path):
         assert run(["check", str(tmp_path / "nope.cfg"),
@@ -140,9 +153,10 @@ class TestSolve:
         assert payload["passed"] is True
         assert payload["intervention_fraction"] > 0.0
         assert payload["intervention_nodes"] > 0
-        for name in ("solution.csv", "obstacle_gap.csv", "manifest.json"):
+        for name in ("solution.csv", "manifest.json"):
             assert (solve_dir / name).exists()
-        assert not (solve_dir / "residual.csv").exists()
+        for name in ("obstacle_gap.csv", "residual.csv"):
+            assert not (solve_dir / name).exists()
 
     def test_flags_name_the_box_edge_on_both_paths(self, solve_dir,
                                                     tmp_path):
@@ -157,6 +171,46 @@ class TestSolve:
         assert json.loads((tmp_path / "solve.json").read_text())[
             "flags"] == flags
 
+    @pytest.mark.parametrize("argv, counts", [
+        ([EXAMPLE], (148, 1)), ([LIFTED], (125, 1)), ([PLANE], (419, 1)),
+        ([TRANSPORT], (0, 0)), ([TRANSPORT, "--no-obstacle"], None)],
+        ids=["example", "lifted", "plane", "transport",
+             "transport-no-obstacle"])
+    def test_writes_one_grid_and_counts_the_clipped_nodes(self, tmp_path,
+                                                          argv, counts):
+        # every clip sits in the slice next to the terminal one; an
+        # unconstrained run has no clipped counts
+        assert run(["solve", *argv, "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == SOLVE_FILES
+        payload = json.loads((tmp_path / "solve.json").read_text())
+        keys = ("clipped_nodes", "clipped_slices")
+        if counts is None:
+            assert not set(keys) & set(payload)
+        else:
+            assert tuple(payload[key] for key in keys) == counts
+
+    @pytest.mark.parametrize("config", [EXAMPLE, PLANE],
+                             ids=["example", "plane"])
+    def test_the_gap_is_recovered_from_the_solution(self, tmp_path, config):
+        # solve writes no gap grid: N[V] - V of the solution.csv it writes
+        # is the solve's own gap bit for bit, so a check that reads the
+        # file writes the bytes of a check on a fresh solve
+        cfg = load_problem(Path(config).read_text())
+        out = tmp_path / "solve"
+        assert run(["solve", config, "--out", str(out)]) == 0
+        solution = out / "solution.csv"
+        gap = solve_qvi(cfg.problem, cfg.grid).obstacle_gap.values
+        assert np.array_equal(
+            vc.obstacle_gap(read_csv(cfg.grid, solution), cfg.problem), gap)
+        codes = [run(["viscosity", config, "--variant", "qvi-sub", *source,
+                      "--out", str(tmp_path / name)])
+                 for name, source in (("read", ["--solution", str(solution)]),
+                                      ("fresh", []))]
+        assert codes[0] == codes[1]
+        for name in ("viscosity.json", "violations.csv"):
+            assert ((tmp_path / "read" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes())
+
     def test_unstable_step_fails_with_diagnostics(self, tmp_path, capsys):
         assert run(["solve", EXAMPLE, "--grid-nt", "11",
                     "--out", str(tmp_path)]) == 1
@@ -167,7 +221,7 @@ class TestSolve:
         b = tmp_path / "second"
         for out in (a, b):
             assert run(["solve", EXAMPLE, *FAST, "--out", str(out)]) == 0
-        for name in ("solution.csv", "obstacle_gap.csv", "solve.json"):
+        for name in ("solution.csv", "solve.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_manifest_records_the_run(self, tmp_path):
@@ -359,6 +413,16 @@ class TestCompare:
             "audit"]["checks"]
         growth = next(c for c in checks if c["name"] == "value growth")
         assert growth["worst_margin"] is None
+
+    def test_infinite_growth_bound_passes(self, tmp_path):
+        # an inf growth margin holds at every node of both solutions
+        assert run(["compare", EXAMPLE, LIFTED, *FAST,
+                    "--set", "constants.C=1e308", "--out", str(tmp_path)]) == 0
+        checks = json.loads((tmp_path / "compare.json").read_text())[
+            "audit"]["checks"]
+        growth = next(c for c in checks if c["name"] == "value growth")
+        assert growth["passed"] is True
+        assert growth["points_tested"] == 2 * 41 * 101
 
     def test_mismatched_grids_are_invalid(self, tmp_path):
         cfg = tmp_path / "wide.cfg"

@@ -101,20 +101,16 @@ def test_reproduce_example_artifacts_are_pinned(tol, tmp_path):
 COMMANDS = {
     "solve-example": (
         ["solve", str(ROOT / "configs" / "example.cfg")],
-        {"obstacle_gap.csv":
-             "749f7fdcc492520dfccf8325fcf81c1533640f737b98189994b191d11c6d2674",
-         "solution.csv":
+        {"solution.csv":
              "254dbdad37b73ffbd252a61a7ff46350873720b6fec1922ccddc742dd936f7e0",
          "solve.json":
-             "eacda5a3a787fedb6845ccfb58d66baf588ff13d906138ddbfc13ee6a96b1820"}),
+             "c7243cfb44d067acb51bc33c7fd5a8d98076c886ec323fc37924d8600f354625"}),
     "solve-plane": (
         ["solve", str(ROOT / "perfbench" / "plane.cfg")],
-        {"obstacle_gap.csv":
-             "7082093ab4c109c528b96e07b603ea4c67431a27bd34db72a13d5a05d9396ced",
-         "solution.csv":
+        {"solution.csv":
              "832b25dc0f34c5164fc52949f5d2adca9bc190afdd3ebc1350685fb409ca28c3",
          "solve.json":
-             "689bf12520a5e19eebc91112e122c0dfcc222e07d27ef338448cf0551a6b6d5d"}),
+             "997c0fdd5d42152a9d305b541295ad7fd4531e4d7d35206e7719c07edad1baba"}),
     "solve-transport-no-obstacle": (
         ["solve", str(ROOT / "configs" / "transport.cfg"), "--no-obstacle"],
         {"solution.csv":

@@ -208,7 +208,7 @@ class TestObstacleOff:
         res = solve_hjb(problem, grid, dissipation)
         assert res.obstacle_gap is None
         assert res.argmin_xi is None and res.flags == ()
-        assert not res.iterations.any()
+        assert not res.iterations.any() and not res.clipped.any()
         # every slice is the unclipped step of the next, bit for bit
         assert np.array_equal(res.V.values[:-1], restep(problem, res))
         with pytest.raises(AssertionError, match="obstacle evaluated"):
@@ -465,6 +465,21 @@ class TestConstrainedSolve:
         # on [-1, 7] the box holds the jump target
         assert np.count_nonzero(qvi_wide[1].argmin_xi) > 0
         assert qvi_wide[1].flags == ()
+
+    def test_clipped_counts_the_strictly_clipped_nodes(self, qvi_example,
+                                                       qvi_wide, restep):
+        # recount from the result: a node is clipped where N[V] = V + gap
+        # < W0; the terminal slice is data and is never clipped, and on
+        # both boxes every clip sits in the slice next to it
+        grid, res, _ = qvi_example
+        W0 = restep(transport_problem(), res)
+        clipped = res.V.values[:-1] + res.obstacle_gap.values[:-1] < W0
+        assert np.array_equal(res.clipped[:-1],
+                              np.count_nonzero(clipped, axis=1))
+        assert res.clipped.shape == res.iterations.shape
+        for result, total in ((res, 296), (qvi_wide[1], 297)):
+            assert np.flatnonzero(result.clipped).tolist() == [grid.t_nodes - 2]
+            assert int(result.clipped.sum()) == total
 
     def test_extract_regions_needs_obstacle_data(self):
         problem = transport_problem()
