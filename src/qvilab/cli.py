@@ -11,7 +11,8 @@ manifest into ``--out``, and exits with a three-way status:
 
 Outputs are byte-deterministic for fixed inputs; the manifest is the
 one exception since it records wall time.  CSV goes through core's two
-writers, and JSON is strict (RFC 8259): a non-finite float is null.
+writers, and JSON is strict (RFC 8259): a non-finite float is null, and a
+non-finite worst_margin names its kind in worst_margin_kind.
 Printed numbers use 17 significant digits so they round-trip exactly.
 """
 
@@ -41,9 +42,18 @@ def f17(value):
 
 
 def _finite(value):
-    """`value` with every non-finite float in it replaced by None."""
+    """`value` with every non-finite float in it replaced by None.  A
+    non-finite worst_margin gains the sibling worst_margin_kind: "+inf",
+    "-inf", or "no samples" for the NaN of a check with no valid sample."""
     if isinstance(value, dict):
-        return {key: _finite(item) for key, item in value.items()}
+        out = {}
+        for key, item in value.items():
+            out[key] = _finite(item)
+            if key == "worst_margin" and out[key] is None and item is not None:
+                out["worst_margin_kind"] = ("no samples" if math.isnan(item)
+                                            else "+inf" if item > 0
+                                            else "-inf")
+        return out
     if isinstance(value, (list, tuple)):
         return [_finite(item) for item in value]
     finite = not isinstance(value, float) or math.isfinite(value)

@@ -35,17 +35,19 @@ check_notions is that driver, and it takes several notions on one grid
 function at once.  They share one probe field (the slope candidates, the
 curvature scale and H + g at every center, none of which depends on the
 probe side) and one gap N[V] - V, so each notion adds only its own scan.
-The five public checks each call it with one notion.
+The five public checks each call it with one notion.  The field is built
+one slab of whole time rows at a time, at most SLAB_CENTERS centers per
+slab, so a check's memory follows SLAB_CENTERS and not t_nodes.
 
 The scan makes one pass per (space slopes, time slope) pair.  It first
 finds the centers where the flat probe breaks the inequality; a curved
 probe's tolerance is never below the flat one, so all three curvatures
 are compared only among those centers, as one (curvature, center) array.
-The probes that break it go to one touching test, which visits the
-nearest ring of neighbors first and drops a probe at its first refuting
-neighbor.  So the cost follows the number of candidates, not
-3 * 3^n * 3 full-array passes, and the rows equal those of such passes
-with every neighbor tested.
+The probes that break it, gathered over every slab, go to one touching
+test, which visits the nearest ring of neighbors first and drops a probe
+at its first refuting neighbor.  So the cost follows the number of
+candidates, not 3 * 3^n * 3 full-array passes, and the rows equal those
+of such passes with every neighbor tested, whatever SLAB_CENTERS is.
 """
 
 import itertools
@@ -78,6 +80,7 @@ RADIUS = 3  # probe neighborhood, in nodes along every axis
 CURVATURES = (0.0, 1.0, 10.0)  # multiples of the local second difference
 ADMISSION_SLACK = 1e-12  # relative to 1 + max|V|
 TOL_FACTOR = 10.0  # default probe tolerance, in units of dt + sum dx
+SLAB_CENTERS = 2 ** 14  # probe centers per slab of the scan
 
 
 _PROBE_KEYS = ("t_index", "x_index", "t", "x", "a", "p", "kappa",
@@ -198,25 +201,20 @@ def _block(arr, offsets, radius):
 
 
 class _ProbeField:
-    """Per-center slope candidates, curvature scale, and Hamiltonian values."""
+    """Slope candidates, curvature scale and H + g at the probe centers of
+    the center rows [start, stop), all of them by default."""
 
-    def __init__(self, V, problem):
+    def __init__(self, V, problem, start=0, stop=None):
         grid = V.grid
         self.grid = grid
         r = RADIUS
         n = grid.n
-        shape = grid.shape
-        self.empty = any(s < 2 * r + 2 for s in shape)
-        self.ham = {}
-        self.skipped = []
-        if self.empty:
-            self.n_centers = 0
-            return
-        Vv = V.values
-        zero = (0,) * (1 + n)
-        self.V0 = _block(Vv, zero, r)
-        self.center_shape = self.V0.shape
-        self.n_centers = int(np.prod(self.center_shape))
+        if stop is None:
+            stop = grid.t_nodes - 2 * r
+        self.start = start
+        Vv = V.values[start:stop + 2 * r]  # the rows and their neighborhoods
+        V0 = _block(Vv, (0,) * (1 + n), r)
+        self.center_shape = V0.shape
 
         steps = (grid.dt,) + grid.dx
         fwd, bwd, curv = [], [], []
@@ -225,9 +223,9 @@ class _ProbeField:
             off_m = tuple(-1 if d == axis else 0 for d in range(1 + n))
             up = _block(Vv, off_p, r)
             dn = _block(Vv, off_m, r)
-            fwd.append((up - self.V0) / steps[axis])
-            bwd.append((self.V0 - dn) / steps[axis])
-            curv.append(np.abs(up + dn - 2.0 * self.V0) / steps[axis] ** 2)
+            fwd.append((up - V0) / steps[axis])
+            bwd.append((V0 - dn) / steps[axis])
+            curv.append(np.abs(up + dn - 2.0 * V0) / steps[axis] ** 2)
         self.a_cand = (fwd[0], bwd[0], 0.5 * (fwd[0] + bwd[0]))
         self.p_cand = tuple(
             tuple((fwd[1 + d], bwd[1 + d], 0.5 * (fwd[1 + d] + bwd[1 + d]))[c]
@@ -238,15 +236,12 @@ class _ProbeField:
         for c in curv[1:]:
             self.curv_scale = np.maximum(self.curv_scale, c)
 
-        self.t_centers = grid.t[r:grid.t_nodes - r]
-        self.x_centers = tuple(grid.axes[d][r:grid.x_nodes[d] - r]
-                               for d in range(n))
-        t = self.t_centers.reshape((-1,) + (1,) * n)
-        x = [axis.reshape((1,) * (1 + d) + (-1,) + (1,) * (n - 1 - d))
-             for d, axis in enumerate(self.x_centers)]
-        self.slack = _slack(Vv)
-        self.Vv = Vv
-
+        t = grid.t[r + start:r + stop].reshape((-1,) + (1,) * n)
+        x = [grid.axes[d][r:grid.x_nodes[d] - r]
+             .reshape((1,) * (1 + d) + (-1,) + (1,) * (n - 1 - d))
+             for d in range(n)]
+        self.ham = {}
+        self.skipped = []
         g = None  # reads no p: evaluated once, after the first good H
         for combo in itertools.product(range(3), repeat=n):
             p = [self.p_cand[combo[d]][d] for d in range(n)]
@@ -260,13 +255,17 @@ class _ProbeField:
             except ex.DomainError as err:
                 self.skipped.append((combo, str(err)))
 
-    def probes_per_point(self):
-        n = self.grid.n
-        return 3 * 3 ** n * len(CURVATURES)
+
+def _center_shape(grid):
+    """The shape of the probe centers, the nodes with a full RADIUS
+    neighborhood; None when an axis has fewer than two of them."""
+    shape = tuple(s - 2 * RADIUS for s in grid.shape)
+    return shape if min(shape) >= 2 else None
 
 
 def _slack(Vv):
-    return ADMISSION_SLACK * (1.0 + float(np.max(np.abs(Vv))))
+    # max|V| without an |V| array: abs and negation are exact
+    return ADMISSION_SLACK * (1.0 + float(max(np.max(Vv), -np.min(Vv))))
 
 
 def _touches(Vv, center, a, p, kappa_eff, side, grid, slack):
@@ -304,37 +303,34 @@ def _touches(Vv, center, a, p, kappa_eff, side, grid, slack):
     return ok
 
 
-def _scan_violations(field, side, base_tol, unit, gap, sees_gap):
-    """Collect admitted probes violating the one-sided inequality.
+def _candidates(field, side, base_tol, unit, gap, sees_gap):
+    """One slab's probes that break the one-sided inequality, before the
+    touching test: per (combo, slope) pass, ((combo, a_choice), (center, k,
+    a, p, kappa_eff, margin)), with center the flat index into the whole
+    center block, k the index into CURVATURES and p one column per axis.
 
     side "sub": a + H < -tol.  side "super": a + H > tol, additionally
     requiring gap > tol when `sees_gap` is "min", and restricted to the
     strictly-below-obstacle centers (gap > 2*unit) when it is "below".
-    Rows are ordered by (t_index, x_index, kappa, a, p).
 
-    Each (combo, slope) pass finds the flat probe's candidates once, at
-    base_tol.  A curved probe's tolerance is never below base_tol (a NaN
-    one admits nothing), so its candidates lie among them.  The pass
-    compares them with a (curvature, candidate) tolerance array and sends
-    every pair that breaks it to one touching test.
+    Each pass finds the flat probe's candidates once, at base_tol.  A
+    curved probe's tolerance is never below base_tol (a NaN one admits
+    nothing), so its candidates lie among them; they are compared with a
+    (curvature, candidate) tolerance array.
     """
-    grid = field.grid
-    n = grid.n
+    r = RADIUS
     sign = -1.0 if side == "sub" else 1.0
     kappas = np.array(CURVATURES)
+    offset = field.start * int(np.prod(field.center_shape[1:]))
     if sees_gap:  # only super-side notions see the gap
-        gap_centers = _block(gap, (0,) * gap.ndim, RADIUS).ravel()
+        rows = gap[field.start:field.start + field.center_shape[0] + 2 * r]
+        gap_centers = _block(rows, (0,) * gap.ndim, r).ravel()
         # the centers the gap lets a flat probe through
         if sees_gap == "min":
             gap_open = gap_centers > base_tol
         else:
             gap_open = gap_centers > 2.0 * unit
-    # one (t_index, x_index, a, p, kappa, kappa_eff, margin) block per
-    # (combo, slope) pass, indices relative to the center block
-    blocks = [(np.empty(0, dtype=np.intp), np.empty((0, n), dtype=np.intp),
-               np.empty(0), np.empty((0, n)), np.empty(0), np.empty(0),
-               np.empty(0))]
-    for combo, ham in sorted(field.ham.items()):
+    for combo, ham in field.ham.items():
         for a_choice in range(3):
             # sign*(a + H): in place, so no second center block is held
             pde = (field.a_cand[a_choice] + ham).ravel()
@@ -352,36 +348,88 @@ def _scan_violations(field, side, base_tol, unit, gap, sees_gap):
             # O(step * |V''|) away from the true gradient; one row per kappa
             tol = base_tol + kappas[:, None] * curv_f * unit
             cond = pde_f > tol
+            margin = -pde_f
             if sees_gap == "min":
                 gap_f = gap_centers[flat]
                 cond &= gap_f > tol
+                margin = np.maximum(margin, -gap_f)
             k, sel = np.nonzero(cond)
             if not len(sel):
                 continue
-            cand_idx = np.unravel_index(flat[sel], field.center_shape)
-            a = field.a_cand[a_choice][cand_idx]
-            p_list = [field.p_cand[combo[d]][d][cand_idx] for d in range(n)]
-            kappa_eff = kappas[k] * curv_f[sel]
-            keep = _touches(field.Vv, tuple(ci + RADIUS for ci in cand_idx),
-                            a, p_list, kappa_eff, side, grid, field.slack)
-            if not keep.any():
-                continue
-            margin = -pde_f[sel][keep]
-            if sees_gap == "min":
-                margin = np.maximum(margin, -gap_f[sel][keep])
-            blocks.append((
-                cand_idx[0][keep],
-                np.column_stack([i[keep] for i in cand_idx[1:]]),
-                a[keep], np.column_stack([pl[keep] for pl in p_list]),
-                kappas[k][keep], kappa_eff[keep], margin))
+            idx = np.unravel_index(flat[sel], field.center_shape)
+            p = np.column_stack([field.p_cand[combo[d]][d][idx]
+                                 for d in range(field.grid.n)])
+            yield (combo, a_choice), (
+                flat[sel] + offset, k, field.a_cand[a_choice][idx], p,
+                kappas[k] * curv_f[sel], margin[sel])
+
+
+def _admitted_rows(V, passes, side, skipped, slack):
+    """The candidates of every pass that touch V, as Violations ordered by
+    (t_index, x_index, kappa, a, p).  A pass's candidates, gathered over
+    the slabs, go to one touching test; passes of a skipped slope
+    combination are dropped."""
+    grid = V.grid
+    n = grid.n
+    r = RADIUS
+    kappas = np.array(CURVATURES)
+    # one (t_index, x_index, a, p, kappa, kappa_eff, margin) block per pass,
+    # indices relative to the center block
+    blocks = [(np.empty(0, dtype=np.intp), np.empty((0, n), dtype=np.intp),
+               np.empty(0), np.empty((0, n)), np.empty(0), np.empty(0),
+               np.empty(0))]
+    shape = _center_shape(grid)
+    for key in sorted(passes):
+        if key[0] in skipped:
+            continue
+        center, k, a, p, kappa_eff, margin = (
+            np.concatenate(column) for column in zip(*passes[key]))
+        idx = np.unravel_index(center, shape)
+        keep = _touches(V.values, tuple(i + r for i in idx), a, list(p.T),
+                        kappa_eff, side, grid, slack)
+        if not keep.any():
+            continue
+        blocks.append((idx[0][keep], np.column_stack([i[keep]
+                                                      for i in idx[1:]]),
+                       a[keep], p[keep], kappas[k[keep]], kappa_eff[keep],
+                       margin[keep]))
     t_index, x_index, a, p, kappa, kappa_eff, margin = (
         np.concatenate(column) for column in zip(*blocks))
     # lexsort's last key is the primary one; the sort is stable
     order = np.lexsort((*p.T[::-1], a, kappa, *x_index.T[::-1], t_index))
-    r = RADIUS
     return _rows(grid, t_index[order] + r, x_index[order] + r, margin[order],
                  a=a[order], p=p[order], kappa=kappa[order],
                  kappa_eff=kappa_eff[order])
+
+
+def _scan_violations(V, problem, scans, base_tol, unit, gap):
+    """Collect admitted probes violating each (side, sees_gap) of `scans`:
+    one Violations per scan, and the skipped slope combinations.
+
+    The probe field is built one slab of whole center rows at a time, with
+    at most SLAB_CENTERS centers (and at least one row) per slab, and
+    every scan reads each slab's field.  So the memory of a check follows
+    SLAB_CENTERS, not t_nodes, and the rows equal those of a single slab
+    over the whole center block.  A
+    slope combination whose H + g raises DomainError on any slab is
+    skipped on every slab.
+    """
+    shape = _center_shape(V.grid)
+    rows, per_row = (shape[0], int(np.prod(shape[1:]))) if shape else (0, 1)
+    step = max(1, SLAB_CENTERS // per_row)
+    passes = [{} for _ in scans]  # per scan, (combo, a_choice): blocks
+    skipped = set()
+    for start in range(0, rows, step):
+        field = _ProbeField(V, problem, start, min(start + step, rows))
+        skipped.update(combo for combo, _ in field.skipped)
+        for found, (side, sees_gap) in zip(passes, scans):
+            for key, block in _candidates(field, side, base_tol, unit, gap,
+                                          sees_gap):
+                found.setdefault(key, []).append(block)
+        del field  # so the next slab's field is not built beside it
+    slack = _slack(V.values)
+    return ([_admitted_rows(V, found, side, skipped, slack)
+             for found, (side, _) in zip(passes, scans)], skipped)
 
 
 def _terminal_nodes(V, problem, side, ctol):
@@ -399,13 +447,14 @@ def _constraint_nodes(V, gap, ctol):
     return _rows(V.grid, idx[0], np.column_stack(idx[1:]), gap[idx])
 
 
-def _notes(field):
+def _notes(V, problem, shape, skipped):
     parts = []
-    if field.empty:
+    if shape is None:
         parts.append("grid too small for probe neighborhoods; "
                      "no interior points tested")
-    for combo, err in field.skipped:
-        parts.append(f"probe slope combination {combo} skipped: {err}")
+    if skipped:  # rare: the notes quote H over the whole center block
+        for combo, err in _ProbeField(V, problem).skipped:
+            parts.append(f"probe slope combination {combo} skipped: {err}")
     return "; ".join(parts)
 
 
@@ -435,8 +484,9 @@ def check_notions(V, problem, variants, tol_factor=TOL_FACTOR, gap=None):
     """Probe V for several notions of _NOTIONS: one ViscosityReport per
     variant, in the order given.
 
-    The notions share one probe field, which does not depend on the probe
-    side, and one gap N[V] - V (an array or grid function on V's grid).
+    The notions share one probe field, built slab by slab, which does not
+    depend on the probe side, and one gap N[V] - V (an array or grid
+    function on V's grid).
     The gap is computed with obstacle_gap when a constrained notion is
     given None, and not at all when no notion reads it.  V's grid must end
     at the problem's horizon (ConfigError otherwise).
@@ -448,20 +498,23 @@ def check_notions(V, problem, variants, tol_factor=TOL_FACTOR, gap=None):
     unit = grid.tolerance_unit
     if any(constrained or sees_gap for _, constrained, sees_gap in notions):
         gap = _gap_or_compute(V, problem, gap)
-    field = _ProbeField(V, problem)
-    notes = _notes(field)
+    scans = [(side, sees_gap) for side, _, sees_gap in notions]
+    probe_rows, skipped = _scan_violations(V, problem, scans,
+                                           tol_factor * unit, unit, gap)
+    shape = _center_shape(grid)
+    notes = _notes(V, problem, shape, skipped)
     no_rows = _rows(grid, np.empty(0, dtype=np.intp),
                     np.empty((0, grid.n), dtype=np.intp), np.empty(0))
     reports = []
-    for variant, (side, constrained, sees_gap) in zip(variants, notions):
-        violations = _scan_violations(field, side, tol_factor * unit, unit,
-                                      gap, sees_gap)
+    for variant, (side, constrained, _), violations in zip(
+            variants, notions, probe_rows):
         constraint = (_constraint_nodes(V, gap, unit) if constrained
                       else no_rows)
         terminal = _terminal_nodes(V, problem, side, unit)
         reports.append(ViscosityReport(
-            variant, field.n_centers, field.probes_per_point(), violations,
-            constraint, terminal, tol_factor * unit, unit, notes))
+            variant, int(np.prod(shape)) if shape else 0,
+            3 * 3 ** grid.n * len(CURVATURES), violations, constraint,
+            terminal, tol_factor * unit, unit, notes))
     return reports
 
 
@@ -529,39 +582,3 @@ def check_qvi_supersolution_modified(V, problem, tol_factor=TOL_FACTOR,
     """
     return check_notions(V, problem, (VARIANT_QVI_SUPER_MODIFIED,),
                          tol_factor, gap)[0]
-
-
-# ------------------------------------------------- re-assertion helpers ----
-
-def _probe_family(V, problem, t_index, x_index):
-    """All probes (a, p, kappa, kappa_eff) the scan would try at one node."""
-    field = _ProbeField(V, problem)
-    if field.empty:
-        return []
-    grid = V.grid
-    ci = tuple(i - RADIUS for i in (t_index, *x_index))
-    if not all(0 <= c < s for c, s in zip(ci, field.center_shape)):
-        raise ConfigError("node has no full probe neighborhood")
-    out = []
-    for combo in itertools.product(range(3), repeat=grid.n):
-        for a_choice in range(3):
-            for kappa in CURVATURES:
-                a = float(field.a_cand[a_choice][ci])
-                p = tuple(float(field.p_cand[combo[d]][d][ci])
-                          for d in range(grid.n))
-                out.append((a, p, kappa,
-                            float(kappa * field.curv_scale[ci])))
-    return out
-
-
-def _probe_admitted(V, t_index, x_index, a, p, kappa_eff, side):
-    """Re-verify the touching condition for stored probe data."""
-    grid = V.grid
-    node = (t_index, *x_index)
-    if not all(RADIUS <= i < s - RADIUS for i, s in zip(node, grid.shape)):
-        raise ConfigError("node has no full probe neighborhood")
-    center = tuple(np.array([i]) for i in node)
-    return bool(_touches(V.values, center, np.array([a], dtype=float),
-                         [np.array([pd], dtype=float) for pd in p],
-                         np.array([kappa_eff], dtype=float), side, grid,
-                         _slack(V.values)))

@@ -92,6 +92,22 @@ class TestCheck:
         assert growth["passed"] is True
         assert growth["points_tested"] > 0
 
+    def test_infinite_margin_names_its_kind(self, tmp_path):
+        # null alone would not tell +inf from -inf or from no samples
+        assert run(["check", EXAMPLE, "--set", "constants.L=1e308",
+                    "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "check.json").read_text())
+        checks = [c for rep in ("hamiltonian", "structure")
+                  for c in report[rep]["checks"]]
+        growth = next(c for c in checks if c["name"] == "hamiltonian growth")
+        assert growth["worst_margin"] is None
+        assert growth["worst_margin_kind"] == "+inf"
+        assert list(growth).index("worst_margin_kind") \
+            == list(growth).index("worst_margin") + 1
+        # finite margins gain no key
+        assert all("worst_margin_kind" not in c for c in checks
+                   if c["worst_margin"] is not None)
+
     def test_missing_config_is_invalid_input(self, tmp_path):
         assert run(["check", str(tmp_path / "nope.cfg"),
                     "--out", str(tmp_path)]) == 2
@@ -423,6 +439,17 @@ class TestCompare:
         growth = next(c for c in checks if c["name"] == "value growth")
         assert growth["passed"] is True
         assert growth["points_tested"] == 2 * 41 * 101
+
+    def test_infinite_margin_names_its_kind(self, tmp_path):
+        assert run(["compare", EXAMPLE, LIFTED, *FAST,
+                    "--set", "constants.C=1e308", "--out", str(tmp_path)]) == 0
+        checks = json.loads((tmp_path / "compare.json").read_text())[
+            "audit"]["checks"]
+        growth = next(c for c in checks if c["name"] == "value growth")
+        assert growth["worst_margin"] is None
+        assert growth["worst_margin_kind"] == "+inf"
+        assert all("worst_margin_kind" not in c for c in checks
+                   if c["worst_margin"] is not None)
 
     def test_mismatched_grids_are_invalid(self, tmp_path):
         cfg = tmp_path / "wide.cfg"
@@ -899,6 +926,20 @@ class TestStrictJson:
         assert json.loads(text, parse_constant=_refuse_constant) == {
             "nan": None, "list": [None, None, 1.5],
             "nested": {"tuple": [None, 2]}, "text": "NaN"}
+
+    def test_non_finite_worst_margins_name_their_kind(self):
+        checks = [{"worst_margin": margin, "passed": True}
+                  for margin in (float("inf"), -np.inf, float("nan"), -0.5)]
+        text = cli.json_text({"checks": checks, "other": float("inf")})
+        assert json.loads(text)["checks"] == [
+            {"worst_margin": None, "worst_margin_kind": "+inf",
+             "passed": True},
+            {"worst_margin": None, "worst_margin_kind": "-inf",
+             "passed": True},
+            {"worst_margin": None, "worst_margin_kind": "no samples",
+             "passed": True},
+            {"worst_margin": -0.5, "passed": True}]
+        assert '"other": null' in text
 
     def test_a_band_without_edges_is_null(self, tmp_path):
         # no profitable jump at l0 = 0.1: the band edges are NaN

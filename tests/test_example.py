@@ -231,6 +231,37 @@ class TestVerdicts:
             == [vc.VARIANT_HJB_SUB, vc.VARIANT_QVI_SUPER_CLASSICAL,
                 vc.VARIANT_QVI_SUPER_MODIFIED]
 
+    def test_three_notions_share_one_field_per_slab(self, inst,
+                                                   monkeypatch):
+        # one time row per slab: one probe field per slab for all three
+        # checkers, N on each slice still once, and the same report
+        grid = Grid(T=1.0, t_nodes=21, x_min=(-1.0,), x_max=(4.0,),
+                    x_nodes=(51,))
+        want = verify_separation(inst, grid)
+        rows, slices = [], []
+        field_class = vc._ProbeField
+        evaluate = vc.evaluate_slice_values
+
+        class Counted(field_class):
+            def __init__(self, V, problem, start, stop):
+                rows.append((start, stop))
+                super().__init__(V, problem, start, stop)
+
+        def counted(*args, **kwargs):
+            slices.append(args[2])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(vc, "_ProbeField", Counted)
+        monkeypatch.setattr(vc, "evaluate_slice_values", counted)
+        monkeypatch.setattr(vc, "SLAB_CENTERS", 51 - 2 * vc.RADIUS)
+        rep = verify_separation(inst, grid)
+        assert rows == [(k, k + 1) for k in range(21 - 2 * vc.RADIUS)]
+        assert slices == list(grid.t)
+        assert rep.to_dict() == want.to_dict()
+        for got, ref in ((rep.sub, want.sub), (rep.classical, want.classical),
+                         (rep.modified, want.modified)):
+            assert got == ref
+
     def test_flagged_instance_passes_both_checks(self):
         flagged = build_instance(0.5, 0.13)
         grid = Grid(T=1.0, t_nodes=61, x_min=(-1.0,), x_max=(4.0,),

@@ -2,12 +2,15 @@
 
 import itertools
 import json
+import tracemalloc
 from dataclasses import fields, replace
 from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvilab import example as exm
 from qvilab import expr as ex
@@ -55,6 +58,41 @@ def probe_keys(rows):
     """The (t_index, x_index, kappa) of every probe row, as a set."""
     return set(zip(rows.t_index.tolist(), map(tuple, rows.x_index.tolist()),
                    rows.kappa.tolist()))
+
+
+def probe_family(V, problem, t_index, x_index):
+    """All probes (a, p, kappa, kappa_eff) the scan would try at one node."""
+    grid = V.grid
+    if vc._center_shape(grid) is None:
+        return []
+    field = vc._ProbeField(V, problem)
+    ci = tuple(i - vc.RADIUS for i in (t_index, *x_index))
+    if not all(0 <= c < s for c, s in zip(ci, field.center_shape)):
+        raise ConfigError("node has no full probe neighborhood")
+    out = []
+    for combo in itertools.product(range(3), repeat=grid.n):
+        for a_choice in range(3):
+            for kappa in vc.CURVATURES:
+                a = float(field.a_cand[a_choice][ci])
+                p = tuple(float(field.p_cand[combo[d]][d][ci])
+                          for d in range(grid.n))
+                out.append((a, p, kappa,
+                            float(kappa * field.curv_scale[ci])))
+    return out
+
+
+def probe_admitted(V, t_index, x_index, a, p, kappa_eff, side):
+    """Re-verify the touching condition for stored probe data."""
+    grid = V.grid
+    node = (t_index, *x_index)
+    if not all(vc.RADIUS <= i < s - vc.RADIUS
+               for i, s in zip(node, grid.shape)):
+        raise ConfigError("node has no full probe neighborhood")
+    center = tuple(np.array([i]) for i in node)
+    return bool(vc._touches(V.values, center, np.array([a], dtype=float),
+                            [np.array([pd], dtype=float) for pd in p],
+                            np.array([kappa_eff], dtype=float), side, grid,
+                            vc._slack(V.values)))
 
 
 @pytest.fixture(scope="module")
@@ -112,18 +150,18 @@ class TestProbeMechanics:
         self.center = (5, 20)  # x = 0, the bottom of the parabola
 
     def test_linear_probe_cannot_touch_smooth_minimum_from_above(self):
-        assert not vc._probe_admitted(self.V, 5, (20,), 0.0, (0.0,), 0.0, "sub")
+        assert not probe_admitted(self.V, 5, (20,), 0.0, (0.0,), 0.0, "sub")
 
     def test_curved_probe_touches_it(self):
         # second difference of x^2 is exactly 2, so kappa_eff = 2 closes
         # the quadratic wiggle exactly
-        assert vc._probe_admitted(self.V, 5, (20,), 0.0, (0.0,), 2.0, "sub")
+        assert probe_admitted(self.V, 5, (20,), 0.0, (0.0,), 2.0, "sub")
 
     def test_super_side_admits_linear_probe_at_minimum(self):
-        assert vc._probe_admitted(self.V, 5, (20,), 0.0, (0.0,), 0.0, "super")
+        assert probe_admitted(self.V, 5, (20,), 0.0, (0.0,), 0.0, "super")
 
     def test_probe_family_size_and_scaling(self, problem):
-        fam = vc._probe_family(self.V, problem, 5, (20,))
+        fam = probe_family(self.V, problem, 5, (20,))
         assert len(fam) == 27
         kappas = sorted({k for (_, _, k, _) in fam})
         assert kappas == [0.0, 1.0, 10.0]
@@ -132,9 +170,9 @@ class TestProbeMechanics:
 
     def test_center_without_neighborhood_rejected(self, problem):
         with pytest.raises(ConfigError):
-            vc._probe_family(self.V, problem, 1, (20,))
+            probe_family(self.V, problem, 1, (20,))
         with pytest.raises(ConfigError):
-            vc._probe_admitted(self.V, 5, (39,), 0.0, (0.0,), 0.0, "sub")
+            probe_admitted(self.V, 5, (39,), 0.0, (0.0,), 0.0, "sub")
 
 
 class TestTransportChecks:
@@ -162,9 +200,9 @@ class TestTransportChecks:
                                                    abs=1e-12)
             assert rows.margin[j] < -(report.pde_tolerance
                                       + rows.kappa_eff[j] * unit)
-            assert vc._probe_admitted(V, rows.t_index[j], rows.x_index[j],
-                                      rows.a[j], rows.p[j],
-                                      rows.kappa_eff[j], "sub")
+            assert probe_admitted(V, rows.t_index[j], rows.x_index[j],
+                                  rows.a[j], rows.p[j], rows.kappa_eff[j],
+                                  "sub")
 
     def test_super_mirror_of_negated_function(self, problem):
         V = frozen_terminal(GRID)
@@ -426,6 +464,43 @@ class TestEdgesAndPlumbing:
         assert report.violations
         assert report == vc.check_hjb_subsolution(V, merged)
 
+    def test_bump_is_evaluated_once_per_slab(self, monkeypatch):
+        # one time row per slab: one field and one g evaluation per slab,
+        # shared by the notions
+        bumped = make_problem(n=2, H="-p1 - p2", h="x1 + x2",
+                              ell="0.3 + 0.2*(xi1 + xi2)")
+        bumped = replace(bumped, g=ex.parse("20*x1*x2 - 10*t",
+                                            {"t", "x1", "x2"}))
+        merged = make_problem(n=2, H="-p1 - p2 + (20*x1*x2 - 10*t)",
+                              h="x1 + x2", ell="0.3 + 0.2*(xi1 + xi2)")
+        grid = Grid(T=1.0, t_nodes=13, x_min=(-2.0, -2.0), x_max=(2.0, 2.0),
+                    x_nodes=(21, 21))
+        V = sample(ex.parse("x1*x1 - x2 + t", {"t", "x1", "x2"}), grid)
+        want = vc.check_notions(V, merged, (vc.VARIANT_HJB_SUB,
+                                            vc.VARIANT_HJB_SUPER))
+        calls, rows = [], []
+        evaluate = ex.evaluate
+        field_class = vc._ProbeField
+
+        def counted(node, env):
+            calls.append(node is bumped.g)
+            return evaluate(node, env)
+
+        class Counted(field_class):
+            def __init__(self, V, problem, start, stop):
+                rows.append((start, stop))
+                super().__init__(V, problem, start, stop)
+
+        monkeypatch.setattr(ex, "evaluate", counted)
+        monkeypatch.setattr(vc, "_ProbeField", Counted)
+        monkeypatch.setattr(vc, "SLAB_CENTERS", 15 * 15)
+        reports = vc.check_notions(V, bumped, (vc.VARIANT_HJB_SUB,
+                                               vc.VARIANT_HJB_SUPER))
+        assert rows == [(k, k + 1) for k in range(7)]
+        assert sum(calls) == 7
+        assert reports[0].violations
+        assert reports == want
+
     def test_bad_gap_shape_rejected(self, problem):
         V = frozen_terminal(GRID)
         with pytest.raises(ConfigError):
@@ -482,13 +557,15 @@ def touches_every_offset(Vv, center, a, p, kappa_eff, side, grid, slack):
     return ok
 
 
-def scan_every_pass(field, side, base_tol, unit, gap, sees_gap):
-    """Reference for viscosity._scan_violations: one full-array pass per
-    (combo, slope, curvature), each candidate set sent whole to
-    touches_every_offset, rows in the same order."""
+def scan_every_pass(V, field, side, base_tol, unit, gap, sees_gap):
+    """Reference for viscosity._scan_violations: on V's whole-grid probe
+    field, one full-array pass per (combo, slope, curvature), each
+    candidate set sent whole to touches_every_offset, rows in the same
+    order."""
     grid = field.grid
     n = grid.n
     r = vc.RADIUS
+    slack = vc.ADMISSION_SLACK * (1.0 + float(np.max(np.abs(V.values))))
     if sees_gap:
         gap_centers = vc._block(gap, (0,) * gap.ndim, r)
         below = gap_centers > 2.0 * unit
@@ -516,8 +593,8 @@ def scan_every_pass(field, side, base_tol, unit, gap, sees_gap):
                           for d in range(n)]
                 kappa_eff = kappa * field.curv_scale[cand_idx]
                 keep = touches_every_offset(
-                    field.Vv, tuple(ci + r for ci in cand_idx), a, p_list,
-                    kappa_eff, side, grid, field.slack)
+                    V.values, tuple(ci + r for ci in cand_idx), a, p_list,
+                    kappa_eff, side, grid, slack)
                 if not keep.any():
                     continue
                 pde_k = pde[cand_idx][keep]
@@ -548,11 +625,12 @@ def scan_rows(V, problem, gap, factors):
     runs = {}
     for factor in factors:
         for variant, (side, _, sees_gap) in vc._NOTIONS.items():
-            args = (field, side, factor * unit, unit, gap, sees_gap)
             key = (side, sees_gap, factor)
             if key not in runs:
-                runs[key] = (vc._scan_violations(*args),
-                             scan_every_pass(*args))
+                (rows,), _ = vc._scan_violations(
+                    V, problem, [(side, sees_gap)], factor * unit, unit, gap)
+                runs[key] = (rows, scan_every_pass(
+                    V, field, side, factor * unit, unit, gap, sees_gap))
             yield (variant, factor), runs[key]
 
 
@@ -650,6 +728,23 @@ class TestScanMatchesReference:
         assert len(report.violations) == 127575
         assert len(calls) <= 27
 
+    def test_one_touching_test_per_pass_across_slabs(self, monkeypatch):
+        # a pass gathers its candidates from every slab first: one time
+        # row per slab still makes at most 27 touching calls
+        problem, V = two_dimensional_fixture()
+        calls = []
+        touches = vc._touches
+
+        def counted(*args):
+            calls.append(args)
+            return touches(*args)
+
+        monkeypatch.setattr(vc, "_touches", counted)
+        monkeypatch.setattr(vc, "SLAB_CENTERS", 15 * 15)
+        report = vc.check_hjb_subsolution(V, problem)
+        assert len(report.violations) == 127575
+        assert len(calls) <= 27
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_noisy_profiles_admit_probes(self, problem, seed):
         V = noisy(analytic_profile(GRID), 1e-3, seed)
@@ -684,14 +779,14 @@ class TestScanMatchesReference:
              for d in range(2)]
         kappa_eff = rng.choice(vc.CURVATURES, 5000) * field.curv_scale[centers]
         shifted = tuple(c + vc.RADIUS for c in centers)
-        args = (field.Vv, shifted, a, p, kappa_eff, side, field.grid,
-                field.slack)
+        args = (V.values, shifted, a, p, kappa_eff, side, field.grid,
+                vc._slack(V.values))
         got = vc._touches(*args)
         assert np.array_equal(got, touches_every_offset(*args))
         assert 0 < got.sum() < len(got)
         for j in np.flatnonzero(got)[:5].tolist() + \
                 np.flatnonzero(~got)[:5].tolist():
-            assert vc._probe_admitted(
+            assert probe_admitted(
                 V, int(shifted[0][j]), [int(shifted[1][j]),
                                         int(shifted[2][j])],
                 float(a[j]), [float(p[0][j]), float(p[1][j])],
@@ -791,3 +886,122 @@ class TestCheckNotions:
         assert [r.passed for r in reports] == [True, True]
         with pytest.raises(AssertionError, match="obstacle_gap"):
             vc.check_notions(V, problem, (vc.VARIANT_QVI_SUB,))
+
+
+# --------------------------------------------------------- slab by slab ----
+
+def slab_reports(V, problem, gap, factor, budget):
+    """check_notions over every notion with SLAB_CENTERS set to `budget`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vc, "SLAB_CENTERS", budget)
+        return vc.check_notions(V, problem, tuple(vc._NOTIONS), factor, gap)
+
+
+def assert_slabs_change_nothing(V, problem, gap=None, factor=vc.TOL_FACTOR,
+                                budgets=()):
+    """Every notion's report is the same with one time row per slab, the
+    whole center block in one slab, and each extra budget; returns the
+    one-row reports."""
+    shape = vc._center_shape(V.grid)
+    row, whole = int(np.prod(shape[1:])), int(np.prod(shape))
+    want = slab_reports(V, problem, gap, factor, whole)
+    got = slab_reports(V, problem, gap, factor, row)
+    for budget in budgets:
+        for other, report in zip(slab_reports(V, problem, gap, factor, budget),
+                                 want):
+            assert_same_report(other, report)
+    for report, reference in zip(got, want):
+        assert_same_report(report, reference)
+    return got
+
+
+def probe_rows(reports):
+    return sum(len(report.violations) for report in reports)
+
+
+class TestSlabs:
+    """The probe field is built one slab of time rows at a time; the
+    reports do not depend on how many rows a slab holds."""
+
+    def test_separation_profile(self):
+        problem, V = separation_profile(101, 351)
+        reports = assert_slabs_change_nothing(V, problem)
+        assert sum(len(r.constraint_violations) for r in reports) == 2 * 7974
+        tilted_rows = assert_slabs_change_nothing(tilted(V, 1.0), problem,
+                                                  factor=1.0)
+        assert probe_rows(tilted_rows)
+
+    def test_two_dimensional_fixture(self):
+        problem, V = two_dimensional_fixture()
+        reports = assert_slabs_change_nothing(V, problem)
+        assert len(reports[0].violations) == 127575
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_noisy_profiles(self, problem, seed):
+        V = noisy(analytic_profile(GRID), 1e-3, seed)
+        reports = assert_slabs_change_nothing(
+            V, problem, vc.obstacle_gap(V, problem), 0.1)
+        assert probe_rows(reports)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_random_grid_functions(self, data):
+        n = data.draw(st.sampled_from([1, 2]), label="n")
+        shape = (data.draw(st.integers(8, 12), label="t_nodes"),) + tuple(
+            data.draw(st.integers(8, 24 if n == 1 else 10), label="x_nodes")
+            for _ in range(n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                              label="seed"))
+        if n == 1:
+            problem = make_problem()
+        else:
+            problem, _ = two_dimensional_fixture()
+        grid = Grid(T=1.0, t_nodes=shape[0], x_min=(-1.0,) * n,
+                    x_max=(4.0,) * n, x_nodes=shape[1:])
+        t = grid.t.reshape((-1,) + (1,) * n)
+        V = GridFunction(grid, rng.uniform(-20.0, 20.0) * t
+                         + 10.0 ** rng.uniform(-4.0, 0.0)
+                         * rng.standard_normal(shape))
+        gap = 20.0 * grid.tolerance_unit * rng.uniform(-1.0, 1.0, shape)
+        centers = int(np.prod(vc._center_shape(grid)))
+        budget = data.draw(st.integers(1, centers), label="budget")
+        factor = data.draw(st.sampled_from([1.0, 3.0, 10.0]), label="factor")
+        assert_slabs_change_nothing(V, problem, gap, factor, (budget,))
+
+    def test_late_domain_error_skips_the_combination_on_every_slab(self):
+        # sqrt(p1 + 1.71) on V = t*x1^2: only the backward slope drops
+        # below -1.71, and only on the last center row
+        problem = make_problem(H="sqrt(p1 + 1.71)")
+        V = sample(ex.parse("t*x1*x1", {"t", "x1"}), GRID)
+        last = vc._center_shape(GRID)[0] - 1
+        assert not vc._ProbeField(V, problem, 0, last).skipped
+        assert [combo for combo, _ in
+                vc._ProbeField(V, problem, last, last + 1).skipped] == [(1,)]
+        reports = assert_slabs_change_nothing(V, problem)
+        for report in reports:
+            assert report.notes == (
+                "probe slope combination (1,) skipped: domain error in "
+                "'sqrt' for argument -0.02035714285714363")
+        assert probe_rows(reports)
+
+    def test_memory_follows_the_slab_budget(self):
+        # the plane problem's exact solution at 21 and 41 time nodes: the
+        # peak of a check does not grow with t_nodes
+        cfg = load_problem(PLANE.read_text())
+        exact = ex.parse("sin(x1 - 1 + t) + cos(x2 - 1 + t)",
+                         {"t", "x1", "x2"})
+        peaks = []
+        for t_nodes in (21, 41):
+            grid = Grid(T=1.0, t_nodes=t_nodes, x_min=(-2.0, -2.0),
+                        x_max=(3.0, 3.0), x_nodes=(81, 81))
+            V = sample(exact, grid)
+            tracemalloc.start()
+            try:
+                reports = vc.check_notions(V, cfg.problem, (
+                    vc.VARIANT_HJB_SUB, vc.VARIANT_HJB_SUPER))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert all(report.passed for report in reports)
+        assert peaks[1] <= 1.2 * peaks[0], peaks
+        assert peaks[1] < 8 * 2 ** 20, peaks
