@@ -151,11 +151,14 @@ class Cone:
 
         Each ray needs a positive, finite length: a zero ray, a NaN or
         infinite component, or a length that overflows is a ConfigError.
-        A nonzero ray whose length underflows is still accepted.
+        A nonzero ray whose length underflows is still accepted.  More than
+        2n rays is a ConfigError: no cone in one or two dimensions needs them.
         """
         rays = np.atleast_2d(np.asarray(rays, dtype=float))
         if rays.size == 0:
             raise ConfigError("cone needs at least one ray")
+        if len(rays) > 2 * rays.shape[1]:
+            raise ConfigError(f"cone has {len(rays)} rays, at most {2 * rays.shape[1]}")
         with np.errstate(over="ignore"):  # an overflowing length is inf
             norms = np.linalg.norm(rays, axis=1)
         # a length that underflows to 0 is measured on the ray scaled by its

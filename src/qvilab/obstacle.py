@@ -19,16 +19,18 @@ clamped value stays put while the cost grows.
 The minimum therefore lies among the landing points {x_d} u {nodes > x_d}
 on each axis.  At the nodes, comparing V + c.y over them is a suffix
 minimum, taken along axis 2 and then over the row minima along axis 1;
-the first index attaining it is the shortest jump along its axis, and
-only nodes with minimisers in two rows need the full tie-break.  At a
-single point the landing points are enumerated.  The returned value is
-still V(x + xi) + ell(t, xi) at the chosen impulse.
+the first index attaining it is the shortest jump along its axis.  A node
+with minimisers in two rows picks among the first minimiser of each
+row.  At a single point the landing points are enumerated.  The returned
+value is still V(x + xi) + ell(t, xi) at the chosen impulse.
 
 Every other problem uses the search: a coarse product scan of COARSE
 points per ray coefficient, followed by REFINE_LEVELS nested zooms of
 REFINE_POINTS points per coefficient around the incumbent, each shrinking
 the bracket to one cell of the previous level.  Multimodal landscapes are
 handled by the scan; the refinement only sharpens the winning basin.
+The search takes the nodes in batches of NODE_BATCH // COARSE**m, which
+keeps the bits and bounds a slice's peak memory.
 With REFINE_LEVELS = 0 the search is the shared scan alone: one fixed
 probe set for every slice, so it is exactly monotone in V and equivariant
 under constant shifts.  Its value never exceeds the payoff of any
@@ -51,6 +53,7 @@ from .core import GridFunction, axis_names, interp_slice, make_env
 COARSE = 25  # scan points per ray coefficient in the search
 REFINE_LEVELS = 10  # nested zooms of the search after the scan
 REFINE_POINTS = 9  # points per ray coefficient in each zoom of the search
+NODE_BATCH = 1 << 18  # candidates a per-node scan of N holds at once
 
 
 @dataclass(frozen=True)
@@ -260,30 +263,28 @@ def _exact_nodes(grid, values, slopes):
                   axis=-1)
     after = np.vstack([best[1:], np.full((1, ax1.size), np.nan)])
     ti, tj = np.nonzero(after[arg0, cols] == best)
-    xi[ti, tj] = _node_ties(grid, key, ti, tj)
+    xi[ti, tj] = _node_ties(grid, row_min, row_arg, ti, tj)
     return xi.reshape(-1, 2)
 
 
-def _node_ties(grid, key, ti, tj, batch=1 << 16):
+def _node_ties(grid, row_min, row_arg, ti, tj):
     """Tie-broken impulses at the nodes (ti, tj) of a 2-d box, shape (T, 2).
 
-    The node scan sends here the nodes whose minimum of `key` is attained
-    in two rows, where the shorter jump is not known from the indices.
-    Node (i, j) compares the nodes p >= i, q >= j on `key`, as
-    _exact_point does at a node; the others get an infinite key.  Tied
-    nodes go in batches of about `batch` keys, not one call per node.
+    The node scan sends here the nodes whose minimum is attained in two
+    rows.  In row p >= i, node (i, j) meets its minimum where row_min[j, p]
+    equals it, first at column row_arg[j, p], the row's shortest jump; so
+    it compares one candidate per row, rows above it at an infinite key.
+    Tied nodes go in batches of about NODE_BATCH candidates.
     """
     ax0, ax1 = grid.axes
-    rows, cols = np.ogrid[:key.shape[0], :key.shape[1]]
+    rows = np.arange(ax0.size)
     out = np.empty((ti.size, 2))
-    step = max(1, batch // key.size)
+    step = max(1, NODE_BATCH // ax0.size)
     for lo in range(0, ti.size, step):
-        i, j = ti[lo:lo + step, None, None], tj[lo:lo + step, None, None]
-        cand = np.where((rows >= i) & (cols >= j), key, np.inf)
-        xi = np.stack(np.broadcast_arrays(ax0[rows] - ax0[i], ax1[cols] - ax1[j]),
-                      axis=-1).reshape(i.size, -1, 2)
-        pick = _batch_best(cand.reshape(i.size, -1), xi)
-        out[lo:lo + step] = xi[np.arange(i.size), pick]
+        i, j = ti[lo:lo + step, None], tj[lo:lo + step]
+        cand = np.where(rows >= i, row_min[j], np.inf)
+        xi = np.stack([ax0 - ax0[i], ax1[row_arg[j]] - ax1[j, None]], axis=-1)
+        out[lo:lo + step] = xi[np.arange(j.size), _batch_best(cand, xi)]
     return out
 
 
@@ -298,7 +299,11 @@ def _obstacle(grid, slice_values, t, ell, cone, points, at_nodes):
     """
     slopes = _exact_slopes(grid, t, ell, cone)
     if slopes is None:
-        return _search(grid, slice_values, t, ell, points, cone)
+        step = max(1, NODE_BATCH // COARSE**cone.n_rays)
+        values, bxi, probes = zip(*(
+            _search(grid, slice_values, t, ell, points[lo:lo + step], cone)
+            for lo in range(0, len(points), step)))
+        return np.concatenate(values), np.concatenate(bxi), sum(probes)
     slice_values = np.asarray(slice_values, dtype=float)
     if not at_nodes:
         xi, probes = _exact_point(grid, slice_values, slopes, points[0])

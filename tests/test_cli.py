@@ -773,13 +773,14 @@ class TestConfigNumbers:
                            st.sampled_from(["nan", "inf", "-inf", "x", "",
                                             "1e400", "-0", "orthant"])),
                  min_size=1, max_size=2).map(",".join),
-        max_size=2).map("; ".join))
+        max_size=8).map("; ".join))
     @example(rays="1")
     @example(rays="0.5; 2")
     @example(rays="1e308")
     @example(rays="1,x; 0,1")
+    @example(rays="1; -1; 1")
+    @example(rays="1; 1; 1; 1; 1; 1; 1; 1")
     def test_any_cone_text_ends_in_an_exit_code(self, rays):
-        # at most two rays: the search scans 25^m coefficient points per node
         with tempfile.TemporaryDirectory() as out:
             code = run(["solve", EXAMPLE, "--grid-nt", "3", "--grid-nx", "5",
                         "--set", f'problem.cone="{rays}"', "--out", out])

@@ -134,7 +134,16 @@ class TestCone:
         rays = (rng.normal(size=(400, 2))
                 * 10.0 ** rng.uniform(-150.0, 150.0, size=(400, 1)))
         want = rays / np.linalg.norm(rays, axis=1)[:, None]
-        assert np.array_equal(Cone.from_rays(rays).rays, want)
+        got = np.vstack([Cone.from_rays(four).rays
+                         for four in rays.reshape(100, 4, 2)])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_more_than_two_rays_per_axis_rejected(self, n):
+        # the search scans COARSE**m coefficient points per node
+        Cone.from_rays(np.ones((2 * n, n)))
+        with pytest.raises(ConfigError, match=f"cone has {2 * n + 1} rays"):
+            Cone.from_rays(np.ones((2 * n + 1, n)))
 
     def test_coefficient_map(self):
         cone = Cone.orthant(2)

@@ -111,6 +111,14 @@ COMMANDS = {
              "832b25dc0f34c5164fc52949f5d2adca9bc190afdd3ebc1350685fb409ca28c3",
          "solve.json":
              "997c0fdd5d42152a9d305b541295ad7fd4531e4d7d35206e7719c07edad1baba"}),
+    # hundreds of nodes tie across rows and take the row-minimum tie-break
+    "solve-plane-ties": (
+        ["solve", str(ROOT / "perfbench" / "plane.cfg"),
+         "--grid-nt", "21", "--grid-nx", "41,41"],
+        {"solution.csv":
+             "1f5d83d3ce2da67cd591925716886b928cb5ee6d77ea2ee637b5e82e45a77d62",
+         "solve.json":
+             "ec3aea6511d74bd5c9ded7a78a0ac7922107d5f488653f839992b9f81094909a"}),
     "solve-transport-no-obstacle": (
         ["solve", str(ROOT / "configs" / "transport.cfg"), "--no-obstacle"],
         {"solution.csv":

@@ -1,6 +1,8 @@
 """Obstacle operator: oracles, exact properties, search behavior."""
 
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +10,13 @@ from scipy.optimize import minimize_scalar
 
 from qvilab import expr as ex
 from qvilab import obstacle as obs
-from qvilab.core import Cone, Grid, GridFunction, ImpulseProblem, sample
+from qvilab.core import (Cone, Grid, GridFunction, ImpulseProblem, load_problem,
+                         sample, sample_terminal)
 from qvilab.obstacle import ObstacleResult, evaluate, evaluate_slice_values
 from qvilab.solver import solve_qvi
 
 ELL0 = 0.05
+PLANE = Path(__file__).resolve().parent.parent / "perfbench" / "plane.cfg"
 
 
 def orthant_rays(n):
@@ -164,6 +168,25 @@ class TestTwoDimensional:
         # bilinear interpolation of the quadratic costs dx^2/4 in value
         assert res.value == pytest.approx(2.0 + 0.1, abs=1e-4)
         assert np.allclose(res.argmin, [1.0, 1.0], atol=0.02)
+
+
+    def test_search_memory_does_not_grow_with_the_slice(self):
+        # the search takes the nodes in batches of NODE_BATCH // COARSE**m
+        # candidates, so one slice of 41^2 nodes peaks as one of 21^2 does
+        peaks = []
+        for nx in (21, 41):
+            cfg = load_problem(PLANE.read_text(), (
+                'problem.cone="1, 0; 0, 1"', f"grid.x_nodes={nx},{nx}"))
+            values = sample_terminal(cfg.problem.h, cfg.grid)
+            tracemalloc.start()
+            try:
+                evaluate_slice_values(cfg.grid, values, 0.5, cfg.problem.ell,
+                                      cfg.problem.cone)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
+        assert peaks[1] < 48 * 2 ** 20, peaks
 
 
 class TestExactProperties:

@@ -185,22 +185,27 @@ class TestOracle:
                 assert res.value == vals[idx]
                 assert np.array_equal(res.argmin, argmin[idx])
 
-    def test_tied_nodes_match_the_point_enumerator_in_any_batch(self):
-        # integer values tie many keys; the batched tie-break must pick
-        # what _exact_point picks at each tied node, whatever the batch
+    def test_tied_nodes_match_the_point_enumerator_in_any_batch(
+            self, monkeypatch):
+        # integer values tie many keys; the batched tie-break over the row
+        # minima must pick what _exact_point picks over the whole quadrant
+        # at each tied node, whatever the batch
         rng = np.random.default_rng(28)
         grid = grid_2d(x_nodes=(9, 7), x_min=(0.0, 0.0), x_max=(2.0, 1.5))
         ax0, ax1 = grid.axes
         ti, tj = np.nonzero(np.ones(grid.x_nodes, dtype=bool))
+        default = obs.NODE_BATCH
         for slopes in ([0.0, 0.0], [0.0, 1.0], [1.0, 0.5]):
             slopes = np.array(slopes)
             values = rng.integers(0, 3, size=grid.x_nodes).astype(float)
             key = values + slopes[0] * ax0[:, None] + slopes[1] * ax1[None, :]
+            row_min, row_arg = obs._suffix_min(key.T)
             want = np.array([obs._exact_point(grid, values, slopes,
                                               np.array([ax0[i], ax1[j]]))[0]
                              for i, j in zip(ti, tj)])
-            for batch in (1, 100, 1 << 16):
-                got = obs._node_ties(grid, key, ti, tj, batch=batch)
+            for batch in (1, 100, default):
+                monkeypatch.setattr(obs, "NODE_BATCH", batch)
+                got = obs._node_ties(grid, row_min, row_arg, ti, tj)
                 assert np.array_equal(got, want)
 
     def test_two_column_pick_keeps_the_incumbent(self):
@@ -409,6 +414,33 @@ def test_exact_n_is_shift_equivariant(case, shift):
     assert np.allclose(moved, base + shift, rtol=0.0, atol=1e-10)
 
 
+@st.composite
+def tied_slices(draw):
+    """2-d slices on dyadic axes whose keys V + c.y tie across rows: integer
+    plateaus, or keys constant along each row."""
+    x_nodes = (draw(st.integers(2, 7)), draw(st.integers(2, 7)))
+    grid = grid_2d(x_nodes=x_nodes, x_min=(0.0, 0.0),
+                   x_max=((x_nodes[0] - 1) / 4, (x_nodes[1] - 1) / 4))
+    slopes = [draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in range(2)]
+    ell = ex.parse(f"0.125 + {slopes[0]}*xi1 + {slopes[1]}*xi2", VARS_2D)
+    by_row = draw(st.booleans())
+    size = x_nodes[0] if by_row else x_nodes[0] * x_nodes[1]
+    levels = np.array(draw(st.lists(st.integers(0, 2), min_size=size,
+                                    max_size=size)), dtype=float)
+    if by_row:
+        values = levels[:, None] - slopes[1] * grid.axes[1][None, :]
+    else:
+        values = levels.reshape(x_nodes)
+    return grid, values, ell
+
+
+@PROPERTY_SETTINGS
+@given(tied_slices())
+def test_tied_2d_slices_match_the_oracle(case):
+    grid, values, ell = case
+    check_against_oracle(grid, values, ell)
+
+
 # ------------------------------------------------------ callers of the path ----
 
 class TestCallers:
@@ -419,13 +451,38 @@ class TestCallers:
         tied = []
         inner = obs._node_ties
 
-        def counted(grid, key, ti, tj):
-            tied.append(ti.size)
-            return inner(grid, key, ti, tj)
+        def counted(*args):
+            tied.append(args[-1].size)
+            return inner(*args)
 
         monkeypatch.setattr(obs, "_node_ties", counted)
         solve_qvi(cfg.problem, cfg.grid)
         assert tied and sum(tied) <= 16
+
+    def test_a_tied_node_compares_one_candidate_per_row(self, monkeypatch):
+        # at 41x81^2 hundreds of nodes per slice tie across rows; each
+        # compares the first minimiser of every row, not its whole quadrant
+        cfg = load_problem((PERFBENCH / "plane.cfg").read_text(),
+                           ("grid.t_nodes=41", "grid.x_nodes=81,81"))
+        widths, inside = [], []
+        node_ties, batch_best = obs._node_ties, obs._batch_best
+
+        def ties(*args):
+            inside.append(True)
+            try:
+                return node_ties(*args)
+            finally:
+                inside.pop()
+
+        def best(values, xi):
+            if inside:
+                widths.append(values.shape[1])
+            return batch_best(values, xi)
+
+        monkeypatch.setattr(obs, "_node_ties", ties)
+        monkeypatch.setattr(obs, "_batch_best", best)
+        solve_qvi(cfg.problem, cfg.grid)
+        assert widths and max(widths) <= 81, max(widths)
 
     def test_solve_reuses_settled_sweep_bitwise(self, monkeypatch):
         cfg = load_problem((CONFIGS / "example.cfg").read_text(),
