@@ -21,12 +21,12 @@ problem = ImpulseProblem(
 grid = Grid(T=1.0, t_nodes=201, x_min=(-1.0,), x_max=(7.0,),
             x_nodes=(561,))
 result = solve_qvi(problem, grid)
-regions = extract_regions(result)
+contact = extract_regions(result)  # True where the obstacle binds
 
 print(f"solved {grid.t_nodes}x{grid.x_nodes[0]} nodes, "
       f"max fixed point sweeps {int(result.iterations.max())}")
-print(f"intervention fraction {regions.fraction:.4f} "
-      f"({regions.n_intervention} nodes)")
+print(f"intervention fraction {contact.sum() / contact.size:.4f} "
+      f"({int(contact.sum())} nodes)")
 print(f"clipped nodes {int(result.clipped.sum())} "
       f"in {int((result.clipped > 0).sum())} slice(s)")
 # further back the unclipped step already sits at or just below N
@@ -41,7 +41,7 @@ x = grid.axes[0]
 print()
 print(" t      band in x            band in u = x - T + t")
 for k in range(0, grid.t_nodes - 1, 40):
-    row = regions.labels[k].astype(bool)
+    row = contact[k]
     if not row.any():
         print(f"{grid.t[k]:.2f}   (empty)")
         continue
@@ -57,7 +57,7 @@ print("tradeoff is carried along the characteristics unchanged")
 
 # the argmin impulse inside the band points at a fixed landing spot
 k = grid.t_nodes // 2
-row = regions.labels[k].astype(bool)
+row = contact[k]
 landing = x[row] + result.argmin_xi[k, row, 0]
 print()
 print(f"mid-slice landing points: {landing.min():.3f} .. {landing.max():.3f}")

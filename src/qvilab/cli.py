@@ -205,12 +205,13 @@ def cmd_solve(args):
         "dissipation": list(result.dissipation),
     }
     if result.obstacle_gap is not None:
-        regions = extract_regions(result)
-        payload["intervention_fraction"] = regions.fraction
-        payload["intervention_nodes"] = regions.n_intervention
+        mask = extract_regions(result)
+        n = int(mask.sum())
+        payload["intervention_fraction"] = float(n) / mask.size
+        payload["intervention_nodes"] = n
         payload["clipped_nodes"] = int(result.clipped.sum())
         payload["clipped_slices"] = int((result.clipped > 0).sum())
-        print(f"intervention fraction {f17(regions.fraction)}")
+        print(f"intervention fraction {f17(payload['intervention_fraction'])}")
     run.write_json("solve.json", payload)
     return run.finish(True)
 
@@ -281,7 +282,6 @@ def cmd_doubling(args):
         levels = read_floats(args.levels, "--levels")
     diag = cmp.doubling_maximize(V, V_hat, theta=args.theta, levels=levels)
     run.write_json("doubling.json", diag.to_dict())
-    write_table(run.path("trend.csv"), *diag.table())
     print(f"doubling on {source} vs {hat_source}: {len(diag.levels)} levels, "
           f"{diag.space_points} space points per slice")
     for lev in diag.levels:

@@ -51,7 +51,7 @@ the maximum.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -264,7 +264,6 @@ class DoublingDiagnostics:
     certificate_count: int
     certificate_ok: bool
     levels: tuple
-    notes: str = ""
 
     @property
     def final(self) -> DoublingLevel:
@@ -287,13 +286,6 @@ class DoublingDiagnostics:
         payload = asdict(self)
         return {"theta": payload.pop("theta"), "nu": NU, "rho": RHO, "G": G,
                 **payload}
-
-    def table(self):
-        """trend.csv as the header and blocks core.write_table takes: one
-        row per level, one column per scalar field of DoublingLevel."""
-        # annotations are strings under `from __future__ import annotations`
-        cols = [f.name for f in fields(DoublingLevel) if f.type == "float"]
-        return cols, [[[getattr(lev, c) for lev in self.levels] for c in cols]]
 
 
 def _square(v):
@@ -534,10 +526,8 @@ def doubling_maximize(V, V_hat, theta=THETA, levels=None):
             residual_certified=residual + cross,
             growth_lhs=growth_lhs))
 
-    note = (f"space axis strided by {stride}: {q} of {n_space} points; "
-            "time pairs exhaustive")
     return DoublingDiagnostics(
         theta=theta, stride=stride, space_points=q,
         tuples_per_level=nt * nt * q * q,
         certificate_count=CERTIFICATE_TUPLES,
-        certificate_ok=cert_ok, levels=tuple(rows), notes=note)
+        certificate_ok=cert_ok, levels=tuple(rows))

@@ -152,13 +152,16 @@ class Cone:
         Each ray needs a positive, finite length: a zero ray, a NaN or
         infinite component, or a length that overflows is a ConfigError.
         A nonzero ray whose length underflows is still accepted.  More than
-        2n rays is a ConfigError: no cone in one or two dimensions needs them.
+        n + 1 rays is a ConfigError: no convex cone in one or two dimensions
+        needs them (a half-plane or the whole plane takes three, as
+        "1, 0; 0, 1; -1, -1"), and the obstacle search scans
+        obstacle.COARSE**m points per node for m rays.
         """
         rays = np.atleast_2d(np.asarray(rays, dtype=float))
         if rays.size == 0:
             raise ConfigError("cone needs at least one ray")
-        if len(rays) > 2 * rays.shape[1]:
-            raise ConfigError(f"cone has {len(rays)} rays, at most {2 * rays.shape[1]}")
+        if len(rays) > rays.shape[1] + 1:
+            raise ConfigError(f"cone has {len(rays)} rays, at most {rays.shape[1] + 1}")
         with np.errstate(over="ignore"):  # an overflowing length is inf
             norms = np.linalg.norm(rays, axis=1)
         # a length that underflows to 0 is measured on the ray scaled by its

@@ -30,7 +30,9 @@ REFINE_POINTS points per coefficient around the incumbent, each shrinking
 the bracket to one cell of the previous level.  Multimodal landscapes are
 handled by the scan; the refinement only sharpens the winning basin.
 The search takes the nodes in batches of NODE_BATCH // COARSE**m, which
-keeps the bits and bounds a slice's peak memory.
+keeps the bits and bounds a slice's peak memory.  A cone has at most
+n + 1 <= 3 rays (core.Cone.from_rays), so COARSE**m <= 15,625 and a
+batch holds at least 16 nodes.
 With REFINE_LEVELS = 0 the search is the shared scan alone: one fixed
 probe set for every slice, so it is exactly monotone in V and equivariant
 under constant shifts.  Its value never exceeds the payoff of any
@@ -299,7 +301,7 @@ def _obstacle(grid, slice_values, t, ell, cone, points, at_nodes):
     """
     slopes = _exact_slopes(grid, t, ell, cone)
     if slopes is None:
-        step = max(1, NODE_BATCH // COARSE**cone.n_rays)
+        step = NODE_BATCH // COARSE**cone.n_rays
         values, bxi, probes = zip(*(
             _search(grid, slice_values, t, ell, points[lo:lo + step], cone)
             for lo in range(0, len(points), step)))

@@ -346,35 +346,22 @@ def mask_tolerances(grid, dissipation):
     return obstacle_scale(grid, dissipation) * (1.0 + 2.0 * (grid.T - grid.t))
 
 
-@dataclass(frozen=True)
-class RegionMap:
-    labels: np.ndarray      # 1 where an impulse is active, 0 elsewhere
-    argmin_xi: np.ndarray   # impulse at labeled nodes, zero elsewhere
-    n_intervention: int
-    fraction: float
+def extract_regions(result: SolveResult) -> np.ndarray:
+    """Contact mask of a constrained solve: True at the stepped nodes
+    where the obstacle is active, False elsewhere and on the terminal
+    slice, which holds data, not a decision.
 
-
-def extract_regions(result: SolveResult) -> RegionMap:
-    """Classify stepped nodes by whether the obstacle is active there.
-
-    The tolerance is the horizon-stretched dissipation scale, see
-    mask_tolerances.
+    A node is active where its gap N[V] - V is within the
+    horizon-stretched dissipation scale, see mask_tolerances.
     """
     if result.obstacle_gap is None:
         raise ValueError("result has no obstacle data; solve with solve_qvi")
     grid = result.V.grid
     tol_rows = mask_tolerances(grid, result.dissipation)
-    gap = result.obstacle_gap.values
-    labels = (gap <= tol_rows.reshape((grid.t_nodes,) + (1,) * grid.n)).astype(np.int8)
-    labels[-1] = 0  # terminal slice holds data, not a decision
-    arg = np.where(labels[..., None] == 1, result.argmin_xi, 0.0)
-    n_int = int(labels.sum())
-    return RegionMap(
-        labels=labels,
-        argmin_xi=arg,
-        n_intervention=n_int,
-        fraction=float(n_int) / labels.size,
-    )
+    mask = result.obstacle_gap.values <= tol_rows.reshape(
+        (grid.t_nodes,) + (1,) * grid.n)
+    mask[-1] = False
+    return mask
 
 
 def interior_mask(grid, dissipation):

@@ -226,12 +226,10 @@ class _ProbeField:
             fwd.append((up - V0) / steps[axis])
             bwd.append((V0 - dn) / steps[axis])
             curv.append(np.abs(up + dn - 2.0 * V0) / steps[axis] ** 2)
-        self.a_cand = (fwd[0], bwd[0], 0.5 * (fwd[0] + bwd[0]))
-        self.p_cand = tuple(
-            tuple((fwd[1 + d], bwd[1 + d], 0.5 * (fwd[1 + d] + bwd[1 + d]))[c]
-                  for d in range(n))
-            for c in range(3))
+        cand = [(f, b, 0.5 * (f + b)) for f, b in zip(fwd, bwd)]
+        self.a_cand = cand[0]
         # p_cand[c][d] is the c-th slope candidate along axis d
+        self.p_cand = tuple(zip(*cand[1:]))
         self.curv_scale = curv[0]
         for c in curv[1:]:
             self.curv_scale = np.maximum(self.curv_scale, c)
@@ -404,7 +402,8 @@ def _admitted_rows(V, passes, side, skipped, slack):
 
 def _scan_violations(V, problem, scans, base_tol, unit, gap):
     """Collect admitted probes violating each (side, sees_gap) of `scans`:
-    one Violations per scan, and the skipped slope combinations.
+    one Violations per scan, and the skipped slope combinations, each
+    with the error of the first slab it raised on.
 
     The probe field is built one slab of whole center rows at a time, with
     at most SLAB_CENTERS centers (and at least one row) per slab, and
@@ -418,10 +417,11 @@ def _scan_violations(V, problem, scans, base_tol, unit, gap):
     rows, per_row = (shape[0], int(np.prod(shape[1:]))) if shape else (0, 1)
     step = max(1, SLAB_CENTERS // per_row)
     passes = [{} for _ in scans]  # per scan, (combo, a_choice): blocks
-    skipped = set()
+    skipped = {}  # combo: error
     for start in range(0, rows, step):
         field = _ProbeField(V, problem, start, min(start + step, rows))
-        skipped.update(combo for combo, _ in field.skipped)
+        for combo, err in field.skipped:
+            skipped.setdefault(combo, err)
         for found, (side, sees_gap) in zip(passes, scans):
             for key, block in _candidates(field, side, base_tol, unit, gap,
                                           sees_gap):
@@ -447,14 +447,16 @@ def _constraint_nodes(V, gap, ctol):
     return _rows(V.grid, idx[0], np.column_stack(idx[1:]), gap[idx])
 
 
-def _notes(V, problem, shape, skipped):
+def _notes(shape, skipped):
+    """The report's notes: a grid too small to probe, and each skipped
+    slope combination, in combination order, with the error the scan
+    caught on it (see _scan_violations)."""
     parts = []
     if shape is None:
         parts.append("grid too small for probe neighborhoods; "
                      "no interior points tested")
-    if skipped:  # rare: the notes quote H over the whole center block
-        for combo, err in _ProbeField(V, problem).skipped:
-            parts.append(f"probe slope combination {combo} skipped: {err}")
+    for combo, err in sorted(skipped.items()):
+        parts.append(f"probe slope combination {combo} skipped: {err}")
     return "; ".join(parts)
 
 
@@ -502,7 +504,7 @@ def check_notions(V, problem, variants, tol_factor=TOL_FACTOR, gap=None):
     probe_rows, skipped = _scan_violations(V, problem, scans,
                                            tol_factor * unit, unit, gap)
     shape = _center_shape(grid)
-    notes = _notes(V, problem, shape, skipped)
+    notes = _notes(shape, skipped)
     no_rows = _rows(grid, np.empty(0, dtype=np.intp),
                     np.empty((0, grid.n), dtype=np.intp), np.empty(0))
     reports = []

@@ -463,9 +463,9 @@ class TestDoubling:
     def test_trend_table_is_emitted(self, tmp_path):
         assert run(["doubling", EXAMPLE, "--analytic", PROFILE,
                     "--theta", "0.001", "--out", str(tmp_path)]) == 0
-        lines = (tmp_path / "trend.csv").read_text().strip().splitlines()
-        assert lines[0].startswith("epsilon,delta,t0,s0")
-        assert len(lines) == 4
+        # doubling.json is the one record of the trend
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "doubling.json", "manifest.json"]
         diag = json.loads((tmp_path / "doubling.json").read_text())
         assert [lev["epsilon"] for lev in diag["levels"]] == [0.1, 0.05, 0.025]
         assert all(lev["residual_certified"] <= 0.0 for lev in diag["levels"])

@@ -9,7 +9,7 @@ import pytest
 from qvilab import comparison as cmp
 from qvilab import expr as ex
 from qvilab.core import (Cone, ConfigError, Grid, GridFunction, ImpulseProblem,
-                         make_env, sample, write_table)
+                         make_env, sample)
 
 
 def make_problem(H="-p1", h="x1*exp(-x1)", ell="0.05*(1 + xi1)", n=1, T=1.0):
@@ -253,18 +253,22 @@ class TestDoublingMaximize:
         positive = replace(last, residual_certified=1e-9)
         assert not replace(diag, levels=(first, positive)).passed
 
-    def test_trend_csv_and_json(self, pair_values, tmp_path):
+    def test_trend_csv_and_json(self, pair_values):
         V, V_hat = pair_values
         diag = cmp.doubling_maximize(V, V_hat, levels=(0.1, 0.05))
         payload = json.loads(json.dumps(diag.to_dict(), indent=2))
         assert payload["certificate_ok"] is True
         assert len(payload["levels"]) == 2
-        path = tmp_path / "trend.csv"
-        write_table(str(path), *diag.table())
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("epsilon,")
-        assert len(lines) == 3
-        assert float(lines[1].split(",")[0]) == 0.1
+        assert payload["levels"][0]["epsilon"] == 0.1
+        # each level's float fields, the former trend.csv columns, are
+        # read back from the JSON exactly
+        columns = ["epsilon", "delta", "t0", "s0", "t_gap", "x_gap",
+                   "phi_value", "residual_symmetry", "residual_certified",
+                   "growth_lhs"]
+        for lev, row in zip(diag.levels, payload["levels"]):
+            assert [k for k, v in row.items() if isinstance(v, float)] == columns
+            assert [row[k] for k in columns] == [getattr(lev, k)
+                                                 for k in columns]
 
 
 def sweep_every_tuple(FA, Bs, t, pair_norms, half_d2, theta, eps, T):

@@ -144,9 +144,7 @@ COMMANDS = {
         ["doubling", str(ROOT / "configs" / "example.cfg"),
          "--analytic", PROFILE],
         {"doubling.json":
-             "de79c7b7ffcb2bf8f7071a957b859d2ff6d1c4d0c28b38d14080294de7e10478",
-         "trend.csv":
-             "40770a375db1e56dfb52473fe965b838e00e963ae57c1601f41aa07ae835f87d"}),
+             "4064e80e2fd84d73c582769cb8f7a344cf7be7b1e6f48941d9e556237ece1e6b"}),
 }
 
 

@@ -188,6 +188,12 @@ class TestTwoDimensional:
         assert peaks[1] <= 1.2 * peaks[0], peaks
         assert peaks[1] < 48 * 2 ** 20, peaks
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_node_of_the_widest_cone_fits_a_batch(self, n):
+        # a cone has at most n + 1 rays, so one node's coarse scan of
+        # COARSE**m candidates stays within NODE_BATCH
+        assert obs.COARSE ** (n + 1) <= obs.NODE_BATCH
+
 
 class TestExactProperties:
     @pytest.fixture

@@ -170,7 +170,7 @@ class TestExactInvariants:
         free = solve_hjb(problem, grid, dissipation)
         clipped = solve_qvi(problem, grid, dissipation)
         assert np.array_equal(free.V.values, clipped.V.values)
-        assert not extract_regions(clipped).labels.any()
+        assert not extract_regions(clipped).any()
         assert clipped.iterations.max() <= 2
 
     def test_terminal_shift_invariance(self):
@@ -391,7 +391,7 @@ class TestConstrainedSolve:
         x = grid.axes[0]
         for t_target in (0.0, 0.5, 0.9):
             k = int(round(t_target / grid.dt))
-            row = extract_regions(res).labels[k]
+            row = extract_regions(res)[k]
             idx = np.flatnonzero(row)
             assert idx.size > 0
             # one contiguous run whose ends track the profile-coordinate
@@ -412,7 +412,7 @@ class TestConstrainedSolve:
         # point x = 1.5, t = 0.5
         grid, res, _ = qvi_example
         k = grid.t_nodes // 2
-        row = extract_regions(res).labels[k]
+        row = extract_regions(res)[k]
         assert row.any()
         i_ref = int(np.argmin(np.abs(grid.axes[0] - 1.5)))
         assert row[i_ref]
@@ -428,22 +428,19 @@ class TestConstrainedSolve:
             grid = Grid(T=1.0, t_nodes=201, x_min=(-1.0,), x_max=(7.0,),
                         x_nodes=(1121,))
             res = solve_qvi(problem, grid, (1.05,))
-            fractions[ell0] = extract_regions(res).fraction
+            fractions[ell0] = extract_regions(res).mean()
         assert fractions[0.05] > fractions[0.06] > fractions[0.07] > 0.0
         assert fractions[0.05] > fractions[0.1] >= fractions[0.2]
         assert fractions[0.1] == 0.0 and fractions[0.2] == 0.0
 
     def test_extract_regions_consistency(self, qvi_example):
         grid, res, _ = qvi_example
-        regions = extract_regions(res)
-        assert set(np.unique(regions.labels)) <= {0, 1}
-        assert not regions.labels[-1].any()
-        assert regions.n_intervention == int(regions.labels.sum())
-        assert 0.0 < regions.fraction < 1.0
-        labeled = regions.labels == 1
-        norms = np.linalg.norm(regions.argmin_xi, axis=-1)
-        assert float(norms[labeled].min()) > 0.5
-        assert float(norms[~labeled].max()) == 0.0
+        mask = extract_regions(res)
+        assert mask.dtype == bool and mask.shape == grid.shape
+        assert not mask[-1].any()
+        assert 0.0 < float(mask.sum()) / mask.size < 1.0
+        norms = np.linalg.norm(res.argmin_xi[mask], axis=-1)
+        assert float(norms.min()) > 0.5
 
     def test_fixed_point_settles_quickly(self, qvi_example):
         grid, res, _ = qvi_example
@@ -538,7 +535,7 @@ class TestTwoDimensionalConstrained:
         assert res.argmin_xi.shape == (21, 41, 41, 2)
         assert float(res.obstacle_gap.values[:-1].min()) >= -1e-8
         # sin + cos has spread 4 > cost floor, so some impulse fires
-        assert extract_regions(res).labels.any()
+        assert extract_regions(res).any()
 
 
 class TestInteriorMask:

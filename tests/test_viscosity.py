@@ -984,13 +984,15 @@ class TestSlabs:
                 "'sqrt' for argument -0.02035714285714363")
         assert probe_rows(reports)
 
-    def test_memory_follows_the_slab_budget(self):
-        # the plane problem's exact solution at 21 and 41 time nodes: the
-        # peak of a check does not grow with t_nodes
-        cfg = load_problem(PLANE.read_text())
+    @staticmethod
+    def plane_checks(overrides=()):
+        """hjb-sub and hjb-super on the plane problem's exact solution at
+        21 and 41 time nodes: per t_nodes, the solution, the problem, the
+        reports and the tracemalloc peak of the check."""
+        cfg = load_problem(PLANE.read_text(), overrides)
         exact = ex.parse("sin(x1 - 1 + t) + cos(x2 - 1 + t)",
                          {"t", "x1", "x2"})
-        peaks = []
+        runs = []
         for t_nodes in (21, 41):
             grid = Grid(T=1.0, t_nodes=t_nodes, x_min=(-2.0, -2.0),
                         x_max=(3.0, 3.0), x_nodes=(81, 81))
@@ -999,9 +1001,36 @@ class TestSlabs:
             try:
                 reports = vc.check_notions(V, cfg.problem, (
                     vc.VARIANT_HJB_SUB, vc.VARIANT_HJB_SUPER))
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert all(report.passed for report in reports)
+            runs.append((V, cfg.problem, reports, peak))
+        return runs
+
+    def test_memory_follows_the_slab_budget(self):
+        # the peak of a check does not grow with t_nodes
+        runs = self.plane_checks()
+        assert all(report.passed for _, _, reports, _ in runs
+                   for report in reports)
+        peaks = [peak for *_, peak in runs]
+        assert peaks[1] <= 1.2 * peaks[0], peaks
+        assert peaks[1] < 8 * 2 ** 20, peaks
+
+    def test_notes_follow_the_slab_budget(self):
+        # sqrt(0.9 - t) raises only on the last center row at 41 time
+        # nodes, t = 0.925, and on no row at 21: the notes quote the error
+        # the slab scan caught, within the memory of a check that raises
+        # nowhere
+        runs = self.plane_checks(('problem.H="-p1 - p2 + sqrt(0.9 - t)"',))
+        assert all(not report.notes for report in runs[0][2])
+        V, problem, reports, _ = runs[1]
+        whole = vc._ProbeField(V, problem).skipped  # one slab of every row
+        assert [combo for combo, _ in whole] == list(
+            itertools.product(range(3), repeat=2))
+        want = "; ".join(f"probe slope combination {combo} skipped: {err}"
+                         for combo, err in whole)
+        assert "'sqrt'" in want
+        assert all(report.notes == want for report in reports)
+        peaks = [peak for *_, peak in runs]
         assert peaks[1] <= 1.2 * peaks[0], peaks
         assert peaks[1] < 8 * 2 ** 20, peaks
