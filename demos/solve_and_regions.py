@@ -7,6 +7,7 @@ import numpy as np
 
 from qvilab import expr as ex
 from qvilab.core import Cone, Grid, ImpulseProblem
+from qvilab.obstacle import evaluate_slice_values
 from qvilab.solver import extract_regions, solve_qvi
 
 problem = ImpulseProblem(
@@ -55,10 +56,13 @@ print("the u-interval barely moves: jumping is worthwhile exactly where")
 print("the profile plus the jump cost undercuts waiting, and that")
 print("tradeoff is carried along the characteristics unchanged")
 
-# the argmin impulse inside the band points at a fixed landing spot
+# the argmin impulse inside the band points at a fixed landing spot; a
+# solve keeps no jumps, so N gives them again on the settled slice
 k = grid.t_nodes // 2
 row = contact[k]
-landing = x[row] + result.argmin_xi[k, row, 0]
+_, xi = evaluate_slice_values(grid, result.V.values[k], float(grid.t[k]),
+                              problem.ell, problem.cone)
+landing = x[row] + xi[row, 0]
 print()
 print(f"mid-slice landing points: {landing.min():.3f} .. {landing.max():.3f}")
 print("every profitable jump lands near the same downhill spot w*")

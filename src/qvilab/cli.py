@@ -30,9 +30,8 @@ from . import example as exm
 from . import expr as ex
 from . import viscosity as vc
 from .assumptions import audit_H1, audit_H2, default_sampler
-from .core import (ConfigError, GridFunction, load_problem, read_csv,
-                   read_floats, read_int, role_variables, sample, write_csv,
-                   write_table)
+from .core import (ConfigError, load_problem, read_csv, read_floats,
+                   read_int, role_variables, sample, write_csv, write_table)
 from .solver import SolverError, extract_regions, solve_hjb, solve_qvi
 
 
@@ -144,22 +143,26 @@ def _tol_factor(args, grid):
     return tol_factor
 
 
-def _solution_on_grid(cfg, args, suffix=""):
+def _given_function(cfg, solution, analytic, flags):
+    """(grid function, source) from a CSV file or an expression, or (None,
+    "") when neither is given; `flags` names their two options."""
+    if solution and analytic:
+        raise ConfigError(f"pass either {flags[0]} or {flags[1]}, not both")
+    if solution:
+        return read_csv(cfg.grid, solution), f"solution file {solution}"
+    if analytic:
+        return (_sample_expression(cfg, analytic, flags[1]),
+                "analytic expression")
+    return None, ""
+
+
+def _solution_on_grid(cfg, args):
     """(grid function, obstacle gap, source) from --solution CSV, --analytic
     expr, or a fresh solve; the gap is the solve's, None otherwise."""
-    solution = getattr(args, "solution" + suffix, None)
-    analytic = getattr(args, "analytic" + suffix, None)
-    flag = "--solution" + suffix.replace("_", "-")
-    if solution and analytic:
-        raise ConfigError(f"pass either {flag} or --analytic{suffix}, not both")
-    if solution:
-        return read_csv(cfg.grid, solution), None, f"solution file {solution}"
-    if analytic:
-        return (_sample_expression(cfg, analytic,
-                                   "--analytic" + suffix.replace("_", "-")),
-                None, "analytic expression")
-    if suffix:
-        return None, None, ""
+    V, source = _given_function(cfg, args.solution, args.analytic,
+                                ("--solution", "--analytic"))
+    if V is not None:
+        return V, None, source
     result = solve_qvi(cfg.problem, cfg.grid)
     return result.V, result.obstacle_gap, "fresh solve"
 
@@ -260,8 +263,7 @@ def cmd_compare(args):
     if args.tol is not None:
         report = dataclasses.replace(report, tolerance=args.tol)
     run.write_json("compare.json", report.to_dict())
-    difference = report.V.values - report.V_hat.values
-    write_csv(GridFunction(cfg.grid, difference), run.path("difference.csv"))
+    write_csv(report.difference, run.path("difference.csv"))
     print(f"max interior difference {f17(report.max_difference)} "
           f"(tolerance {f17(report.tolerance)})")
     if not report.ordered:
@@ -274,12 +276,13 @@ def cmd_doubling(args):
     cfg = _load_config(args.config, overrides)
     run = _Session("doubling", args.out, cfg.config_hash, overrides)
     V, _, source = _solution_on_grid(cfg, args)
-    V_hat, _, hat_source = _solution_on_grid(cfg, args, suffix="_hat")
+    V_hat, hat_source = _given_function(cfg, args.solution_hat,
+                                        args.analytic_hat,
+                                        ("--solution-hat", "--analytic-hat"))
     if V_hat is None:
         V_hat, hat_source = V, "the same function"
-    levels = None
-    if args.levels is not None:
-        levels = read_floats(args.levels, "--levels")
+    levels = (None if args.levels is None
+              else read_floats(args.levels, "--levels"))
     diag = cmp.doubling_maximize(V, V_hat, theta=args.theta, levels=levels)
     run.write_json("doubling.json", diag.to_dict())
     print(f"doubling on {source} vs {hat_source}: {len(diag.levels)} levels, "

@@ -45,7 +45,8 @@ incumbent, and every block whose bound reaches it (less a rounding
 slack) is evaluated with the per-tuple arithmetic of a sweep over the
 whole set.  The argmax is therefore the one that sweep finds, ties
 included: the first tuple in (k, l, i, j) order among those attaining
-the maximum.
+the maximum.  The reported maximum and the random certificate evaluate
+Phi with that same arithmetic.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ import numpy as np
 from . import expr as ex
 from .assumptions import (SamplerSpec, audit_comparison_hypotheses,
                           audit_order, check_pair, default_sampler)
-from .core import ConfigError, ImpulseProblem, make_env, role_variables
+from .core import (ConfigError, GridFunction, ImpulseProblem, make_env,
+                   role_variables)
 from .solver import estimate_dissipation, interior_mask, solve_qvi
 
 __all__ = [
@@ -157,8 +159,7 @@ class ComparisonReport:
     ordered: bool
     audit: object
     dissipation: tuple
-    V: object
-    V_hat: object
+    difference: GridFunction  # V - V_hat on every node
     interior_points: int
     notes: str = ""
 
@@ -228,7 +229,7 @@ def compare_solutions(problem, problem_hat, grid, constants=None):
     return ComparisonReport(
         max_difference=max_diff, tolerance=10.0 * grid.tolerance_unit,
         ordered=ordered, audit=audit, dissipation=dissipation,
-        V=res.V, V_hat=res_hat.V, interior_points=interior,
+        difference=GridFunction(grid, diff), interior_points=interior,
         notes="; ".join(notes))
 
 
@@ -303,15 +304,20 @@ def _time_penalty(eps, gap):
         return 0.5 / eps * gap ** 2
 
 
-def _phi_tuples(As, Bs, t, sub, norms, theta, eps, dlt, T, kk, ll, ii, jj):
-    """Phi for explicit index tuples; the certificate's reference path."""
-    w = (2.0 * NU * T - t[kk] - t[ll]) / (2.0 * NU * T)
-    d2 = ((sub[ii] - sub[jj]) ** 2).sum(axis=-1)
-    phi = (theta * w * (norms[ii] + norms[jj])
-           - RHO * (t[kk] + t[ll])
-           + _time_penalty(eps, t[kk] - t[ll])
-           + 0.5 / dlt * d2)
-    return (1.0 - theta * G) * As[kk, ii] - Bs[ll, jj] - phi
+def _time_terms(theta, eps, T, tk, tl):
+    """(theta*w, pen) of times tk and tl: the barrier weight and the time
+    penalty less the tilt, 0.5/eps*(tk - tl)**2 - RHO*(tk + tl)."""
+    two_nu_T = 2.0 * NU * T
+    w = (two_nu_T - tk - tl) / two_nu_T
+    return theta * w, _time_penalty(eps, tk - tl) - RHO * (tk + tl)
+
+
+def _phi(FA, Bs, t, pair_norms, half_d2, theta, eps, T, kk, ll, ii, jj):
+    """Phi at the index tuples (kk, ll, ii, jj), broadcast together: the
+    one formula of the search, the reported maximum and the certificate."""
+    tw, pen = _time_terms(theta, eps, T, t[kk], t[ll])
+    return FA[kk, ii] - Bs[ll, jj] - (
+        (tw * pair_norms[ii, jj] + pen) + half_d2[ii, jj])
 
 
 def _chunk_blocks(nt, q):
@@ -321,29 +327,25 @@ def _chunk_blocks(nt, q):
 
 
 def _sweep_argmax(FA, Bs, t, pair_norms, half_d2, theta, eps, T):
-    """First (k, l, i, j) in row-major order at which Phi is largest.
+    """First (k, l, i, j) in row-major order at which _phi is largest.
 
-    Phi(k, l, i, j) = FA[k, i] - Bs[l, j]
-                      - (((theta*w)*pair_norms[i, j] + pen) + half_d2[i, j])
-
-    with w and pen functions of (t[k], t[l]): the arithmetic of a sweep
-    over every tuple, applied only to the blocks that can hold the maximum.
-    A block (K, L, i, j) pairs two time blocks of _TIME_BLOCK nodes with
-    two space indices.  No tuple of it exceeds the block bound, which takes
-    the largest FA, the smallest Bs, the smallest w (the last time of each
-    block) and the smallest pen (the closest times, the largest t + s).
-    The incumbent is the best tuple of the _INCUMBENT_BLOCKS highest-bound
-    blocks; every block whose bound is within a rounding slack of it is
-    then evaluated.  Those blocks hold every maximiser, so the answer is
-    the full sweep's, ties included: the first k that reaches the maximum,
-    then the first (l, i, j) within it.  Like the sweep's `max`, a k whose
-    Phi holds a NaN is skipped; NaN needs magnitudes near overflow, where
-    the slack is not finite and every block is evaluated.  No temporary
-    holds more than one time slice of the sweep, nt*q*q values.
+    The arithmetic of a sweep over every tuple, applied only to the blocks
+    that can hold the maximum.  A block (K, L, i, j) pairs two time blocks
+    of _TIME_BLOCK nodes with two space indices.  No tuple of it exceeds
+    the block bound, which takes the largest FA, the smallest Bs, the
+    smallest w (the last time of each block) and the smallest pen (the
+    closest times, the largest t + s).  The incumbent is the best tuple of
+    the _INCUMBENT_BLOCKS highest-bound blocks; every block whose bound is
+    within a rounding slack of it is then evaluated.  Those blocks hold
+    every maximiser, so the answer is the full sweep's, ties included: the
+    first k that reaches the maximum, then the first (l, i, j) within it.
+    Like the sweep's `max`, a k whose Phi holds a NaN is skipped; NaN needs
+    magnitudes near overflow, where the slack is not finite and every block
+    is evaluated.  No temporary holds more than one time slice of the
+    sweep, nt*q*q values.
     """
     nt, q = Bs.shape
     b = _TIME_BLOCK
-    two_nu_T = 2.0 * NU * T
     starts = np.arange(0, nt, b)
     nb = starts.size
     last = np.minimum(starts + b, nt) - 1
@@ -351,25 +353,19 @@ def _sweep_argmax(FA, Bs, t, pair_norms, half_d2, theta, eps, T):
     rows_per_batch = max(1, nt // nb)  # bound rows per batch: <= nt*q*q
     chunk = _chunk_blocks(nt, q)
 
-    def time_terms(tk, tl):
-        w = (two_nu_T - tk - tl) / two_nu_T
-        return theta * w, _time_penalty(eps, tk - tl) - RHO * (tk + tl)
-
     def evaluate(K, L, i, j):
         """(Phi, k, l) on every tuple of the given blocks, Phi of shape
         (blocks, b, b); tuples past the last time node repeat it."""
         kk = np.minimum(K[:, None, None] * b + offs[:, None], nt - 1)
         ll = np.minimum(L[:, None, None] * b + offs, nt - 1)
-        ii, jj = i[:, None, None], j[:, None, None]
-        tw, pen = time_terms(t[kk], t[ll])
-        val = FA[kk, ii] - Bs[ll, jj] - (
-            (tw * pair_norms[ii, jj] + pen) + half_d2[ii, jj])
+        val = _phi(FA, Bs, t, pair_norms, half_d2, theta, eps, T, kk, ll,
+                   i[:, None, None], j[:, None, None])
         return val, kk, ll
 
     a_hi = np.maximum.reduceat(FA, starts, axis=0)
     b_lo = np.minimum.reduceat(Bs, starts, axis=0)
     t_last = t[last]
-    tw_lo = time_terms(t_last[:, None], t_last)[0]
+    tw_lo = _time_terms(theta, eps, T, t_last[:, None], t_last)[0]
     near = np.maximum(0.0, np.maximum(t[starts] - t_last[:, None],
                                       t[starts][:, None] - t_last))
     pen_lo = _time_penalty(eps, near) - RHO * (t_last[:, None] + t_last)
@@ -445,7 +441,8 @@ def doubling_maximize(V, V_hat, theta=THETA, levels=None):
     is exact (a bounded search over time blocks; the first maximiser in
     (k, l, i, j) order wins ties), and ``tuples_per_level`` counts the set.
     Each level's maximum is certified against CERTIFICATE_TUPLES random
-    tuples drawn with seed CERTIFICATE_SEED.
+    tuples drawn with seed CERTIFICATE_SEED, evaluated by the search's own
+    arithmetic (_phi), so it fails only where the search misses a tuple.
     """
     if not theta > 0.0:
         raise ConfigError("need theta > 0")
@@ -495,26 +492,25 @@ def doubling_maximize(V, V_hat, theta=THETA, levels=None):
         half_d2 = 0.5 / dlt * D2
         k0, l0, i0, j0 = _sweep_argmax(FA, Bs, t, pair_norms, half_d2,
                                        theta, eps, T)
-        phi_max = float(_phi_tuples(As, Bs, t, sub, norms, theta, eps, dlt,
-                                    T, k0, l0, i0, j0))
+        phi_max = float(_phi(FA, Bs, t, pair_norms, half_d2, theta, eps, T,
+                             k0, l0, i0, j0))
         kk = rng.integers(0, nt, size=CERTIFICATE_TUPLES)
         ll = rng.integers(0, nt, size=CERTIFICATE_TUPLES)
         ii = rng.integers(0, q, size=CERTIFICATE_TUPLES)
         jj = rng.integers(0, q, size=CERTIFICATE_TUPLES)
-        other = _phi_tuples(As, Bs, t, sub, norms, theta, eps, dlt, T,
-                            kk, ll, ii, jj)
+        other = _phi(FA, Bs, t, pair_norms, half_d2, theta, eps, T,
+                     kk, ll, ii, jj)
         cert_ok = cert_ok and bool(
             np.all(other <= phi_max + 1e-12 * (1.0 + abs(phi_max))))
 
         t0, s0 = float(t[k0]), float(t[l0])
         x0, y0 = sub[i0], sub[j0]
         dt0 = t0 - s0
-        dx2 = float(((x0 - y0) ** 2).sum())
+        dx2 = float(D2[i0, j0])
         v_gap = abs(float(As[k0, i0]) - float(As[l0, j0]))
         vh_gap = abs(float(Bs[k0, i0]) - float(Bs[l0, j0]))
         residual = _square(dt0) / eps + dx2 / dlt - v_gap - vh_gap
-        nx0 = float(np.sqrt(1.0 + (x0 ** 2).sum()))
-        ny0 = float(np.sqrt(1.0 + (y0 ** 2).sum()))
+        nx0, ny0 = float(norms[i0]), float(norms[j0])
         cross = theta * dt0 * (nx0 - ny0) / (NU * T)
         growth_lhs = (theta * (nx0 + ny0)
                       + 0.5 / eps * _square(dt0) + 0.5 / dlt * dx2)

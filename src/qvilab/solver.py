@@ -148,7 +148,6 @@ def check_cfl(grid, dissipation):
 class SolveResult:
     V: GridFunction
     obstacle_gap: Optional[GridFunction]
-    argmin_xi: Optional[np.ndarray]
     iterations: np.ndarray
     clipped: np.ndarray  # nodes per slice strictly clipped, N[W] < W0
     flags: tuple
@@ -217,12 +216,13 @@ def solve_qvi(problem, grid, dissipation=None) -> SolveResult:
     """Backward solve with every stepped slice clipped by the obstacle.
 
     Each slice runs W <- min(W_unclipped, N[W]) until the update falls
-    below FP_TOL, then records the obstacle gap and impulse argmin of the
-    settled slice (from the last sweep when its update was exactly zero,
-    since that sweep already saw the settled slice).  The terminal slice
-    is the sampled terminal data and is never clipped.  `dissipation` and
-    the horizon are as in solve_hjb.  N is the one every command uses,
-    over the ball of the box diagonal.
+    below FP_TOL, then records the obstacle gap of the settled slice
+    (from the last sweep when its update was exactly zero, since that
+    sweep already saw the settled slice), but not its argmin, which
+    obstacle.evaluate_slice_values gives again bit for bit.  The terminal
+    slice is the sampled terminal data and is never clipped.
+    `dissipation` and the horizon are as in solve_hjb.  N is the one every
+    command uses, over the ball of the box diagonal.
 
     `clipped` counts the clipped nodes (N[W] < W_unclipped) of each slice.
     A clipped node is cut by the box when its jump lands within half a
@@ -235,9 +235,9 @@ def solve_qvi(problem, grid, dissipation=None) -> SolveResult:
 def _backward(problem, grid, dissipation, obstacle):
     """The backward loop of both solves, with the obstacle on or off.
 
-    Off, no obstacle call is made and no gap or argmin array is
-    allocated.  On, the clipped and box-edge counts of solve_qvi are
-    taken slice by slice from W0 and the settled argmin.
+    Off, no obstacle call is made and no gap array is allocated.  On,
+    the clipped and box-edge counts of solve_qvi are taken slice by
+    slice from W0 and the settled argmin, which is then dropped.
     """
     check_horizon(problem, grid)
     terminal = sample_terminal(problem.h, grid)
@@ -250,14 +250,13 @@ def _backward(problem, grid, dissipation, obstacle):
     V[nt - 1] = terminal
     iterations = np.zeros(nt, dtype=int)
     clipped_count = np.zeros(nt, dtype=int)
-    gap = argmin = None
+    gap = np.empty(grid.shape) if obstacle else None
     box = np.column_stack([grid.x_min, grid.x_max])  # (low, high) per axis
     edges = np.zeros(box.shape, dtype=int)  # clipped nodes cut at each edge
     if obstacle:
-        gap = np.empty(grid.shape)
-        argmin = np.zeros(grid.shape + (grid.n,))
-        # terminal slice: gap recorded for reporting, never enforced
-        n_term, argmin[nt - 1] = obs.evaluate_slice_values(
+        # terminal slice: never enforced; its gap is kept so that the gap
+        # equals viscosity.obstacle_gap(V) on every slice
+        n_term, _ = obs.evaluate_slice_values(
             grid, V[nt - 1], float(grid.t[nt - 1]), problem.ell, problem.cone)
         gap[nt - 1] = n_term - V[nt - 1]
 
@@ -269,13 +268,13 @@ def _backward(problem, grid, dissipation, obstacle):
         if not obstacle:
             V[k] = W0
             continue
-        W, n_vals, argmin[k], iterations[k] = _settle(problem, grid, W0, t_k)
+        W, n_vals, argmin, iterations[k] = _settle(problem, grid, W0, t_k)
         V[k] = W
         gap[k] = n_vals - W
         clipped = n_vals < W0
         clipped_count[k] = np.count_nonzero(clipped)
         for d in range(grid.n):
-            xi = argmin[k, ..., d]
+            xi = argmin[..., d]
             land = (x[d] + xi)[clipped & (xi != 0.0)]  # clipped, moved along d
             half = 0.5 * grid.dx[d]
             edges[d] += (np.count_nonzero(land <= box[d, 0] + half),
@@ -287,7 +286,6 @@ def _backward(problem, grid, dissipation, obstacle):
     return SolveResult(
         V=GridFunction(grid, V),
         obstacle_gap=None if gap is None else GridFunction(grid, gap),
-        argmin_xi=argmin,
         iterations=iterations,
         clipped=clipped_count,
         flags=flags,

@@ -37,7 +37,7 @@ curvature scale and H + g at every center, none of which depends on the
 probe side) and one gap N[V] - V, so each notion adds only its own scan.
 The five public checks each call it with one notion.  The field is built
 one slab of whole time rows at a time, at most SLAB_CENTERS centers per
-slab, so a check's memory follows SLAB_CENTERS and not t_nodes.
+slab, so the field's memory follows SLAB_CENTERS and not t_nodes.
 
 The scan makes one pass per (space slopes, time slope) pair.  It first
 finds the centers where the flat probe breaks the inequality; a curved
@@ -48,6 +48,10 @@ test, which visits the nearest ring of neighbors first and drops a probe
 at its first refuting neighbor.  So the cost follows the number of
 candidates, not 3 * 3^n * 3 full-array passes, and the rows equal those
 of such passes with every neighbor tested, whatever SLAB_CENTERS is.
+But a pass holds every slab's candidates until its one test (testing each
+slab apart is 6 to 12 times slower; README), so the peak is bounded only
+while they are few: hjb-super on an 81x81 plane, H = -p1 - p2 + sqrt(p1 +
+1.3), peaks at 2.1, 48.3 and 575.4 MiB at 21, 41 and 81 time nodes.
 """
 
 import itertools
@@ -67,7 +71,8 @@ VARIANT_QVI_SUPER_MODIFIED = "QVI-SUPER-MODIFIED"
 
 # variant: (probe side, V <= N[V] required at every node, how the probes
 # see the gap N[V] - V: not at all, as min{a + H, gap}, or only where
-# gap > 2*tol, i.e. strictly below the obstacle)
+# gap > 2*(dt + sum dx), whatever the tolerance factor, i.e. strictly
+# below the obstacle)
 _NOTIONS = {
     VARIANT_HJB_SUB: ("sub", False, None),
     VARIANT_HJB_SUPER: ("super", False, None),
@@ -405,13 +410,10 @@ def _scan_violations(V, problem, scans, base_tol, unit, gap):
     one Violations per scan, and the skipped slope combinations, each
     with the error of the first slab it raised on.
 
-    The probe field is built one slab of whole center rows at a time, with
-    at most SLAB_CENTERS centers (and at least one row) per slab, and
-    every scan reads each slab's field.  So the memory of a check follows
-    SLAB_CENTERS, not t_nodes, and the rows equal those of a single slab
-    over the whole center block.  A
-    slope combination whose H + g raises DomainError on any slab is
-    skipped on every slab.
+    Every scan reads each slab's field, of at most SLAB_CENTERS centers
+    (at least one row), and the rows equal those of one slab over the
+    whole center block.  A slope combination whose H + g raises
+    DomainError on any slab is skipped on every slab.
     """
     shape = _center_shape(V.grid)
     rows, per_row = (shape[0], int(np.prod(shape[1:]))) if shape else (0, 1)
@@ -577,10 +579,11 @@ def check_qvi_supersolution_modified(V, problem, tol_factor=TOL_FACTOR,
     """Modified constrained super-solution check, the stronger variant.
 
     Three parts: terminal V(T, .) >= h; the obstacle constraint
-    V <= N[V] + tol at every node below the final time; and the transport
-    inequality a + H <= tol at admitted super-side probes, required only
-    where V sits strictly below the obstacle (gap > 2*tol), since on the
-    contact set no transport inequality is demanded.
+    V <= N[V] + (dt + sum dx) at every node below the final time; and the
+    transport inequality a + H <= tol at admitted super-side probes,
+    required only where V sits strictly below the obstacle (gap >
+    2*(dt + sum dx), whatever the tolerance factor), since on the contact
+    set no transport inequality is demanded.
     """
     return check_notions(V, problem, (VARIANT_QVI_SUPER_MODIFIED,),
                          tol_factor, gap)[0]

@@ -1,9 +1,10 @@
-"""Shared helpers: re-derive a solve's fixed-point residual from its values,
-and read a violations.csv back into columns."""
+"""Shared helpers: re-derive a solve's fixed-point residual and its jumps
+from its values, and read a violations.csv back into columns."""
 
 import numpy as np
 import pytest
 
+from qvilab import obstacle as obs
 from qvilab import solver
 
 
@@ -34,9 +35,24 @@ def restep():
     return _restep
 
 
+def _jumps(problem, result):
+    """The argmin of N at every slice V_k, shape grid.shape + (n,): a
+    solve keeps none, and on a stepped slice this is its settled jump."""
+    grid = result.V.grid
+    return np.stack([
+        obs.evaluate_slice_values(grid, result.V.values[k], float(grid.t[k]),
+                                  problem.ell, problem.cone)[1]
+        for k in range(grid.t_nodes)])
+
+
 @pytest.fixture
 def fixed_point_residual():
     return _fixed_point_residual
+
+
+@pytest.fixture
+def jumps():
+    return _jumps
 
 
 # the violations.csv columns that hold one cell part per space axis

@@ -481,6 +481,19 @@ class TestDoubling:
                     "--solution-hat", str(solve_dir / "solution.csv"),
                     "--theta", "0.001", "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("flags", [("--solution", "--analytic"),
+                                       ("--solution-hat", "--analytic-hat")])
+    def test_conflicting_sources_name_both_flags(self, flags, tmp_path,
+                                                 capsys):
+        # the first function comes from --analytic in the hat case, so the
+        # run reaches the hat's two sources without a solve
+        assert run(["doubling", EXAMPLE, "--analytic", "x1",
+                    flags[0], "missing.csv", flags[1], "x1",
+                    "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: pass either {flags[0]} or {flags[1]}, not both\n")
+        assert not (tmp_path / "doubling.json").exists()
+
     @pytest.mark.parametrize("theta", ["0", "0.1"])
     def test_theta_outside_its_range_is_invalid(self, theta, tmp_path,
                                                 capsys):

@@ -10,6 +10,7 @@ from qvilab import comparison as cmp
 from qvilab import expr as ex
 from qvilab.core import (Cone, ConfigError, Grid, GridFunction, ImpulseProblem,
                          make_env, sample)
+from qvilab.solver import interior_mask, solve_qvi
 
 
 def make_problem(H="-p1", h="x1*exp(-x1)", ell="0.05*(1 + xi1)", n=1, T=1.0):
@@ -36,9 +37,12 @@ def base():
 
 @pytest.fixture(scope="module")
 def pair_values(base):
+    """The two solutions compare_solutions measures: the pair solved with
+    one shared dissipation."""
     _, dominated = cmp.ordered_pair_generator(base, ("0.25", None, None))
-    report = cmp.compare_solutions(base, dominated, GRID)
-    return report.V, report.V_hat
+    dissipation = cmp.shared_dissipation(base, dominated, GRID)
+    return tuple(solve_qvi(problem, GRID, dissipation).V
+                 for problem in (base, dominated))
 
 
 class TestDoublingWeights:
@@ -144,8 +148,20 @@ class TestCompareSolutions:
         assert report.max_difference == pytest.approx(-0.1, abs=1e-10)
         assert report.passed
         # the shift survives nodewise, not just on the interior box
-        assert float((report.V.values - report.V_hat.values).max()) \
-            <= -0.1 + 1e-9
+        assert float(report.difference.values.max()) <= -0.1 + 1e-9
+
+    def test_difference_is_the_pair_solved_with_one_dissipation(
+            self, base, pair_values):
+        # the report holds V - V_hat once, the grid its maximum is read
+        # from and the one `compare` writes to difference.csv
+        _, dominated = cmp.ordered_pair_generator(base, ("0.25", None, None))
+        report = cmp.compare_solutions(base, dominated, GRID)
+        V, V_hat = pair_values
+        assert np.array_equal(report.difference.values,
+                              V.values - V_hat.values)
+        mask = interior_mask(GRID, report.dissipation)
+        assert report.max_difference == float(
+            report.difference.values[mask].max())
 
     def test_triple_offset_pair_keeps_the_order_nodewise(self, base):
         _, dominated = cmp.ordered_pair_generator(
@@ -210,7 +226,6 @@ class TestDoublingMaximize:
         # the profile is transported, so the jump-profitable strip lives in
         # the variable u = x - 1 + t; a box where V stays moderate keeps
         # the (1 - theta*G) weighting from rerouting the argmax
-        from qvilab.solver import solve_qvi
         grid = Grid(T=1.0, t_nodes=201, x_min=(0.5,), x_max=(3.5,),
                     x_nodes=(351,))
         profile = ex.parse("(x1 - 1 + t)*exp(-(x1 - 1 + t))", {"t", "x1"})
@@ -360,6 +375,33 @@ class TestBoundedSweep:
             bounded, reference = both_sweeps(V, V_hat, theta=theta,
                                              levels=levels)
             assert bounded == reference
+
+    def test_certificate_uses_the_search_arithmetic(self, monkeypatch):
+        # phi_value is the largest _phi over every tuple, bit for bit, so a
+        # certificate tuple can exceed it only where the search missed one:
+        # a search that returns the smallest tuple fails the certificate
+        V, V_hat = random_pair(GRID_13x9, 0, False, False)
+        nt, q = GRID_13x9.t_nodes, GRID_13x9.x_nodes[0]
+        tuples = np.meshgrid(*map(np.arange, (nt, nt, q, q)), indexing="ij")
+        seen = []
+        search = cmp._sweep_argmax
+
+        def spy(*args):
+            seen.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(cmp, "_sweep_argmax", spy)
+        diag = cmp.doubling_maximize(V, V_hat)
+        assert diag.certificate_ok and len(seen) == len(diag.levels)
+        for args, lev in zip(seen, diag.levels):
+            assert float(cmp._phi(*args, *tuples).max()) == lev.phi_value
+
+        def smallest(*args):
+            full = cmp._phi(*args, *tuples)
+            return np.unravel_index(int(full.argmin()), full.shape)
+
+        monkeypatch.setattr(cmp, "_sweep_argmax", smallest)
+        assert not cmp.doubling_maximize(V, V_hat).certificate_ok
 
     def test_chunks_hold_at_most_one_time_slice(self):
         for nt, q in ((201, 15), (13, 9), (2, 1), (101, 30)):

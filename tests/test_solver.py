@@ -1,6 +1,7 @@
 """Scheme tests: transport oracle, exact invariants, DP cross-check."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,6 +45,7 @@ from qvilab.solver import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+PLANE = CONFIGS.parent / "perfbench" / "plane.cfg"
 ELL0 = 0.05
 
 
@@ -207,7 +209,7 @@ class TestObstacleOff:
         dissipation = (1.05,)
         res = solve_hjb(problem, grid, dissipation)
         assert res.obstacle_gap is None
-        assert res.argmin_xi is None and res.flags == ()
+        assert res.flags == ()
         assert not res.iterations.any() and not res.clipped.any()
         # every slice is the unclipped step of the next, bit for bit
         assert np.array_equal(res.V.values[:-1], restep(problem, res))
@@ -433,13 +435,13 @@ class TestConstrainedSolve:
         assert fractions[0.05] > fractions[0.1] >= fractions[0.2]
         assert fractions[0.1] == 0.0 and fractions[0.2] == 0.0
 
-    def test_extract_regions_consistency(self, qvi_example):
+    def test_extract_regions_consistency(self, qvi_example, jumps):
         grid, res, _ = qvi_example
         mask = extract_regions(res)
         assert mask.dtype == bool and mask.shape == grid.shape
         assert not mask[-1].any()
         assert 0.0 < float(mask.sum()) / mask.size < 1.0
-        norms = np.linalg.norm(res.argmin_xi[mask], axis=-1)
+        norms = np.linalg.norm(jumps(transport_problem(), res)[mask], axis=-1)
         assert float(norms.min()) > 0.5
 
     def test_fixed_point_settles_quickly(self, qvi_example):
@@ -448,19 +450,19 @@ class TestConstrainedSolve:
         assert int(res.iterations[-1]) == 0
 
     def test_box_edge_flag_counts_clipped_jumps(self, qvi_example, qvi_wide,
-                                                restep):
+                                                restep, jumps):
         # recount the rule from the result: a node is clipped where
         # N[V] = V + gap < W0, and cut where its jump lands within half a
         # cell of the edge; on [-1, 4] that is every clipped node
         grid, res, _ = qvi_example
         W0 = restep(transport_problem(), res)
         clipped = res.V.values[:-1] + res.obstacle_gap.values[:-1] < W0
-        xi = res.argmin_xi[:-1, :, 0]
+        xi = jumps(transport_problem(), res)[:-1, :, 0]
         cut = (xi != 0.0) & (grid.axes[0] + xi >= 4.0 - 0.5 * grid.dx[0])
         assert np.count_nonzero(clipped & cut) == np.count_nonzero(clipped) == 296
         assert res.flags == ("best jump reaches x1 = 4 at 296 clipped nodes",)
         # on [-1, 7] the box holds the jump target
-        assert np.count_nonzero(qvi_wide[1].argmin_xi) > 0
+        assert np.count_nonzero(jumps(transport_problem(), qvi_wide[1])) > 0
         assert qvi_wide[1].flags == ()
 
     def test_clipped_counts_the_strictly_clipped_nodes(self, qvi_example,
@@ -519,7 +521,7 @@ class TestConstrainedSolve:
 
 
 class TestTwoDimensionalConstrained:
-    def test_constraint_and_shapes(self):
+    def test_constraint_and_shapes(self, jumps):
         problem = ImpulseProblem(
             n=2, T=1.0,
             H=ex.parse("-p1 - p2", ("t", "x1", "x2", "p1", "p2")),
@@ -532,10 +534,24 @@ class TestTwoDimensionalConstrained:
                     x_nodes=(41, 41))
         res = solve_qvi(problem, grid, (1.05, 1.05))
         assert res.V.values.shape == (21, 41, 41)
-        assert res.argmin_xi.shape == (21, 41, 41, 2)
+        assert jumps(problem, res).shape == (21, 41, 41, 2)
         assert float(res.obstacle_gap.values[:-1].min()) >= -1e-8
         # sin + cos has spread 4 > cost floor, so some impulse fires
         assert extract_regions(res).any()
+
+    @pytest.mark.parametrize("t_nodes, x_nodes", [(21, 41), (41, 81)])
+    def test_solve_holds_no_per_node_jump_grid(self, t_nodes, x_nodes):
+        # V and the gap, each also copied into its write-once GridFunction,
+        # are four grids; a jump grid of n = 2 floats per node adds two
+        cfg = load_problem(PLANE.read_text(), (
+            f"grid.t_nodes={t_nodes}", f"grid.x_nodes={x_nodes},{x_nodes}"))
+        tracemalloc.start()
+        try:
+            res = solve_qvi(cfg.problem, cfg.grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * res.V.values.nbytes, peak / res.V.values.nbytes
 
 
 class TestInteriorMask:
@@ -556,7 +572,7 @@ class TestInteriorMask:
 
 SHIPPED = [load_problem(path.read_text()) for path in (
     CONFIGS / "example.cfg", CONFIGS / "example-lifted.cfg",
-    CONFIGS / "transport.cfg", CONFIGS.parent / "perfbench" / "plane.cfg")]
+    CONFIGS / "transport.cfg", PLANE)]
 
 
 @st.composite
