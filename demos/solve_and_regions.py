@@ -60,9 +60,9 @@ print("tradeoff is carried along the characteristics unchanged")
 # solve keeps no jumps, so N gives them again on the settled slice
 k = grid.t_nodes // 2
 row = contact[k]
-_, xi = evaluate_slice_values(grid, result.V.values[k], float(grid.t[k]),
-                              problem.ell, problem.cone)
-landing = x[row] + xi[row, 0]
+_, xi = evaluate_slice_values(grid, result.V.values[k:k + 1],
+                              grid.t[k:k + 1], problem.ell, problem.cone)
+landing = x[row] + xi[0, row, 0]
 print()
 print(f"mid-slice landing points: {landing.min():.3f} .. {landing.max():.3f}")
 print("every profitable jump lands near the same downhill spot w*")

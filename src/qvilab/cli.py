@@ -427,6 +427,10 @@ def main(argv=None):
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:
+        # numpy refuses an array larger than the host can hold
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -486,37 +486,45 @@ def _check_csv_nodes(grid, path):
 
 # ---------------------------------------------------------- interpolation ----
 
-def interp_slice(grid, slice_values, points):
-    """Multilinear interpolation of one time slice with clamped edges.
+def interp_slice(grid, values, points):
+    """Multilinear interpolation of a stack of time slices with clamped
+    edges.
 
-    `slice_values` has shape grid.x_nodes; `points` has shape (..., n).
-    Points outside the box are clamped to the boundary coordinate-wise.
+    `values` has shape (K, *grid.x_nodes); `points` has shape (K, ..., n),
+    and its leading axis picks the slice each point reads.  Returns shape
+    (K, ...).  Points outside the box are clamped to the boundary
+    coordinate-wise.
     """
     points = np.asarray(points, dtype=float)
     n = grid.n
     if points.shape[-1] != n:
         raise ValueError(f"points must have last dimension {n}")
-    idx = []
+    flat = values.reshape(-1)
     wts = []
     for d in range(n):
         lo = grid.x_min[d]
         dx = grid.dx[d]
         cnt = grid.x_nodes[d]
         f = (points[..., d] - lo) / dx
-        f = np.clip(f, 0.0, cnt - 1.0)
+        f = f.clip(0.0, cnt - 1.0)  # np.clip's ufunc, without its wrapper
         i = np.minimum(f.astype(np.int64), cnt - 2)
-        idx.append(i)
+        # flat index of each point's lower corner
+        index = i if d == 0 else index * cnt + i
         wts.append(f - i)
+    if len(values) > 1:  # a one-slice stack has no slice offset
+        size = flat.size // len(values)
+        index = index + size * np.arange(len(values)).reshape(
+            (-1,) + (1,) * (points.ndim - 2))
     if n == 1:
-        i0, w0 = idx[0], wts[0]
-        v0 = slice_values[i0]
-        return v0 + w0 * (slice_values[i0 + 1] - v0)
-    i0, w0 = idx[0], wts[0]
-    i1, w1 = idx[1], wts[1]
-    c00 = slice_values[i0, i1]
-    c01 = slice_values[i0, i1 + 1]
-    c10 = slice_values[i0 + 1, i1]
-    c11 = slice_values[i0 + 1, i1 + 1]
+        w0 = wts[0]
+        v0 = flat[index]
+        return v0 + w0 * (flat[index + 1] - v0)
+    w0, w1 = wts
+    step = grid.x_nodes[1]
+    c00 = flat[index]
+    c01 = flat[index + 1]
+    c10 = flat[index + step]
+    c11 = flat[index + step + 1]
     lo_edge = c00 + w1 * (c01 - c00)
     hi_edge = c10 + w1 * (c11 - c10)
     return lo_edge + w0 * (hi_edge - lo_edge)

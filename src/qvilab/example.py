@@ -322,9 +322,9 @@ def measure_obstacle_gap(instance):
     u = grid.axes[0] - instance.T + instance.t0
     slice_vals = u * np.exp(-u)
     problem = instance.problem()
-    values, _ = evaluate_slice_values(grid, slice_vals, instance.t0,
+    values, _ = evaluate_slice_values(grid, slice_vals[None], [instance.t0],
                                       problem.ell, problem.cone)
-    return float(values[0] - slice_vals[0])
+    return float(values[0, 0] - slice_vals[0])
 
 
 def _verdict(report):

@@ -1,6 +1,7 @@
 """Impulse obstacle operator on grid functions.
 
-For a time slice V(t, .) the obstacle value at x is
+evaluate_slice_values takes a stack of time slices, values (K, *x_nodes)
+at times t (K,).  For a time slice V(t, .) the obstacle value at x is
 
     N[V](t, x) = inf over cone impulses xi of  V(t, x + xi) + ell(t, x, xi)
 
@@ -30,13 +31,22 @@ REFINE_POINTS points per coefficient around the incumbent, each shrinking
 the bracket to one cell of the previous level.  Multimodal landscapes are
 handled by the scan; the refinement only sharpens the winning basin.
 The search takes the nodes in batches of NODE_BATCH // COARSE**m, which
-keeps the bits and bounds a slice's peak memory.  A cone has at most
+keeps the bits and bounds a call's peak memory.  A cone has at most
 n + 1 <= 3 rays (core.Cone.from_rays), so COARSE**m <= 15,625 and a
 batch holds at least 16 nodes.
 With REFINE_LEVELS = 0 the search is the shared scan alone: one fixed
 probe set for every slice, so it is exactly monotone in V and equivariant
 under constant shifts.  Its value never exceeds the payoff of any
 probed impulse, so it is an upper bound of the exact infimum.
+
+The path is chosen per slice, at its t: a cost that reads t can have a
+negative slope on some slices of a stack only, and those take the search.
+The exact slices of a stack share one node scan with a leading slice
+axis; the search slices fill the search's node batches with whole
+slices, or with one slice's nodes.  Payoffs go through core.interp_slice, whose points
+carry the same leading axis.  Every step is elementwise over the slices
+and every tie is broken per node, so each slice's value and argmin are
+bit for bit what a stack of that slice alone gives.
 
 Neither path knows where the box cuts a jump short: the solver reads
 that from the settled argmin (see solver.solve_qvi).
@@ -96,12 +106,14 @@ def _pick(values, xi, lam):
     return values[rows, col], xi[rows, col], lam[rows, col]
 
 
-def _psi(grid, slice_values, t, ell, x, xi):
-    """psi(xi) = V_interp(t, x + xi) + ell(t, x, xi); x: (N, 1, n), xi:
-    (N, B, n).  Returns (N, B); x and xi of shape (N, n) give (N,)."""
-    v = interp_slice(grid, slice_values, x + xi)
-    cost = np.asarray(ex.evaluate(ell, make_env(t=t, x=x, xi=xi)), dtype=float)
-    return v + np.broadcast_to(cost, v.shape)
+def _psi(grid, values, t, ell, x, xi):
+    """psi(xi) = V_interp(t, x + xi) + ell(t, x, xi) on a stack of slices:
+    values (K, *x_nodes) at times t (K,), impulses xi (K, ..., n) and
+    points x that broadcast against them.  Returns xi's shape without its
+    last axis."""
+    v = interp_slice(grid, values, x + xi)
+    t = t.reshape((-1,) + (1,) * (v.ndim - 1))
+    return v + ex.evaluate(ell, make_env(t=t, x=x, xi=xi))
 
 
 def _coarse_lambda_grid(m, xi_max):
@@ -110,36 +122,36 @@ def _coarse_lambda_grid(m, xi_max):
     return np.stack([md.ravel() for md in mesh], axis=-1)  # (B, m)
 
 
-def _search(grid, slice_values, t, ell, nodes_x, cone):
-    """Run the coarse scan plus zoom refinement at every point of nodes_x
-    (N, n), over the ball of the box diagonal.
+def _search(grid, values, t, ell, nodes_x, cone):
+    """Run the coarse scan plus zoom refinement at the points nodes_x
+    (N, n) of every slice of the stack values (K, *x_nodes) at times t
+    (K,), over the ball of the box diagonal.
 
-    Returns (values, argmin_xi, probes), the first two flat over the
-    points; probes counts the payoffs evaluated.
+    Returns (values, argmin_xi, probes) of shapes (K, N), (K, N, n);
+    probes counts the payoffs evaluated.  Each node of each slice picks
+    on its own, so the stack is one batch of K*N nodes.
     """
-    slice_values = np.asarray(slice_values, dtype=float)
-    t = float(t)
     xi_max = grid.box_diagonal
     x = nodes_x[:, None, :]
     rays = cone.rays
     m = cone.n_rays
-    n_nodes = nodes_x.shape[0]
+    shape = (len(values), len(nodes_x))
     probes = 0
 
     def eval_lam(lam):
-        """lam: (N, B, m).  Returns (psi, xi) with psi = inf off the ball."""
+        """lam: (K*N, B, m).  Returns (psi, xi) with psi = inf off the ball."""
         nonlocal probes
         xi = lam @ rays
-        vals = _psi(grid, slice_values, t, ell, x, xi)
+        stacked = xi.reshape(shape + xi.shape[1:])  # (K, N, B, n)
+        vals = _psi(grid, values, t, ell, x, stacked).reshape(xi.shape[:-1])
         probes += vals.size
         norms = np.linalg.norm(xi, axis=-1)
         vals = np.where(norms <= xi_max * (1.0 + 1e-12), vals, np.inf)
         return vals, xi
 
     # coarse shared scan (the lambda grid always includes 0)
-    lam0 = np.broadcast_to(
-        _coarse_lambda_grid(m, xi_max)[None], (n_nodes, COARSE**m, m)
-    )
+    lam0 = np.broadcast_to(_coarse_lambda_grid(m, xi_max),
+                           (shape[0] * shape[1], COARSE**m, m))
     best = _pick(*eval_lam(lam0), lam0)
 
     # nested zooms around the incumbent coefficient vector
@@ -155,7 +167,7 @@ def _search(grid, slice_values, t, ell, nodes_x, cone):
         best = _pick(*(np.stack(pair, axis=1) for pair in zip(best, cand)))
         step *= 2.0 / (REFINE_POINTS - 1)
 
-    return best[0], best[1], probes
+    return best[0].reshape(shape), best[1].reshape(shape + (grid.n,)), probes
 
 
 # ------------------------------------------------------------- exact path ----
@@ -191,19 +203,19 @@ def _cost_slopes(ell, n):
 
 
 def _exact_slopes(grid, t, ell, cone):
-    """Cost slopes c_d = ell(e_d) - ell(0) when the exact path applies.
+    """Per time of `t`, the cost slopes c_d = ell(t, e_d) - ell(t, 0) when
+    the exact path applies, else None: a list.
 
-    Returns None when it does not: a cone other than the orthant, a cost
-    that reads x or is not affine in xi, or a negative slope.
+    The path is not taken by a cone other than the orthant, a cost that
+    reads x or is not affine in xi, or at a time where a slope is negative.
     """
-    if cone.kind != "orthant":
-        return None
-    slopes_at = _cost_slopes(ell, grid.n)
-    return None if slopes_at is None else slopes_at(t)
+    slopes_at = _cost_slopes(ell, grid.n) if cone.kind == "orthant" else None
+    return [None if slopes_at is None else slopes_at(tk) for tk in t]
 
 
 def _exact_point(grid, values, slopes, x):
-    """Impulse attaining N at one point x (n,) of the box, by enumeration.
+    """Impulse attaining N at one point x (n,) of the box, by enumeration
+    over one slice `values` (*x_nodes).
 
     Candidates: the product over the axes of {x_d} u {nodes > x_d}.
     Returns (xi, number of candidates).
@@ -221,8 +233,8 @@ def _exact_point(grid, values, slopes, x):
     v = values[tuple(np.maximum(i, 0) for i in index)]
     off = np.any([i < 0 for i in index], axis=0)
     if off.any():
-        v[off] = interp_slice(grid, values,
-                              np.stack([y[off] for y in ys], axis=-1))
+        points = np.stack([y[off] for y in ys], axis=-1)
+        v[off] = interp_slice(grid, values[None], points[None])[0]
     key = v
     for slope, y in zip(slopes, ys):
         key = key + slope * y  # left to right: ((v + c1*y1) + c2*y2)
@@ -242,90 +254,113 @@ def _suffix_min(key):
 
 
 def _exact_nodes(grid, values, slopes):
-    """Impulses attaining N at every node of the box, shape (nodes, n).
+    """Impulses attaining N at every node of a stack of slices, values
+    (K, *x_nodes) with cost slopes (K, n); shape (K, *x_nodes, n).
 
     The minimum of V + c.y over the nodes at or above each node is a
     suffix minimum: along the axis in 1-d, along axis 2 and then over the
-    row minima along axis 1 in 2-d.  The first index attaining it is the
-    shortest jump along its axis.  A 2-d node whose next row also attains
-    its minimum has minimisers in two rows and goes through _node_ties for
-    the (|xi|, lexicographic) tie-break; a second minimiser in the same
-    row lies farther along axis 2, so the first one wins already.
+    row minima along axis 1 in 2-d, each pass over every slice at once.
+    The first index attaining it is the shortest jump along its axis.  A
+    2-d node whose next row also attains its minimum has minimisers in two
+    rows and goes through _node_ties for the (|xi|, lexicographic)
+    tie-break; a second minimiser in the same row lies farther along axis
+    2, so the first one wins already.
     """
     if grid.n == 1:
         axis = grid.axes[0]
-        _, arg = _suffix_min(values + slopes[0] * axis)
-        return (axis[arg] - axis)[:, None]
+        _, arg = _suffix_min((values + slopes * axis).T)  # (n1, K)
+        return (axis[arg] - axis[:, None]).T[..., None]
     ax0, ax1 = grid.axes
-    key = values + slopes[0] * ax0[:, None] + slopes[1] * ax1[None, :]
-    row_min, row_arg = _suffix_min(key.T)  # (n2, n1): along axis 2
-    best, arg0 = _suffix_min(row_min.T)
-    cols = np.arange(ax1.size)
-    xi = np.stack([ax0[arg0] - ax0[:, None], ax1[row_arg[cols, arg0]] - ax1],
-                  axis=-1)
-    after = np.vstack([best[1:], np.full((1, ax1.size), np.nan)])
-    ti, tj = np.nonzero(after[arg0, cols] == best)
-    xi[ti, tj] = _node_ties(grid, row_min, row_arg, ti, tj)
-    return xi.reshape(-1, 2)
+    key = (values + slopes[:, :1, None] * ax0[:, None]
+           + slopes[:, 1:, None] * ax1)  # left to right, as at a point
+    row_min, row_arg = _suffix_min(key.T)  # (n2, n1, K): along axis 2
+    best, arg0 = _suffix_min(row_min.transpose(1, 0, 2))  # (n1, n2, K)
+    cols = np.arange(ax1.size)[:, None]
+    ks = np.arange(len(values))
+    xi = np.stack([ax0[arg0] - ax0[:, None, None],
+                   ax1[row_arg[cols, arg0, ks]] - ax1[:, None]], axis=-1)
+    after = np.concatenate([best[1:], np.full(best[:1].shape, np.nan)])
+    ti, tj, tk = np.nonzero(after[arg0, cols, ks] == best)
+    xi[ti, tj, tk] = _node_ties(grid, row_min, row_arg, ti, tj, tk)
+    return xi.transpose(2, 0, 1, 3)
 
 
-def _node_ties(grid, row_min, row_arg, ti, tj):
-    """Tie-broken impulses at the nodes (ti, tj) of a 2-d box, shape (T, 2).
+def _node_ties(grid, row_min, row_arg, ti, tj, tk):
+    """Tie-broken impulses at the nodes (ti, tj) of the slices tk of a 2-d
+    stack, shape (T, 2).
 
     The node scan sends here the nodes whose minimum is attained in two
-    rows.  In row p >= i, node (i, j) meets its minimum where row_min[j, p]
-    equals it, first at column row_arg[j, p], the row's shortest jump; so
-    it compares one candidate per row, rows above it at an infinite key.
-    Tied nodes go in batches of about NODE_BATCH candidates.
+    rows.  In row p >= i, node (i, j) of slice k meets its minimum where
+    row_min[j, p, k] equals it, first at column row_arg[j, p, k], the
+    row's shortest jump; so it compares one candidate per row, rows above
+    it at an infinite key.  Tied nodes go in batches of about NODE_BATCH
+    candidates.
     """
     ax0, ax1 = grid.axes
     rows = np.arange(ax0.size)
     out = np.empty((ti.size, 2))
     step = max(1, NODE_BATCH // ax0.size)
     for lo in range(0, ti.size, step):
-        i, j = ti[lo:lo + step, None], tj[lo:lo + step]
-        cand = np.where(rows >= i, row_min[j], np.inf)
-        xi = np.stack([ax0 - ax0[i], ax1[row_arg[j]] - ax1[j, None]], axis=-1)
+        i, j, k = ti[lo:lo + step, None], tj[lo:lo + step], tk[lo:lo + step]
+        cand = np.where(rows >= i, row_min[j, :, k], np.inf)
+        xi = np.stack([ax0 - ax0[i], ax1[row_arg[j, :, k]] - ax1[j, None]],
+                      axis=-1)
         out[lo:lo + step] = xi[np.arange(j.size), _batch_best(cand, xi)]
     return out
 
 
-def _obstacle(grid, slice_values, t, ell, cone, points, at_nodes):
-    """N at points (N, n) by the exact path when it applies, else the search.
+def _exact_stack(grid, values, t, ell, slopes):
+    """N and its argmin at every node of slices that take the exact path,
+    with cost slopes (K, n): shapes (K, *x_nodes), (K, *x_nodes, n)."""
+    bxi = _exact_nodes(grid, values, slopes)
+    vals = _psi(grid, values, t, ell, grid.space_nodes(),
+                bxi.reshape(len(t), -1, grid.n))
+    return vals.reshape(values.shape), bxi
 
-    `at_nodes` says the points are every node in row-major order, else
-    they are one point.  Returns (values, argmin_xi, probes), the first
-    two flat over the points; probes counts the payoffs the search
-    evaluated or the candidates the exact path compared (None for the
-    node scans).
+
+def _search_stack(grid, values, t, ell, cone):
+    """N and its argmin at every node of slices that take the search:
+    shapes (K, *x_nodes), (K, *x_nodes, n).  A batch holds whole slices,
+    or one slice's nodes, at most NODE_BATCH // COARSE**m nodes in all."""
+    nodes = grid.space_nodes()
+    step = NODE_BATCH // COARSE**cone.n_rays
+    rows = max(1, step // len(nodes))
+    vals = np.empty(values.shape[:1] + nodes.shape[:1])
+    bxi = np.empty(values.shape[:1] + nodes.shape)
+    for k in range(0, len(t), rows):
+        for lo in range(0, len(nodes), step):
+            part = slice(k, k + rows), slice(lo, lo + step)
+            vals[part], bxi[part], _ = _search(
+                grid, values[part[0]], t[part[0]], ell, nodes[part[1]], cone)
+    return vals.reshape(values.shape), bxi.reshape(values.shape + (grid.n,))
+
+
+def evaluate_slice_values(grid, values, t, ell, cone):
+    """Obstacle operator at every spatial node of a stack of slices.
+
+    `values` (K, *x_nodes) holds the slices at the times `t` (K,).  Each
+    slice takes the exact path when the problem allows it at its time,
+    else the search: a cost that reads t may send one stack down both.
+    The exact slices share one node scan; the search slices go in node
+    batches under NODE_BATCH.  Returns (values, argmin_xi) with shapes (K, *x_nodes),
+    (K, *x_nodes, n), each slice bit for bit what a stack of that slice
+    alone gives.
     """
+    values = np.asarray(values, dtype=float)
+    t = np.asarray(t, dtype=float)
     slopes = _exact_slopes(grid, t, ell, cone)
-    if slopes is None:
-        step = NODE_BATCH // COARSE**cone.n_rays
-        values, bxi, probes = zip(*(
-            _search(grid, slice_values, t, ell, points[lo:lo + step], cone)
-            for lo in range(0, len(points), step)))
-        return np.concatenate(values), np.concatenate(bxi), sum(probes)
-    slice_values = np.asarray(slice_values, dtype=float)
-    if not at_nodes:
-        xi, probes = _exact_point(grid, slice_values, slopes, points[0])
-        bxi = xi[None, :]
-    else:
-        bxi, probes = _exact_nodes(grid, slice_values, slopes), None
-    values = _psi(grid, slice_values, t, ell, points, bxi)
-    return values, bxi, probes
-
-
-def evaluate_slice_values(grid, slice_values, t, ell, cone):
-    """Obstacle operator applied to raw slice values at every spatial node.
-
-    Takes the exact path when the problem allows it, else the search.
-    Returns (values, argmin_xi) with shapes (*x_nodes,), (*x_nodes, n).
-    """
-    values, bxi, _ = _obstacle(grid, slice_values, t, ell, cone,
-                               grid.space_nodes(), at_nodes=True)
-    shape = tuple(grid.x_nodes)
-    return values.reshape(shape), bxi.reshape(shape + (grid.n,))
+    exact = np.array([s is not None for s in slopes])
+    if exact.all():
+        return _exact_stack(grid, values, t, ell, np.array(slopes))
+    if not exact.any():
+        return _search_stack(grid, values, t, ell, cone)
+    vals, bxi = np.empty(values.shape), np.empty(values.shape + (grid.n,))
+    vals[exact], bxi[exact] = _exact_stack(
+        grid, values[exact], t[exact], ell,
+        np.array([s for s in slopes if s is not None]))
+    vals[~exact], bxi[~exact] = _search_stack(grid, values[~exact],
+                                              t[~exact], ell, cone)
+    return vals, bxi
 
 
 def evaluate(V: GridFunction, t_index, x_point, ell, cone):
@@ -346,8 +381,14 @@ def evaluate(V: GridFunction, t_index, x_point, ell, cone):
                 f"x_point component {d + 1} = {x_point[d]} outside "
                 f"[{grid.x_min[d]}, {grid.x_max[d]}]"
             )
-    t = float(grid.t[t_index])
-    values, bxi, probes = _obstacle(
-        grid, V.values[t_index], t, ell, cone, x_point[None, :],
-        at_nodes=False)
-    return ObstacleResult(float(values[0]), np.array(bxi[0]), probes)
+    values = V.values[t_index][None]
+    t = grid.t[[t_index]]
+    points = x_point[None, :]
+    slopes = _exact_slopes(grid, t, ell, cone)[0]
+    if slopes is None:
+        value, bxi, probes = _search(grid, values, t, ell, points, cone)
+    else:
+        xi, probes = _exact_point(grid, values[0], slopes, x_point)
+        bxi = xi[None, None]
+        value = _psi(grid, values, t, ell, points, bxi)
+    return ObstacleResult(float(value[0, 0]), np.array(bxi[0, 0]), probes)

@@ -257,8 +257,8 @@ def _backward(problem, grid, dissipation, obstacle):
         # terminal slice: never enforced; its gap is kept so that the gap
         # equals viscosity.obstacle_gap(V) on every slice
         n_term, _ = obs.evaluate_slice_values(
-            grid, V[nt - 1], float(grid.t[nt - 1]), problem.ell, problem.cone)
-        gap[nt - 1] = n_term - V[nt - 1]
+            grid, V[nt - 1:], grid.t[nt - 1:], problem.ell, problem.cone)
+        gap[nt - 1] = n_term[0] - V[nt - 1]
 
     for k in range(nt - 2, -1, -1):
         t_k = float(grid.t[k])
@@ -301,8 +301,8 @@ def _settle(problem, grid, W0, t_k):
     W = W0
     for it in range(1, FP_MAX_ITER + 1):
         n_vals, arg_k = obs.evaluate_slice_values(
-            grid, W, t_k, problem.ell, problem.cone)
-        W_new = np.minimum(W0, n_vals)
+            grid, W[None], [t_k], problem.ell, problem.cone)
+        W_new = np.minimum(W0, n_vals[0])
         delta = float(np.max(np.abs(W_new - W)))
         W = W_new
         if delta <= FP_TOL:
@@ -316,8 +316,8 @@ def _settle(problem, grid, W0, t_k):
         # the last sweep saw the previous iterate; a zero update means
         # it saw this one, so its N and argmin stand
         n_vals, arg_k = obs.evaluate_slice_values(
-            grid, W, t_k, problem.ell, problem.cone)
-    return W, n_vals, arg_k, it
+            grid, W[None], [t_k], problem.ell, problem.cone)
+    return W, n_vals[0], arg_k[0], it
 
 
 # ------------------------------------------------------------ diagnostics ----

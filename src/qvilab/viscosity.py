@@ -38,6 +38,7 @@ probe side) and one gap N[V] - V, so each notion adds only its own scan.
 The five public checks each call it with one notion.  The field is built
 one slab of whole time rows at a time, at most SLAB_CENTERS centers per
 slab, so the field's memory follows SLAB_CENTERS and not t_nodes.
+obstacle_gap runs N on slabs of the same size.
 
 The scan makes one pass per (space slopes, time slope) pair.  It first
 finds the centers where the flat probe breaks the inequality; a curved
@@ -186,14 +187,21 @@ def obstacle_gap(V, problem):
     """N[V] - V on every time slice of a grid function.
 
     N is the one the solver clips with, over the ball of the box
-    diagonal.  The checkers take this array as `gap=`.
+    diagonal.  The checkers take this array as `gap=`.  N runs on slabs
+    of whole time slices, at most SLAB_CENTERS nodes per slab (at least
+    one slice), so its scratch memory follows SLAB_CENTERS and not
+    t_nodes; each slice is bit for bit what N on that slice alone gives.
+    A cost that raises stops the gap at the earliest slab it fails on,
+    with the error of the first operation that fails there.
     """
     grid = V.grid
     gap = np.empty(grid.shape)
-    for k in range(grid.t_nodes):
-        vals, _ = evaluate_slice_values(grid, V.values[k], grid.t[k],
+    step = max(1, SLAB_CENTERS // int(np.prod(grid.x_nodes)))
+    for start in range(0, grid.t_nodes, step):
+        rows = slice(start, start + step)
+        vals, _ = evaluate_slice_values(grid, V.values[rows], grid.t[rows],
                                         problem.ell, problem.cone)
-        gap[k] = vals - V.values[k]
+        np.subtract(vals, V.values[rows], out=gap[rows])
     return gap
 
 

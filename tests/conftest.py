@@ -39,10 +39,8 @@ def _jumps(problem, result):
     """The argmin of N at every slice V_k, shape grid.shape + (n,): a
     solve keeps none, and on a stepped slice this is its settled jump."""
     grid = result.V.grid
-    return np.stack([
-        obs.evaluate_slice_values(grid, result.V.values[k], float(grid.t[k]),
-                                  problem.ell, problem.cone)[1]
-        for k in range(grid.t_nodes)])
+    return obs.evaluate_slice_values(grid, result.V.values, grid.t,
+                                     problem.ell, problem.cone)[1]
 
 
 @pytest.fixture

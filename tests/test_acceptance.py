@@ -57,7 +57,7 @@ def dp_reference(grid, ell0=ELL0):
     payoff_cost = np.where(X >= 0.0, ell0 * (1.0 + X), np.inf)
     for k in range(grid.t_nodes - 2, -1, -1):
         target = (x - grid.dt)[:, None]
-        W = interp_slice(grid, W, target)
+        W = interp_slice(grid, W[None], target[None])[0]
         for _ in range(5):
             N = (W[None, :] + payoff_cost).min(axis=1)
             W_new = np.minimum(W, N)
@@ -259,11 +259,9 @@ class TestAcceptance:
             lower = rng.normal(size=grid.x_nodes[0])
             lift = rng.uniform(0.0, 1.0, size=grid.x_nodes[0])
             c = float(rng.uniform(-2.0, 2.0))
-            n_lower, _ = evaluate_slice_values(grid, lower, 0.5, ell, cone)
-            n_upper, _ = evaluate_slice_values(grid, lower + lift, 0.5,
-                                               ell, cone)
-            n_shift, _ = evaluate_slice_values(grid, lower + c, 0.5, ell,
-                                               cone)
+            (n_lower, n_upper, n_shift), _ = evaluate_slice_values(
+                grid, np.stack([lower, lower + lift, lower + c]),
+                [0.5, 0.5, 0.5], ell, cone)
             worst_mono = max(worst_mono, float(np.max(n_lower - n_upper)))
             worst_shift = max(worst_shift,
                               float(np.max(np.abs(n_shift - (n_lower + c)))))

@@ -1005,6 +1005,30 @@ EXTREME_ARGV = [
                   id="doubling--analytic-hat=1e300*x1")]
 
 
+class TestOutOfMemory:
+    @pytest.mark.parametrize("argv", [
+        ["reproduce-example", "--grid-nx", "100000000000"],
+        ["solve", EXAMPLE, "--grid-nx", "100000000000"],
+    ], ids=["reproduce-example", "solve"])
+    def test_an_over_large_grid_is_invalid_input(self, argv, tmp_path,
+                                                 monkeypatch, capsys):
+        # the grid's axes are its first allocation; numpy refuses one this
+        # large with a MemoryError, raised here before any byte is taken
+        linspace = np.linspace
+        message = ("Unable to allocate 745. GiB for an array with shape "
+                   "(100000000000,) and data type float64")
+
+        def refuse(start, stop, num=50, **kwargs):
+            if num > 10 ** 9:
+                raise MemoryError(message)
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        assert run([*argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+
 class TestExtremeValues:
     @pytest.mark.parametrize("argv", EXTREME_ARGV)
     def test_ends_in_an_exit_code_without_a_warning(self, argv, tmp_path):

@@ -432,25 +432,42 @@ class TestInterpolation:
         grid = Grid(1.0, 2, (0.0,), (2.0,), (5,))
         vals = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
         pts = grid.axes[0][:, None]
-        assert np.array_equal(interp_slice(grid, vals, pts), vals)
+        assert np.array_equal(interp_slice(grid, vals[None], pts[None]),
+                              vals[None])
 
     def test_linear_between_nodes(self):
         grid = Grid(1.0, 2, (0.0,), (2.0,), (5,))
         vals = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
-        got = interp_slice(grid, vals, np.array([[0.25]]))
-        assert got[0] == pytest.approx(0.5)
+        got = interp_slice(grid, vals[None], np.array([[[0.25]]]))
+        assert got[0, 0] == pytest.approx(0.5)
 
     def test_clamped_outside_box(self):
         grid = Grid(1.0, 2, (0.0,), (2.0,), (5,))
         vals = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
-        got = interp_slice(grid, vals, np.array([[-3.0], [99.0]]))
-        assert got[0] == 0.0 and got[1] == 16.0
+        got = interp_slice(grid, vals[None], np.array([[[-3.0], [99.0]]]))
+        assert got[0, 0] == 0.0 and got[0, 1] == 16.0
 
     def test_bilinear(self):
         grid = Grid(1.0, 2, (0.0, 0.0), (1.0, 1.0), (2, 2))
         vals = np.array([[0.0, 1.0], [2.0, 3.0]])
-        got = interp_slice(grid, vals, np.array([[0.5, 0.5]]))
-        assert got[0] == pytest.approx(1.5)
+        got = interp_slice(grid, vals[None], np.array([[[0.5, 0.5]]]))
+        assert got[0, 0] == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("x_nodes", [(7,), (5, 6)])
+    def test_leading_axis_picks_the_slice(self, x_nodes):
+        # each slice of a stack reads its own values, bit for bit what a
+        # one-slice stack of it gives
+        n = len(x_nodes)
+        grid = Grid(1.0, 2, (0.0,) * n, (1.0,) * n, x_nodes)
+        rng = np.random.default_rng(5)
+        vals = rng.normal(size=(3,) + x_nodes)
+        pts = rng.uniform(-0.2, 1.2, size=(3, 4, 2, n))
+        got = interp_slice(grid, vals, pts)
+        assert got.shape == (3, 4, 2)
+        for k in range(3):
+            want = interp_slice(grid, vals[k:k + 1], pts[k:k + 1])[0]
+            assert np.array_equal(got[k].view(np.uint64),
+                                  want.view(np.uint64))
 
 
 class TestConfig:

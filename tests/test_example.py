@@ -214,7 +214,7 @@ class TestVerdicts:
                 super().__init__(*args)
 
         def counted(*args, **kwargs):
-            slices.append(args[2])
+            slices.extend(args[2])  # the times of a stack of slices
             return evaluate(*args, **kwargs)
 
         monkeypatch.setattr(vc, "_ProbeField", Counted)
@@ -248,7 +248,7 @@ class TestVerdicts:
                 super().__init__(V, problem, start, stop)
 
         def counted(*args, **kwargs):
-            slices.append(args[2])
+            slices.extend(args[2])  # the times of a stack of slices
             return evaluate(*args, **kwargs)
 
         monkeypatch.setattr(vc, "_ProbeField", Counted)

@@ -44,8 +44,8 @@ class TestOracles:
         grid = make_grid_1d()
         V = constant_slice_fn(grid, lambda x: np.abs(x - 2.0))
         ell = ex.parse("0.05", ("t", "x1", "xi1"))
-        vals, argmin = evaluate_slice_values(
-            grid, V.values[0], float(grid.t[0]), ell, orthant_rays(1))
+        (vals,), (argmin,) = evaluate_slice_values(
+            grid, V.values[:1], grid.t[:1], ell, orthant_rays(1))
         x = grid.axes[0]
         left = x <= 2.0
         assert np.allclose(vals[left], 0.05, atol=1e-9)
@@ -81,7 +81,7 @@ class TestOracles:
         V = GridFunction(grid, np.zeros(grid.shape))
         ell = ex.parse("0.05", ("t", "x1", "xi1"))
         vals, argmin = evaluate_slice_values(
-            grid, V.values[1], float(grid.t[1]), ell, orthant_rays(1))
+            grid, V.values[1:2], grid.t[1:2], ell, orthant_rays(1))
         assert np.allclose(vals, 0.05, atol=0)
         assert np.all(argmin == 0.0)
 
@@ -116,13 +116,12 @@ class TestOracles:
         V = GridFunction(grid, np.zeros(grid.shape))
         ell = ex.parse("0.05*(1 + t) + 0.01*abs(x1) + 0.05*xi1",
                        ("t", "x1", "xi1"))
+        vals, argmin = evaluate_slice_values(grid, V.values, grid.t, ell,
+                                             Cone.orthant(1))
         for k in (0, 4):
-            t = grid.t[k]
-            vals, argmin = evaluate_slice_values(
-                grid, V.values[k], float(t), ell, Cone.orthant(1))
-            expect = 0.05 * (1 + t) + 0.01 * np.abs(grid.axes[0])
-            assert np.allclose(vals, expect, atol=1e-12)
-            assert np.all(argmin == 0.0)
+            expect = 0.05 * (1 + grid.t[k]) + 0.01 * np.abs(grid.axes[0])
+            assert np.allclose(vals[k], expect, atol=1e-12)
+        assert np.all(argmin == 0.0)
 
 
 class TestTwoDimensional:
@@ -180,8 +179,8 @@ class TestTwoDimensional:
             values = sample_terminal(cfg.problem.h, cfg.grid)
             tracemalloc.start()
             try:
-                evaluate_slice_values(cfg.grid, values, 0.5, cfg.problem.ell,
-                                      cfg.problem.cone)
+                evaluate_slice_values(cfg.grid, values[None], [0.5],
+                                      cfg.problem.ell, cfg.problem.cone)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -211,8 +210,8 @@ class TestExactProperties:
         for _ in range(100):
             base = rng.normal(size=grid.x_nodes[0])
             bump = rng.uniform(0.0, 1.0, size=grid.x_nodes[0])
-            nv, _ = evaluate_slice_values(grid, base, 0.5, ell, cone)
-            nw, _ = evaluate_slice_values(grid, base + bump, 0.5, ell, cone)
+            (nv, nw), _ = evaluate_slice_values(
+                grid, np.stack([base, base + bump]), [0.5, 0.5], ell, cone)
             worst = max(worst, float(np.max(nv - nw)))
         assert worst <= 1e-12
 
@@ -223,8 +222,8 @@ class TestExactProperties:
         cone = orthant_rays(1)
         for c in (1.0, -2.5, 0.125):
             base = rng.normal(size=grid.x_nodes[0])
-            nv, av = evaluate_slice_values(grid, base, 0.5, ell, cone)
-            ns, as_ = evaluate_slice_values(grid, base + c, 0.5, ell, cone)
+            (nv, ns), (av, as_) = evaluate_slice_values(
+                grid, np.stack([base, base + c]), [0.5, 0.5], ell, cone)
             assert np.max(np.abs(ns - (nv + c))) <= 1e-12
             assert np.array_equal(av, as_)
 
@@ -238,12 +237,12 @@ class TestExactProperties:
         monkeypatch.setattr(obs, "COARSE", 17)
         monkeypatch.setattr(obs, "REFINE_LEVELS", 6)
         base = rng.normal(size=grid.x_nodes[0])
-        vals, _ = evaluate_slice_values(grid, base, 0.5, ell, cone)
+        (vals,), _ = evaluate_slice_values(grid, base[None], [0.5], ell, cone)
         x = grid.axes[0]
         from qvilab.core import interp_slice
         for xi in np.linspace(0.0, grid.box_diagonal, 17):
-            target = np.clip(x + xi, -1.0, 4.0)[:, None]
-            payoff = interp_slice(grid, base, target) + 0.05 + 0.05 * xi
+            target = np.clip(x + xi, -1.0, 4.0)[None, :, None]
+            payoff = interp_slice(grid, base[None], target)[0] + 0.05 + 0.05 * xi
             assert np.all(vals <= payoff + 1e-12)
 
     def test_monotone_with_refinement_smooth(self):
@@ -254,8 +253,8 @@ class TestExactProperties:
         cone = orthant_rays(1)
         x = grid.axes[0]
         base = np.sin(x)
-        nv, _ = evaluate_slice_values(grid, base, 0.5, ell, cone)
-        nw, _ = evaluate_slice_values(grid, base + 0.3, 0.5, ell, cone)
+        (nv, nw), _ = evaluate_slice_values(
+            grid, np.stack([base, base + 0.3]), [0.5, 0.5], ell, cone)
         assert np.max(nv - nw) <= 1e-9
 
 
@@ -268,8 +267,8 @@ class TestInterfaces:
         cone = orthant_rays(1)
         monkeypatch.setattr(obs, "COARSE", 15)
         monkeypatch.setattr(obs, "REFINE_LEVELS", 4)
-        vals, argmin = evaluate_slice_values(
-            grid, V.values[1], float(grid.t[1]), ell, cone)
+        (vals,), (argmin,) = evaluate_slice_values(
+            grid, V.values[1:2], grid.t[1:2], ell, cone)
         for i in (0, 7, 23, 40):
             res = evaluate(V, 1, np.array([grid.axes[0][i]]), ell, cone)
             assert res.value == vals[i]

@@ -43,7 +43,7 @@ def payoffs(grid, values, ell, t, x, xi):
     env.update({f"xi{d + 1}": xi[:, d] for d in range(grid.n)})
     cost = np.broadcast_to(np.asarray(ex.evaluate(ell, env), dtype=float),
                            (xi.shape[0],))
-    return interp_slice(grid, values, x + xi) + cost
+    return interp_slice(grid, values[None], (x + xi)[None])[0] + cost
 
 
 def payoff(grid, values, ell, t, x, xi):
@@ -56,7 +56,8 @@ def node_or_interp(grid, values, y):
     for d, axis in enumerate(grid.axes):
         hit = np.flatnonzero(axis == y[d])
         if hit.size == 0:
-            return interp_slice(grid, values, np.asarray(y)[None, :])[0]
+            return interp_slice(grid, values[None],
+                                np.asarray(y)[None, None, :])[0, 0]
         index.append(hit[0])
     return values[tuple(index)]
 
@@ -84,11 +85,11 @@ def check_against_oracle(grid, values, ell, points=()):
     """Slice at every node, and evaluate at the nodes and at `points`."""
     t = 0.5
     cone = Cone.orthant(grid.n)
-    slopes = _exact_slopes(grid, t, ell, cone)
+    (slopes,) = _exact_slopes(grid, [t], ell, cone)
     assert slopes is not None
     V = GridFunction(grid, np.broadcast_to(values, grid.shape))
-    slice_vals, slice_xi = evaluate_slice_values(
-        grid, V.values[1], float(grid.t[1]), ell, cone)
+    (slice_vals,), (slice_xi,) = evaluate_slice_values(
+        grid, V.values[1:2], grid.t[1:2], ell, cone)
     nodes = nodes_of(grid)
     for i, x in enumerate(np.vstack([nodes, np.reshape(points, (-1, grid.n))])):
         want_xi, want_count = oracle(grid, values, slopes, x)
@@ -175,12 +176,12 @@ class TestOracle:
         values[1] = rng.normal(size=grid.x_nodes)
         V = GridFunction(grid, values)
         cone = Cone.orthant(n)
-        assert _exact_slopes(grid, 0.5, ell, cone) is not None
+        assert _exact_slopes(grid, [0.5], ell, cone)[0] is not None
+        vals, argmin = evaluate_slice_values(grid, V.values[:2], grid.t[:2],
+                                             ell, cone)
         for k in (0, 1):
-            vals, argmin = evaluate_slice_values(
-                grid, V.values[k], float(grid.t[k]), ell, cone)
             for flat, x in enumerate(nodes_of(grid)):
-                idx = np.unravel_index(flat, grid.x_nodes)
+                idx = (k,) + np.unravel_index(flat, grid.x_nodes)
                 res = evaluate(V, k, x, ell, cone)
                 assert res.value == vals[idx]
                 assert np.array_equal(res.argmin, argmin[idx])
@@ -193,20 +194,20 @@ class TestOracle:
         rng = np.random.default_rng(28)
         grid = grid_2d(x_nodes=(9, 7), x_min=(0.0, 0.0), x_max=(2.0, 1.5))
         ax0, ax1 = grid.axes
-        ti, tj = np.nonzero(np.ones(grid.x_nodes, dtype=bool))
-        default = obs.NODE_BATCH
-        for slopes in ([0.0, 0.0], [0.0, 1.0], [1.0, 0.5]):
-            slopes = np.array(slopes)
-            values = rng.integers(0, 3, size=grid.x_nodes).astype(float)
-            key = values + slopes[0] * ax0[:, None] + slopes[1] * ax1[None, :]
-            row_min, row_arg = obs._suffix_min(key.T)
-            want = np.array([obs._exact_point(grid, values, slopes,
-                                              np.array([ax0[i], ax1[j]]))[0]
-                             for i, j in zip(ti, tj)])
-            for batch in (1, 100, default):
-                monkeypatch.setattr(obs, "NODE_BATCH", batch)
-                got = obs._node_ties(grid, row_min, row_arg, ti, tj)
-                assert np.array_equal(got, want)
+        # the three slices run as one stack, each with its own slopes
+        slopes = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.5]])
+        values = rng.integers(0, 3, size=(3,) + grid.x_nodes).astype(float)
+        key = (values + slopes[:, :1, None] * ax0[:, None]
+               + slopes[:, 1:, None] * ax1)
+        row_min, row_arg = obs._suffix_min(key.T)
+        ti, tj, tk = np.nonzero(np.ones(grid.x_nodes + (3,), dtype=bool))
+        want = np.array([obs._exact_point(grid, values[k], slopes[k],
+                                          np.array([ax0[i], ax1[j]]))[0]
+                         for i, j, k in zip(ti, tj, tk)])
+        for batch in (1, 100, obs.NODE_BATCH):
+            monkeypatch.setattr(obs, "NODE_BATCH", batch)
+            got = obs._node_ties(grid, row_min, row_arg, ti, tj, tk)
+            assert np.array_equal(got, want)
 
     def test_two_column_pick_keeps_the_incumbent(self):
         # the search merges its incumbent (column 0) with each zoom level's
@@ -239,7 +240,8 @@ class TestOracle:
         for grid, ell, cone in cases:
             xi_max = grid.box_diagonal
             values = rng.normal(size=grid.x_nodes)
-            vals, _ = evaluate_slice_values(grid, values, 0.5, ell, cone)
+            vals, _ = evaluate_slice_values(grid, values[None], [0.5], ell,
+                                            cone)
             vals = vals.ravel()
             for i, x in enumerate(nodes_of(grid)):
                 xi = rng.uniform(0.0, xi_max, size=(200, grid.n))
@@ -251,9 +253,9 @@ class TestOracle:
 # ------------------------------------------------------- search is a bound ----
 
 class TestSearchUpperBound:
-    def search_values(self, grid, values, ell):
-        return _search(grid, values, 0.5, ell, nodes_of(grid),
-                       Cone.orthant(grid.n))[0]
+    def search_values(self, grid, values, ell, t=0.5):
+        return _search(grid, values[None], np.array([t]), ell,
+                       nodes_of(grid), Cone.orthant(grid.n))[0][0]
 
     def test_1d(self):
         rng = np.random.default_rng(31)
@@ -261,8 +263,8 @@ class TestSearchUpperBound:
         ell = ex.parse("0.05*(1 + xi1)", VARS_1D)
         for _ in range(5):
             values = np.cumsum(rng.normal(size=41)) * 0.2
-            exact, _ = evaluate_slice_values(grid, values, 0.5, ell,
-                                                Cone.orthant(1))
+            (exact,), _ = evaluate_slice_values(grid, values[None], [0.5],
+                                                ell, Cone.orthant(1))
             searched = self.search_values(grid, values, ell)
             assert np.all(searched >= exact - 1e-12)
 
@@ -272,8 +274,8 @@ class TestSearchUpperBound:
         ell = ex.parse("0.1 + 0.05*(xi1 + xi2)", VARS_2D)
         for _ in range(2):
             values = rng.normal(size=grid.x_nodes)
-            exact, _ = evaluate_slice_values(grid, values, 0.5, ell,
-                                                Cone.orthant(2))
+            (exact,), _ = evaluate_slice_values(grid, values[None], [0.5],
+                                                ell, Cone.orthant(2))
             searched = self.search_values(grid, values, ell)
             assert np.all(searched >= exact.ravel() - 1e-12)
 
@@ -281,14 +283,13 @@ class TestSearchUpperBound:
         cfg = load_problem((CONFIGS / "example.cfg").read_text())
         res = solve_qvi(cfg.problem, cfg.grid)
         grid = cfg.grid
-        for k in range(0, grid.t_nodes, 20):
-            exact, _ = evaluate_slice_values(
-                grid, res.V.values[k], float(grid.t[k]), cfg.problem.ell,
-                cfg.problem.cone)
-            searched = _search(grid, res.V.values[k], float(grid.t[k]),
-                               cfg.problem.ell, nodes_of(grid),
-                               cfg.problem.cone)[0]
-            assert np.all(searched >= exact - 1e-12)
+        ks = slice(0, grid.t_nodes, 20)
+        exact, _ = evaluate_slice_values(grid, res.V.values[ks], grid.t[ks],
+                                         cfg.problem.ell, cfg.problem.cone)
+        searched = _search(grid, res.V.values[ks], grid.t[ks],
+                           cfg.problem.ell, nodes_of(grid),
+                           cfg.problem.cone)[0]
+        assert np.all(searched >= exact - 1e-12)
 
 
 # -------------------------------------------------------------- fallback ----
@@ -301,7 +302,7 @@ class TestEligibility:
     def test_affine_costs_take_the_exact_path(self, source):
         ell = ex.parse(source, VARS_1D)
         grid = grid_1d()
-        assert _exact_slopes(grid, 0.5, ell, Cone.orthant(1)) is not None
+        assert _exact_slopes(grid, [0.5], ell, Cone.orthant(1))[0] is not None
 
     def test_exact_path_flags_the_box_edge(self):
         # node 0 jumps across the whole box, the diagonal: the exact path
@@ -313,11 +314,12 @@ class TestEligibility:
             n=1, T=1.0, H=ex.parse("0", ("t", "x1", "p1")),
             h=ex.parse("-10*x1", ("x1",)),
             ell=ex.parse("0.05 + 0.01*xi1", VARS_1D), cone=Cone.orthant(1))
-        assert _exact_slopes(grid, 0.5, problem.ell, problem.cone) is not None
+        assert _exact_slopes(grid, [0.5], problem.ell,
+                             problem.cone)[0] is not None
         res = solve_qvi(problem, grid, (0.0,))
-        _, arg = evaluate_slice_values(grid, res.V.values[0], float(grid.t[0]),
+        _, arg = evaluate_slice_values(grid, res.V.values[:1], grid.t[:1],
                                        problem.ell, problem.cone)
-        assert arg[0, 0] == 1.0
+        assert arg[0, 0, 0] == 1.0
         assert res.flags == ("best jump reaches x1 = 1 at 20 clipped nodes",)
         point = evaluate(res.V, 0, [0.0], problem.ell, problem.cone)
         assert point.argmin[0] == 1.0
@@ -341,12 +343,13 @@ class TestEligibility:
             np.eye(n))
         monkeypatch.setattr(obs, "COARSE", 9)
         monkeypatch.setattr(obs, "REFINE_LEVELS", 3)
-        assert _exact_slopes(grid, 0.5, ell, cone) is None
-        values = rng.normal(size=grid.x_nodes)
-        got = evaluate_slice_values(grid, values, 0.5, ell, cone)
-        want = _search(grid, values, 0.5, ell, nodes_of(grid), cone)
-        assert np.array_equal(got[0].ravel(), want[0])
-        assert np.array_equal(got[1].reshape(-1, n), want[1])
+        assert _exact_slopes(grid, [0.5], ell, cone) == [None]
+        values = rng.normal(size=(1,) + grid.x_nodes)
+        t = np.array([0.5])
+        got = evaluate_slice_values(grid, values, t, ell, cone)
+        want = _search(grid, values, t, ell, nodes_of(grid), cone)
+        assert np.array_equal(got[0].reshape(1, -1), want[0])
+        assert np.array_equal(got[1].reshape(1, -1, n), want[1])
 
     def test_form_of_the_cost_is_judged_once(self):
         """t-free slopes are computed once per cost and shared read-only;
@@ -355,16 +358,17 @@ class TestEligibility:
         grid = grid_1d()
         cone = Cone.orthant(1)
         timed = ex.parse("xi1*(1 + t)", VARS_1D)
-        for t in (0.0, 0.25, 0.5):
-            assert _exact_slopes(grid, t, timed, cone)[0] == 1.0 + t
+        times = (0.0, 0.25, 0.5)
+        for t, slopes in zip(times, _exact_slopes(grid, times, timed, cone)):
+            assert slopes[0] == 1.0 + t
         source = "0.05*(1 + xi1)"
-        first = _exact_slopes(grid, 0.2, ex.parse(source, VARS_1D), cone)
-        again = _exact_slopes(grid, 0.7, ex.parse(source, VARS_1D), cone)
+        (first,) = _exact_slopes(grid, [0.2], ex.parse(source, VARS_1D), cone)
+        (again,) = _exact_slopes(grid, [0.7], ex.parse(source, VARS_1D), cone)
         assert again is first and not first.flags.writeable
         assert first[0] == 0.05 * 2.0 - 0.05 * 1.0
         rays = Cone.from_rays([[1.0]])
         ell = ex.parse(source, VARS_1D)
-        assert _exact_slopes(grid, 0.2, ell, rays) is None
+        assert _exact_slopes(grid, [0.2], ell, rays) == [None]
 
 
 # ------------------------------------------------------------- properties ----
@@ -389,9 +393,11 @@ def slices(draw):
 
 
 def exact_n(grid, values, ell):
+    """N on the exact path over a stack of slices, all at t = 0.5."""
     cone = Cone.orthant(grid.n)
-    assert _exact_slopes(grid, 0.5, ell, cone) is not None
-    return evaluate_slice_values(grid, values, 0.5, ell, cone)[0]
+    assert _exact_slopes(grid, [0.5], ell, cone)[0] is not None
+    return evaluate_slice_values(grid, values, np.full(len(values), 0.5),
+                                 ell, cone)[0]
 
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -402,8 +408,7 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
 @given(slices())
 def test_exact_n_is_monotone_in_v(case):
     grid, values, bump, ell = case
-    low = exact_n(grid, values, ell)
-    high = exact_n(grid, values + bump, ell)
+    low, high = exact_n(grid, np.stack([values, values + bump]), ell)
     assert np.all(low <= high + 1e-10)
 
 
@@ -411,8 +416,7 @@ def test_exact_n_is_monotone_in_v(case):
 @given(slices(), st.floats(-100.0, 100.0, allow_nan=False))
 def test_exact_n_is_shift_equivariant(case, shift):
     grid, values, _, ell = case
-    base = exact_n(grid, values, ell)
-    moved = exact_n(grid, values + shift, ell)
+    base, moved = exact_n(grid, np.stack([values, values + shift]), ell)
     assert np.allclose(moved, base + shift, rtol=0.0, atol=1e-10)
 
 
@@ -494,7 +498,8 @@ class TestCallers:
 
         def counted(*args):
             out = inner(*args)
-            calls.append((args[2], out[1]))  # (t, argmin) of the call
+            (t,), (argmin,) = args[2], out[1]  # a one-slice stack
+            calls.append((float(t), argmin))
             return out
 
         monkeypatch.setattr(obs, "evaluate_slice_values", counted)
@@ -507,13 +512,11 @@ class TestCallers:
         # per slice, the argmin of its last sweep: the one the solve
         # counts box-edge jumps from, and then drops
         settled = dict(calls)
+        n_vals, arg = evaluate_slice_values(
+            grid, res.V.values, grid.t, cfg.problem.ell, cfg.problem.cone)
+        assert np.array_equal(res.obstacle_gap.values, n_vals - res.V.values)
         for k in range(grid.t_nodes - 1):
-            n_vals, arg = evaluate_slice_values(
-                grid, res.V.values[k], float(grid.t[k]), cfg.problem.ell,
-                cfg.problem.cone)
-            assert np.array_equal(res.obstacle_gap.values[k],
-                                  n_vals - res.V.values[k])
-            assert np.array_equal(settled[float(grid.t[k])], arg)
+            assert np.array_equal(settled[float(grid.t[k])], arg[k])
 
     def test_grid_nodes_are_cached_read_only(self):
         grid = grid_2d()

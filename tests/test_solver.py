@@ -78,7 +78,7 @@ def dp_solve_transport(grid, ell0=ELL0):
     payoff_cost = np.where(X >= 0.0, ell0 * (1.0 + X), np.inf)
     for k in range(grid.t_nodes - 2, -1, -1):
         target = (x - grid.dt)[:, None]
-        W = interp_slice(grid, W, target)
+        W = interp_slice(grid, W[None], target[None])[0]
         for _ in range(5):
             N = (W[None, :] + payoff_cost).min(axis=1)
             W_new = np.minimum(W, N)

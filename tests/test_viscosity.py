@@ -1034,3 +1034,24 @@ class TestSlabs:
         peaks = [peak for *_, peak in runs]
         assert peaks[1] <= 1.2 * peaks[0], peaks
         assert peaks[1] < 8 * 2 ** 20, peaks
+
+    def test_gap_memory_follows_the_slab_budget(self):
+        # N runs on slabs of at most SLAB_CENTERS nodes: beside the gap it
+        # returns, obstacle_gap peaks alike at 21 and 41 time nodes
+        cfg = load_problem(PLANE.read_text())
+        exact = ex.parse("sin(x1 - 1 + t) + cos(x2 - 1 + t)",
+                         {"t", "x1", "x2"})
+        scratch = []
+        for t_nodes in (21, 41):
+            grid = Grid(T=1.0, t_nodes=t_nodes, x_min=(-2.0, -2.0),
+                        x_max=(3.0, 3.0), x_nodes=(81, 81))
+            V = sample(exact, grid)
+            tracemalloc.start()
+            try:
+                gap = vc.obstacle_gap(V, cfg.problem)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            scratch.append(peak - gap.nbytes)
+        assert scratch[1] <= 1.2 * scratch[0], scratch
+        assert scratch[1] < 8 * 2 ** 20, scratch
