@@ -250,8 +250,11 @@ class Grid:
             if not math.isfinite(hi - lo):
                 raise ConfigError(
                     f"grid needs a finite width x_max - x_min in dimension {d + 1}")
-        # node coordinates, built once and kept out of the dataclass fields
-        # so ==, hash and repr still see only the five fields above
+        # spacing and node coordinates, built once and kept out of the
+        # dataclass fields so ==, hash and repr still see only the five above
+        object.__setattr__(self, "_dx", tuple(
+            (hi - lo) / (cnt - 1)
+            for lo, hi, cnt in zip(self.x_min, self.x_max, self.x_nodes)))
         t = np.linspace(0.0, self.T, self.t_nodes)
         axes = tuple(np.linspace(lo, hi, cnt)
                      for lo, hi, cnt in zip(self.x_min, self.x_max, self.x_nodes))
@@ -273,10 +276,7 @@ class Grid:
 
     @property
     def dx(self):
-        return tuple(
-            (hi - lo) / (cnt - 1)
-            for lo, hi, cnt in zip(self.x_min, self.x_max, self.x_nodes)
-        )
+        return self._dx
 
     @property
     def t(self):
@@ -330,13 +330,18 @@ class Grid:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Finite values on every node of a Grid, write-once after creation."""
+    """Finite values on every node of a Grid, write-once after creation.
+
+    A float64 array is wrapped as it is, not copied, and wrapping it
+    freezes it: the caller's array turns read-only too.  Any other input
+    is converted to a new float64 array first.
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+        vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.grid.shape:
             raise ConfigError(
                 f"grid function shape {vals.shape} does not match grid {self.grid.shape}"
@@ -635,21 +640,31 @@ def halton(dim, count, seed):
     base, and the digits are summed in increasing j, so the points equal
     scipy.stats.qmc.Halton(dim, scramble=True, seed=seed).random(count)
     bit for bit.  The first k points do not depend on `count`.
+
+    A base's permutations come from one rng.permuted call over its rows,
+    which draws the same stream as shuffling the rows one by one.  Digit
+    j of every index below count is 0 once b**j >= count, so from there
+    on each digit adds the one constant perm[0] * b**-(j+1); it is still
+    added digit by digit in increasing j, so no rounding moves.
     """
     rng = np.random.default_rng(seed)
     index = np.arange(count)
     columns = []
     for base in _primes(dim):
         digits = math.ceil(54 / math.log2(base)) - 1
-        perms = np.repeat(np.arange(base)[None], digits, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
+        perms = rng.permuted(np.tile(np.arange(base), (digits, 1)), axis=1)
+        live = 0  # digits that vary over the points: base**live >= count
+        while base**live < count:
+            live += 1
         quotient = index
         column = np.zeros(count)
         scale = 1.0 / base
-        for perm in perms:
-            quotient, digit = np.divmod(quotient, base)
-            column += perm[digit] * scale
+        for j, perm in enumerate(perms):
+            if j < live:
+                quotient, digit = np.divmod(quotient, base)
+                column += perm[digit] * scale
+            else:
+                column += perm[0] * scale
             scale /= base
         columns.append(column)
     return np.array(columns).T

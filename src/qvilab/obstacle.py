@@ -281,7 +281,8 @@ def _exact_nodes(grid, values, slopes):
                    ax1[row_arg[cols, arg0, ks]] - ax1[:, None]], axis=-1)
     after = np.concatenate([best[1:], np.full(best[:1].shape, np.nan)])
     ti, tj, tk = np.nonzero(after[arg0, cols, ks] == best)
-    xi[ti, tj, tk] = _node_ties(grid, row_min, row_arg, ti, tj, tk)
+    if ti.size:  # with no tie, _node_ties and its empty scatter are skipped
+        xi[ti, tj, tk] = _node_ties(grid, row_min, row_arg, ti, tj, tk)
     return xi.transpose(2, 0, 1, 3)
 
 

@@ -157,13 +157,14 @@ class SolveResult:
 # ------------------------------------------------------------------ steps ----
 
 def _axis_neighbors(W, axis):
-    pad = [(1, 1) if a == axis else (0, 0) for a in range(W.ndim)]
-    Wp = np.pad(W, pad, mode="edge")
-    hi = [slice(None)] * W.ndim
-    lo = [slice(None)] * W.ndim
-    hi[axis] = slice(2, None)
-    lo[axis] = slice(0, -2)
-    return Wp[tuple(hi)], Wp[tuple(lo)]
+    """The next and previous node of W along `axis`, the edge node
+    standing in for the missing one (copied-edge ghosts): the same arrays
+    as the slices [2:] and [:-2] of np.pad(W, ..., mode="edge")."""
+    def part(start, stop):
+        return W[(slice(None),) * axis + (slice(start, stop),)]
+    hi = np.concatenate([part(1, None), part(-1, None)], axis=axis)
+    lo = np.concatenate([part(None, 1), part(None, -1)], axis=axis)
+    return hi, lo
 
 
 def _hjb_step(problem, grid, dissipation, W, t_next, x):
@@ -273,6 +274,10 @@ def _backward(problem, grid, dissipation, obstacle):
         gap[k] = n_vals - W
         clipped = n_vals < W0
         clipped_count[k] = np.count_nonzero(clipped)
+        if not clipped_count[k]:
+            # nothing clipped: skip building and counting each axis's
+            # landing points, whose edge counts would all be 0
+            continue
         for d in range(grid.n):
             xi = argmin[..., d]
             land = (x[d] + xi)[clipped & (xi != 0.0)]  # clipped, moved along d

@@ -49,7 +49,11 @@ def assert_bitwise(got, want):
 class TestHalton:
     @pytest.mark.parametrize("dim", range(1, 8))
     def test_bitwise_equal_to_scipy(self, dim):
-        for count in (1, 7, 100, 512, 1000, 4096):
+        # 2, 3, 4, 8, 9, 27, 28, 513 and 4097 put a power of base 2 or 3
+        # at or just below count: the first digit that is 0 at every point,
+        # from which halton adds a constant per digit, moves by one
+        for count in (1, 2, 3, 4, 7, 8, 9, 27, 28, 100, 512, 513, 1000, 4096,
+                      4097):
             for seed in range(8):
                 assert_bitwise(halton(dim, count, seed),
                                scipy_halton(dim, count, seed))

@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 from dataclasses import replace
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from qvilab.core import (
     interp_slice,
     load_problem,
     role_variables,
+    write_csv,
 )
 from qvilab import solver
 from qvilab.assumptions import audit_H1, default_sampler
@@ -520,6 +522,41 @@ class TestConstrainedSolve:
         assert int(res.iterations.max()) <= 2
 
 
+CLIP_ABS_H = [
+    58, 57, 56, 56, 55, 54, 53, 53, 52, 51, 50, 49, 49, 48, 47, 46, 46, 45,
+    44, 44, 43, 42, 41, 41, 40, 39, 38, 37, 36, 36, 35, 34, 33, 32, 32, 31,
+    30, 29, 28, 27, 26, 25, 24, 24, 22, 21, 20, 19, 18, 17, 15, 14, 12, 10,
+    7, 0, 0, 0, 1, 1, 3, 4, 4, 5, 6, 6, 7, 7, 7, 8, 8, 9, 9, 8, 8, 7, 6, 5,
+    4, 2] + [0] * 19 + [127, 0]
+CLIP_TIMED_ELL = [0] * 63 + [
+    120, 120, 121, 121, 122, 122, 123, 123, 123, 123, 123, 124, 124, 123,
+    124, 124, 124, 123] + [124] * 16 + [125, 125, 125, 0]
+
+
+class TestRepeatedClips:
+    """Data that break translation invariance clip slice after slice, with
+    unclipped slices between, so the box-edge counts run (or are skipped)
+    on many slices of one solve.  The counts and bytes were taken before
+    the edge loop skipped unclipped slices."""
+
+    @pytest.mark.parametrize("setting, clipped, flags, digest", [
+        ('problem.H="-p1 + abs(x1 - 1)"', CLIP_ABS_H, (),
+         "3bac351c519e44bbcea98ad818dc0016f3d05c4e0091e2881b52b30839bdd381"),
+        ('problem.ell="0.05 + 0.02*t + 0.05*xi1"', CLIP_TIMED_ELL,
+         ("best jump reaches x1 = 4 at 4566 clipped nodes",),
+         "ec2066d0af9fc1fc5075d3c1e0227a17dc2e6ba0f19516a38f5b57ec98f25d93"),
+    ])
+    def test_counts_flags_and_bytes(self, tmp_path, setting, clipped, flags,
+                                    digest):
+        cfg = load_problem((CONFIGS / "example.cfg").read_text(), (setting,))
+        res = solve_qvi(cfg.problem, cfg.grid)
+        assert res.clipped.tolist() == clipped
+        assert res.flags == flags
+        path = tmp_path / "solution.csv"
+        write_csv(res.V, path)
+        assert sha256(path.read_bytes()).hexdigest() == digest
+
+
 class TestTwoDimensionalConstrained:
     def test_constraint_and_shapes(self, jumps):
         problem = ImpulseProblem(
@@ -541,8 +578,8 @@ class TestTwoDimensionalConstrained:
 
     @pytest.mark.parametrize("t_nodes, x_nodes", [(21, 41), (41, 81)])
     def test_solve_holds_no_per_node_jump_grid(self, t_nodes, x_nodes):
-        # V and the gap, each also copied into its write-once GridFunction,
-        # are four grids; a jump grid of n = 2 floats per node adds two
+        # V and the gap are two grids, which their GridFunctions wrap
+        # without a copy; a jump grid of n = 2 floats per node adds two
         cfg = load_problem(PLANE.read_text(), (
             f"grid.t_nodes={t_nodes}", f"grid.x_nodes={x_nodes},{x_nodes}"))
         tracemalloc.start()
@@ -633,3 +670,35 @@ class TestMonotoneStep:
         margin = 4.0 * np.finfo(float).eps * (np.abs(raised).max()
                                               + np.abs(base).max())
         assert np.all(step(raised) >= base - margin)
+
+
+class TestAxisNeighbors:
+    """The clamped neighbours of the HJB step are the slices of the
+    copied-edge padding, bit for bit, along every axis."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(W=hnp.arrays(np.float64,
+                        hnp.array_shapes(min_dims=1, max_dims=2, min_side=2,
+                                         max_side=7),
+                        elements=st.floats(allow_nan=False)))
+    def test_equal_to_the_slices_of_edge_padding(self, W):
+        for axis in range(W.ndim):
+            pad = [(1, 1) if a == axis else (0, 0) for a in range(W.ndim)]
+            Wp = np.pad(W, pad, mode="edge")
+            cut = [slice(None)] * W.ndim
+            cut[axis] = slice(2, None)
+            want_hi = Wp[tuple(cut)]
+            cut[axis] = slice(None, -2)
+            want_lo = Wp[tuple(cut)]
+            hi, lo = solver._axis_neighbors(W, axis)
+            assert hi.shape == lo.shape == W.shape
+            assert hi.tobytes() == want_hi.tobytes()
+            assert lo.tobytes() == want_lo.tobytes()
+
+    def test_length_two_axes(self):
+        W = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert [a.tolist() for a in solver._axis_neighbors(W, 0)] == [
+            [[3.0, 4.0], [3.0, 4.0]], [[1.0, 2.0], [1.0, 2.0]]]
+        assert [a.tolist() for a in solver._axis_neighbors(W, 1)] == [
+            [[2.0, 2.0], [4.0, 4.0]], [[1.0, 1.0], [3.0, 3.0]]]
